@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 from .color_state import COLOR_ORDER, Color
 from .grid import Grid
-from .layout import DesignRules, Layout, LayoutError, Vertex, validate
+from .layout import DesignRules, Layout, Vertex, require_valid
 from .negotiation import net_order_key, route_batch
 from .router import RouteTree, recount_stitches
 
@@ -62,9 +62,7 @@ class BaselineResult:
 
 def route_colorless(layout: Layout) -> tuple[Grid, dict[int, RouteTree]]:
     """One routing pass with gamma = stitch_cost = 0 (masks ignored)."""
-    problems = validate(layout)
-    if problems:
-        raise LayoutError("; ".join(problems))
+    require_valid(layout)
     grid = Grid.from_layout(layout)
     grid.rules = replace(layout.rules, gamma=0.0, stitch_cost=0.0)
     routes: dict[int, RouteTree] = {}

@@ -13,50 +13,31 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from pathlib import Path
 
 from .baseline import run_baseline
 from .color_state import COLOR_LETTERS
 from .generate import InfeasiblePlacementError, generate_instance
 from .grid import CollisionError, Grid
-from .layout import DesignRules, Layout, LayoutError, load_layout, save_layout
+from .layout import (
+    RULE_TYPES,
+    DesignRules,
+    Layout,
+    LayoutError,
+    load_layout,
+    require_valid,
+    save_layout,
+)
 from .metrics import ScoreReport, compare, report_to_dict, score
-from .negotiation import RoutingResult, detect_conflicts, route_all
+from .negotiation import IterationReport, detect_conflicts, route_all
 from .render import render_layers
 from .router import RouteTree, UnroutableError
 
 MODES = ("route", "baseline", "compare", "generate")
 
-RULE_FLAGS = {
-    "max_iters": "max_iterations",
-    "d_color": "d_color",
-    "alpha": "alpha",
-    "beta": "beta",
-    "gamma": "gamma",
-    "stitch_cost": "stitch_cost",
-    "via_cost": "via_cost",
-    "wrong_way_cost": "wrong_way_cost",
-    "history_increment": "history_increment",
-    "off_guide_penalty": "off_guide_penalty",
-}
-
-
-@dataclass
-class RunConfig:
-    mode: str
-    input: str | None
-    output: str
-    seed: int = 0
-    render: bool = False
-    timing: bool = False
-    rule_overrides: dict[str, float | int] = field(default_factory=dict)
-    width: int = 8
-    height: int = 8
-    layers: int = 2
-    num_nets: int = 4
-    pins_per_net: int = 3
-    congestion: float = 0.5
+# Rule flags are --<field-name-with-dashes>, except this historic spelling.
+_FLAG_SPELLINGS = {"max_iterations": "max-iters"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -70,16 +51,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--render", action="store_true", help="also write one SVG per layer")
     p.add_argument("--timing", action="store_true", help="include wall time in reports")
-    p.add_argument("--max-iters", type=int, dest="max_iters")
-    p.add_argument("--d-color", type=int, dest="d_color")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--stitch-cost", type=float, dest="stitch_cost")
-    p.add_argument("--via-cost", type=float, dest="via_cost")
-    p.add_argument("--wrong-way-cost", type=float, dest="wrong_way_cost")
-    p.add_argument("--history-increment", type=float, dest="history_increment")
-    p.add_argument("--off-guide-penalty", type=float, dest="off_guide_penalty")
+    for name, kind in RULE_TYPES.items():
+        flag = _FLAG_SPELLINGS.get(name, name.replace("_", "-"))
+        p.add_argument(f"--{flag}", type=kind, dest=name)
     g = p.add_argument_group("generate mode")
     g.add_argument("--width", type=int, default=8)
     g.add_argument("--height", type=int, default=8)
@@ -90,126 +64,88 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
+def run(args: argparse.Namespace) -> int:
     overrides = {
-        RULE_FLAGS[flag]: value
-        for flag, value in vars(args).items()
-        if flag in RULE_FLAGS and value is not None
+        name: getattr(args, name) for name in RULE_TYPES if getattr(args, name) is not None
     }
-    return RunConfig(
-        mode=args.mode,
-        input=args.input,
-        output=args.output,
-        seed=args.seed,
-        render=args.render,
-        timing=args.timing,
-        rule_overrides=overrides,
-        width=args.width,
-        height=args.height,
-        layers=args.layers,
-        num_nets=args.num_nets,
-        pins_per_net=args.pins_per_net,
-        congestion=args.congestion,
-    )
-
-
-def run(config: RunConfig) -> int:
-    if config.mode == "generate":
-        rules = replace(DesignRules(), **config.rule_overrides)
+    if args.mode == "generate":
         layout = generate_instance(
-            seed=config.seed,
-            width=config.width,
-            height=config.height,
-            layers=config.layers,
-            num_nets=config.num_nets,
-            pins_per_net=config.pins_per_net,
-            congestion=config.congestion,
-            rules=rules,
+            seed=args.seed,
+            width=args.width,
+            height=args.height,
+            layers=args.layers,
+            num_nets=args.num_nets,
+            pins_per_net=args.pins_per_net,
+            congestion=args.congestion,
+            rules=replace(DesignRules(), **overrides),
         )
-        save_layout(layout, config.output)
+        require_valid(layout)
+        save_layout(layout, args.output)
         return 0
 
-    if not config.input:
-        raise LayoutError(f"mode {config.mode} needs --input")
-    layout = load_layout(config.input)
-    if config.rule_overrides:
-        layout.rules = replace(layout.rules, **config.rule_overrides)
+    if not args.input:
+        raise LayoutError(f"mode {args.mode} needs --input")
+    layout = load_layout(args.input)
+    layout.rules = replace(layout.rules, **overrides)
 
-    if config.mode == "route":
-        _run_route(layout, config)
-    elif config.mode == "baseline":
-        _run_baseline(layout, config)
+    if args.mode == "compare":
+        _run_compare(layout, args)
     else:
-        _run_compare(layout, config)
+        _run_single(layout, args)
     return 0
 
 
-def _run_route(layout: Layout, config: RunConfig) -> ScoreReport:
+def _run_arm(arm, layout: Layout):
+    """Run route_all or run_baseline and score it once; wall time covers both."""
     started = time.perf_counter()
-    result = route_all(layout)
+    result = arm(layout)
     report = score(result.grid, result.routes, layout.rules)
     report.wall_time_ms = (time.perf_counter() - started) * 1000.0
-    for line in iteration_lines(result):
-        print(line)
-    _write_report(config, report, result.iterations)
-    _write_routes(config, result.grid, result.routes, layout.rules, method="router")
-    if config.render:
-        _write_render(config, layout, result.grid, result.routes)
-    return report
+    return result, report
 
 
-def _run_baseline(layout: Layout, config: RunConfig) -> ScoreReport:
-    started = time.perf_counter()
-    result = run_baseline(layout)
-    report = score(result.grid, result.routes, layout.rules)
-    report.wall_time_ms = (time.perf_counter() - started) * 1000.0
-    _write_report(config, report, iterations=None)
-    _write_routes(config, result.grid, result.routes, layout.rules, method="baseline")
-    if config.render:
-        _write_render(config, layout, result.grid, result.routes)
-    return report
+def _run_single(layout: Layout, args: argparse.Namespace) -> None:
+    method = "router" if args.mode == "route" else "baseline"
+    result, report = _run_arm(route_all if method == "router" else run_baseline, layout)
+    payload = report_to_dict(report, args.timing)
+    if method == "router":
+        payload["iterations"] = [iteration_to_dict(it) for it in result.iterations]
+        for entry in payload["iterations"]:
+            print(json.dumps(entry, sort_keys=True))
+    _write_json(f"{args.output}.report.json", payload)
+    _write_json(
+        f"{args.output}.routes.json", routes_to_dict(result.routes, report, layout.rules, method)
+    )
+    if args.render:
+        _write_render(args.output, layout, result.grid, result.routes)
 
 
-def _run_compare(layout: Layout, config: RunConfig) -> None:
-    base_started = time.perf_counter()
-    base = run_baseline(layout)
-    base_report = score(base.grid, base.routes, layout.rules)
-    base_report.wall_time_ms = (time.perf_counter() - base_started) * 1000.0
-
-    ours_started = time.perf_counter()
-    ours = route_all(layout)
-    ours_report = score(ours.grid, ours.routes, layout.rules)
-    ours_report.wall_time_ms = (time.perf_counter() - ours_started) * 1000.0
-
+def _run_compare(layout: Layout, args: argparse.Namespace) -> None:
+    _, base_report = _run_arm(run_baseline, layout)
+    ours, ours_report = _run_arm(route_all, layout)
     payload = {
-        "baseline": report_to_dict(base_report, config.timing),
-        "router": report_to_dict(ours_report, config.timing),
+        "baseline": report_to_dict(base_report, args.timing),
+        "router": report_to_dict(ours_report, args.timing),
         "rows": compare(base_report, ours_report),
     }
-    _write_json(f"{config.output}.compare.json", payload)
-    if config.render:
-        _write_render(config, layout, ours.grid, ours.routes)
+    _write_json(f"{args.output}.compare.json", payload)
+    if args.render:
+        _write_render(args.output, layout, ours.grid, ours.routes)
 
 
-def iteration_lines(result: RoutingResult) -> list[str]:
-    return [
-        json.dumps(
-            {
-                "iter": it.index,
-                "conflicts": len(it.conflicts),
-                "stitches": it.stitch_count,
-                "rerouted": it.nets_rerouted,
-            },
-            sort_keys=True,
-        )
-        for it in result.iterations
-    ]
+def iteration_to_dict(it: IterationReport) -> dict:
+    return {
+        "iter": it.index,
+        "conflicts": len(it.conflicts),
+        "stitches": it.stitch_count,
+        "rerouted": it.nets_rerouted,
+    }
 
 
 def routes_to_dict(
-    grid: Grid, routes: dict[int, RouteTree], rules: DesignRules, method: str
+    routes: dict[int, RouteTree], report: ScoreReport, rules: DesignRules, method: str
 ) -> dict:
-    report = score(grid, routes, rules)
+    """Per-net paths, colors, stitches and cost terms, from an existing score."""
     by_net = {n.net_id: n for n in report.per_net}
     nets = []
     for net_id in sorted(routes):
@@ -236,37 +172,12 @@ def routes_to_dict(
     return {"method": method, "nets": nets}
 
 
-def _write_report(config: RunConfig, report: ScoreReport, iterations) -> None:
-    payload = report_to_dict(report, config.timing)
-    if iterations is not None:
-        payload["iterations"] = [
-            {
-                "iter": it.index,
-                "conflicts": len(it.conflicts),
-                "stitches": it.stitch_count,
-                "rerouted": it.nets_rerouted,
-            }
-            for it in iterations
-        ]
-    _write_json(f"{config.output}.report.json", payload)
-
-
-def _write_routes(
-    config: RunConfig,
-    grid: Grid,
-    routes: dict[int, RouteTree],
-    rules: DesignRules,
-    method: str,
-) -> None:
-    _write_json(f"{config.output}.routes.json", routes_to_dict(grid, routes, rules, method))
-
-
 def _write_render(
-    config: RunConfig, layout: Layout, grid: Grid, routes: dict[int, RouteTree]
+    prefix: str, layout: Layout, grid: Grid, routes: dict[int, RouteTree]
 ) -> None:
     conflicts = detect_conflicts(grid, layout.rules)
     for layer, svg in render_layers(layout, grid, routes, conflicts).items():
-        Path(f"{config.output}.layer{layer}.svg").write_text(svg)
+        Path(f"{prefix}.layer{layer}.svg").write_text(svg)
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -275,9 +186,8 @@ def _write_json(path: str, payload: dict) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    config = config_from_args(args)
     try:
-        return run(config)
+        return run(args)
     except (
         LayoutError,
         UnroutableError,

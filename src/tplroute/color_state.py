@@ -9,7 +9,7 @@ assigned from it.
 from __future__ import annotations
 
 from enum import IntEnum
-from typing import Iterable, Mapping
+from typing import Mapping
 
 
 class Color(IntEnum):
@@ -24,7 +24,6 @@ class Color(IntEnum):
 COLOR_ORDER: tuple[Color, Color, Color] = (Color.RED, Color.GREEN, Color.BLUE)
 
 COLOR_LETTERS = {Color.RED: "R", Color.GREEN: "G", Color.BLUE: "B"}
-LETTER_COLORS = {v: k for k, v in COLOR_LETTERS.items()}
 
 ALL_COLORS = 0b111
 NO_COLORS = 0b000
@@ -82,11 +81,3 @@ def from_string(text: str) -> int:
     if len(text) != 3 or any(ch not in "01" for ch in text):
         raise ValueError(f"not a 3-bit color state: {text!r}")
     return int(text, 2)
-
-
-def state_of(colors: Iterable[Color]) -> int:
-    """Pack an iterable of colors into a state."""
-    state = NO_COLORS
-    for c in colors:
-        state |= c
-    return state

@@ -29,7 +29,6 @@ class Direction(IntEnum):
     D = 5  # down one layer
 
 
-PLANAR_DIRECTIONS = (Direction.F, Direction.B, Direction.R, Direction.L)
 VIA_DIRECTIONS = (Direction.U, Direction.D)
 
 

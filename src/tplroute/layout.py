@@ -3,28 +3,26 @@
 The on-disk format is a single JSON object:
 
     {"grid": {"width": W, "height": H, "layers": [{"dir": "H"|"V"}, ...]},
-     "rules": {"d_color": ..., "alpha": ..., "beta": ..., "gamma": ...,
-               "stitch_cost": ..., "via_cost": ..., "wrong_way_cost": ...,
-               "history_increment": ..., "max_iterations": ...},
+     "rules": {<one key per DesignRules field>},
      "obstacles": [[x, y, l], ...],
      "nets": [{"id": ..., "name": ..., "pins": [[[x, y, l], ...], ...],
                "guide": [{"layer": l, "x0": ..., "y0": ..., "x1": ..., "y1": ...}, ...]}]}
 
-Coordinates are abstract grid tracks. "guide" is optional per net; an
-optional "off_guide_penalty" rules key configures the soft penalty for
-leaving the guide (default 4.0).
+Coordinates are abstract grid tracks. "guide" is optional per net. Every
+rules key is required except "off_guide_penalty", the soft penalty for
+leaving the guide (default 4.0). Rules typed int in DesignRules must be
+JSON integers; the rest may be any finite JSON number, stored as float.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any
 
 Vertex = tuple[int, int, int]
-
-DEFAULT_OFF_GUIDE_PENALTY = 4.0
 
 
 class LayoutError(ValueError):
@@ -44,7 +42,7 @@ class DesignRules:
     wrong_way_cost: float = 2.0
     history_increment: float = 10.0
     max_iterations: int = 10
-    off_guide_penalty: float = DEFAULT_OFF_GUIDE_PENALTY
+    off_guide_penalty: float = 4.0
 
 
 @dataclass(frozen=True)
@@ -86,17 +84,10 @@ class Layout:
         return 0 <= x < self.width and 0 <= y < self.height and 0 <= l < self.num_layers
 
 
-_RULE_FIELDS = (
-    "d_color",
-    "alpha",
-    "beta",
-    "gamma",
-    "stitch_cost",
-    "via_cost",
-    "wrong_way_cost",
-    "history_increment",
-    "max_iterations",
-)
+# Rule name -> its type (int or float), taken from the field defaults.
+RULE_TYPES: dict[str, type] = {f.name: type(f.default) for f in fields(DesignRules)}
+_OPTIONAL_RULES = {"off_guide_penalty"}
+_RULE_MINIMUMS = {"d_color": 1, "max_iterations": 1}
 
 
 def _require(obj: dict, key: str, where: str) -> Any:
@@ -130,19 +121,12 @@ def layout_from_dict(data: dict) -> Layout:
         layers.append(Layer(index=i, preferred_direction=d))
 
     raw_rules = _require(data, "rules", "layout")
-    for name in _RULE_FIELDS:
-        _require(raw_rules, name, "rules")
     rules = DesignRules(
-        d_color=int(raw_rules["d_color"]),
-        alpha=float(raw_rules["alpha"]),
-        beta=float(raw_rules["beta"]),
-        gamma=float(raw_rules["gamma"]),
-        stitch_cost=float(raw_rules["stitch_cost"]),
-        via_cost=float(raw_rules["via_cost"]),
-        wrong_way_cost=float(raw_rules["wrong_way_cost"]),
-        history_increment=float(raw_rules["history_increment"]),
-        max_iterations=int(raw_rules["max_iterations"]),
-        off_guide_penalty=float(raw_rules.get("off_guide_penalty", DEFAULT_OFF_GUIDE_PENALTY)),
+        **{
+            name: _rule_value(_require(raw_rules, name, "rules"), kind)
+            for name, kind in RULE_TYPES.items()
+            if name in raw_rules or name not in _OPTIONAL_RULES
+        }
     )
 
     obstacles = {_vertex(o, "obstacles") for o in data.get("obstacles", [])}
@@ -171,17 +155,22 @@ def layout_from_dict(data: dict) -> Layout:
         nets.append(Net(id=net_id, name=name, pins=pins, guide=guide))
 
     layout = Layout(
-        width=int(width),
-        height=int(height),
+        width=width,
+        height=height,
         layers=layers,
         rules=rules,
         obstacles=obstacles,
         nets=nets,
     )
-    violations = validate(layout)
-    if violations:
-        raise LayoutError("; ".join(violations))
+    require_valid(layout)
     return layout
+
+
+def _rule_value(value: Any, kind: type) -> Any:
+    """JSON integers become floats in float rules; anything else is left for validate."""
+    if kind is float and type(value) is int:
+        return float(value)
+    return value
 
 
 def load_layout(path: str | Path) -> Layout:
@@ -198,6 +187,12 @@ def load_layout(path: str | Path) -> Layout:
 def validate(layout: Layout) -> list[str]:
     """All invariant violations, one message per offense. Empty means valid."""
     problems: list[str] = []
+    if not (_is_int(layout.width) and _is_int(layout.height)):
+        # Every bounds check below compares against the dimensions.
+        problems.append(
+            f"grid dimensions must be integers, got {layout.width!r}x{layout.height!r}"
+        )
+        return problems + _rule_problems(layout.rules)
     if layout.width < 1 or layout.height < 1:
         problems.append(f"grid dimensions must be positive, got {layout.width}x{layout.height}")
     for a, b in zip(layout.layers, layout.layers[1:]):
@@ -205,16 +200,7 @@ def validate(layout: Layout) -> list[str]:
             problems.append(
                 f"layers {a.index} and {b.index} do not alternate preferred direction"
             )
-
-    r = layout.rules
-    if r.d_color < 1:
-        problems.append(f"d_color must be >= 1, got {r.d_color}")
-    for name in ("alpha", "beta", "gamma", "stitch_cost", "via_cost",
-                 "wrong_way_cost", "history_increment", "off_guide_penalty"):
-        if getattr(r, name) < 0:
-            problems.append(f"rule {name} must be non-negative, got {getattr(r, name)}")
-    if r.max_iterations < 1:
-        problems.append(f"max_iterations must be >= 1, got {r.max_iterations}")
+    problems.extend(_rule_problems(layout.rules))
 
     for o in sorted(layout.obstacles):
         if not layout.in_bounds(o):
@@ -252,27 +238,44 @@ def validate(layout: Layout) -> list[str]:
     return problems
 
 
+def require_valid(layout: Layout) -> None:
+    """Raise LayoutError naming every violation validate finds."""
+    problems = validate(layout)
+    if problems:
+        raise LayoutError("; ".join(problems))
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _rule_problems(rules: DesignRules) -> list[str]:
+    """Type, finiteness and range checks, driven by each field's type."""
+    problems = []
+    for name, kind in RULE_TYPES.items():
+        value = getattr(rules, name)
+        if kind is int and not _is_int(value):
+            problems.append(f"rule {name} must be an integer, got {value!r}")
+        elif not (_is_int(value) or isinstance(value, float)):
+            problems.append(f"rule {name} must be a number, got {value!r}")
+        elif not math.isfinite(value):
+            problems.append(f"rule {name} must be finite, got {value!r}")
+        elif name in _RULE_MINIMUMS and value < _RULE_MINIMUMS[name]:
+            problems.append(f"{name} must be >= {_RULE_MINIMUMS[name]}, got {value}")
+        elif value < 0:
+            problems.append(f"rule {name} must be non-negative, got {value}")
+    return problems
+
+
 def layout_to_dict(layout: Layout) -> dict:
     """Serialize back to the JSON schema (stable ordering for byte determinism)."""
-    r = layout.rules
     return {
         "grid": {
             "width": layout.width,
             "height": layout.height,
             "layers": [{"dir": layer.preferred_direction} for layer in layout.layers],
         },
-        "rules": {
-            "d_color": r.d_color,
-            "alpha": r.alpha,
-            "beta": r.beta,
-            "gamma": r.gamma,
-            "stitch_cost": r.stitch_cost,
-            "via_cost": r.via_cost,
-            "wrong_way_cost": r.wrong_way_cost,
-            "history_increment": r.history_increment,
-            "max_iterations": r.max_iterations,
-            "off_guide_penalty": r.off_guide_penalty,
-        },
+        "rules": {name: getattr(layout.rules, name) for name in RULE_TYPES},
         "obstacles": [list(v) for v in sorted(layout.obstacles)],
         "nets": [
             {

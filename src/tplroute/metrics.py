@@ -9,7 +9,6 @@ a layout quality and is excluded.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .grid import Grid
@@ -105,10 +104,6 @@ def report_to_dict(report: ScoreReport, include_wall_time: bool = False) -> dict
         ],
         "wall_time_ms": report.wall_time_ms if include_wall_time else None,
     }
-
-
-def report_to_json(report: ScoreReport, include_wall_time: bool = False) -> str:
-    return json.dumps(report_to_dict(report, include_wall_time), indent=2, sort_keys=True) + "\n"
 
 
 def _tree_trad(tree: RouteTree, grid: Grid) -> float:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .color_state import Color
 from .grid import Grid
-from .layout import DesignRules, Layout, LayoutError, Net, Vertex, validate
+from .layout import DesignRules, Layout, Net, Vertex, require_valid
 from .router import RouteTree, UnroutableError, route_net
 
 MAX_RESCUES_PER_NET = 8
@@ -142,9 +142,7 @@ def route_all(layout: Layout) -> RoutingResult:
     Remaining conflicts at the iteration cap are data, not an error;
     a genuinely unroutable net does raise.
     """
-    problems = validate(layout)
-    if problems:
-        raise LayoutError("; ".join(problems))
+    require_valid(layout)
     grid = Grid.from_layout(layout)
     ordered = sorted(layout.nets, key=net_order_key)
     routes: dict[int, RouteTree] = {}
@@ -160,6 +158,7 @@ def route_all(layout: Layout) -> RoutingResult:
                 exc.remaining_pins,
                 f"iteration {iteration}: {exc}",
                 exc.blocked_nets,
+                exc.blocked_vertices,
             ) from exc
         conflicts = detect_conflicts(grid, layout.rules)
         stitch_count = sum(len(t.stitches) for t in routes.values())

@@ -12,10 +12,13 @@ During backtrace, runs of vertices whose states stay compatible are
 grouped: a verSet is a run with one identical state, a segSet is a chain
 of verSets whose accumulated state intersection stays non-empty and which
 therefore ends up on a single mask. A stitch exists exactly where a segSet
-had to be closed. Each vertex keeps a Pareto set of (cost, state) labels:
-a costlier label survives if its state is not a subset of a cheaper
-label's, which is what lets a later stretch reuse a mask that a cheaper
-arrival had priced out.
+had to be closed. Final masks and stitches depend only on segSets, so a
+segSet stores its member vertices directly and its verSets stay implicit
+as the equal-state runs among them.
+
+Each vertex keeps a Pareto set of (cost, state) labels: a costlier label
+survives if its state is not a subset of a cheaper label's, which is what
+lets a later stretch reuse a mask that a cheaper arrival had priced out.
 """
 
 from __future__ import annotations
@@ -70,21 +73,16 @@ class SearchNode:
 
 
 @dataclass
-class VerSet:
-    """Consecutively traced adjacent vertices sharing one color state."""
+class SegSet:
+    """A chain of verSets forced onto a single final mask.
+
+    members lists the traced vertices; state is the accumulated
+    intersection of their traced states (the final mask once frozen). A
+    segSet emptied by a merge has no members.
+    """
 
     state: int
     members: list[Vertex]
-    seg_set: "SegSet"
-
-
-@dataclass
-class SegSet:
-    """A chain of verSets forced onto a single final mask."""
-
-    state: int
-    ver_sets: list[VerSet]
-    index: int
     final_color: Color | None = None
 
 
@@ -113,13 +111,11 @@ class SolutionQueue:
     direction, insertion order), so runs are reproducible.
     """
 
-    def __init__(self, grid: Grid, net: Net, on_pop=None):
+    def __init__(self, grid: Grid, net: Net):
         self._grid = grid
         self._heap: list = []
         self._seq = count()
         self.labels: dict[Vertex, list[SearchNode]] = {}
-        self.on_pop = on_pop
-        self.pin_cover: dict[Vertex, frozenset[int]] = {}
         cover: dict[Vertex, set[int]] = {}
         for idx, pin in enumerate(net.pins):
             for v in pin.covered_vertices:
@@ -153,56 +149,48 @@ class SolutionQueue:
             if node.pruned or node.expanded:
                 continue
             node.expanded = True
-            if self.on_pop is not None:
-                self.on_pop(node)
             return node
         return None
 
 
 class _TreeBuilder:
-    """Accumulates verSets/segSets and paths across a net's backtraces."""
+    """Accumulates segSets and paths across a net's backtraces."""
 
     def __init__(self) -> None:
-        self.versets: dict[Vertex, VerSet] = {}
+        self.segset_of: dict[Vertex, SegSet] = {}
         self.segsets: list[SegSet] = []
         self.vertex_states: dict[Vertex, int] = {}
         self.paths: list[list[Vertex]] = []
         self.path_costs: list[float] = []
 
-    def new_verset(self, vertex: Vertex, state: int, seg: SegSet | None = None) -> VerSet:
+    def add(self, vertex: Vertex, state: int, seg: SegSet | None = None) -> SegSet:
+        """Put a traced vertex into seg, or into a new segSet when seg is None."""
         if seg is None:
-            seg = SegSet(state=state, ver_sets=[], index=len(self.segsets))
+            seg = SegSet(state=state, members=[])
             self.segsets.append(seg)
-        vs = VerSet(state=state, members=[vertex], seg_set=seg)
-        seg.ver_sets.append(vs)
-        self.versets[vertex] = vs
+        seg.members.append(vertex)
+        self.segset_of[vertex] = seg
         self.vertex_states.setdefault(vertex, state)
-        return vs
-
-    def join_verset(self, vs: VerSet, vertex: Vertex, state: int) -> None:
-        vs.members.append(vertex)
-        self.versets[vertex] = vs
-        self.vertex_states.setdefault(vertex, state)
+        return seg
 
     def merge_segsets(self, into: SegSet, other: SegSet, shared: int) -> None:
         into.state = shared
-        for vs in other.ver_sets:
-            vs.seg_set = into
-            into.ver_sets.append(vs)
-        other.ver_sets.clear()
+        for v in other.members:
+            self.segset_of[v] = into
+        into.members.extend(other.members)
+        other.members.clear()
 
     def freeze_open_segsets(self, grid: Grid, net_id: int) -> None:
         """Collapse every still-open segSet to its final mask (2-pin mode)."""
         for seg in self.segsets:
-            if seg.ver_sets and seg.final_color is None:
+            if seg.members and seg.final_color is None:
                 seg.final_color = _cheapest_color(seg, grid, net_id)
                 seg.state = int(seg.final_color)
 
 
 def _cheapest_color(seg: SegSet, grid: Grid, net_id: int) -> Color:
-    members = [v for vs in seg.ver_sets for v in vs.members]
     costs = {
-        c: sum(grid.vertex_color_cost(v, c, net_id) for v in members)
+        c: sum(grid.vertex_color_cost(v, c, net_id) for v in seg.members)
         for c in colors_in(seg.state)
     }
     return pick_final(seg.state, costs)
@@ -254,7 +242,7 @@ def backtrace(
     net_id: int,
     freeze: bool = False,
 ) -> list[Vertex]:
-    """Walk prev links from dst to the tree, grouping vertices into verSets.
+    """Walk prev links from dst to the tree, grouping vertices into segSets.
 
     A predecessor joins the growing segSet while the segSet's accumulated
     state still shares a mask with it (the share becomes the new state);
@@ -273,37 +261,33 @@ def backtrace(
         chain.append(node)
     terminal = node.prev
 
-    cur_vs = tree.versets.get(dst.vertex)
-    if cur_vs is None:
-        cur_vs = tree.new_verset(dst.vertex, dst.state)
+    cur_seg = tree.segset_of.get(dst.vertex)
+    if cur_seg is None:
+        cur_seg = tree.add(dst.vertex, dst.state)
     walk = chain[1:] + ([terminal] if terminal is not None else [])
     for prev_node in walk:
-        cur_seg = cur_vs.seg_set
-        existing = tree.versets.get(prev_node.vertex)
-        if existing is not None:
-            other_seg = existing.seg_set
+        other_seg = tree.segset_of.get(prev_node.vertex)
+        if other_seg is not None:
             if other_seg is not cur_seg:
                 shared = cur_seg.state & other_seg.state
                 if shared:
                     tree.merge_segsets(cur_seg, other_seg, shared)
-                # no shared mask: segSet boundary, the junction is a stitch
-            cur_vs = existing
+                else:
+                    # no shared mask: segSet boundary, the junction is a stitch
+                    cur_seg = other_seg
         else:
             shared = cur_seg.state & prev_node.state
             if shared:
                 cur_seg.state = shared
-                if prev_node.state == cur_vs.state:
-                    tree.join_verset(cur_vs, prev_node.vertex, prev_node.state)
-                else:
-                    cur_vs = tree.new_verset(prev_node.vertex, prev_node.state, cur_seg)
+                tree.add(prev_node.vertex, prev_node.state, cur_seg)
             else:
-                cur_vs = tree.new_verset(prev_node.vertex, prev_node.state)
+                cur_seg = tree.add(prev_node.vertex, prev_node.state)
 
     if freeze:
         tree.freeze_open_segsets(grid, net_id)
 
     for n in chain + ([terminal] if terminal is not None else []):
-        seed_state = tree.versets[n.vertex].seg_set.state if freeze else n.state
+        seed_state = tree.segset_of[n.vertex].state if freeze else n.state
         queue.insert(SearchNode(n.vertex, 0.0, seed_state, None, None))
 
     path = [terminal.vertex] if terminal is not None else []
@@ -311,7 +295,7 @@ def backtrace(
     return path
 
 
-def route_net(net: Net, grid: Grid, *, two_pin_mode: bool = False, on_pop=None) -> RouteTree:
+def route_net(net: Net, grid: Grid, *, two_pin_mode: bool = False) -> RouteTree:
     """Connect all pins of a net and finalize per-segSet mask colors.
 
     Does not mutate the grid; committing the returned tree is the
@@ -325,7 +309,7 @@ def route_net(net: Net, grid: Grid, *, two_pin_mode: bool = False, on_pop=None) 
     if len(net.pins) == 1:
         return RouteTree(net.id, [], {}, [], {}, 0.0)
 
-    queue = SolutionQueue(grid, net, on_pop=on_pop)
+    queue = SolutionQueue(grid, net)
     tree = _TreeBuilder()
     seeded = False
     for v in net.pins[0].covered_vertices:
@@ -440,13 +424,12 @@ def finalize_colors(tree: _TreeBuilder, grid: Grid, net_id: int) -> RouteTree:
     """
     vertex_colors: dict[Vertex, Color] = {}
     for seg in tree.segsets:
-        if not seg.ver_sets:
+        if not seg.members:
             continue  # emptied by a merge
         if seg.final_color is None:
             seg.final_color = _cheapest_color(seg, grid, net_id)
-        for vs in seg.ver_sets:
-            for v in vs.members:
-                vertex_colors[v] = seg.final_color
+        for v in seg.members:
+            vertex_colors[v] = seg.final_color
     stitches = recount_stitches(vertex_colors)
     return RouteTree(
         net_id=net_id,

@@ -15,11 +15,12 @@ GEN_FLAGS = [
 ]
 
 
-def run_cli(args):
+def run_cli(args, timeout=None):
     return subprocess.run(
         [sys.executable, "-m", "tplroute", *args],
         capture_output=True,
         text=True,
+        timeout=timeout,
     )
 
 
@@ -137,3 +138,25 @@ def test_route_outputs_byte_identical_across_processes(tmp_path, instance_file):
         a = Path(str(outs[0]) + suffix).read_bytes()
         b = Path(str(outs[1]) + suffix).read_bytes()
         assert a == b, f"{suffix} differs between identical runs"
+
+
+def test_nan_rule_override_rejected(tmp_path):
+    # A subprocess with a timeout, so a regression fails instead of hanging.
+    out = tmp_path / "nan"
+    proc = run_cli(
+        ["--mode", "route", "--input", str(DEMO), "--output", str(out), "--alpha", "nan"],
+        timeout=60,
+    )
+    assert proc.returncode == 1
+    err = json.loads(proc.stderr.strip().splitlines()[-1])
+    assert err["error"] == "LayoutError"
+    assert "alpha" in err["message"]
+    assert not list(tmp_path.iterdir())
+
+
+def test_generate_rejects_bad_override_before_writing(tmp_path, capsys):
+    path = tmp_path / "gen.json"
+    code = main(["--mode", "generate", "--output", str(path), "--stitch-cost", "inf"])
+    assert code == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "LayoutError"
+    assert not path.exists()

@@ -1,11 +1,14 @@
 import json
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tplroute.baseline import route_colorless
 from tplroute.generate import generate_instance
 from tplroute.layout import (
+    DesignRules,
     LayoutError,
     layout_from_dict,
     layout_to_dict,
@@ -13,6 +16,9 @@ from tplroute.layout import (
     save_layout,
     validate,
 )
+from tplroute.negotiation import route_all
+
+RULE_NAMES = [f.name for f in fields(DesignRules)]
 
 
 def minimal_dict():
@@ -132,3 +138,52 @@ def test_save_and_reload(tmp_path):
     save_layout(layout, path)
     again = load_layout(path)
     assert layout_to_dict(again) == layout_to_dict(layout)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1, "3", True])
+@pytest.mark.parametrize("name", RULE_NAMES)
+def test_bad_rule_value_rejected(name, bad):
+    data = minimal_dict()
+    data["rules"][name] = bad
+    with pytest.raises(LayoutError, match=name):
+        layout_from_dict(data)
+
+
+@pytest.mark.parametrize(
+    "section, key, bad",
+    [
+        ("rules", "d_color", 2.7),
+        ("rules", "max_iterations", 3.0),
+        ("grid", "width", "6"),
+        ("grid", "height", 4.0),
+        ("grid", "width", True),
+    ],
+)
+def test_non_integer_sizes_rejected(section, key, bad):
+    data = minimal_dict()
+    data[section][key] = bad
+    with pytest.raises(LayoutError, match="integer"):
+        layout_from_dict(data)
+
+
+def test_float_rules_read_json_integers_as_floats():
+    layout = layout_from_dict(minimal_dict())
+    assert type(layout.rules.stitch_cost) is float
+    assert type(layout.rules.d_color) is int
+    assert layout_to_dict(layout)["rules"]["stitch_cost"] == 5.0
+    assert layout.rules.off_guide_penalty == DesignRules().off_guide_penalty
+
+
+def test_off_guide_penalty_is_the_only_optional_rule():
+    data = minimal_dict()
+    data["rules"]["off_guide_penalty"] = 1.5
+    assert layout_from_dict(data).rules.off_guide_penalty == 1.5
+    assert set(layout_to_dict(layout_from_dict(data))["rules"]) == set(RULE_NAMES)
+
+
+@pytest.mark.parametrize("arm", [route_all, route_colorless])
+def test_routing_entry_points_reject_nan_rules(arm):
+    layout = layout_from_dict(minimal_dict())
+    layout.rules = replace(layout.rules, alpha=float("nan"))
+    with pytest.raises(LayoutError, match="alpha"):
+        arm(layout)

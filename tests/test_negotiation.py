@@ -1,7 +1,10 @@
+import pytest
+
 from instances import congested_layout, empty_grid
 from tplroute.color_state import Color
 from tplroute.layout import DesignRules, Layer, Layout, Net, Pin
 from tplroute.negotiation import detect_conflicts, net_order_key, route_all
+from tplroute.router import UnroutableError
 
 
 def test_detect_different_colors_no_conflict():
@@ -124,3 +127,22 @@ def test_routes_commit_matches_grid():
         committed_by_net.setdefault(net_id, {})[v] = color
     for net_id, tree in result.routes.items():
         assert committed_by_net.get(net_id, {}) == tree.vertex_colors
+
+
+def test_unroutable_run_keeps_blockers():
+    # Two nets must both cross the single gap at (2, 1): each rescue hands
+    # the gap to the other net until the rescue budget runs out.
+    layout = Layout(
+        width=5, height=3, layers=[Layer(0, "H")], rules=DesignRules(),
+        obstacles={(2, 0, 0), (2, 2, 0)},
+        nets=[
+            Net(0, "a", [Pin(0, [(0, 0, 0)]), Pin(0, [(4, 0, 0)])]),
+            Net(1, "b", [Pin(1, [(0, 2, 0)]), Pin(1, [(4, 2, 0)])]),
+        ],
+    )
+    with pytest.raises(UnroutableError) as exc_info:
+        route_all(layout)
+    exc = exc_info.value
+    assert exc.remaining_pins == [1]
+    assert exc.blocked_nets == {1 - exc.net_id}
+    assert exc.blocked_vertices, "the re-raise must keep the wall's vertices"

@@ -129,7 +129,7 @@ class TestBacktraceSegSets:
             nodes.append(node)
         tree = _TreeBuilder()
         path = backtrace(queue, nodes[-1], tree, grid, net_id=0)
-        live = [s for s in tree.segsets if s.ver_sets]
+        live = [s for s in tree.segsets if s.members]
         return path, tree, live
 
     def test_overlapping_states_narrow_to_single_segset(self):
@@ -149,7 +149,9 @@ class TestBacktraceSegSets:
     def test_uniform_states_single_verset(self):
         _, tree, segs = self._run_chain([0b111, 0b111, 0b111])
         assert len(segs) == 1
-        assert len(segs[0].ver_sets) == 1
+        # one verSet: every member carries the same traced state
+        assert sorted(segs[0].members) == [(0, 0, 0), (1, 0, 0), (2, 0, 0)]
+        assert {tree.vertex_states[v] for v in segs[0].members} == {0b111}
         assert segs[0].state == 0b111
 
     def test_reseeded_nodes_pushed_at_zero_cost(self):
@@ -167,24 +169,41 @@ class TestBacktraceSegSets:
         assert reseeded == {(0, 0, 0), (1, 0, 0), (2, 0, 0)}
 
 
-def test_queue_monotone_pops():
-    pops = []
+def record_pops(monkeypatch, field):
+    """Collect one attribute of every node SolutionQueue.pop hands out."""
+    seen = []
+    pop = SolutionQueue.pop
+
+    def recording_pop(queue):
+        node = pop(queue)
+        if node is not None:
+            seen.append(getattr(node, field))
+        return node
+
+    monkeypatch.setattr(SolutionQueue, "pop", recording_pop)
+    return seen
+
+
+def test_queue_monotone_pops(monkeypatch):
+    pops = record_pops(monkeypatch, "cost")
     grid = empty_grid(6, 6, ("H", "V"))
     net = two_pin_net((0, 0, 0), (5, 5, 1))
     register_pins(grid, net)
-    route_net(net, grid, on_pop=lambda n: pops.append(n.cost))
+    route_net(net, grid)
+    assert pops
     # re-seeded zero-cost sources arrive between searches; within a run
     # costs never decrease except at those restarts
     drops = [i for i in range(1, len(pops)) if pops[i] < pops[i - 1]]
     assert all(pops[i] == 0.0 for i in drops)
 
 
-def test_queue_never_holds_dead_states():
+def test_queue_never_holds_dead_states(monkeypatch):
+    collected = record_pops(monkeypatch, "state")
     grid = empty_grid(5, 5, ("H",))
     net = two_pin_net((0, 0, 0), (4, 4, 0))
     register_pins(grid, net)
-    collected = []
-    route_net(net, grid, on_pop=lambda n: collected.append(n.state))
+    route_net(net, grid)
+    assert collected
     assert all(s != 0 for s in collected)
 
 
