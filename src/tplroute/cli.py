@@ -30,7 +30,7 @@ from .layout import (
     save_layout,
 )
 from .metrics import ScoreReport, compare, report_to_dict, score
-from .negotiation import IterationReport, detect_conflicts, route_all
+from .negotiation import Conflict, IterationReport, route_all
 from .render import render_layers
 from .router import RouteTree, UnroutableError
 
@@ -117,7 +117,7 @@ def _run_single(layout: Layout, args: argparse.Namespace) -> None:
         f"{args.output}.routes.json", routes_to_dict(result.routes, report, layout.rules, method)
     )
     if args.render:
-        _write_render(args.output, layout, result.grid, result.routes)
+        _write_render(args.output, layout, result.grid, result.routes, report.conflict_list)
 
 
 def _run_compare(layout: Layout, args: argparse.Namespace) -> None:
@@ -130,7 +130,7 @@ def _run_compare(layout: Layout, args: argparse.Namespace) -> None:
     }
     _write_json(f"{args.output}.compare.json", payload)
     if args.render:
-        _write_render(args.output, layout, ours.grid, ours.routes)
+        _write_render(args.output, layout, ours.grid, ours.routes, ours_report.conflict_list)
 
 
 def iteration_to_dict(it: IterationReport) -> dict:
@@ -173,9 +173,12 @@ def routes_to_dict(
 
 
 def _write_render(
-    prefix: str, layout: Layout, grid: Grid, routes: dict[int, RouteTree]
+    prefix: str,
+    layout: Layout,
+    grid: Grid,
+    routes: dict[int, RouteTree],
+    conflicts: list[Conflict],
 ) -> None:
-    conflicts = detect_conflicts(grid, layout.rules)
     for layer, svg in render_layers(layout, grid, routes, conflicts).items():
         Path(f"{prefix}.layer{layer}.svg").write_text(svg)
 

@@ -9,6 +9,11 @@ and U/D (vias). Edge cost composes as
 where trad = 1 + wrong-way + via + target history + off-guide penalty and
 color_cost = gamma * (foreign same-color commits within Manhattan distance
 < d_color of the target, on the target's layer).
+
+The committed map is an Occupancy: next to the vertex -> (net, color)
+entries it maintains, per mask, how many commits lie within the d_color
+stencil of each vertex, so a color cost is one list read rather than a
+stencil scan. It also indexes each net's vertices for rip-up.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import IntEnum
 
-from .color_state import COLOR_LETTERS, Color
+from .color_state import COLOR_LETTERS, COLOR_ORDER, Color
 from .layout import DesignRules, Layout, Vertex
 
 
@@ -31,9 +36,152 @@ class Direction(IntEnum):
 
 VIA_DIRECTIONS = (Direction.U, Direction.D)
 
+# (dx, dy, dl) of each Direction, on a layer whose preferred axis is
+# horizontal and on one whose preferred axis is vertical.
+_OFFSETS_H = ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1))
+_OFFSETS_V = ((0, 1, 0), (0, -1, 0), (1, 0, 0), (-1, 0, 0), (0, 0, 1), (0, 0, -1))
+
+# A move: (direction, dx, dy, dl, planar, base_trad).
+Move = tuple[Direction, int, int, int, bool, float]
+
 
 class CollisionError(RuntimeError):
     """A commit touched a vertex owned by a different net."""
+
+
+_MISSING = object()
+
+
+class Occupancy(dict):
+    """Committed vertices, vertex -> (net_id, color), with two indexes.
+
+    For each mask, a flat list indexed like Grid.vid holds, per vertex,
+    how many commits of that mask (any net) lie within Manhattan distance
+    < d_color on the vertex's layer. The lists are built on the first
+    read under a d_color and rebuilt when a read asks for another one.
+    A per-net index holds each net's committed vertices. Every mutator
+    keeps both in step; get, `in` and iteration are the native dict's.
+    """
+
+    __slots__ = ("_shape", "_d_color", "_counts", "_nets")
+
+    def __init__(self, width: int, height: int, layers: int, entries=()):
+        super().__init__()
+        self._shape = (width, height, layers)
+        self._d_color: int | None = None
+        self._counts: dict[Color, list[int]] = {}
+        self._nets: dict[int, set[Vertex]] = {}
+        self.update(entries)
+
+    def __reduce__(self):
+        return type(self), (*self._shape, dict(self))
+
+    # ---- mutators ----------------------------------------------------
+
+    def __setitem__(self, v: Vertex, entry: tuple[int, Color]) -> None:
+        net_id, color = entry
+        old = self.get(v, _MISSING)
+        dict.__setitem__(self, v, entry)
+        if old is not _MISSING:
+            if old == entry:
+                return
+            self._unindex(v, old)
+        self._nets.setdefault(net_id, set()).add(v)
+        self._spread(v, color, 1)
+
+    def __delitem__(self, v: Vertex) -> None:
+        entry = self[v]
+        dict.__delitem__(self, v)
+        self._unindex(v, entry)
+
+    def setdefault(self, v, entry=None):
+        if v not in self:
+            self[v] = entry
+        return self[v]
+
+    def pop(self, v, *default):
+        if v not in self:
+            return dict.pop(self, v, *default)
+        entry = self[v]
+        del self[v]
+        return entry
+
+    def popitem(self):
+        v, entry = dict.popitem(self)
+        self._unindex(v, entry)
+        return v, entry
+
+    def update(self, *args, **kwargs) -> None:
+        for v, entry in dict(*args, **kwargs).items():
+            self[v] = entry
+
+    def __ior__(self, other):
+        self.update(other)
+        return self
+
+    def clear(self) -> None:
+        dict.clear(self)
+        self._nets.clear()
+        self._d_color = None
+        self._counts = {}
+
+    # ---- indexes -----------------------------------------------------
+
+    def net_vertices(self, net_id: int) -> set[Vertex]:
+        """The vertices committed to net_id (empty when it has none)."""
+        return self._nets.get(net_id, set())
+
+    def counts(self, d_color: int) -> dict[Color, list[int]]:
+        """Per mask, the commits within distance < d_color of each vertex id."""
+        if d_color != self._d_color:
+            width, height, layers = self._shape
+            self._d_color = d_color
+            self._counts = {c: [0] * (width * height * layers) for c in Color}
+            for v, (_, color) in self.items():
+                self._spread(v, color, 1)
+        return self._counts
+
+    def foreign_counts(self, d_color: int, net_id: int) -> tuple[list[int], list[int], list[int]]:
+        """Red, green and blue counts of the commits of nets other than net_id.
+
+        The shared lists when net_id has nothing committed, else copies
+        with the net's own commits taken out.
+        """
+        counts = self.counts(d_color)
+        lists = tuple(counts[c] for c in COLOR_ORDER)
+        own = self._nets.get(net_id)
+        if not own:
+            return lists
+        counts = {c: list(counts[c]) for c in COLOR_ORDER}
+        for v in own:
+            self._spread(v, self[v][1], -1, counts)
+        return tuple(counts[c] for c in COLOR_ORDER)
+
+    def _unindex(self, v: Vertex, entry: tuple[int, Color]) -> None:
+        net_id, color = entry
+        own = self._nets[net_id]
+        own.discard(v)
+        if not own:
+            del self._nets[net_id]
+        self._spread(v, color, -1)
+
+    def _spread(self, v: Vertex, color: Color, delta: int, into=None) -> None:
+        """Add delta to color's count at every in-grid vertex of v's stencil.
+
+        into replaces the maintained counts as the target when given.
+        """
+        if self._d_color is None:
+            return
+        width, height, layers = self._shape
+        x, y, l = v
+        if not 0 <= l < layers:
+            return
+        lst = (into or self._counts)[color]
+        base = l * height
+        for dx, dy in _stencil(self._d_color):
+            tx, ty = x + dx, y + dy
+            if 0 <= tx < width and 0 <= ty < height:
+                lst[(base + ty) * width + tx] += delta
 
 
 @dataclass
@@ -48,6 +196,11 @@ class Grid:
     history: dict[Vertex, float] = field(default_factory=dict)
     # Pin vertices are keep-outs for every other net.
     pin_owners: dict[Vertex, int] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        shape = (self.width, self.height, self.num_layers)
+        if not (isinstance(self.committed, Occupancy) and self.committed._shape == shape):
+            self.committed = Occupancy(*shape, self.committed)
 
     @classmethod
     def from_layout(cls, layout: Layout) -> "Grid":
@@ -78,24 +231,32 @@ class Grid:
         x, y, l = v
         return (l * self.height + y) * self.width + x
 
+    def _offsets(self, l: int) -> tuple[tuple[int, int, int], ...]:
+        return _OFFSETS_H if self.layer_dirs[l] == "H" else _OFFSETS_V
+
     def step(self, v: Vertex, direction: Direction) -> Vertex | None:
         """Geometric neighbor in a direction, or None if off-grid."""
         x, y, l = v
-        if direction == Direction.U:
-            t = (x, y, l + 1)
-        elif direction == Direction.D:
-            t = (x, y, l - 1)
-        else:
-            horizontal = self.layer_dirs[l] == "H"
-            if direction == Direction.F:
-                t = (x + 1, y, l) if horizontal else (x, y + 1, l)
-            elif direction == Direction.B:
-                t = (x - 1, y, l) if horizontal else (x, y - 1, l)
-            elif direction == Direction.R:
-                t = (x, y + 1, l) if horizontal else (x + 1, y, l)
-            else:  # L
-                t = (x, y - 1, l) if horizontal else (x - 1, y, l)
+        dx, dy, dl = self._offsets(l)[direction]
+        t = (x + dx, y + dy, l + dl)
         return t if self.in_bounds(t) else None
+
+    def move_table(self) -> list[tuple[Move, ...]]:
+        """Per layer, the moves in F,B,R,L,U,D order under the current rules.
+
+        base_trad is trad_cost's rule part (1 + wrong-way or via cost);
+        vias that would leave the layer stack are left out.
+        """
+        base = _base_trad(self.rules)
+        top = self.num_layers - 1
+        return [
+            tuple(
+                (d, dx, dy, dl, d not in VIA_DIRECTIONS, base[d])
+                for d, (dx, dy, dl) in zip(Direction, self._offsets(l))
+                if 0 <= l + dl <= top
+            )
+            for l in range(self.num_layers)
+        ]
 
     def neighbors(self, v: Vertex) -> list[tuple[Direction, Vertex]]:
         """In-bounds, non-obstacle neighbors in fixed F,B,R,L,U,D order."""
@@ -128,20 +289,22 @@ class Grid:
         target = self.step(v, direction)
         if target is None:
             raise ValueError(f"no edge from {v} in direction {direction.name}")
-        cost = 1.0
-        if direction in VIA_DIRECTIONS:
-            cost += self.rules.via_cost
-        elif direction in (Direction.R, Direction.L):
-            cost += self.rules.wrong_way_cost
-        cost += self.history.get(target, 0.0)
-        if guide is not None and not _in_guide(target, guide):
+        cost = _base_trad(self.rules)[direction] + self.history.get(target, 0.0)
+        if guide is not None and not in_guide(target, guide):
             cost += self.rules.off_guide_penalty
         return cost
 
     def vertex_color_cost(self, v: Vertex, color: Color, net_id: int) -> float:
-        """gamma-weighted count of foreign same-color commits near v (same layer)."""
-        x, y, l = v
+        """gamma-weighted count of foreign same-color commits near v (same layer).
+
+        A read of the maintained counts when net_id has nothing committed
+        (always so inside route_net, which runs on a ripped-up net);
+        otherwise a stencil scan that skips the net's own commits.
+        """
         d = self.rules.d_color
+        if self.in_bounds(v) and not self.committed.net_vertices(net_id):
+            return self.rules.gamma * self.committed.counts(d)[color][self.vid(v)]
+        x, y, l = v
         count = 0
         for dx, dy in _stencil(d):
             entry = self.committed.get((x + dx, y + dy, l))
@@ -176,8 +339,7 @@ class Grid:
 
     def rip_up(self, net_id: int) -> None:
         """Free every vertex of a net. History costs stay."""
-        doomed = [v for v, (n, _) in self.committed.items() if n == net_id]
-        for v in doomed:
+        for v in list(self.committed.net_vertices(net_id)):
             del self.committed[v]
 
     def recolor_vertex(self, v: Vertex, color: Color) -> None:
@@ -212,7 +374,14 @@ class Grid:
         return "\n\n".join(blocks) + "\n"
 
 
-def _in_guide(v: Vertex, guide: list[tuple[int, int, int, int, int]]) -> bool:
+def _base_trad(rules: DesignRules) -> tuple[float, ...]:
+    """trad_cost before history and guide terms, indexed by Direction."""
+    wrong_way = 1.0 + rules.wrong_way_cost
+    via = 1.0 + rules.via_cost
+    return (1.0, 1.0, wrong_way, wrong_way, via, via)
+
+
+def in_guide(v: Vertex, guide: list[tuple[int, int, int, int, int]]) -> bool:
     x, y, l = v
     for gl, x0, y0, x1, y1 in guide:
         if l == gl and x0 <= x <= x1 and y0 <= y <= y1:

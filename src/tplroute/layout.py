@@ -100,9 +100,17 @@ def _vertex(raw: Any, where: str) -> Vertex:
     if not isinstance(raw, (list, tuple)) or len(raw) != 3:
         raise LayoutError(f"bad vertex {raw!r} in {where}")
     x, y, l = raw
-    if not all(isinstance(c, int) for c in (x, y, l)):
+    # Exact type tests: they reject booleans and keep parsing cheap.
+    if type(x) is not int or type(y) is not int or type(l) is not int:
         raise LayoutError(f"non-integer vertex {raw!r} in {where}")
     return (x, y, l)
+
+
+def _integer(raw: Any, what: str) -> int:
+    """raw itself when it is a JSON integer (booleans are not)."""
+    if not _is_int(raw):
+        raise LayoutError(f"{what} must be an integer, got {raw!r}")
+    return raw
 
 
 def layout_from_dict(data: dict) -> Layout:
@@ -133,7 +141,7 @@ def layout_from_dict(data: dict) -> Layout:
 
     nets = []
     for raw_net in _require(data, "nets", "layout"):
-        net_id = _require(raw_net, "id", "net")
+        net_id = _integer(_require(raw_net, "id", "net"), "net id")
         name = _require(raw_net, "name", f"net {net_id}")
         pins = []
         for p, raw_pin in enumerate(_require(raw_net, "pins", f"net {net_id}")):
@@ -141,17 +149,14 @@ def layout_from_dict(data: dict) -> Layout:
             pins.append(Pin(net_id=net_id, covered_vertices=cover))
         guide = None
         if raw_net.get("guide"):
-            guide = []
-            for box in raw_net["guide"]:
-                guide.append(
-                    (
-                        int(_require(box, "layer", f"net {net_id} guide")),
-                        int(_require(box, "x0", f"net {net_id} guide")),
-                        int(_require(box, "y0", f"net {net_id} guide")),
-                        int(_require(box, "x1", f"net {net_id} guide")),
-                        int(_require(box, "y1", f"net {net_id} guide")),
-                    )
+            where = f"net {net_id} guide"
+            guide = [
+                tuple(
+                    _integer(_require(box, key, where), f"{where} {key}")
+                    for key in ("layer", "x0", "y0", "x1", "y1")
                 )
+                for box in raw_net["guide"]
+            ]
         nets.append(Net(id=net_id, name=name, pins=pins, guide=guide))
 
     layout = Layout(

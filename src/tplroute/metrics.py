@@ -9,11 +9,11 @@ a layout quality and is excluded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .grid import Grid
 from .layout import DesignRules
-from .negotiation import detect_conflicts
+from .negotiation import Conflict, detect_conflicts
 from .router import RouteTree
 
 
@@ -32,6 +32,8 @@ class ScoreReport:
     weighted_cost: float
     per_net: list[NetScore]
     wall_time_ms: float | None = None
+    # The conflicts counted above, for renderers; report_to_dict leaves it out.
+    conflict_list: list[Conflict] = field(default_factory=list, repr=False)
 
 
 def score(grid: Grid, routes: dict[int, RouteTree], rules: DesignRules) -> ScoreReport:
@@ -65,6 +67,7 @@ def score(grid: Grid, routes: dict[int, RouteTree], rules: DesignRules) -> Score
         stitches=total_stitches,
         weighted_cost=weighted,
         per_net=per_net,
+        conflict_list=conflicts,
     )
 
 

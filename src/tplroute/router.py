@@ -29,8 +29,11 @@ from heapq import heappop, heappush
 from itertools import count
 
 from .color_state import COLOR_ORDER, Color, colors_in, pick_final
-from .grid import Direction, Grid, VIA_DIRECTIONS
+from .grid import Direction, Grid, in_guide
 from .layout import Net, Vertex
+
+
+RED, GREEN, BLUE = (int(c) for c in COLOR_ORDER)
 
 
 class SearchExhaustedError(RuntimeError):
@@ -203,35 +206,72 @@ def color_state_search(queue: SolutionQueue, grid: Grid, net: Net) -> SearchNode
     conflict cost of the target plus one stitch charge when the move is
     planar and the mask is outside the node's state; the neighbor label
     gets the minimum and the set of masks achieving it.
+
+    Moves come from the grid's per-layer move table and conflict costs
+    from its maintained per-mask counts, both taken under the rules in
+    force when the search starts. Obstacles, pins and commits are read
+    live.
     """
     rules = grid.rules
     stitch_term = rules.beta * rules.stitch_cost
+    alpha, gamma, off_guide = rules.alpha, rules.gamma, rules.off_guide_penalty
+    net_id, guide = net.id, net.guide
+    width, height = grid.width, grid.height
+    obstacles, pin_owners = grid.obstacles, grid.pin_owners
+    committed, history = grid.committed, grid.history
+    red, green, blue = committed.foreign_counts(rules.d_color, net_id)
+    moves = grid.move_table()
+    pin_cover, connected = queue.pin_cover, queue.connected
+    pop, insert = queue.pop, queue.insert
     while True:
-        node = queue.pop()
+        node = pop()
         if node is None:
             raise SearchExhaustedError("solution queue exhausted")
-        pins_here = queue.pin_cover.get(node.vertex)
-        if pins_here and not pins_here <= queue.connected:
+        pins_here = pin_cover.get(node.vertex)
+        if pins_here and not pins_here <= connected:
             return node
-        for direction, target in grid.neighbors(node.vertex):
-            if not grid.passable(target, net.id):
+        x, y, l = node.vertex
+        held = node.state
+        for direction, dx, dy, dl, planar, base_trad in moves[l]:
+            tx, ty, tl = x + dx, y + dy, l + dl
+            if not (0 <= tx < width and 0 <= ty < height):
                 continue
-            trad = grid.trad_cost(node.vertex, direction, guide=net.guide)
-            planar = direction not in VIA_DIRECTIONS
-            best = math.inf
-            state = 0
-            for color in COLOR_ORDER:
-                term = grid.color_cost(node.vertex, direction, color, net_id=net.id)
-                if planar and not (node.state & color):
-                    term += stitch_term
-                if term < best:
-                    best = term
-                    state = int(color)
-                elif term == best:
-                    state |= int(color)
-            queue.insert(
-                SearchNode(target, node.cost + rules.alpha * trad + best, state, node, direction)
-            )
+            target = (tx, ty, tl)
+            if target in obstacles:
+                continue
+            owner = pin_owners.get(target)
+            if owner is not None and owner != net_id:
+                continue
+            entry = committed.get(target)
+            if entry is not None and entry[0] != net_id:
+                continue
+            trad = base_trad + history.get(target, 0.0)
+            if guide is not None and not in_guide(target, guide):
+                trad += off_guide
+            i = (tl * height + ty) * width + tx
+            red_term, green_term, blue_term = gamma * red[i], gamma * green[i], gamma * blue[i]
+            if planar:
+                if not held & RED:
+                    red_term += stitch_term
+                if not held & GREEN:
+                    green_term += stitch_term
+                if not held & BLUE:
+                    blue_term += stitch_term
+            # The cheapest mask, with ties OR-ed in, in RED, GREEN, BLUE order.
+            best, state = math.inf, 0
+            if red_term < best:
+                best, state = red_term, RED
+            elif red_term == best:
+                state = RED
+            if green_term < best:
+                best, state = green_term, GREEN
+            elif green_term == best:
+                state |= GREEN
+            if blue_term < best:
+                best, state = blue_term, BLUE
+            elif blue_term == best:
+                state |= BLUE
+            insert(SearchNode(target, node.cost + alpha * trad + best, state, node, direction))
 
 
 def backtrace(

@@ -6,8 +6,10 @@ from xml.etree import ElementTree
 
 import pytest
 
+from tplroute import cli, metrics
 from tplroute.cli import main
 from tplroute.layout import load_layout
+from tplroute.negotiation import detect_conflicts
 
 GEN_FLAGS = [
     "--width", "10", "--height", "10", "--layers", "2",
@@ -106,6 +108,24 @@ def test_render_outputs_svg_per_layer(tmp_path, instance_file):
         assert svg_path.exists()
         root = ElementTree.fromstring(svg_path.read_text())
         assert root.tag.endswith("svg")
+
+
+@pytest.mark.parametrize("mode, arms", [("route", 1), ("baseline", 1), ("compare", 2)])
+def test_render_reuses_the_scored_conflicts(tmp_path, instance_file, monkeypatch, mode, arms):
+    # route_all's own per-iteration scans go through negotiation's binding;
+    # every scan after routing would go through metrics' or the CLI's.
+    calls = []
+
+    def counting(grid, rules):
+        calls.append(1)
+        return detect_conflicts(grid, rules)
+
+    monkeypatch.setattr(metrics, "detect_conflicts", counting)
+    monkeypatch.setattr(cli, "detect_conflicts", counting, raising=False)
+    out = tmp_path / mode
+    assert main(["--mode", mode, "--input", str(instance_file), "--output", str(out), "--render"]) == 0
+    assert (tmp_path / f"{mode}.layer0.svg").exists()
+    assert len(calls) == arms
 
 
 def test_rule_overrides_apply(tmp_path, instance_file):

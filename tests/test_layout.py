@@ -117,6 +117,30 @@ def test_valid_guide_round_trips():
     assert again.nets[0].guide == layout.nets[0].guide
 
 
+@pytest.mark.parametrize("bad", [2.7, 2.0, "a", True, None])
+def test_non_integer_guide_coordinate_rejected(bad):
+    data = minimal_dict()
+    data["nets"][0]["guide"] = [{"layer": 0, "x0": 0, "y0": 0, "x1": bad, "y1": 1}]
+    with pytest.raises(LayoutError, match="guide x1 must be an integer"):
+        layout_from_dict(data)
+
+
+@pytest.mark.parametrize("bad", ["zero", 0.0, True, None, [0]])
+def test_non_integer_net_id_rejected(bad):
+    data = minimal_dict()
+    data["nets"][0]["id"] = bad
+    with pytest.raises(LayoutError, match="net id must be an integer"):
+        layout_from_dict(data)
+
+
+@pytest.mark.parametrize("vertex", [[True, 0, 0], [0, False, 0], [0, 0, True]])
+def test_boolean_vertex_coordinate_rejected(vertex):
+    data = minimal_dict()
+    data["nets"][0]["pins"][0] = [vertex]
+    with pytest.raises(LayoutError, match="non-integer vertex"):
+        layout_from_dict(data)
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_round_trip_generated_layouts(seed):
