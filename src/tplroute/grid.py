@@ -148,14 +148,12 @@ class Occupancy(dict):
         with the net's own commits taken out.
         """
         counts = self.counts(d_color)
-        lists = tuple(counts[c] for c in COLOR_ORDER)
         own = self._nets.get(net_id)
-        if not own:
-            return lists
-        counts = {c: list(counts[c]) for c in COLOR_ORDER}
-        for v in own:
-            self._spread(v, self[v][1], -1, counts)
-        return tuple(counts[c] for c in COLOR_ORDER)
+        if own:
+            counts = {c: list(counts[c]) for c in COLOR_ORDER}
+            for v in own:
+                self._spread(v, self[v][1], -1, counts)
+        return counts[Color.RED], counts[Color.GREEN], counts[Color.BLUE]
 
     def _unindex(self, v: Vertex, entry: tuple[int, Color]) -> None:
         net_id, color = entry
@@ -268,7 +266,10 @@ class Grid:
         return out
 
     def passable(self, v: Vertex, net_id: int) -> bool:
-        """Usable by net_id: in bounds, no obstacle, no foreign commit or pin."""
+        """Usable by net_id: in bounds, no obstacle, no foreign commit or pin.
+
+        color_state_search inlines this test; change the two together.
+        """
         if not self.in_bounds(v) or v in self.obstacles:
             return False
         pin_owner = self.pin_owners.get(v)
@@ -285,7 +286,11 @@ class Grid:
         direction: Direction,
         guide: list[tuple[int, int, int, int, int]] | None = None,
     ) -> float:
-        """Unweighted traditional cost of moving from v in a direction."""
+        """Unweighted traditional cost of moving from v in a direction.
+
+        color_state_search inlines this sum, in the same float order, from
+        move_table's base_trad; change the two together.
+        """
         target = self.step(v, direction)
         if target is None:
             raise ValueError(f"no edge from {v} in direction {direction.name}")
@@ -297,20 +302,13 @@ class Grid:
     def vertex_color_cost(self, v: Vertex, color: Color, net_id: int) -> float:
         """gamma-weighted count of foreign same-color commits near v (same layer).
 
-        A read of the maintained counts when net_id has nothing committed
-        (always so inside route_net, which runs on a ripped-up net);
-        otherwise a stencil scan that skips the net's own commits.
+        A read of the committed map's foreign counts, the one definition of
+        conflict cost that color_state_search also reads.
         """
-        d = self.rules.d_color
-        if self.in_bounds(v) and not self.committed.net_vertices(net_id):
-            return self.rules.gamma * self.committed.counts(d)[color][self.vid(v)]
-        x, y, l = v
-        count = 0
-        for dx, dy in _stencil(d):
-            entry = self.committed.get((x + dx, y + dy, l))
-            if entry is not None and entry[0] != net_id and entry[1] == color:
-                count += 1
-        return self.rules.gamma * count
+        if not self.in_bounds(v):
+            raise ValueError(f"vertex {v} is off the grid")
+        counts = self.committed.foreign_counts(self.rules.d_color, net_id)
+        return self.rules.gamma * counts[COLOR_ORDER.index(color)][self.vid(v)]
 
     def color_cost(self, v: Vertex, direction: Direction, color: Color, net_id: int) -> float:
         """Conflict cost of arriving at the target of (v, direction) with a color."""

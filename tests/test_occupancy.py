@@ -13,6 +13,7 @@ import copy
 import pickle
 from dataclasses import replace
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -111,15 +112,11 @@ def assert_indexes_match(grid):
     for net_id in [*NETS, 99]:
         assert committed.net_vertices(net_id) == {v for v, (n, _) in committed.items() if n == net_id}
     probes = [(x, y, l) for l in range(L) for y in range(H) for x in range(W)]
-    probes += [(-1, 0, 0), (W, H - 1, 1)]
     for net_id in [*NETS, 99]:
-        foreign = dict(zip(COLOR_ORDER, committed.foreign_counts(grid.rules.d_color, net_id)))
         for v in probes:
             for color in COLOR_ORDER:
                 want = brute_cost(grid, v, color, net_id)
                 assert grid.vertex_color_cost(v, color, net_id) == want, (v, color, net_id)
-                if grid.in_bounds(v):
-                    assert grid.rules.gamma * foreign[color][grid.vid(v)] == want
 
 
 @settings(max_examples=80, deadline=None)
@@ -152,6 +149,14 @@ def test_clear_drops_the_counts():
     assert_indexes_match(grid)
     grid.commit_route(2, [((3, 3, 1), COLOR_ORDER[1])])
     assert_indexes_match(grid)
+
+
+def test_off_grid_reads_raise():
+    grid = empty_grid(W, H, ("H", "V"))
+    grid.commit_route(1, [((0, 0, 0), COLOR_ORDER[0])])
+    for v in [(-1, 0, 0), (W, H - 1, 1), (0, 0, L)]:
+        with pytest.raises(ValueError):
+            grid.vertex_color_cost(v, COLOR_ORDER[0], 0)
 
 
 def test_rip_up_leaves_other_nets():

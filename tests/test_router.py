@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from instances import empty_grid, oracle_instance, pressure_instance, register_pins, two_pin_net
 from tplroute import oracle
-from tplroute.color_state import Color, cardinality
-from tplroute.grid import Direction
+from tplroute.color_state import COLOR_ORDER, Color, cardinality
+from tplroute.grid import VIA_DIRECTIONS, Direction
 from tplroute.layout import DesignRules, Net, Pin
 from tplroute.router import (
     SearchNode,
@@ -16,6 +16,7 @@ from tplroute.router import (
     UnroutableError,
     _TreeBuilder,
     backtrace,
+    color_state_search,
     recount_stitches,
     route_net,
 )
@@ -254,6 +255,58 @@ def _classic_dijkstra(grid, src, dst):
                 dist[t] = nd
                 heapq.heappush(heap, (nd, t))
     return None
+
+
+def test_search_relaxation_matches_grid_definitions():
+    # color_state_search inlines Grid.passable, trad_cost and color_cost;
+    # every relaxation it makes must agree with them, on a grid with
+    # obstacles, a foreign pin, foreign and own commits, history and a guide.
+    rules = DesignRules(d_color=3, gamma=5.0, wrong_way_cost=2.0, via_cost=3.0)
+    grid = empty_grid(7, 6, ("H", "V", "H"), rules)
+    net = two_pin_net((0, 0, 0), (6, 5, 2))
+    net.guide = [(0, 0, 0, 4, 3), (1, 2, 1, 6, 5)]
+    register_pins(grid, net)
+    grid.obstacles |= {(2, 0, 0), (3, 3, 1), (5, 4, 2)}
+    grid.pin_owners[(1, 1, 0)] = 5
+    grid.commit_route(7, [((3, 1, 0), Color.RED), ((4, 1, 0), Color.GREEN), ((2, 3, 1), Color.BLUE)])
+    grid.commit_route(0, [((0, 2, 0), Color.RED)])
+    grid.add_history((1, 0, 0), 1.5)
+    grid.add_history((2, 2, 1), 0.25)
+
+    queue = SolutionQueue(grid, net)
+    queue.insert(SearchNode((0, 0, 0), 0.0, 0b111, None, None))
+    popped, children = [], {}
+    pop, insert = queue.pop, queue.insert
+
+    def record_pop():
+        node = pop()
+        popped.append(node)
+        return node
+
+    def record_insert(node):
+        children.setdefault(id(node.prev), []).append(node)
+        return insert(node)
+
+    queue.pop, queue.insert = record_pop, record_insert
+    color_state_search(queue, grid, net)
+
+    stitch = rules.beta * rules.stitch_cost
+    for node in popped[:-1]:  # the last pop is returned, not expanded
+        moves = [(d, t) for d, t in grid.neighbors(node.vertex) if grid.passable(t, net.id)]
+        got = children.get(id(node), [])
+        assert [(c.arrival_dir, c.vertex) for c in got] == moves
+        for child in got:
+            d = child.arrival_dir
+            terms = {
+                c: grid.color_cost(node.vertex, d, c, net.id)
+                + (stitch if d not in VIA_DIRECTIONS and not node.state & c else 0.0)
+                for c in COLOR_ORDER
+            }
+            best = min(terms.values())
+            trad = grid.trad_cost(node.vertex, d, net.guide)
+            assert child.cost == node.cost + rules.alpha * trad + best
+            assert child.state == sum(int(c) for c, t in terms.items() if t == best)
+    assert len(popped) > 20
 
 
 def test_tree_mode_beats_frozen_legs_on_pressure():
