@@ -36,10 +36,14 @@ class Direction(IntEnum):
 
 VIA_DIRECTIONS = (Direction.U, Direction.D)
 
-# (dx, dy, dl) of each Direction, on a layer whose preferred axis is
-# horizontal and on one whose preferred axis is vertical.
-_OFFSETS_H = ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1))
-_OFFSETS_V = ((0, 1, 0), (0, -1, 0), (1, 0, 0), (-1, 0, 0), (0, 0, 1), (0, 0, -1))
+# (Direction, (dx, dy, dl)) in F,B,R,L,U,D order, on a layer whose
+# preferred axis is horizontal and on one whose preferred axis is vertical.
+_STEPS_H = tuple(
+    zip(Direction, ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)))
+)
+_STEPS_V = tuple(
+    zip(Direction, ((0, 1, 0), (0, -1, 0), (1, 0, 0), (-1, 0, 0), (0, 0, 1), (0, 0, -1)))
+)
 
 # A move: (direction, dx, dy, dl, planar, base_trad).
 Move = tuple[Direction, int, int, int, bool, float]
@@ -229,15 +233,17 @@ class Grid:
         x, y, l = v
         return (l * self.height + y) * self.width + x
 
-    def _offsets(self, l: int) -> tuple[tuple[int, int, int], ...]:
-        return _OFFSETS_H if self.layer_dirs[l] == "H" else _OFFSETS_V
+    def _steps(self, l: int) -> tuple[tuple[Direction, tuple[int, int, int]], ...]:
+        return _STEPS_H if self.layer_dirs[l] == "H" else _STEPS_V
 
     def step(self, v: Vertex, direction: Direction) -> Vertex | None:
         """Geometric neighbor in a direction, or None if off-grid."""
         x, y, l = v
-        dx, dy, dl = self._offsets(l)[direction]
-        t = (x + dx, y + dy, l + dl)
-        return t if self.in_bounds(t) else None
+        dx, dy, dl = self._steps(l)[direction][1]
+        tx, ty, tl = x + dx, y + dy, l + dl
+        if 0 <= tx < self.width and 0 <= ty < self.height and 0 <= tl < len(self.layer_dirs):
+            return (tx, ty, tl)
+        return None
 
     def move_table(self) -> list[tuple[Move, ...]]:
         """Per layer, the moves in F,B,R,L,U,D order under the current rules.
@@ -250,7 +256,7 @@ class Grid:
         return [
             tuple(
                 (d, dx, dy, dl, d not in VIA_DIRECTIONS, base[d])
-                for d, (dx, dy, dl) in zip(Direction, self._offsets(l))
+                for d, (dx, dy, dl) in self._steps(l)
                 if 0 <= l + dl <= top
             )
             for l in range(self.num_layers)
@@ -258,17 +264,23 @@ class Grid:
 
     def neighbors(self, v: Vertex) -> list[tuple[Direction, Vertex]]:
         """In-bounds, non-obstacle neighbors in fixed F,B,R,L,U,D order."""
+        x, y, l = v
+        width, height, layers = self.width, self.height, len(self.layer_dirs)
+        obstacles = self.obstacles
         out = []
-        for d in Direction:
-            t = self.step(v, d)
-            if t is not None and t not in self.obstacles:
-                out.append((d, t))
+        for d, (dx, dy, dl) in self._steps(l):
+            tx, ty, tl = x + dx, y + dy, l + dl
+            if 0 <= tx < width and 0 <= ty < height and 0 <= tl < layers:
+                t = (tx, ty, tl)
+                if t not in obstacles:
+                    out.append((d, t))
         return out
 
     def passable(self, v: Vertex, net_id: int) -> bool:
         """Usable by net_id: in bounds, no obstacle, no foreign commit or pin.
 
-        color_state_search inlines this test; change the two together.
+        color_state_search inlines this test as its per-search keep-out
+        array (router._search_arrays); change the two together.
         """
         if not self.in_bounds(v) or v in self.obstacles:
             return False
@@ -289,7 +301,8 @@ class Grid:
         """Unweighted traditional cost of moving from v in a direction.
 
         color_state_search inlines this sum, in the same float order, from
-        move_table's base_trad; change the two together.
+        move_table's base_trad and its per-search history and off-guide
+        arrays (router._search_arrays); change them together.
         """
         target = self.step(v, direction)
         if target is None:
@@ -323,9 +336,10 @@ class Grid:
         """Mark vertices committed to net_id with their final colors.
 
         Re-commits by the same net are idempotent; touching another net's
-        vertex is a logic error, not a design-rule conflict.
+        vertex is a logic error, not a design-rule conflict. Every vertex
+        is checked before any is written, so a rejected path commits nothing.
         """
-        for v, color in colored_path:
+        for v, _ in colored_path:
             if v in self.obstacles:
                 raise CollisionError(f"vertex {v} is an obstacle")
             owner = self.committed.get(v)
@@ -333,6 +347,7 @@ class Grid:
                 raise CollisionError(
                     f"vertex {v} already committed to net {owner[0]}, not {net_id}"
                 )
+        for v, color in colored_path:
             self.committed[v] = (net_id, color)
 
     def rip_up(self, net_id: int) -> None:

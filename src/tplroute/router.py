@@ -19,6 +19,16 @@ as the equal-state runs among them.
 Each vertex keeps a Pareto set of (cost, state) labels: a costlier label
 survives if its state is not a subset of a cheaper label's, which is what
 lets a later stretch reuse a mask that a cheaper arrival had priced out.
+
+The search does no work whose result is already known. The label sets
+are keyed by vertex id. Keep-outs, history and off-guide penalties are
+read from vertex-id arrays filled once per search. A move is skipped
+before it is priced when its target holds a label with all three masks
+at no more than the popped node's cost (every cost term is non-negative,
+so the child could not be cheaper). A priced child that a label at its
+target dominates is dropped before a node is built. The same nodes pop
+and the same labels are accepted, in the same order, as when every
+child is priced and offered to the queue.
 """
 
 from __future__ import annotations
@@ -26,10 +36,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from itertools import count
+from itertools import chain, count
 
-from .color_state import COLOR_ORDER, Color, colors_in, pick_final
-from .grid import Direction, Grid, in_guide
+from .color_state import ALL_COLORS, COLOR_ORDER, Color, colors_in, pick_final
+from .grid import Direction, Grid
 from .layout import Net, Vertex
 
 
@@ -112,13 +122,17 @@ class SolutionQueue:
     cheaper-or-equal and has a superset state; on exact (cost, state) ties
     the incumbent wins. Pop order is (cost, row-major vertex id, arrival
     direction, insertion order), so runs are reproducible.
+
+    labels maps a vertex id (Grid.vid) to its non-empty list of live
+    labels. color_state_search reads these buckets to skip a child that
+    insert would reject, so every label it hands to insert is accepted.
     """
 
     def __init__(self, grid: Grid, net: Net):
-        self._grid = grid
+        self._width, self._height = grid.width, grid.height
         self._heap: list = []
         self._seq = count()
-        self.labels: dict[Vertex, list[SearchNode]] = {}
+        self.labels: dict[int, list[SearchNode]] = {}
         cover: dict[Vertex, set[int]] = {}
         for idx, pin in enumerate(net.pins):
             for v in pin.covered_vertices:
@@ -127,23 +141,25 @@ class SolutionQueue:
         self.connected: set[int] = {0}
 
     def insert(self, node: SearchNode) -> bool:
-        bucket = self.labels.setdefault(node.vertex, [])
-        for ex in bucket:
-            if ex.cost <= node.cost and (ex.state & node.state) == node.state:
-                return False  # dominated; ties keep the incumbent
-        kept = []
-        for ex in bucket:
-            if node.cost <= ex.cost and (node.state & ex.state) == ex.state:
-                ex.pruned = True
-            else:
-                kept.append(ex)
-        kept.append(node)
-        self.labels[node.vertex] = kept
+        x, y, l = node.vertex
+        vid = (l * self._height + y) * self._width + x
+        cost, state = node.cost, node.state
+        bucket = self.labels.get(vid)
+        if bucket is None:
+            self.labels[vid] = [node]
+        else:
+            for ex in bucket:
+                if ex.cost <= cost and (ex.state & state) == state:
+                    return False  # dominated; ties keep the incumbent
+            pruned = False
+            for ex in bucket:
+                if cost <= ex.cost and (state & ex.state) == ex.state:
+                    ex.pruned = pruned = True
+            if pruned:
+                bucket = self.labels[vid] = [ex for ex in bucket if not ex.pruned]
+            bucket.append(node)
         dir_key = -1 if node.arrival_dir is None else int(node.arrival_dir)
-        heappush(
-            self._heap,
-            (node.cost, self._grid.vid(node.vertex), dir_key, next(self._seq), node),
-        )
+        heappush(self._heap, (cost, vid, dir_key, next(self._seq), node))
         return True
 
     def pop(self) -> SearchNode | None:
@@ -208,20 +224,23 @@ def color_state_search(queue: SolutionQueue, grid: Grid, net: Net) -> SearchNode
     gets the minimum and the set of masks achieving it.
 
     Moves come from the grid's per-layer move table and conflict costs
-    from its maintained per-mask counts, both taken under the rules in
-    force when the search starts. Obstacles, pins and commits are read
-    live.
+    from its maintained per-mask counts. Keep-outs (obstacles, foreign
+    pins and foreign commits), history and off-guide penalties are read
+    from vertex-id arrays filled when the search starts; the grid does
+    not change while it runs. A move whose target already holds a label
+    with all three masks at no more than the node's cost is skipped
+    before pricing, since every cost term is non-negative. A priced child
+    that a label at its target dominates is dropped without building a
+    node, so insert sees only labels it accepts, in the same order.
     """
     rules = grid.rules
     stitch_term = rules.beta * rules.stitch_cost
-    alpha, gamma, off_guide = rules.alpha, rules.gamma, rules.off_guide_penalty
-    net_id, guide = net.id, net.guide
+    alpha, gamma = rules.alpha, rules.gamma
     width, height = grid.width, grid.height
-    obstacles, pin_owners = grid.obstacles, grid.pin_owners
-    committed, history = grid.committed, grid.history
-    red, green, blue = committed.foreign_counts(rules.d_color, net_id)
+    red, green, blue = grid.committed.foreign_counts(rules.d_color, net.id)
+    closed, hist, off_guide = _search_arrays(grid, net)
     moves = grid.move_table()
-    pin_cover, connected = queue.pin_cover, queue.connected
+    labels, pin_cover, connected = queue.labels, queue.pin_cover, queue.connected
     pop, insert = queue.pop, queue.insert
     while True:
         node = pop()
@@ -231,47 +250,96 @@ def color_state_search(queue: SolutionQueue, grid: Grid, net: Net) -> SearchNode
         if pins_here and not pins_here <= connected:
             return node
         x, y, l = node.vertex
-        held = node.state
+        cost, held = node.cost, node.state
         for direction, dx, dy, dl, planar, base_trad in moves[l]:
-            tx, ty, tl = x + dx, y + dy, l + dl
+            tx, ty = x + dx, y + dy
             if not (0 <= tx < width and 0 <= ty < height):
                 continue
-            target = (tx, ty, tl)
-            if target in obstacles:
+            i = ((l + dl) * height + ty) * width + tx
+            if closed[i]:
                 continue
-            owner = pin_owners.get(target)
-            if owner is not None and owner != net_id:
-                continue
-            entry = committed.get(target)
-            if entry is not None and entry[0] != net_id:
-                continue
-            trad = base_trad + history.get(target, 0.0)
-            if guide is not None and not in_guide(target, guide):
-                trad += off_guide
-            i = (tl * height + ty) * width + tx
-            red_term, green_term, blue_term = gamma * red[i], gamma * green[i], gamma * blue[i]
-            if planar:
-                if not held & RED:
-                    red_term += stitch_term
-                if not held & GREEN:
-                    green_term += stitch_term
-                if not held & BLUE:
-                    blue_term += stitch_term
-            # The cheapest mask, with ties OR-ed in, in RED, GREEN, BLUE order.
-            best, state = math.inf, 0
-            if red_term < best:
-                best, state = red_term, RED
-            elif red_term == best:
-                state = RED
-            if green_term < best:
-                best, state = green_term, GREEN
-            elif green_term == best:
-                state |= GREEN
-            if blue_term < best:
-                best, state = blue_term, BLUE
-            elif blue_term == best:
-                state |= BLUE
-            insert(SearchNode(target, node.cost + alpha * trad + best, state, node, direction))
+            bucket = labels.get(i)
+            if bucket is not None:
+                settled = False
+                for ex in bucket:
+                    if ex.state == ALL_COLORS and ex.cost <= cost:
+                        settled = True
+                        break
+                if settled:
+                    continue
+            trad = base_trad + hist[i]
+            if off_guide is not None:
+                trad += off_guide[i]
+            if red[i] or green[i] or blue[i]:
+                red_term, green_term, blue_term = gamma * red[i], gamma * green[i], gamma * blue[i]
+                if planar:
+                    if not held & RED:
+                        red_term += stitch_term
+                    if not held & GREEN:
+                        green_term += stitch_term
+                    if not held & BLUE:
+                        blue_term += stitch_term
+                # The cheapest mask, with ties OR-ed in, in RED, GREEN, BLUE order.
+                best, state = math.inf, 0
+                if red_term < best:
+                    best, state = red_term, RED
+                elif red_term == best:
+                    state = RED
+                if green_term < best:
+                    best, state = green_term, GREEN
+                elif green_term == best:
+                    state |= GREEN
+                if blue_term < best:
+                    best, state = blue_term, BLUE
+                elif blue_term == best:
+                    state |= BLUE
+            else:
+                # No conflicts: the masks in the held state cost nothing.
+                best, state = 0.0, held if planar and stitch_term else ALL_COLORS
+            child_cost = cost + alpha * trad + best
+            if bucket is not None:
+                dominated = False
+                for ex in bucket:
+                    if ex.cost <= child_cost and (ex.state & state) == state:
+                        dominated = True
+                        break
+                if dominated:
+                    continue
+            insert(SearchNode((tx, ty, l + dl), child_cost, state, node, direction))
+
+
+def _search_arrays(grid: Grid, net: Net) -> tuple[bytearray, list[float], list[float] | None]:
+    """Per-vertex-id keep-outs, history and off-guide penalty for one search.
+
+    closed marks what Grid.passable refuses net: obstacles, other nets'
+    pins and other nets' commits. The off-guide list is None when the net
+    has no guide.
+    """
+    width, height, layers = grid.width, grid.height, grid.num_layers
+    net_id = net.id
+    closed = bytearray(width * height * layers)
+    keep_outs = chain(
+        grid.obstacles,
+        [v for v, owner in grid.pin_owners.items() if owner != net_id],
+        [v for v, (owner, _) in grid.committed.items() if owner != net_id],
+    )
+    for x, y, l in keep_outs:
+        if 0 <= x < width and 0 <= y < height and 0 <= l < layers:
+            closed[(l * height + y) * width + x] = 1
+    hist = [0.0] * len(closed)
+    for (x, y, l), amount in grid.history.items():
+        if 0 <= x < width and 0 <= y < height and 0 <= l < layers:
+            hist[(l * height + y) * width + x] = amount
+    if net.guide is None:
+        return closed, hist, None
+    off_guide = [grid.rules.off_guide_penalty] * len(closed)
+    for gl, x0, y0, x1, y1 in net.guide:
+        if 0 <= gl < layers:
+            for y in range(max(y0, 0), min(y1, height - 1) + 1):
+                row = (gl * height + y) * width
+                for x in range(max(x0, 0), min(x1, width - 1) + 1):
+                    off_guide[row + x] = 0.0
+    return closed, hist, off_guide
 
 
 def backtrace(
@@ -446,7 +514,7 @@ def _wall_blockers(
                 pocket.add(t)
                 stack.append(t)
     pocket_side = _region_wall(grid, pocket, net.id)
-    search_side = _region_wall(grid, queue.labels, net.id)
+    search_side = _region_wall(grid, (b[0].vertex for b in queue.labels.values()), net.id)
     shared = pocket_side.keys() & search_side.keys()
     if shared:
         wall = {v: pocket_side[v] for v in shared}

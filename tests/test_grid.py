@@ -153,6 +153,22 @@ class TestOccupancy:
         with pytest.raises(CollisionError, match="committed to net 1"):
             grid.commit_route(2, [((1, 1, 0), Color.RED)])
 
+    def test_commit_collision_part_way_commits_nothing(self):
+        grid = empty_grid(4, 2, ("H",), DesignRules(d_color=2))
+        grid.commit_route(1, [((2, 0, 0), Color.RED)])
+
+        def state():
+            costs = [
+                grid.vertex_color_cost((x, y, 0), c, net)
+                for x in range(4) for y in range(2) for c in Color for net in (1, 2)
+            ]
+            return dict(grid.committed), set(grid.committed.net_vertices(2)), costs
+
+        before = state()
+        with pytest.raises(CollisionError, match="committed to net 1"):
+            grid.commit_route(2, [((0, 0, 0), Color.RED), ((1, 0, 0), Color.RED), ((2, 0, 0), Color.RED)])
+        assert state() == before
+
     def test_commit_idempotent_same_net(self):
         grid = empty_grid(3, 3, ("H",))
         grid.commit_route(1, [((1, 1, 0), Color.RED)])
