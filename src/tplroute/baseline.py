@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from .color_state import COLOR_ORDER, Color
 from .grid import Grid
 from .layout import DesignRules, Layout, Vertex, require_valid
-from .negotiation import net_order_key, route_batch
+from .negotiation import half_stencil, net_order_key, route_batch
 from .router import RouteTree, recount_stitches
 
 EXACT_COMPONENT_LIMIT = 12
@@ -73,20 +73,32 @@ def route_colorless(layout: Layout) -> tuple[Grid, dict[int, RouteTree]]:
 
 
 def build_conflict_graph(grid: Grid, rules: DesignRules) -> ConflictGraph:
+    """Segments and their edges, found by walking each committed vertex's stencil.
+
+    Two segments conflict when some vertex pair of different nets lies
+    within d_color on one layer, and share a stitch edge when some
+    same-net pair is grid-adjacent on one layer. Each edge list is sorted
+    and holds each (i, j) pair once.
+    """
     segments = _extract_segments(grid)
-    conflict_edges = []
-    stitch_edges = []
-    for i, a in enumerate(segments):
-        for j in range(i + 1, len(segments)):
-            b = segments[j]
-            if a.layer != b.layer:
-                continue
-            if a.net_id != b.net_id:
-                if _min_distance(a, b) < rules.d_color:
-                    conflict_edges.append((i, j))
-            elif _adjacent(a, b):
-                stitch_edges.append((i, j))
-    return ConflictGraph(segments, conflict_edges, stitch_edges)
+    segment_of = {v: seg.index for seg in segments for v in seg.vertices}
+    committed = grid.committed
+    half = half_stencil(rules.d_color)
+    conflicts: set[tuple[int, int]] = set()
+    stitches: set[tuple[int, int]] = set()
+    for v, i in segment_of.items():
+        net_id = committed[v][0]
+        x, y, l = v
+        for dx, dy in half:
+            w = (x + dx, y + dy, l)
+            j = segment_of.get(w)
+            if j is not None and committed[w][0] != net_id:
+                conflicts.add((i, j) if i < j else (j, i))
+        for w in ((x + 1, y, l), (x, y + 1, l)):
+            j = segment_of.get(w)
+            if j is not None and j != i and committed[w][0] == net_id:
+                stitches.add((i, j) if i < j else (j, i))
+    return ConflictGraph(segments, sorted(conflicts), sorted(stitches))
 
 
 def decompose(graph: ConflictGraph) -> Decomposition:
@@ -263,15 +275,3 @@ def _run_points(key: int, start: int, end: int, along_x: bool) -> list[tuple[int
     if along_x:
         return [(p, key) for p in range(start, end + 1)]
     return [(key, p) for p in range(start, end + 1)]
-
-
-def _min_distance(a: Segment, b: Segment) -> int:
-    return min(
-        abs(ax - bx) + abs(ay - by)
-        for ax, ay, _ in a.vertices
-        for bx, by, _ in b.vertices
-    )
-
-
-def _adjacent(a: Segment, b: Segment) -> bool:
-    return _min_distance(a, b) == 1

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import IntEnum
+from functools import lru_cache
 
 from .color_state import COLOR_LETTERS, COLOR_ORDER, Color
 from .layout import DesignRules, Layout, Vertex
@@ -45,8 +46,8 @@ _STEPS_V = tuple(
     zip(Direction, ((0, 1, 0), (0, -1, 0), (1, 0, 0), (-1, 0, 0), (0, 0, 1), (0, 0, -1)))
 )
 
-# A move: (direction, dx, dy, dl, planar, base_trad).
-Move = tuple[Direction, int, int, int, bool, float]
+# A move out of a vertex: (direction, target vid - source vid, planar, base_trad).
+Move = tuple[Direction, int, bool, float]
 
 
 class CollisionError(RuntimeError):
@@ -245,22 +246,13 @@ class Grid:
             return (tx, ty, tl)
         return None
 
-    def move_table(self) -> list[tuple[Move, ...]]:
-        """Per layer, the moves in F,B,R,L,U,D order under the current rules.
+    def move_table(self) -> tuple[tuple[tuple[Move, ...], ...], tuple[Vertex, ...]]:
+        """Per vertex id, its on-grid moves; and the vertex of each id.
 
-        base_trad is trad_cost's rule part (1 + wrong-way or via cost);
-        vias that would leave the layer stack are left out.
+        Shared by every grid of this shape and these move costs (see
+        _move_table).
         """
-        base = _base_trad(self.rules)
-        top = self.num_layers - 1
-        return [
-            tuple(
-                (d, dx, dy, dl, d not in VIA_DIRECTIONS, base[d])
-                for d, (dx, dy, dl) in self._steps(l)
-                if 0 <= l + dl <= top
-            )
-            for l in range(self.num_layers)
-        ]
+        return _move_table(self.width, self.height, tuple(self.layer_dirs), _base_trad(self.rules))
 
     def neighbors(self, v: Vertex) -> list[tuple[Direction, Vertex]]:
         """In-bounds, non-obstacle neighbors in fixed F,B,R,L,U,D order."""
@@ -279,8 +271,9 @@ class Grid:
     def passable(self, v: Vertex, net_id: int) -> bool:
         """Usable by net_id: in bounds, no obstacle, no foreign commit or pin.
 
-        color_state_search inlines this test as its per-search keep-out
-        array (router._search_arrays); change the two together.
+        color_state_search inlines this test as the keep-out array of the
+        per-net context its SolutionQueue builds (router._search_arrays);
+        change the two together.
         """
         if not self.in_bounds(v) or v in self.obstacles:
             return False
@@ -301,8 +294,9 @@ class Grid:
         """Unweighted traditional cost of moving from v in a direction.
 
         color_state_search inlines this sum, in the same float order, from
-        move_table's base_trad and its per-search history and off-guide
-        arrays (router._search_arrays); change them together.
+        move_table's base_trad and the history and off-guide arrays of the
+        per-net context its SolutionQueue builds (router._search_arrays);
+        change them together.
         """
         target = self.step(v, direction)
         if target is None:
@@ -316,7 +310,7 @@ class Grid:
         """gamma-weighted count of foreign same-color commits near v (same layer).
 
         A read of the committed map's foreign counts, the one definition of
-        conflict cost that color_state_search also reads.
+        conflict cost. The router reads the same counts, taken once per net.
         """
         if not self.in_bounds(v):
             raise ValueError(f"vertex {v} is off the grid")
@@ -385,6 +379,37 @@ class Grid:
                 rows.append("".join(row))
             blocks.append("\n".join(rows))
         return "\n\n".join(blocks) + "\n"
+
+
+@lru_cache(maxsize=32)
+def _move_table(
+    width: int, height: int, layer_dirs: tuple[str, ...], base_trad: tuple[float, ...]
+) -> tuple[tuple[tuple[Move, ...], ...], tuple[Vertex, ...]]:
+    """Per vertex id, the moves that stay on the grid; and each id's vertex.
+
+    A row lists (direction, vid offset, planar, base_trad) in F,B,R,L,U,D
+    order, where base_trad is trad_cost's rule part (1 + wrong-way or via
+    cost). Equal rows are one shared tuple, so a grid holds a few distinct
+    rows whatever its size. Building a table walks every vertex, so it is
+    cached on its arguments, which are all it depends on; the result is
+    immutable.
+    """
+    layers = len(layer_dirs)
+    shared: dict[tuple[Move, ...], tuple[Move, ...]] = {}
+    rows: list[tuple[Move, ...]] = []
+    vertices: list[Vertex] = []
+    for l, preferred in enumerate(layer_dirs):
+        steps = _STEPS_H if preferred == "H" else _STEPS_V
+        for y in range(height):
+            for x in range(width):
+                row = tuple(
+                    (d, (dl * height + dy) * width + dx, d not in VIA_DIRECTIONS, base_trad[d])
+                    for d, (dx, dy, dl) in steps
+                    if 0 <= x + dx < width and 0 <= y + dy < height and 0 <= l + dl < layers
+                )
+                rows.append(shared.setdefault(row, row))
+                vertices.append((x, y, l))
+    return tuple(rows), tuple(vertices)
 
 
 def _base_trad(rules: DesignRules) -> tuple[float, ...]:

@@ -50,7 +50,7 @@ class RoutingResult:
 
 def detect_conflicts(grid: Grid, rules: DesignRules) -> list[Conflict]:
     """Every cross-net same-layer same-color pair below d_color, once each."""
-    half = _half_stencil(rules.d_color)
+    half = half_stencil(rules.d_color)
     found = []
     for v in sorted(grid.committed):
         net, color = grid.committed[v]
@@ -190,7 +190,7 @@ def route_all(layout: Layout) -> RoutingResult:
 _HALF_STENCILS: dict[int, list[tuple[int, int]]] = {}
 
 
-def _half_stencil(d_color: int) -> list[tuple[int, int]]:
+def half_stencil(d_color: int) -> list[tuple[int, int]]:
     """Offsets with 0 < |dx|+|dy| < d_color, one per unordered pair."""
     cached = _HALF_STENCILS.get(d_color)
     if cached is None:

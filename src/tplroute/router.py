@@ -20,15 +20,19 @@ Each vertex keeps a Pareto set of (cost, state) labels: a costlier label
 survives if its state is not a subset of a cheaper label's, which is what
 lets a later stretch reuse a mask that a cheaper arrival had priced out.
 
-The search does no work whose result is already known. The label sets
-are keyed by vertex id. Keep-outs, history and off-guide penalties are
-read from vertex-id arrays filled once per search. A move is skipped
-before it is priced when its target holds a label with all three masks
-at no more than the popped node's cost (every cost term is non-negative,
-so the child could not be cheaper). A priced child that a label at its
-target dominates is dropped before a node is built. The same nodes pop
-and the same labels are accepted, in the same order, as when every
-child is priced and offered to the queue.
+The search does no work whose result is already known. Everything it
+reads that stays fixed while a net is routed is built once per net, when
+route_net makes the net's SolutionQueue: the foreign per-mask counts,
+and vertex-id arrays of keep-outs, history and off-guide penalties. The
+move table (per vertex id, the on-grid moves as vertex-id offsets) is
+shared by every grid of one shape and move costs. Label sets are keyed
+by vertex id, and the queue keeps, per vertex id, the least cost of a
+label holding all three masks. A move is skipped before it is priced
+when that cost is no more than the popped node's (every cost term is
+non-negative, so the child could not be cheaper). A priced child that a
+label at its target dominates is dropped before a node is built. The
+same nodes pop and the same labels are accepted, in the same order, as
+when every child is priced and offered to the queue.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ import math
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import chain, count
+from typing import Sequence
 
 from .color_state import ALL_COLORS, COLOR_ORDER, Color, colors_in, pick_final
 from .grid import Direction, Grid
@@ -124,12 +129,26 @@ class SolutionQueue:
     direction, insertion order), so runs are reproducible.
 
     labels maps a vertex id (Grid.vid) to its non-empty list of live
-    labels. color_state_search reads these buckets to skip a child that
-    insert would reject, so every label it hands to insert is accepted.
+    labels, and settled[vid] is the least cost of a live label with state
+    111 there (inf when none). color_state_search reads both to skip a
+    child that insert would reject, so every label it hands to insert is
+    accepted.
+
+    The queue also carries the net's search context, built from the grid
+    when the queue is made: the move table and vertex list
+    (Grid.move_table), the red, green and blue counts of other nets'
+    commits (Occupancy.foreign_counts), and the keep-out, history and
+    off-guide arrays (_search_arrays). It is a snapshot: the grid must
+    not change while the queue is in use. route_net makes one queue per
+    net and does not change the grid while routing it.
     """
 
     def __init__(self, grid: Grid, net: Net):
         self._width, self._height = grid.width, grid.height
+        self.moves, self.vertices = grid.move_table()
+        self.counts = grid.committed.foreign_counts(grid.rules.d_color, net.id)
+        self.closed, self.hist, self.off_guide = _search_arrays(grid, net)
+        self.settled = [math.inf] * len(self.vertices)
         self._heap: list = []
         self._seq = count()
         self.labels: dict[int, list[SearchNode]] = {}
@@ -148,16 +167,21 @@ class SolutionQueue:
         if bucket is None:
             self.labels[vid] = [node]
         else:
+            # One pass suffices: live labels never dominate one another, so
+            # no label node prunes can share the bucket with one that
+            # dominates node.
+            pruned = False
             for ex in bucket:
                 if ex.cost <= cost and (ex.state & state) == state:
                     return False  # dominated; ties keep the incumbent
-            pruned = False
-            for ex in bucket:
                 if cost <= ex.cost and (state & ex.state) == ex.state:
                     ex.pruned = pruned = True
             if pruned:
                 bucket = self.labels[vid] = [ex for ex in bucket if not ex.pruned]
             bucket.append(node)
+        if state == ALL_COLORS:
+            # An accepted 111 label undercuts every live one, and prunes it.
+            self.settled[vid] = cost
         dir_key = -1 if node.arrival_dir is None else int(node.arrival_dir)
         heappush(self._heap, (cost, vid, dir_key, next(self._seq), node))
         return True
@@ -199,19 +223,24 @@ class _TreeBuilder:
         into.members.extend(other.members)
         other.members.clear()
 
-    def freeze_open_segsets(self, grid: Grid, net_id: int) -> None:
+    def freeze_open_segsets(self, grid: Grid, counts: Sequence[list[int]]) -> None:
         """Collapse every still-open segSet to its final mask (2-pin mode)."""
         for seg in self.segsets:
             if seg.members and seg.final_color is None:
-                seg.final_color = _cheapest_color(seg, grid, net_id)
+                seg.final_color = _cheapest_color(seg, grid, counts)
                 seg.state = int(seg.final_color)
 
 
-def _cheapest_color(seg: SegSet, grid: Grid, net_id: int) -> Color:
-    costs = {
-        c: sum(grid.vertex_color_cost(v, c, net_id) for v in seg.members)
-        for c in colors_in(seg.state)
-    }
+def _cheapest_color(seg: SegSet, grid: Grid, counts: Sequence[list[int]]) -> Color:
+    """The segSet's mask with the least summed conflict cost over its members.
+
+    counts are the net's foreign red, green and blue counts
+    (Occupancy.foreign_counts), so each cost is Grid.vertex_color_cost's.
+    """
+    gamma = grid.rules.gamma
+    ids = [grid.vid(v) for v in seg.members]
+    by_color = dict(zip(COLOR_ORDER, counts))
+    costs = {c: sum(gamma * by_color[c][i] for i in ids) for c in colors_in(seg.state)}
     return pick_final(seg.state, costs)
 
 
@@ -223,23 +252,23 @@ def color_state_search(queue: SolutionQueue, grid: Grid, net: Net) -> SearchNode
     planar and the mask is outside the node's state; the neighbor label
     gets the minimum and the set of masks achieving it.
 
-    Moves come from the grid's per-layer move table and conflict costs
-    from its maintained per-mask counts. Keep-outs (obstacles, foreign
-    pins and foreign commits), history and off-guide penalties are read
-    from vertex-id arrays filled when the search starts; the grid does
-    not change while it runs. A move whose target already holds a label
-    with all three masks at no more than the node's cost is skipped
-    before pricing, since every cost term is non-negative. A priced child
-    that a label at its target dominates is dropped without building a
-    node, so insert sees only labels it accepts, in the same order.
+    The moves, conflict counts, keep-outs (obstacles, foreign pins and
+    foreign commits), history and off-guide penalties are all read from
+    the queue's per-net context, by vertex id; the grid must not have
+    changed since the queue was made. A move whose target is settled
+    (holds a label with all three masks) at no more than the node's cost
+    is skipped before pricing, since every cost term is non-negative. A
+    priced child that a label at its target dominates is dropped without
+    building a node, so insert sees only labels it accepts, in the same
+    order.
     """
     rules = grid.rules
     stitch_term = rules.beta * rules.stitch_cost
     alpha, gamma = rules.alpha, rules.gamma
     width, height = grid.width, grid.height
-    red, green, blue = grid.committed.foreign_counts(rules.d_color, net.id)
-    closed, hist, off_guide = _search_arrays(grid, net)
-    moves = grid.move_table()
+    red, green, blue = queue.counts
+    closed, hist, off_guide, settled = queue.closed, queue.hist, queue.off_guide, queue.settled
+    moves, vertices = queue.moves, queue.vertices
     labels, pin_cover, connected = queue.labels, queue.pin_cover, queue.connected
     pop, insert = queue.pop, queue.insert
     while True:
@@ -250,23 +279,12 @@ def color_state_search(queue: SolutionQueue, grid: Grid, net: Net) -> SearchNode
         if pins_here and not pins_here <= connected:
             return node
         x, y, l = node.vertex
+        v = (l * height + y) * width + x
         cost, held = node.cost, node.state
-        for direction, dx, dy, dl, planar, base_trad in moves[l]:
-            tx, ty = x + dx, y + dy
-            if not (0 <= tx < width and 0 <= ty < height):
+        for direction, dvid, planar, base_trad in moves[v]:
+            i = v + dvid
+            if closed[i] or settled[i] <= cost:
                 continue
-            i = ((l + dl) * height + ty) * width + tx
-            if closed[i]:
-                continue
-            bucket = labels.get(i)
-            if bucket is not None:
-                settled = False
-                for ex in bucket:
-                    if ex.state == ALL_COLORS and ex.cost <= cost:
-                        settled = True
-                        break
-                if settled:
-                    continue
             trad = base_trad + hist[i]
             if off_guide is not None:
                 trad += off_guide[i]
@@ -297,6 +315,7 @@ def color_state_search(queue: SolutionQueue, grid: Grid, net: Net) -> SearchNode
                 # No conflicts: the masks in the held state cost nothing.
                 best, state = 0.0, held if planar and stitch_term else ALL_COLORS
             child_cost = cost + alpha * trad + best
+            bucket = labels.get(i)
             if bucket is not None:
                 dominated = False
                 for ex in bucket:
@@ -305,11 +324,11 @@ def color_state_search(queue: SolutionQueue, grid: Grid, net: Net) -> SearchNode
                         break
                 if dominated:
                     continue
-            insert(SearchNode((tx, ty, l + dl), child_cost, state, node, direction))
+            insert(SearchNode(vertices[i], child_cost, state, node, direction))
 
 
 def _search_arrays(grid: Grid, net: Net) -> tuple[bytearray, list[float], list[float] | None]:
-    """Per-vertex-id keep-outs, history and off-guide penalty for one search.
+    """Per-vertex-id keep-outs, history and off-guide penalty for one net.
 
     closed marks what Grid.passable refuses net: obstacles, other nets'
     pins and other nets' commits. The off-guide list is None when the net
@@ -347,7 +366,6 @@ def backtrace(
     dst: SearchNode,
     tree: _TreeBuilder,
     grid: Grid,
-    net_id: int,
     freeze: bool = False,
 ) -> list[Vertex]:
     """Walk prev links from dst to the tree, grouping vertices into segSets.
@@ -392,7 +410,7 @@ def backtrace(
                 cur_seg = tree.add(prev_node.vertex, prev_node.state)
 
     if freeze:
-        tree.freeze_open_segsets(grid, net_id)
+        tree.freeze_open_segsets(grid, queue.counts)
 
     for n in chain + ([terminal] if terminal is not None else []):
         seed_state = tree.segset_of[n.vertex].state if freeze else n.state
@@ -422,7 +440,7 @@ def route_net(net: Net, grid: Grid, *, two_pin_mode: bool = False) -> RouteTree:
     seeded = False
     for v in net.pins[0].covered_vertices:
         if grid.passable(v, net.id):
-            for cost, state in _seed_labels(grid, v, net.id):
+            for cost, state in _seed_labels(grid, queue.counts, v):
                 queue.insert(SearchNode(v, cost, state, None, None))
             seeded = True
     if not seeded:
@@ -453,7 +471,7 @@ def route_net(net: Net, grid: Grid, *, two_pin_mode: bool = False) -> RouteTree:
                 blocked_nets=wall_nets,
                 blocked_vertices=wall_vertices,
             ) from None
-        path = backtrace(queue, dst, tree, grid, net.id, freeze=two_pin_mode)
+        path = backtrace(queue, dst, tree, grid, freeze=two_pin_mode)
         tree.paths.append(path)
         tree.path_costs.append(dst.cost)
         for v in path:
@@ -464,16 +482,18 @@ def route_net(net: Net, grid: Grid, *, two_pin_mode: bool = False) -> RouteTree:
     return finalize_colors(tree, grid, net.id)
 
 
-def _seed_labels(grid: Grid, v: Vertex, net_id: int) -> list[tuple[float, int]]:
+def _seed_labels(grid: Grid, counts: Sequence[list[int]], v: Vertex) -> list[tuple[float, int]]:
     """Source labels for a start-pin vertex, one per conflict-cost level.
 
     The wire occupies the start vertex too, so its per-color conflict
-    cost is charged up front: colors with equal cost share one label
-    (conflict-free pins reduce to the single label cost 0, state 111).
+    cost (from the net's foreign red, green and blue counts) is charged
+    up front: colors with equal cost share one label (conflict-free pins
+    reduce to the single label cost 0, state 111).
     """
+    gamma, i = grid.rules.gamma, grid.vid(v)
     levels: dict[float, int] = {}
-    for color in COLOR_ORDER:
-        cost = grid.vertex_color_cost(v, color, net_id)
+    for color, color_counts in zip(COLOR_ORDER, counts):
+        cost = gamma * color_counts[i]
         levels[cost] = levels.get(cost, 0) | int(color)
     return [(cost, levels[cost]) for cost in sorted(levels)]
 
@@ -531,11 +551,12 @@ def finalize_colors(tree: _TreeBuilder, grid: Grid, net_id: int) -> RouteTree:
     RED > GREEN > BLUE order.
     """
     vertex_colors: dict[Vertex, Color] = {}
+    counts = grid.committed.foreign_counts(grid.rules.d_color, net_id)
     for seg in tree.segsets:
         if not seg.members:
             continue  # emptied by a merge
         if seg.final_color is None:
-            seg.final_color = _cheapest_color(seg, grid, net_id)
+            seg.final_color = _cheapest_color(seg, grid, counts)
         for v in seg.members:
             vertex_colors[v] = seg.final_color
     stitches = recount_stitches(vertex_colors)

@@ -153,3 +153,35 @@ def test_baseline_conflicts_agree_with_detector():
         (i, j) for i, j in result.graph.conflict_edges if colors[i] == colors[j]
     }
     assert edge_pairs == same_color_edges
+
+
+def _pairwise_edges(segments, d_color):
+    """Conflict and stitch edges from every segment pair's minimum distance."""
+    conflicts, stitches = [], []
+    for i, a in enumerate(segments):
+        for j in range(i + 1, len(segments)):
+            b = segments[j]
+            if a.layer != b.layer:
+                continue
+            gap = min(
+                abs(ax - bx) + abs(ay - by)
+                for ax, ay, _ in a.vertices
+                for bx, by, _ in b.vertices
+            )
+            if a.net_id != b.net_id:
+                if gap < d_color:
+                    conflicts.append((i, j))
+            elif gap == 1:
+                stitches.append((i, j))
+    return conflicts, stitches
+
+
+def test_stencil_walk_edges_equal_pairwise_scan():
+    for seed in range(4):
+        layout = congested_layout(seed)
+        grid, _ = route_colorless(layout)
+        for d_color in (1, 2, 3, 4):
+            graph = build_conflict_graph(grid, DesignRules(d_color=d_color))
+            conflicts, stitches = _pairwise_edges(graph.segments, d_color)
+            assert graph.conflict_edges == conflicts, (seed, d_color)
+            assert graph.stitch_edges == stitches, (seed, d_color)

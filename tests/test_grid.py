@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from instances import empty_grid
 from tplroute.color_state import Color
-from tplroute.grid import CollisionError, Direction
+from tplroute.grid import VIA_DIRECTIONS, CollisionError, Direction
 from tplroute.layout import DesignRules
 
 
@@ -50,6 +50,43 @@ def test_direction_semantics_respect_preferred_axis():
     assert grid.step((1, 1, 1), Direction.R) == (2, 1, 1)
     assert grid.step((1, 1, 0), Direction.U) == (1, 1, 1)
     assert grid.step((1, 1, 1), Direction.D) == (1, 1, 0)
+
+
+def _check_move_table(grid):
+    """Each vid's moves equal neighbors (obstacle-free) and trad_cost's rule part."""
+    rows, vertices = grid.move_table()
+    assert len(rows) == len(vertices) == grid.width * grid.height * grid.num_layers
+    for vid, (row, v) in enumerate(zip(rows, vertices)):
+        assert grid.vid(v) == vid
+        assert [(d, vertices[vid + dvid]) for d, dvid, _, _ in row] == grid.neighbors(v)
+        for d, _, planar, base_trad in row:
+            assert planar == (d not in VIA_DIRECTIONS)
+            assert base_trad == grid.trad_cost(v, d)
+
+
+def test_move_table_matches_neighbors_and_trad_cost():
+    rules = DesignRules(wrong_way_cost=2.5, via_cost=4.0)
+    stacks = [("H",), ("V",), ("H", "V"), ("V", "V"), ("H", "V", "H"), ("V", "H", "H")]
+    for width in range(1, 6):
+        for height in range(1, 6):
+            for dirs in stacks:
+                _check_move_table(empty_grid(width, height, dirs, rules))
+
+
+def test_move_table_rows_are_shared():
+    rows, _ = empty_grid(30, 20, ("H", "V")).move_table()
+    # per layer: interior, four edges and four corners
+    assert len({id(row) for row in rows}) <= 18
+
+
+def test_move_table_keyed_by_move_costs():
+    # Two grids of one shape but other wrong-way and via costs get their own tables.
+    cheap = empty_grid(4, 3, ("H", "V"), DesignRules(wrong_way_cost=1.0, via_cost=2.0))
+    dear = empty_grid(4, 3, ("H", "V"), DesignRules(wrong_way_cost=3.0, via_cost=5.0))
+    _check_move_table(cheap)
+    _check_move_table(dear)
+    assert cheap.move_table() != dear.move_table()
+    assert dear.move_table() is empty_grid(4, 3, ("H", "V"), dear.rules).move_table()
 
 
 class TestTradCost:

@@ -129,7 +129,7 @@ class TestBacktraceSegSets:
             prev = node
             nodes.append(node)
         tree = _TreeBuilder()
-        path = backtrace(queue, nodes[-1], tree, grid, net_id=0)
+        path = backtrace(queue, nodes[-1], tree, grid)
         live = [s for s in tree.segsets if s.members]
         return path, tree, live
 
@@ -165,7 +165,7 @@ class TestBacktraceSegSets:
         queue.insert(a)
         b = SearchNode((1, 0, 0), 1.0, 0b111, a, Direction.F)
         c = SearchNode((2, 0, 0), 2.0, 0b111, b, Direction.F)
-        backtrace(queue, c, _TreeBuilder(), grid, net_id=0)
+        backtrace(queue, c, _TreeBuilder(), grid)
         reseeded = {n.vertex for bucket in queue.labels.values() for n in bucket if n.cost == 0.0}
         assert reseeded == {(0, 0, 0), (1, 0, 0), (2, 0, 0)}
 
@@ -206,6 +206,42 @@ def test_queue_never_holds_dead_states(monkeypatch):
     route_net(net, grid)
     assert collected
     assert all(s != 0 for s in collected)
+
+
+def _reference_insert(buckets, vid, node):
+    """Two-pass Pareto insert: reject if dominated, else prune and append."""
+    bucket = buckets.setdefault(vid, [])
+    if any(ex.cost <= node.cost and ex.state & node.state == node.state for ex in bucket):
+        return False
+    bucket[:] = [ex for ex in bucket if not (node.cost <= ex.cost and node.state & ex.state == ex.state)]
+    bucket.append(node)
+    return True
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from([(0, 0, 0), (1, 0, 0), (2, 1, 0)]),
+            st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0]),
+            st.integers(1, 0b111),
+        ),
+        max_size=40,
+    )
+)
+def test_insert_matches_two_pass_reference(inserts):
+    grid = empty_grid(3, 2, ("H",))
+    queue = SolutionQueue(grid, two_pin_net((0, 0, 0), (2, 1, 0)))
+    reference = {}
+    for vertex, cost, state in inserts:
+        node = SearchNode(vertex, cost, state, None, None)
+        vid = grid.vid(vertex)
+        assert queue.insert(node) == _reference_insert(reference, vid, node)
+        live = {k: [id(n) for n in bucket] for k, bucket in reference.items() if bucket}
+        assert {k: [id(n) for n in bucket] for k, bucket in queue.labels.items()} == live
+        for k in range(grid.width * grid.height):
+            full = [n.cost for n in reference.get(k, []) if n.state == 0b111]
+            assert queue.settled[k] == min(full, default=float("inf"))
 
 
 def test_unroutable_reports_remaining_pins():
