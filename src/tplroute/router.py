@@ -20,6 +20,16 @@ Each vertex keeps a Pareto set of (cost, state) labels: a costlier label
 survives if its state is not a subset of a cheaper label's, which is what
 lets a later stretch reuse a mask that a cheaper arrival had priced out.
 
+A label is one plain tuple, (cost, vid, dir_key, seq, state, prev), and
+it is its own heap entry: the first four fields are the pop order. vid is
+the vertex id (Grid.vid), dir_key the arrival Direction or -1 for a
+source, seq a per-queue counter (unique, so a heap comparison never
+reaches state or prev), and prev the predecessor label or None for a
+source. A pruned label is not removed from the heap; its seq goes into
+the queue's dead set, and pop skips it. Sources (start-pin seeds and the
+traced vertices re-seeded after a backtrace) enter through
+SolutionQueue.source.
+
 The search does no work whose result is already known. Everything it
 reads that stays fixed while a net is routed is built once per net, when
 route_net makes the net's SolutionQueue: the foreign per-mask counts,
@@ -27,12 +37,13 @@ and vertex-id arrays of keep-outs, history and off-guide penalties. The
 move table (per vertex id, the on-grid moves as vertex-id offsets) is
 shared by every grid of one shape and move costs. Label sets are keyed
 by vertex id, and the queue keeps, per vertex id, the least cost of a
-label holding all three masks. A move is skipped before it is priced
-when that cost is no more than the popped node's (every cost term is
-non-negative, so the child could not be cheaper). A priced child that a
-label at its target dominates is dropped before a node is built. The
-same nodes pop and the same labels are accepted, in the same order, as
-when every child is priced and offered to the queue.
+label holding all three masks, and the pin indices each vertex id
+covers (pin_at). A move is skipped before it is priced when that cost is
+no more than the popped label's (every cost term is non-negative, so the
+child could not be cheaper). A priced child that a label at its target
+dominates is dropped before its label is built. The same labels pop and
+the same labels are accepted, in the same order, as when every child is
+priced and offered to the queue.
 """
 
 from __future__ import annotations
@@ -77,17 +88,8 @@ class UnroutableError(RuntimeError):
         self.blocked_vertices = blocked_vertices or set()
 
 
-@dataclass(slots=True)
-class SearchNode:
-    """One (vertex, cost, color state) label with its predecessor link."""
-
-    vertex: Vertex
-    cost: float
-    state: int
-    prev: "SearchNode | None" = None
-    arrival_dir: Direction | None = None
-    expanded: bool = False
-    pruned: bool = False
+# (cost, vid, dir_key, seq, state, prev): see the module docstring.
+Label = tuple[float, int, "Direction | int", int, int, "Label | None"]
 
 
 @dataclass
@@ -121,26 +123,32 @@ class RouteTree:
 
 
 class SolutionQueue:
-    """Priority queue of SearchNodes with per-vertex Pareto label sets.
+    """Priority queue of search labels with per-vertex Pareto label sets.
+
+    A label is the tuple (cost, vid, dir_key, seq, state, prev) and is
+    pushed onto the heap as it is, so pop order is (cost, row-major vertex
+    id, arrival direction, insertion order) and runs are reproducible.
+    Each label is pushed once, so it pops at most once.
 
     A label is kept only while no other label at the same vertex is both
     cheaper-or-equal and has a superset state; on exact (cost, state) ties
-    the incumbent wins. Pop order is (cost, row-major vertex id, arrival
-    direction, insertion order), so runs are reproducible.
-
-    labels maps a vertex id (Grid.vid) to its non-empty list of live
-    labels, and settled[vid] is the least cost of a live label with state
-    111 there (inf when none). color_state_search reads both to skip a
-    child that insert would reject, so every label it hands to insert is
-    accepted.
+    the incumbent wins. labels maps a vertex id to its non-empty list of
+    live labels. A label pruned from its list stays in the heap, and its
+    seq goes into dead, so pop skips it. settled[vid] is the least cost of
+    a live label with state 111 there (inf when none). color_state_search
+    reads labels and settled to skip a child that insert would reject, so
+    every label it hands to insert is accepted. source builds a source
+    label (dir_key -1, no prev) with the next seq and inserts it.
 
     The queue also carries the net's search context, built from the grid
     when the queue is made: the move table and vertex list
     (Grid.move_table), the red, green and blue counts of other nets'
-    commits (Occupancy.foreign_counts), and the keep-out, history and
-    off-guide arrays (_search_arrays). It is a snapshot: the grid must
-    not change while the queue is in use. route_net makes one queue per
-    net and does not change the grid while routing it.
+    commits (Occupancy.foreign_counts), the keep-out, history and
+    off-guide arrays (_search_arrays), and pin_at, per vertex id the
+    frozenset of the net's pin indices covering it (None when none). It
+    is a snapshot: the grid must not change while the queue is in use.
+    route_net makes one queue per net and does not change the grid while
+    routing it.
     """
 
     def __init__(self, grid: Grid, net: Net):
@@ -149,50 +157,59 @@ class SolutionQueue:
         self.counts = grid.committed.foreign_counts(grid.rules.d_color, net.id)
         self.closed, self.hist, self.off_guide = _search_arrays(grid, net)
         self.settled = [math.inf] * len(self.vertices)
-        self._heap: list = []
+        self._heap: list[Label] = []
         self._seq = count()
-        self.labels: dict[int, list[SearchNode]] = {}
-        cover: dict[Vertex, set[int]] = {}
+        self.dead: set[int] = set()
+        self.labels: dict[int, list[Label]] = {}
+        cover: dict[int, set[int]] = {}
         for idx, pin in enumerate(net.pins):
             for v in pin.covered_vertices:
-                cover.setdefault(v, set()).add(idx)
-        self.pin_cover = {v: frozenset(s) for v, s in cover.items()}
+                if grid.in_bounds(v):
+                    cover.setdefault(grid.vid(v), set()).add(idx)
+        self.pin_at: list[frozenset[int] | None] = [None] * len(self.vertices)
+        for vid, pins in cover.items():
+            self.pin_at[vid] = frozenset(pins)
         self.connected: set[int] = {0}
 
-    def insert(self, node: SearchNode) -> bool:
-        x, y, l = node.vertex
-        vid = (l * self._height + y) * self._width + x
-        cost, state = node.cost, node.state
+    def insert(self, label: Label) -> bool:
+        cost, vid, _, _, state, _ = label
         bucket = self.labels.get(vid)
         if bucket is None:
-            self.labels[vid] = [node]
+            self.labels[vid] = [label]
         else:
             # One pass suffices: live labels never dominate one another, so
-            # no label node prunes can share the bucket with one that
-            # dominates node.
+            # no label this one prunes can share the bucket with one that
+            # dominates it.
+            dead = self.dead
             pruned = False
             for ex in bucket:
-                if ex.cost <= cost and (ex.state & state) == state:
+                ex_cost, ex_state = ex[0], ex[4]
+                if ex_cost <= cost and (ex_state & state) == state:
                     return False  # dominated; ties keep the incumbent
-                if cost <= ex.cost and (state & ex.state) == ex.state:
-                    ex.pruned = pruned = True
+                if cost <= ex_cost and (state & ex_state) == ex_state:
+                    dead.add(ex[3])
+                    pruned = True
             if pruned:
-                bucket = self.labels[vid] = [ex for ex in bucket if not ex.pruned]
-            bucket.append(node)
+                bucket = self.labels[vid] = [ex for ex in bucket if ex[3] not in dead]
+            bucket.append(label)
         if state == ALL_COLORS:
             # An accepted 111 label undercuts every live one, and prunes it.
             self.settled[vid] = cost
-        dir_key = -1 if node.arrival_dir is None else int(node.arrival_dir)
-        heappush(self._heap, (cost, vid, dir_key, next(self._seq), node))
+        heappush(self._heap, label)
         return True
 
-    def pop(self) -> SearchNode | None:
-        while self._heap:
-            node = heappop(self._heap)[-1]
-            if node.pruned or node.expanded:
-                continue
-            node.expanded = True
-            return node
+    def source(self, vertex: Vertex, cost: float, state: int) -> bool:
+        """Insert a source label (no arrival, no predecessor) at vertex."""
+        x, y, l = vertex
+        vid = (l * self._height + y) * self._width + x
+        return self.insert((cost, vid, -1, next(self._seq), state, None))
+
+    def pop(self) -> Label | None:
+        heap, dead = self._heap, self.dead
+        while heap:
+            label = heappop(heap)
+            if label[3] not in dead:
+                return label
         return None
 
 
@@ -244,43 +261,42 @@ def _cheapest_color(seg: SegSet, grid: Grid, counts: Sequence[list[int]]) -> Col
     return pick_final(seg.state, costs)
 
 
-def color_state_search(queue: SolutionQueue, grid: Grid, net: Net) -> SearchNode:
-    """Pop minimum-cost nodes until one covers a not-yet-connected pin.
+def color_state_search(queue: SolutionQueue, grid: Grid, net: Net) -> Label:
+    """Pop minimum-cost labels until one covers a not-yet-connected pin.
 
-    Every popped node relaxes its six neighbors: for each mask, the
-    conflict cost of the target plus one stitch charge when the move is
-    planar and the mask is outside the node's state; the neighbor label
-    gets the minimum and the set of masks achieving it.
+    Every popped label relaxes its vertex's six neighbors: for each mask,
+    the conflict cost of the target plus one stitch charge when the move
+    is planar and the mask is outside the label's state; the child label
+    gets the minimum and the set of masks achieving it. A child is the
+    tuple (cost, target vid, move direction, next seq, state, popped
+    label); whether a popped label covers a pin is one read of the
+    queue's pin_at.
 
     The moves, conflict counts, keep-outs (obstacles, foreign pins and
     foreign commits), history and off-guide penalties are all read from
     the queue's per-net context, by vertex id; the grid must not have
     changed since the queue was made. A move whose target is settled
-    (holds a label with all three masks) at no more than the node's cost
+    (holds a label with all three masks) at no more than the popped cost
     is skipped before pricing, since every cost term is non-negative. A
-    priced child that a label at its target dominates is dropped without
-    building a node, so insert sees only labels it accepts, in the same
-    order.
+    priced child that a label at its target dominates is dropped before
+    its tuple is built, so insert sees only labels it accepts, in the
+    same order.
     """
     rules = grid.rules
     stitch_term = rules.beta * rules.stitch_cost
     alpha, gamma = rules.alpha, rules.gamma
-    width, height = grid.width, grid.height
     red, green, blue = queue.counts
     closed, hist, off_guide, settled = queue.closed, queue.hist, queue.off_guide, queue.settled
-    moves, vertices = queue.moves, queue.vertices
-    labels, pin_cover, connected = queue.labels, queue.pin_cover, queue.connected
-    pop, insert = queue.pop, queue.insert
+    moves, labels, pin_at, connected = queue.moves, queue.labels, queue.pin_at, queue.connected
+    pop, insert, next_seq = queue.pop, queue.insert, queue._seq.__next__
     while True:
-        node = pop()
-        if node is None:
+        label = pop()
+        if label is None:
             raise SearchExhaustedError("solution queue exhausted")
-        pins_here = pin_cover.get(node.vertex)
-        if pins_here and not pins_here <= connected:
-            return node
-        x, y, l = node.vertex
-        v = (l * height + y) * width + x
-        cost, held = node.cost, node.state
+        cost, v, _, _, held, _ = label
+        pins_here = pin_at[v]
+        if pins_here is not None and not pins_here <= connected:
+            return label
         for direction, dvid, planar, base_trad in moves[v]:
             i = v + dvid
             if closed[i] or settled[i] <= cost:
@@ -319,12 +335,12 @@ def color_state_search(queue: SolutionQueue, grid: Grid, net: Net) -> SearchNode
             if bucket is not None:
                 dominated = False
                 for ex in bucket:
-                    if ex.cost <= child_cost and (ex.state & state) == state:
+                    if ex[0] <= child_cost and (ex[4] & state) == state:
                         dominated = True
                         break
                 if dominated:
                     continue
-            insert(SearchNode(vertices[i], child_cost, state, node, direction))
+            insert((child_cost, i, direction, next_seq(), state, label))
 
 
 def _search_arrays(grid: Grid, net: Net) -> tuple[bytearray, list[float], list[float] | None]:
@@ -363,7 +379,7 @@ def _search_arrays(grid: Grid, net: Net) -> tuple[bytearray, list[float], list[f
 
 def backtrace(
     queue: SolutionQueue,
-    dst: SearchNode,
+    dst: Label,
     tree: _TreeBuilder,
     grid: Grid,
     freeze: bool = False,
@@ -375,24 +391,25 @@ def backtrace(
     otherwise the segSet closes and a fresh one starts, which is where a
     stitch will fall. Hitting a vertex that already belongs to the tree
     merges the two segSets when their states share a mask. All traced
-    nodes are re-inserted at cost 0 so the next search starts from the
-    whole tree.
+    vertices are re-inserted as sources at cost 0 so the next search
+    starts from the whole tree.
     """
     # Sources (pin seeds and re-seeded tree labels) are exactly the
-    # prev-less labels; a cost == 0 test would misfire when alpha is 0.
-    chain = [dst]
-    node = dst
-    while node.prev is not None and node.prev.prev is not None:
-        node = node.prev
-        chain.append(node)
-    terminal = node.prev
+    # prev-less labels, so the walk ends at one; a cost == 0 test would
+    # misfire when alpha is 0.
+    vertices = queue.vertices
+    trace: list[tuple[Vertex, int]] = []
+    label: Label | None = dst
+    while label is not None:
+        trace.append((vertices[label[1]], label[4]))
+        label = label[5]
 
-    cur_seg = tree.segset_of.get(dst.vertex)
+    dst_vertex, dst_state = trace[0]
+    cur_seg = tree.segset_of.get(dst_vertex)
     if cur_seg is None:
-        cur_seg = tree.add(dst.vertex, dst.state)
-    walk = chain[1:] + ([terminal] if terminal is not None else [])
-    for prev_node in walk:
-        other_seg = tree.segset_of.get(prev_node.vertex)
+        cur_seg = tree.add(dst_vertex, dst_state)
+    for vertex, state in trace[1:]:
+        other_seg = tree.segset_of.get(vertex)
         if other_seg is not None:
             if other_seg is not cur_seg:
                 shared = cur_seg.state & other_seg.state
@@ -402,23 +419,20 @@ def backtrace(
                     # no shared mask: segSet boundary, the junction is a stitch
                     cur_seg = other_seg
         else:
-            shared = cur_seg.state & prev_node.state
+            shared = cur_seg.state & state
             if shared:
                 cur_seg.state = shared
-                tree.add(prev_node.vertex, prev_node.state, cur_seg)
+                tree.add(vertex, state, cur_seg)
             else:
-                cur_seg = tree.add(prev_node.vertex, prev_node.state)
+                cur_seg = tree.add(vertex, state)
 
     if freeze:
         tree.freeze_open_segsets(grid, queue.counts)
 
-    for n in chain + ([terminal] if terminal is not None else []):
-        seed_state = tree.segset_of[n.vertex].state if freeze else n.state
-        queue.insert(SearchNode(n.vertex, 0.0, seed_state, None, None))
+    for vertex, state in trace:
+        queue.source(vertex, 0.0, tree.segset_of[vertex].state if freeze else state)
 
-    path = [terminal.vertex] if terminal is not None else []
-    path.extend(n.vertex for n in reversed(chain))
-    return path
+    return [vertex for vertex, _ in reversed(trace)]
 
 
 def route_net(net: Net, grid: Grid, *, two_pin_mode: bool = False) -> RouteTree:
@@ -441,7 +455,7 @@ def route_net(net: Net, grid: Grid, *, two_pin_mode: bool = False) -> RouteTree:
     for v in net.pins[0].covered_vertices:
         if grid.passable(v, net.id):
             for cost, state in _seed_labels(grid, queue.counts, v):
-                queue.insert(SearchNode(v, cost, state, None, None))
+                queue.source(v, cost, state)
             seeded = True
     if not seeded:
         blocked = {
@@ -473,10 +487,10 @@ def route_net(net: Net, grid: Grid, *, two_pin_mode: bool = False) -> RouteTree:
             ) from None
         path = backtrace(queue, dst, tree, grid, freeze=two_pin_mode)
         tree.paths.append(path)
-        tree.path_costs.append(dst.cost)
+        tree.path_costs.append(dst[0])
         for v in path:
-            pins_here = queue.pin_cover.get(v)
-            if pins_here:
+            pins_here = queue.pin_at[grid.vid(v)]
+            if pins_here is not None:
                 queue.connected |= pins_here
 
     return finalize_colors(tree, grid, net.id)
@@ -498,14 +512,21 @@ def _seed_labels(grid: Grid, counts: Sequence[list[int]], v: Vertex) -> list[tup
     return [(cost, levels[cost]) for cost in sorted(levels)]
 
 
-def _region_wall(grid: Grid, region, net_id: int) -> dict[Vertex, int]:
-    """Foreign committed vertices bordering a region, with their owners."""
-    wall: dict[Vertex, int] = {}
+def _region_wall(queue: SolutionQueue, grid: Grid, region, net_id: int) -> dict[int, int]:
+    """Foreign committed vertex ids bordering a region of ids, with their owners.
+
+    Obstacles are never committed (Grid.commit_route refuses them), so a
+    closed neighbour with a committed owner is a foreign commit.
+    """
+    moves, closed, vertices, committed = queue.moves, queue.closed, queue.vertices, grid.committed
+    wall: dict[int, int] = {}
     for v in region:
-        for _, t in grid.neighbors(v):
-            owner = grid.committed.get(t)
-            if owner is not None and owner[0] != net_id:
-                wall[t] = owner[0]
+        for _, dvid, _, _ in moves[v]:
+            t = v + dvid
+            if closed[t] and t not in wall:
+                owner = committed.get(vertices[t])
+                if owner is not None and owner[0] != net_id:
+                    wall[t] = owner[0]
     return wall
 
 
@@ -517,30 +538,32 @@ def _wall_blockers(
     Flood-fills the pocket still reachable from the stranded pins; the
     separating wall is committed by nets adjacent to both that pocket and
     the exhausted search region (falling back to both sides together when
-    the wall is layered from two nets).
+    the wall is layered from two nets). The walk is over vertex ids,
+    through the queue's move table and keep-out array.
     """
-    pocket: set[Vertex] = set()
+    moves, closed = queue.moves, queue.closed
     stack = [
-        v
+        grid.vid(v)
         for idx in remaining
         for v in net.pins[idx].covered_vertices
         if grid.passable(v, net.id)
     ]
-    pocket.update(stack)
+    pocket = set(stack)
     while stack:
         v = stack.pop()
-        for _, t in grid.neighbors(v):
-            if t not in pocket and grid.passable(t, net.id):
+        for _, dvid, _, _ in moves[v]:
+            t = v + dvid
+            if not closed[t] and t not in pocket:
                 pocket.add(t)
                 stack.append(t)
-    pocket_side = _region_wall(grid, pocket, net.id)
-    search_side = _region_wall(grid, (b[0].vertex for b in queue.labels.values()), net.id)
+    pocket_side = _region_wall(queue, grid, pocket, net.id)
+    search_side = _region_wall(queue, grid, queue.labels, net.id)
     shared = pocket_side.keys() & search_side.keys()
     if shared:
-        wall = {v: pocket_side[v] for v in shared}
+        wall = {t: pocket_side[t] for t in shared}
     else:
         wall = pocket_side | search_side
-    return set(wall.values()), set(wall)
+    return set(wall.values()), {queue.vertices[t] for t in wall}
 
 
 def finalize_colors(tree: _TreeBuilder, grid: Grid, net_id: int) -> RouteTree:

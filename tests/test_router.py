@@ -6,12 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from instances import empty_grid, oracle_instance, pressure_instance, register_pins, two_pin_net
-from tplroute import oracle
+from tplroute import oracle, router
+from tplroute.baseline import run_baseline
 from tplroute.color_state import COLOR_ORDER, Color, cardinality
 from tplroute.grid import VIA_DIRECTIONS, Direction
-from tplroute.layout import DesignRules, Net, Pin
+from tplroute.generate import generate_instance
+from tplroute.layout import DesignRules, Layer, Layout, Net, Pin
+from tplroute.negotiation import route_all
 from tplroute.router import (
-    SearchNode,
     SolutionQueue,
     UnroutableError,
     _TreeBuilder,
@@ -122,14 +124,12 @@ class TestBacktraceSegSets:
         grid = empty_grid(len(states), 1, ("H",))
         net = two_pin_net((0, 0, 0), (len(states) - 1, 0, 0))
         queue = SolutionQueue(grid, net)
-        nodes = []
-        prev = None
+        label = None
         for i, state in enumerate(states):
-            node = SearchNode((i, 0, 0), float(i), state, prev, None)
-            prev = node
-            nodes.append(node)
+            arrival = -1 if label is None else Direction.F
+            label = (float(i), grid.vid((i, 0, 0)), arrival, i, state, label)
         tree = _TreeBuilder()
-        path = backtrace(queue, nodes[-1], tree, grid)
+        path = backtrace(queue, label, tree, grid)
         live = [s for s in tree.segsets if s.members]
         return path, tree, live
 
@@ -161,32 +161,40 @@ class TestBacktraceSegSets:
         grid = empty_grid(3, 1, ("H",))
         net = two_pin_net((0, 0, 0), (2, 0, 0))
         queue = SolutionQueue(grid, net)
-        a = SearchNode((0, 0, 0), 0.0, 0b111, None, None)
-        queue.insert(a)
-        b = SearchNode((1, 0, 0), 1.0, 0b111, a, Direction.F)
-        c = SearchNode((2, 0, 0), 2.0, 0b111, b, Direction.F)
+        assert queue.source((0, 0, 0), 0.0, 0b111)
+        (a,) = queue.labels[grid.vid((0, 0, 0))]
+        b = (1.0, grid.vid((1, 0, 0)), Direction.F, 100, 0b111, a)
+        c = (2.0, grid.vid((2, 0, 0)), Direction.F, 101, 0b111, b)
         backtrace(queue, c, _TreeBuilder(), grid)
-        reseeded = {n.vertex for bucket in queue.labels.values() for n in bucket if n.cost == 0.0}
+        reseeded = {
+            queue.vertices[vid]
+            for bucket in queue.labels.values()
+            for cost, vid, arrival, _, _, prev in bucket
+            if cost == 0.0 and arrival == -1 and prev is None
+        }
         assert reseeded == {(0, 0, 0), (1, 0, 0), (2, 0, 0)}
 
 
+COST, STATE = 0, 4  # fields of a label tuple
+
+
 def record_pops(monkeypatch, field):
-    """Collect one attribute of every node SolutionQueue.pop hands out."""
+    """Collect one field of every label SolutionQueue.pop hands out."""
     seen = []
     pop = SolutionQueue.pop
 
     def recording_pop(queue):
-        node = pop(queue)
-        if node is not None:
-            seen.append(getattr(node, field))
-        return node
+        label = pop(queue)
+        if label is not None:
+            seen.append(label[field])
+        return label
 
     monkeypatch.setattr(SolutionQueue, "pop", recording_pop)
     return seen
 
 
 def test_queue_monotone_pops(monkeypatch):
-    pops = record_pops(monkeypatch, "cost")
+    pops = record_pops(monkeypatch, COST)
     grid = empty_grid(6, 6, ("H", "V"))
     net = two_pin_net((0, 0, 0), (5, 5, 1))
     register_pins(grid, net)
@@ -199,7 +207,7 @@ def test_queue_monotone_pops(monkeypatch):
 
 
 def test_queue_never_holds_dead_states(monkeypatch):
-    collected = record_pops(monkeypatch, "state")
+    collected = record_pops(monkeypatch, STATE)
     grid = empty_grid(5, 5, ("H",))
     net = two_pin_net((0, 0, 0), (4, 4, 0))
     register_pins(grid, net)
@@ -208,40 +216,98 @@ def test_queue_never_holds_dead_states(monkeypatch):
     assert all(s != 0 for s in collected)
 
 
-def _reference_insert(buckets, vid, node):
-    """Two-pass Pareto insert: reject if dominated, else prune and append."""
+def _reference_insert(buckets, pruned, label):
+    """Two-pass Pareto insert: reject if dominated, else prune and append.
+
+    The seq of every label pruned goes into pruned.
+    """
+    cost, vid, _, _, state, _ = label
     bucket = buckets.setdefault(vid, [])
-    if any(ex.cost <= node.cost and ex.state & node.state == node.state for ex in bucket):
+    if any(ex[0] <= cost and ex[4] & state == state for ex in bucket):
         return False
-    bucket[:] = [ex for ex in bucket if not (node.cost <= ex.cost and node.state & ex.state == ex.state)]
-    bucket.append(node)
+    pruned.update(ex[3] for ex in bucket if cost <= ex[0] and state & ex[4] == ex[4])
+    bucket[:] = [ex for ex in bucket if ex[3] not in pruned]
+    bucket.append(label)
     return True
 
 
-@settings(max_examples=150, deadline=None)
-@given(
-    st.lists(
-        st.tuples(
-            st.sampled_from([(0, 0, 0), (1, 0, 0), (2, 1, 0)]),
-            st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0]),
-            st.integers(1, 0b111),
-        ),
-        max_size=40,
-    )
+LABEL_DRAWS = st.tuples(
+    st.sampled_from([(0, 0, 0), (1, 0, 0), (2, 1, 0)]),
+    st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0]),
+    st.integers(1, 0b111),
+    st.sampled_from([-1, Direction.F, Direction.B, Direction.U]),
 )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(LABEL_DRAWS, max_size=40))
 def test_insert_matches_two_pass_reference(inserts):
     grid = empty_grid(3, 2, ("H",))
     queue = SolutionQueue(grid, two_pin_net((0, 0, 0), (2, 1, 0)))
-    reference = {}
-    for vertex, cost, state in inserts:
-        node = SearchNode(vertex, cost, state, None, None)
-        vid = grid.vid(vertex)
-        assert queue.insert(node) == _reference_insert(reference, vid, node)
-        live = {k: [id(n) for n in bucket] for k, bucket in reference.items() if bucket}
-        assert {k: [id(n) for n in bucket] for k, bucket in queue.labels.items()} == live
+    reference, pruned = {}, set()
+    for seq, (vertex, cost, state, arrival) in enumerate(inserts):
+        label = (cost, grid.vid(vertex), arrival, seq, state, None)
+        assert queue.insert(label) == _reference_insert(reference, pruned, label)
+        assert queue.labels == {k: bucket for k, bucket in reference.items() if bucket}
+        assert queue.dead == pruned
         for k in range(grid.width * grid.height):
-            full = [n.cost for n in reference.get(k, []) if n.state == 0b111]
+            full = [ex[0] for ex in reference.get(k, []) if ex[4] == 0b111]
             assert queue.settled[k] == min(full, default=float("inf"))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.one_of(LABEL_DRAWS, st.just("pop")), max_size=60))
+def test_pop_skips_pruned_and_never_repeats(ops):
+    # Interleaved inserts and pops, then a drain: every pop hands out the
+    # least label, in heap order, among the accepted labels neither pruned
+    # nor popped yet, and the drain ends once none is left.
+    grid = empty_grid(3, 2, ("H",))
+    queue = SolutionQueue(grid, two_pin_net((0, 0, 0), (2, 1, 0)))
+    accepted, popped = [], set()
+    for seq, op in enumerate(ops + ["pop"] * (len(ops) + 1)):
+        if op != "pop":
+            vertex, cost, state, arrival = op
+            label = (cost, grid.vid(vertex), arrival, seq, state, None)
+            if queue.insert(label):
+                accepted.append(label)
+            continue
+        waiting = [ex for ex in accepted if ex[3] not in queue.dead and ex[3] not in popped]
+        label = queue.pop()
+        if not waiting:
+            assert label is None
+            continue
+        assert label[3] not in queue.dead, "popped a pruned label"
+        assert label[3] not in popped, "popped a label twice"
+        assert label is min(waiting)
+        popped.add(label[3])
+    assert queue.pop() is None
+
+
+def test_source_returns_insert_verdict():
+    grid = empty_grid(3, 2, ("H",))
+    queue = SolutionQueue(grid, two_pin_net((0, 0, 0), (2, 1, 0)))
+    verdicts = []
+    insert = queue.insert
+
+    def recording_insert(label):
+        verdicts.append(insert(label))
+        return verdicts[-1]
+
+    queue.insert = recording_insert
+    v, vid = (1, 0, 0), grid.vid((1, 0, 0))
+    assert queue.source(v, 1.0, 0b001) is True
+    (first,) = queue.labels[vid]
+    assert queue.source(v, 1.0, 0b001) is False  # exact tie: the incumbent stays
+    assert queue.source(v, 0.0, 0b111) is True  # prunes the first source
+    assert queue.dead == {first[3]} and first not in queue.labels[vid]
+    buckets = {k: list(bucket) for k, bucket in queue.labels.items()}
+    settled, dead = list(queue.settled), set(queue.dead)
+    assert queue.source(v, 0.5, 0b011) is False  # a dominated re-seed
+    assert queue.labels == buckets and queue.settled == settled and queue.dead == dead
+    assert verdicts == [True, False, True, False]
+    (label,) = queue.labels[vid]
+    assert (label[0], label[1], label[2], label[4], label[5]) == (0.0, vid, -1, 0b111, None)
+    assert queue.pop() is label and queue.pop() is None
 
 
 def test_unroutable_reports_remaining_pins():
@@ -252,6 +318,67 @@ def test_unroutable_reports_remaining_pins():
     with pytest.raises(UnroutableError) as exc_info:
         route_net(net, grid)
     assert exc_info.value.remaining_pins == [1]
+
+
+def _reference_wall_blockers(queue, grid, net, remaining):
+    """The rescue wall by the Grid.neighbors walk over vertex tuples."""
+
+    def region_wall(region):
+        wall = {}
+        for v in region:
+            for _, t in grid.neighbors(v):
+                owner = grid.committed.get(t)
+                if owner is not None and owner[0] != net.id:
+                    wall[t] = owner[0]
+        return wall
+
+    stack = [v for idx in remaining for v in net.pins[idx].covered_vertices if grid.passable(v, net.id)]
+    pocket = set(stack)
+    while stack:
+        v = stack.pop()
+        for _, t in grid.neighbors(v):
+            if t not in pocket and grid.passable(t, net.id):
+                pocket.add(t)
+                stack.append(t)
+    pocket_side = region_wall(pocket)
+    search_side = region_wall(queue.vertices[vid] for vid in queue.labels)
+    shared = pocket_side.keys() & search_side.keys()
+    wall = {v: pocket_side[v] for v in shared} if shared else pocket_side | search_side
+    return set(wall.values()), set(wall)
+
+
+def test_wall_blockers_match_neighbors_walk(monkeypatch):
+    # Every rescue of the seeded rescue draw (both arms) and of the
+    # two-net single-gap layout names the same blockers as the reference.
+    wall_blockers = router._wall_blockers
+    calls = []
+
+    def checked(queue, grid, net, remaining):
+        got = wall_blockers(queue, grid, net, remaining)
+        assert got == _reference_wall_blockers(queue, grid, net, remaining)
+        calls.append(got)
+        return got
+
+    monkeypatch.setattr(router, "_wall_blockers", checked)
+    gap = Layout(
+        width=5, height=3, layers=[Layer(0, "H")], rules=DesignRules(),
+        obstacles={(2, 0, 0), (2, 2, 0)},
+        nets=[
+            Net(0, "a", [Pin(0, [(0, 0, 0)]), Pin(0, [(4, 0, 0)])]),
+            Net(1, "b", [Pin(1, [(0, 2, 0)]), Pin(1, [(4, 2, 0)])]),
+        ],
+    )
+    runs = [(route_all, gap)]
+    for run in (route_all, run_baseline):
+        draw = generate_instance(
+            seed=20, width=10, height=10, layers=1, num_nets=7, pins_per_net=3,
+            congestion=0.6, rules=DesignRules(d_color=2),
+        )
+        runs.append((run, draw))
+    for run, layout in runs:
+        with pytest.raises(UnroutableError):
+            run(layout)
+    assert len(calls) > 10 and any(nets for nets, _ in calls)
 
 
 def test_dijkstra_degeneration():
@@ -314,24 +441,24 @@ def test_search_relaxation_matches_grid_definitions():
     grid.add_history((2, 2, 1), 0.25)
 
     queue = SolutionQueue(grid, net)
-    queue.insert(SearchNode((0, 0, 0), 0.0, 0b111, None, None))
+    queue.source((0, 0, 0), 0.0, 0b111)
     popped, children, labels_at_pop = [], {}, {}
     pop, insert = queue.pop, queue.insert
 
     def record_pop():
-        node = pop()
-        if node is not None:
-            popped.append(node)
-            labels_at_pop[id(node)] = {
-                t: [(ex.cost, ex.state) for ex in queue.labels.get(grid.vid(t), [])]
-                for _, t in grid.neighbors(node.vertex)
+        label = pop()
+        if label is not None:
+            popped.append(label)
+            labels_at_pop[id(label)] = {
+                t: [(ex[0], ex[4]) for ex in queue.labels.get(grid.vid(t), [])]
+                for _, t in grid.neighbors(queue.vertices[label[1]])
             }
-        return node
+        return label
 
-    def record_insert(node):
-        accepted = insert(node)
+    def record_insert(label):
+        accepted = insert(label)
         assert accepted  # the search hands insert only labels it accepts
-        children.setdefault(id(node.prev), []).append(node)
+        children.setdefault(id(label[5]), []).append(label)
         return accepted
 
     queue.pop, queue.insert = record_pop, record_insert
@@ -340,20 +467,22 @@ def test_search_relaxation_matches_grid_definitions():
     stitch = rules.beta * rules.stitch_cost
     skipped = 0
     for node in popped[:-1]:  # the last pop is returned, not expanded
+        node_cost, node_vid, _, _, node_state, _ = node
+        vertex = queue.vertices[node_vid]
         got = children.get(id(node), [])
-        by_dir = {c.arrival_dir: c for c in got}
+        by_dir = {c[2]: c for c in got}
         inserted_moves = []
-        for d, t in grid.neighbors(node.vertex):
+        for d, t in grid.neighbors(vertex):
             if not grid.passable(t, net.id):
                 continue
             terms = {
-                c: grid.color_cost(node.vertex, d, c, net.id)
-                + (stitch if d not in VIA_DIRECTIONS and not node.state & c else 0.0)
+                c: grid.color_cost(vertex, d, c, net.id)
+                + (stitch if d not in VIA_DIRECTIONS and not node_state & c else 0.0)
                 for c in COLOR_ORDER
             }
             best = min(terms.values())
-            trad = grid.trad_cost(node.vertex, d, net.guide)
-            cost = node.cost + rules.alpha * trad + best
+            trad = grid.trad_cost(vertex, d, net.guide)
+            cost = node_cost + rules.alpha * trad + best
             state = sum(int(c) for c, term in terms.items() if term == best)
             child = by_dir.get(d)
             if child is None:
@@ -361,11 +490,11 @@ def test_search_relaxation_matches_grid_definitions():
                 assert any(
                     ex_cost <= cost and ex_state & state == state
                     for ex_cost, ex_state in labels_at_pop[id(node)][t]
-                ), (node.vertex, d)
+                ), (vertex, d)
             else:
                 inserted_moves.append((d, t))
-                assert (child.cost, child.state) == (cost, state)
-        assert [(c.arrival_dir, c.vertex) for c in got] == inserted_moves
+                assert (child[0], child[4]) == (cost, state)
+        assert [(c[2], queue.vertices[c[1]]) for c in got] == inserted_moves
     assert len(popped) > 20 and skipped > 0
 
 

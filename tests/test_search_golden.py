@@ -10,6 +10,11 @@ the committed grid and the history map for ``route_all``; routes, the
 committed grid and the decomposition for ``run_baseline``. A draw on
 which an arm raises ``UnroutableError`` is digested by its message.
 
+A second digest per draw and arm pins the search itself: every label
+``SolutionQueue.pop`` hands out and every label ``SolutionQueue.insert``
+accepts, in order, as (cost, vertex, state, arrival direction or -1,
+predecessor vertex or None). Same pops, same accepted labels, same order.
+
 To re-record: ``PYTHONPATH=src python tests/test_search_golden.py``.
 """
 
@@ -21,7 +26,7 @@ from tplroute.baseline import run_baseline
 from tplroute.generate import generate_instance
 from tplroute.layout import DesignRules
 from tplroute.negotiation import route_all
-from tplroute.router import UnroutableError
+from tplroute.router import SolutionQueue, UnroutableError
 
 # (seed, width, height, layers, num_nets, pins_per_net, congestion, d_color, guided)
 DRAWS = (
@@ -64,6 +69,34 @@ GOLDEN = {
     "22/route": "8cac3b795f01114ed4d3a2ba0af4276bfa9f144e051c5be68bda0d98b52c43a5",
     "25/baseline": "c92fc035d2b60a03f6332d8cda1ab8f952e5ce3331cbbb1443b8241484afab70",
     "25/route": "e30388ee1276a71a8dce04811a4b2e18547076cb2371db96b1af6240760dd74b",
+}
+
+
+TRACE_GOLDEN = {
+    "0/baseline": "55a8a874282112d5008cd2a83be94108219152001dd87b772e384d2ff1b86d3e",
+    "0/route": "55a8a874282112d5008cd2a83be94108219152001dd87b772e384d2ff1b86d3e",
+    "1/baseline": "53b314cbc64541f48ad2adfca2af9ef4c75d6cd2cdc4c80785c19bee0f2696f1",
+    "1/route": "53b314cbc64541f48ad2adfca2af9ef4c75d6cd2cdc4c80785c19bee0f2696f1",
+    "2/baseline": "8ff168a11cbf2fdfaf0216504c1292f491125ad9772fff271a82c603eda27d3f",
+    "2/route": "8ff168a11cbf2fdfaf0216504c1292f491125ad9772fff271a82c603eda27d3f",
+    "3/baseline": "51d0b56efe3be4d413a56ea0824b4c2dcffdc92dc42bb5f07f98d89a1f466246",
+    "3/route": "de55ac3a2373d52645b0dac607389ba17e4b7ebd1336494d48e98d408eab570f",
+    "4/baseline": "cd580e8f0c754788a8f4b5e8e97831478f5b1d670cf90a506ddcb2d6162b5928",
+    "4/route": "fd8a2e6357e8771fe06c3d2e19cff2221082b28e185b132f2091ab445c044fc3",
+    "5/baseline": "07215c031eceb9f8a7ac5853ec8a2b538ebe60a322f1579c10f549b63a39fbdc",
+    "5/route": "9cc5f2a522ab9edecc7c017ea3782b6ee38ea6011450f4584f8f087e27efe6c7",
+    "7/baseline": "f0f0cd80e4047c52e826aa98f9e17304f1ed02da465aa18d4dedab30f8d92f6a",
+    "7/route": "4e8fbff28f6e9b0bbfa6f4c33d7b15ad8e92060d5400792be024d4b6c1d8dc41",
+    "8/baseline": "661365f859246c5710cf8b2a1c402dd8e862f678223f7fb58d41cef7847ba4b1",
+    "8/route": "39b6e83b1359624161450352b79d707227b43206fcdcf64e6b83dee50bf4d22f",
+    "9/baseline": "3f93492b4e98621fa53ed98f8ef9c7a2f7004f3c3c05ee35a6c8b43c20566cbf",
+    "9/route": "fb47e61aef3b22e96916bc5b3e37fa2f46192af658e7ddcf9d84a450ac420a55",
+    "20/baseline": "c487e10d5d0163a19b6dcfda22bd80fbdecd7a33cd246e0e0d0c3c2bbc1af95f",
+    "20/route": "2a394aeccdcbfa6608ee05d3030f1ca4df5e4e17e428d0987390affe8df778e8",
+    "22/baseline": "86afabeac96401b3c9b0d8aaf6a0ae397201d640dfb8b94685b34b118b1feec3",
+    "22/route": "f5918d462f6d2edefb3235c2ac6a92eebaaa399dab9489f0658b23ca219c1df5",
+    "25/baseline": "99d7881d460e7e263b70d29733b758287d2100dba922a2f87aa7e37d727784b5",
+    "25/route": "1721717f6ea0559534c5924f7ada69c97df959ea40968b794fd1fc275f9136b0",
 }
 
 
@@ -138,9 +171,56 @@ def digests():
     return out
 
 
+def _label_fields(queue, label):
+    """(cost, vertex, state, arrival direction or -1, predecessor vertex or None)."""
+    cost, vid, dir_key, _, state, prev = label
+    prev_vertex = None if prev is None else queue.vertices[prev[1]]
+    return cost, queue.vertices[vid], state, int(dir_key), prev_vertex
+
+
+def search_trace_digest(run, layout):
+    """SHA-256 over every pop and every accepted insert of one arm's run."""
+    digest = hashlib.sha256()
+    pop, insert = SolutionQueue.pop, SolutionQueue.insert
+
+    def recording_pop(queue):
+        label = pop(queue)
+        if label is not None:
+            digest.update(f"pop {_label_fields(queue, label)!r}\n".encode())
+        return label
+
+    def recording_insert(queue, label):
+        accepted = insert(queue, label)
+        if accepted:
+            digest.update(f"insert {_label_fields(queue, label)!r}\n".encode())
+        return accepted
+
+    SolutionQueue.pop, SolutionQueue.insert = recording_pop, recording_insert
+    try:
+        run(layout)
+    except UnroutableError:
+        pass
+    finally:
+        SolutionQueue.pop, SolutionQueue.insert = pop, insert
+    return digest.hexdigest()
+
+
+def trace_digests():
+    out = {}
+    for draw in DRAWS:
+        out[f"{draw[0]}/route"] = search_trace_digest(route_all, _layout(*draw))
+        out[f"{draw[0]}/baseline"] = search_trace_digest(run_baseline, _layout(*draw))
+    return out
+
+
 @pytest.fixture(scope="module")
 def got():
     return digests()
+
+
+@pytest.fixture(scope="module")
+def got_trace():
+    return trace_digests()
 
 
 @pytest.mark.parametrize("key", sorted(GOLDEN))
@@ -152,6 +232,22 @@ def test_golden_covers_every_draw(got):
     assert sorted(got) == sorted(GOLDEN)
 
 
-if __name__ == "__main__":
-    for key, digest in sorted(digests().items(), key=lambda kv: (int(kv[0].split("/")[0]), kv[0])):
+@pytest.mark.parametrize("key", sorted(TRACE_GOLDEN))
+def test_search_trace_matches_golden_digest(got_trace, key):
+    assert got_trace[key] == TRACE_GOLDEN[key]
+
+
+def test_trace_golden_covers_every_draw(got_trace):
+    assert sorted(got_trace) == sorted(TRACE_GOLDEN)
+
+
+def _print_digests(name, found):
+    print(f"{name} = {{")
+    for key, digest in sorted(found.items(), key=lambda kv: (int(kv[0].split("/")[0]), kv[0])):
         print(f'    "{key}": "{digest}",')
+    print("}")
+
+
+if __name__ == "__main__":
+    _print_digests("GOLDEN", digests())
+    _print_digests("TRACE_GOLDEN", trace_digests())
