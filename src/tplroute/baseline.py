@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .color_state import COLOR_ORDER, Color
-from .grid import Grid
+from .grid import Grid, half_stencil
 from .layout import DesignRules, Layout, Vertex, require_valid
-from .negotiation import half_stencil, net_order_key, route_batch
+from .negotiation import net_order_key, route_batch
 from .router import RouteTree, recount_stitches
 
 EXACT_COMPONENT_LIMIT = 12

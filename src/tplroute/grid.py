@@ -10,6 +10,11 @@ where trad = 1 + wrong-way + via + target history + off-guide penalty and
 color_cost = gamma * (foreign same-color commits within Manhattan distance
 < d_color of the target, on the target's layer).
 
+Each grid fact the router reads is defined once here, per vertex id
+(Grid.vid): the move table, a net's keep_outs, the history cost
+(PathFinder-style negotiation, McMurchie & Ebeling, FPGA 1995), a
+guide's off_guide penalties, and the d_color stencils.
+
 The committed map is an Occupancy: next to the vertex -> (net, color)
 entries it maintains, per mask, how many commits lie within the d_color
 stencil of each vertex, so a color cost is one list read rather than a
@@ -20,7 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import IntEnum
-from functools import lru_cache
+from functools import cache, lru_cache
+from itertools import chain
 
 from .color_state import COLOR_LETTERS, COLOR_ORDER, Color
 from .layout import DesignRules, Layout, Vertex
@@ -196,7 +202,8 @@ class Grid:
     obstacles: set[Vertex] = field(default_factory=set)
     # vertex -> (net_id, color)
     committed: dict[Vertex, tuple[int, Color]] = field(default_factory=dict)
-    history: dict[Vertex, float] = field(default_factory=dict)
+    # Per vertex id, the history cost added by negotiation (None: all zeros).
+    history: list[float] | None = None
     # Pin vertices are keep-outs for every other net.
     pin_owners: dict[Vertex, int] = field(default_factory=dict)
 
@@ -204,6 +211,8 @@ class Grid:
         shape = (self.width, self.height, self.num_layers)
         if not (isinstance(self.committed, Occupancy) and self.committed._shape == shape):
             self.committed = Occupancy(*shape, self.committed)
+        if self.history is None:
+            self.history = [0.0] * (self.width * self.height * self.num_layers)
 
     @classmethod
     def from_layout(cls, layout: Layout) -> "Grid":
@@ -268,20 +277,41 @@ class Grid:
                     out.append((d, t))
         return out
 
-    def passable(self, v: Vertex, net_id: int) -> bool:
-        """Usable by net_id: in bounds, no obstacle, no foreign commit or pin.
+    def keep_outs(self, net_id: int) -> bytearray:
+        """Per vertex id, 1 where net_id may not go, else 0.
 
-        color_state_search inlines this test as the keep-out array of the
-        per-net context its SolutionQueue builds (router._search_arrays);
-        change the two together.
+        The keep-outs are obstacles, other nets' pins and other nets'
+        commits; entries off the grid are ignored.
         """
-        if not self.in_bounds(v) or v in self.obstacles:
-            return False
-        pin_owner = self.pin_owners.get(v)
-        if pin_owner is not None and pin_owner != net_id:
-            return False
-        owner = self.committed.get(v)
-        return owner is None or owner[0] == net_id
+        width, height, layers = self.width, self.height, self.num_layers
+        closed = bytearray(width * height * layers)
+        entries = chain(
+            self.obstacles,
+            [v for v, owner in self.pin_owners.items() if owner != net_id],
+            [v for v, (owner, _) in self.committed.items() if owner != net_id],
+        )
+        for x, y, l in entries:
+            if 0 <= x < width and 0 <= y < height and 0 <= l < layers:
+                closed[(l * height + y) * width + x] = 1
+        return closed
+
+    def off_guide(self, guide: list[tuple[int, int, int, int, int]] | None) -> list[float] | None:
+        """Per vertex id, the off-guide penalty: 0 inside a guide box, else the rule's.
+
+        None when there is no guide. Boxes are (layer, x0, y0, x1, y1) with
+        inclusive bounds; the parts off the grid are ignored.
+        """
+        if guide is None:
+            return None
+        width, height, layers = self.width, self.height, self.num_layers
+        off_guide = [self.rules.off_guide_penalty] * (width * height * layers)
+        for gl, x0, y0, x1, y1 in guide:
+            if 0 <= gl < layers:
+                for y in range(max(y0, 0), min(y1, height - 1) + 1):
+                    row = (gl * height + y) * width
+                    for x in range(max(x0, 0), min(x1, width - 1) + 1):
+                        off_guide[row + x] = 0.0
+        return off_guide
 
     # ---- cost engine -------------------------------------------------
 
@@ -293,17 +323,19 @@ class Grid:
     ) -> float:
         """Unweighted traditional cost of moving from v in a direction.
 
-        color_state_search inlines this sum, in the same float order, from
-        move_table's base_trad and the history and off-guide arrays of the
-        per-net context its SolutionQueue builds (router._search_arrays);
-        change them together.
+        The sum, in the order color_state_search adds it, of move_table's
+        base_trad, the target's history and its off_guide penalty. Builds
+        the whole off-guide array per call, so it is a reference, not a
+        search path.
         """
         target = self.step(v, direction)
         if target is None:
             raise ValueError(f"no edge from {v} in direction {direction.name}")
-        cost = _base_trad(self.rules)[direction] + self.history.get(target, 0.0)
-        if guide is not None and not in_guide(target, guide):
-            cost += self.rules.off_guide_penalty
+        i = self.vid(target)
+        cost = _base_trad(self.rules)[direction] + self.history[i]
+        off_guide = self.off_guide(guide)
+        if off_guide is not None:
+            cost += off_guide[i]
         return cost
 
     def vertex_color_cost(self, v: Vertex, color: Color, net_id: int) -> float:
@@ -357,7 +389,10 @@ class Grid:
         self.committed[v] = (owner[0], color)
 
     def add_history(self, v: Vertex, amount: float) -> None:
-        self.history[v] = self.history.get(v, 0.0) + amount
+        """Add amount to v's history cost; it stays through rip-ups."""
+        if not self.in_bounds(v):
+            raise ValueError(f"vertex {v} is off the grid")
+        self.history[self.vid(v)] += amount
 
     # ---- debug -------------------------------------------------------
 
@@ -419,27 +454,19 @@ def _base_trad(rules: DesignRules) -> tuple[float, ...]:
     return (1.0, 1.0, wrong_way, wrong_way, via, via)
 
 
-def in_guide(v: Vertex, guide: list[tuple[int, int, int, int, int]]) -> bool:
-    x, y, l = v
-    for gl, x0, y0, x1, y1 in guide:
-        if l == gl and x0 <= x <= x1 and y0 <= y <= y1:
-            return True
-    return False
-
-
-_STENCILS: dict[int, list[tuple[int, int]]] = {}
-
-
-def _stencil(d_color: int) -> list[tuple[int, int]]:
+@cache
+def _stencil(d_color: int) -> tuple[tuple[int, int], ...]:
     """All (dx, dy) offsets with |dx| + |dy| < d_color."""
-    cached = _STENCILS.get(d_color)
-    if cached is None:
-        r = d_color - 1
-        cached = [
-            (dx, dy)
-            for dx in range(-r, r + 1)
-            for dy in range(-r, r + 1)
-            if abs(dx) + abs(dy) < d_color
-        ]
-        _STENCILS[d_color] = cached
-    return cached
+    r = d_color - 1
+    return tuple(
+        (dx, dy)
+        for dx in range(-r, r + 1)
+        for dy in range(-r, r + 1)
+        if abs(dx) + abs(dy) < d_color
+    )
+
+
+@cache
+def half_stencil(d_color: int) -> tuple[tuple[int, int], ...]:
+    """The offsets of _stencil with dy > 0, or dy == 0 and dx > 0: one of each +/- pair."""
+    return tuple((dx, dy) for dx, dy in _stencil(d_color) if dy > 0 or (dy == 0 and dx > 0))

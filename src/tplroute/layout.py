@@ -90,8 +90,22 @@ _OPTIONAL_RULES = {"off_guide_penalty"}
 _RULE_MINIMUMS = {"d_color": 1, "max_iterations": 1}
 
 
-def _require(obj: dict, key: str, where: str) -> Any:
-    if key not in obj:
+def _object(raw: Any, where: str) -> dict:
+    """raw itself when it is a JSON object."""
+    if not isinstance(raw, dict):
+        raise LayoutError(f"{where} must be an object, got {raw!r}")
+    return raw
+
+
+def _array(raw: Any, where: str) -> list:
+    """raw itself when it is a JSON array."""
+    if not isinstance(raw, (list, tuple)):
+        raise LayoutError(f"{where} must be a list, got {raw!r}")
+    return raw
+
+
+def _require(obj: Any, key: str, where: str) -> Any:
+    if key not in _object(obj, where):
         raise LayoutError(f"missing field '{key}' in {where}")
     return obj[key]
 
@@ -118,7 +132,7 @@ def layout_from_dict(data: dict) -> Layout:
     grid = _require(data, "grid", "layout")
     width = _require(grid, "width", "grid")
     height = _require(grid, "height", "grid")
-    raw_layers = _require(grid, "layers", "grid")
+    raw_layers = _array(_require(grid, "layers", "grid"), "grid layers")
     if not raw_layers:
         raise LayoutError("grid needs at least one layer")
     layers = []
@@ -128,7 +142,7 @@ def layout_from_dict(data: dict) -> Layout:
             raise LayoutError(f"layer {i} direction must be 'H' or 'V', got {d!r}")
         layers.append(Layer(index=i, preferred_direction=d))
 
-    raw_rules = _require(data, "rules", "layout")
+    raw_rules = _object(_require(data, "rules", "layout"), "rules")
     rules = DesignRules(
         **{
             name: _rule_value(_require(raw_rules, name, "rules"), kind)
@@ -137,25 +151,30 @@ def layout_from_dict(data: dict) -> Layout:
         }
     )
 
-    obstacles = {_vertex(o, "obstacles") for o in data.get("obstacles", [])}
+    obstacles = {_vertex(o, "obstacles") for o in _array(data.get("obstacles", []), "obstacles")}
 
     nets = []
-    for raw_net in _require(data, "nets", "layout"):
+    for raw_net in _array(_require(data, "nets", "layout"), "nets"):
         net_id = _integer(_require(raw_net, "id", "net"), "net id")
         name = _require(raw_net, "name", f"net {net_id}")
+        if not isinstance(name, str):
+            raise LayoutError(f"net {net_id} name must be a string, got {name!r}")
         pins = []
-        for p, raw_pin in enumerate(_require(raw_net, "pins", f"net {net_id}")):
-            cover = [_vertex(v, f"net {net_id} pin {p}") for v in raw_pin]
+        raw_pins = _array(_require(raw_net, "pins", f"net {net_id}"), f"net {net_id} pins")
+        for p, raw_pin in enumerate(raw_pins):
+            where = f"net {net_id} pin {p}"
+            cover = [_vertex(v, where) for v in _array(raw_pin, where)]
             pins.append(Pin(net_id=net_id, covered_vertices=cover))
         guide = None
-        if raw_net.get("guide"):
+        raw_guide = raw_net.get("guide")
+        if raw_guide is not None and _array(raw_guide, f"net {net_id} guide"):
             where = f"net {net_id} guide"
             guide = [
                 tuple(
                     _integer(_require(box, key, where), f"{where} {key}")
                     for key in ("layer", "x0", "y0", "x1", "y1")
                 )
-                for box in raw_net["guide"]
+                for box in raw_guide
             ]
         nets.append(Net(id=net_id, name=name, pins=pins, guide=guide))
 

@@ -12,7 +12,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .color_state import Color
-from .grid import Grid
+from .grid import Grid, half_stencil
 from .layout import DesignRules, Layout, Net, Vertex, require_valid
 from .router import RouteTree, UnroutableError, route_net
 
@@ -87,7 +87,6 @@ def route_batch(
     nets: list[Net],
     routes: dict[int, RouteTree],
     all_nets: list[Net],
-    max_rescues: int = MAX_RESCUES_PER_NET,
 ) -> list[int]:
     """Route nets in order, committing each tree.
 
@@ -95,8 +94,9 @@ def route_batch(
     turn comes, so every reroute sees all other nets in place. When a net
     gets walled in by already-committed wires, the wall's history cost is
     escalated, the blocking nets are ripped up, the stuck net routes
-    first, and the victims are rerouted after it (bounded retries per
-    net). Raises once a net stays unroutable with nothing left to rip.
+    first, and the victims are rerouted after it (at most
+    MAX_RESCUES_PER_NET rescues per net). Raises once a net stays
+    unroutable with nothing left to rip.
     """
     by_id = {n.id: n for n in all_nets}
     pending = deque(nets)
@@ -115,7 +115,7 @@ def route_batch(
             blockers = sorted(
                 b for b in exc.blocked_nets if b != net.id and b in by_id
             )
-            if used >= max_rescues or not blockers:
+            if used >= MAX_RESCUES_PER_NET or not blockers:
                 raise
             rescues[net.id] = used + 1
             for v in sorted(exc.blocked_vertices):
@@ -186,20 +186,3 @@ def route_all(layout: Layout) -> RoutingResult:
 
     return RoutingResult(grid=grid, routes=routes, iterations=iterations)
 
-
-_HALF_STENCILS: dict[int, list[tuple[int, int]]] = {}
-
-
-def half_stencil(d_color: int) -> list[tuple[int, int]]:
-    """Offsets with 0 < |dx|+|dy| < d_color, one per unordered pair."""
-    cached = _HALF_STENCILS.get(d_color)
-    if cached is None:
-        r = d_color - 1
-        cached = [
-            (dx, dy)
-            for dy in range(0, r + 1)
-            for dx in range(-r, r + 1)
-            if 0 < abs(dx) + abs(dy) < d_color and (dy > 0 or dx > 0)
-        ]
-        _HALF_STENCILS[d_color] = cached
-    return cached

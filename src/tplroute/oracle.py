@@ -192,7 +192,7 @@ def _move_cost(
         horizontal = grid.layer_dirs[u[2]] == "H"
         if (horizontal and moved_y) or (not horizontal and not moved_y):
             cost += rules.wrong_way_cost
-    cost += grid.history.get(t, 0.0)
+    cost += grid.history[grid.vid(t)]
     if guide is not None:
         x, y, l = t
         inside = any(

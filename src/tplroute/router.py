@@ -31,9 +31,10 @@ traced vertices re-seeded after a backtrace) enter through
 SolutionQueue.source.
 
 The search does no work whose result is already known. Everything it
-reads that stays fixed while a net is routed is built once per net, when
-route_net makes the net's SolutionQueue: the foreign per-mask counts,
-and vertex-id arrays of keep-outs, history and off-guide penalties. The
+reads that stays fixed while a net is routed is taken from the grid once
+per net, when route_net makes the net's SolutionQueue: the foreign
+per-mask counts, and the vertex-id arrays of keep-outs, history and
+off-guide penalties, each defined in grid.py and read here as it is. The
 move table (per vertex id, the on-grid moves as vertex-id offsets) is
 shared by every grid of one shape and move costs. Label sets are keyed
 by vertex id, and the queue keeps, per vertex id, the least cost of a
@@ -51,7 +52,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from itertools import chain, count
+from itertools import count
 from typing import Sequence
 
 from .color_state import ALL_COLORS, COLOR_ORDER, Color, colors_in, pick_final
@@ -140,22 +141,25 @@ class SolutionQueue:
     every label it hands to insert is accepted. source builds a source
     label (dir_key -1, no prev) with the next seq and inserts it.
 
-    The queue also carries the net's search context, built from the grid
+    The queue also carries the net's search context, taken from the grid
     when the queue is made: the move table and vertex list
     (Grid.move_table), the red, green and blue counts of other nets'
-    commits (Occupancy.foreign_counts), the keep-out, history and
-    off-guide arrays (_search_arrays), and pin_at, per vertex id the
-    frozenset of the net's pin indices covering it (None when none). It
-    is a snapshot: the grid must not change while the queue is in use.
+    commits (Occupancy.foreign_counts), the keep-outs (Grid.keep_outs),
+    the history (Grid.history itself, not a copy), the off-guide
+    penalties (Grid.off_guide), and pin_at, per vertex id the frozenset
+    of the net's pin indices covering it (None when none). It is a
+    snapshot: the grid must not change while the queue is in use.
     route_net makes one queue per net and does not change the grid while
     routing it.
     """
 
     def __init__(self, grid: Grid, net: Net):
-        self._width, self._height = grid.width, grid.height
+        self._vid = grid.vid
         self.moves, self.vertices = grid.move_table()
         self.counts = grid.committed.foreign_counts(grid.rules.d_color, net.id)
-        self.closed, self.hist, self.off_guide = _search_arrays(grid, net)
+        self.closed = grid.keep_outs(net.id)
+        self.hist = grid.history
+        self.off_guide = grid.off_guide(net.guide)
         self.settled = [math.inf] * len(self.vertices)
         self._heap: list[Label] = []
         self._seq = count()
@@ -200,9 +204,7 @@ class SolutionQueue:
 
     def source(self, vertex: Vertex, cost: float, state: int) -> bool:
         """Insert a source label (no arrival, no predecessor) at vertex."""
-        x, y, l = vertex
-        vid = (l * self._height + y) * self._width + x
-        return self.insert((cost, vid, -1, next(self._seq), state, None))
+        return self.insert((cost, self._vid(vertex), -1, next(self._seq), state, None))
 
     def pop(self) -> Label | None:
         heap, dead = self._heap, self.dead
@@ -343,40 +345,6 @@ def color_state_search(queue: SolutionQueue, grid: Grid, net: Net) -> Label:
             insert((child_cost, i, direction, next_seq(), state, label))
 
 
-def _search_arrays(grid: Grid, net: Net) -> tuple[bytearray, list[float], list[float] | None]:
-    """Per-vertex-id keep-outs, history and off-guide penalty for one net.
-
-    closed marks what Grid.passable refuses net: obstacles, other nets'
-    pins and other nets' commits. The off-guide list is None when the net
-    has no guide.
-    """
-    width, height, layers = grid.width, grid.height, grid.num_layers
-    net_id = net.id
-    closed = bytearray(width * height * layers)
-    keep_outs = chain(
-        grid.obstacles,
-        [v for v, owner in grid.pin_owners.items() if owner != net_id],
-        [v for v, (owner, _) in grid.committed.items() if owner != net_id],
-    )
-    for x, y, l in keep_outs:
-        if 0 <= x < width and 0 <= y < height and 0 <= l < layers:
-            closed[(l * height + y) * width + x] = 1
-    hist = [0.0] * len(closed)
-    for (x, y, l), amount in grid.history.items():
-        if 0 <= x < width and 0 <= y < height and 0 <= l < layers:
-            hist[(l * height + y) * width + x] = amount
-    if net.guide is None:
-        return closed, hist, None
-    off_guide = [grid.rules.off_guide_penalty] * len(closed)
-    for gl, x0, y0, x1, y1 in net.guide:
-        if 0 <= gl < layers:
-            for y in range(max(y0, 0), min(y1, height - 1) + 1):
-                row = (gl * height + y) * width
-                for x in range(max(x0, 0), min(x1, width - 1) + 1):
-                    off_guide[row + x] = 0.0
-    return closed, hist, off_guide
-
-
 def backtrace(
     queue: SolutionQueue,
     dst: Label,
@@ -453,7 +421,7 @@ def route_net(net: Net, grid: Grid, *, two_pin_mode: bool = False) -> RouteTree:
     tree = _TreeBuilder()
     seeded = False
     for v in net.pins[0].covered_vertices:
-        if grid.passable(v, net.id):
+        if grid.in_bounds(v) and not queue.closed[grid.vid(v)]:
             for cost, state in _seed_labels(grid, queue.counts, v):
                 queue.source(v, cost, state)
             seeded = True
@@ -546,7 +514,7 @@ def _wall_blockers(
         grid.vid(v)
         for idx in remaining
         for v in net.pins[idx].covered_vertices
-        if grid.passable(v, net.id)
+        if grid.in_bounds(v) and not closed[grid.vid(v)]
     ]
     pocket = set(stack)
     while stack:

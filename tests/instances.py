@@ -26,6 +26,21 @@ def two_pin_net(src, dst, net_id=0):
     )
 
 
+def passable(grid, v, net_id):
+    """Usable by net_id: in bounds, no obstacle, no foreign commit or pin.
+
+    The keep-out rule written against the raw grid data, the reference
+    that Grid.keep_outs is checked against.
+    """
+    if not grid.in_bounds(v) or v in grid.obstacles:
+        return False
+    pin_owner = grid.pin_owners.get(v)
+    if pin_owner is not None and pin_owner != net_id:
+        return False
+    owner = grid.committed.get(v)
+    return owner is None or owner[0] == net_id
+
+
 def register_pins(grid, net):
     for pin in net.pins:
         for v in pin.covered_vertices:
@@ -68,7 +83,7 @@ def oracle_instance(seed):
         for l in range(n_layers)
         for y in range(height)
         for x in range(width)
-        if grid.passable((x, y, l), 0)
+        if passable(grid, (x, y, l), 0)
     ]
     if len(free) < 2:
         return None

@@ -147,6 +147,18 @@ def test_error_json_on_missing_input(tmp_path):
     assert "message" in err
 
 
+def test_error_json_on_wrong_json_type(tmp_path):
+    data = json.loads(DEMO.read_text())
+    data["nets"][0]["pins"] = 5
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    proc = run_cli(["--mode", "route", "--input", str(path), "--output", str(tmp_path / "x")])
+    assert proc.returncode == 1
+    err = json.loads(proc.stderr.strip().splitlines()[-1])
+    assert err["error"] == "LayoutError"
+    assert "pins must be a list" in err["message"]
+
+
 def test_route_outputs_byte_identical_across_processes(tmp_path, instance_file):
     outs = []
     for name in ("r1", "r2"):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from instances import empty_grid
+from instances import empty_grid, passable
 from tplroute.color_state import Color
 from tplroute.grid import VIA_DIRECTIONS, CollisionError, Direction
 from tplroute.layout import DesignRules
@@ -227,13 +227,21 @@ class TestOccupancy:
         grid.commit_route(1, [((0, 0, 0), Color.RED)])
         grid.add_history((0, 0, 0), 5.0)
         grid.rip_up(1)
-        assert grid.history[(0, 0, 0)] == 5.0
+        assert grid.history[grid.vid((0, 0, 0))] == 5.0
+
+    def test_add_history_rejects_off_grid_vertex(self):
+        # (4, 0, 0) would alias (0, 1, 0) by the vid formula.
+        grid = empty_grid(4, 3, ("H", "V"))
+        for v in ((4, 0, 0), (-1, 0, 0), (0, 3, 1), (0, 0, 2)):
+            with pytest.raises(ValueError, match="off the grid"):
+                grid.add_history(v, 5.0)
+        assert not any(grid.history)
 
     def test_pin_keep_out(self):
         grid = empty_grid(4, 4, ("H",))
         grid.pin_owners[(1, 1, 0)] = 7
-        assert not grid.passable((1, 1, 0), net_id=0)
-        assert grid.passable((1, 1, 0), net_id=7)
+        assert grid.keep_outs(0)[grid.vid((1, 1, 0))] == 1
+        assert grid.keep_outs(7)[grid.vid((1, 1, 0))] == 0
 
 
 @settings(max_examples=30, deadline=None)
@@ -246,3 +254,59 @@ def test_rip_commit_round_trip_random(seed):
     grid.commit_route(3, path)
     grid.rip_up(3)
     assert grid.committed == {}
+
+
+def _keep_out_grid(rng):
+    """A grid <= 6x5x3 with obstacles, and pins and commits of nets 0-3.
+
+    About one entry in five lies just off the grid; (width, y, 0) would
+    alias (0, y + 1, 0) by the vid formula.
+    """
+    width, height, layers = rng.randint(1, 6), rng.randint(1, 5), rng.randint(1, 3)
+    grid = empty_grid(width, height, ("H", "V", "H")[:layers])
+
+    def vertex():
+        if rng.random() < 0.2:
+            off = ((width, rng.randrange(height), 0), (-1, 0, 0), (0, height, 0), (0, 0, layers))
+            return rng.choice(off)
+        return (rng.randrange(width), rng.randrange(height), rng.randrange(layers))
+
+    for _ in range(rng.randint(0, 6)):
+        grid.obstacles.add(vertex())
+    for _ in range(rng.randint(0, 8)):
+        grid.pin_owners[vertex()] = rng.randrange(4)
+    for _ in range(rng.randint(0, 8)):
+        grid.committed[vertex()] = (rng.randrange(4), rng.choice(list(Color)))
+    return grid
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=99_999))
+def test_keep_outs_match_reference(seed):
+    grid = _keep_out_grid(random.Random(seed))
+    _, vertices = grid.move_table()
+    for net_id in range(-1, 5):  # every owner, and nets owning nothing
+        closed = grid.keep_outs(net_id)
+        assert [bool(c) for c in closed] == [not passable(grid, v, net_id) for v in vertices]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=99_999))
+def test_off_guide_matches_point_check(seed):
+    rng = random.Random(seed)
+    grid = _keep_out_grid(rng)
+    grid.rules = DesignRules(off_guide_penalty=rng.choice((0.5, 4.0)))
+    guide = []
+    for _ in range(rng.randint(0, 3)):
+        x0, y0 = rng.randint(-2, grid.width), rng.randint(-2, grid.height)
+        layer = rng.randint(-1, grid.num_layers)
+        guide.append((layer, x0, y0, x0 + rng.randint(-1, 3), y0 + rng.randint(-1, 3)))
+    _, vertices = grid.move_table()
+    want = [
+        0.0
+        if any(l == gl and x0 <= x <= x1 and y0 <= y <= y1 for gl, x0, y0, x1, y1 in guide)
+        else grid.rules.off_guide_penalty
+        for x, y, l in vertices
+    ]
+    assert grid.off_guide(guide) == want
+    assert grid.off_guide(None) is None

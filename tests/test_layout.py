@@ -133,6 +133,40 @@ def test_non_integer_net_id_rejected(bad):
         layout_from_dict(data)
 
 
+@pytest.mark.parametrize(
+    "path, message",
+    [
+        ((), "layout must be an object"),
+        (("grid",), "grid must be an object"),
+        (("grid", "layers"), "grid layers must be a list"),
+        (("grid", "layers", 0), "layer 0 must be an object"),
+        (("rules",), "rules must be an object"),
+        (("obstacles",), "obstacles must be a list"),
+        (("nets",), "nets must be a list"),
+        (("nets", 0), "net must be an object"),
+        (("nets", 0, "name"), "net 0 name must be a string"),
+        (("nets", 0, "pins"), "net 0 pins must be a list"),
+        (("nets", 0, "pins", 0), "net 0 pin 0 must be a list"),
+        (("nets", 0, "guide"), "net 0 guide must be a list"),
+        (("nets", 0, "guide", 0), "net 0 guide must be an object"),
+    ],
+)
+def test_wrong_json_type_rejected(path, message):
+    # Each of these raised a bare TypeError, or was accepted (the name).
+    data = minimal_dict()
+    data["nets"][0]["guide"] = [{"layer": 0, "x0": 0, "y0": 0, "x1": 3, "y1": 1}]
+    if path:
+        *parents, last = path
+        target = data
+        for key in parents:
+            target = target[key]
+        target[last] = 5
+    else:
+        data = 5
+    with pytest.raises(LayoutError, match=message):
+        layout_from_dict(data)
+
+
 @pytest.mark.parametrize("vertex", [[True, 0, 0], [0, False, 0], [0, 0, True]])
 def test_boolean_vertex_coordinate_rejected(vertex):
     data = minimal_dict()

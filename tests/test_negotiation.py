@@ -114,9 +114,9 @@ def test_reroutes_touch_only_offenders():
 def test_history_only_grows():
     layout = congested_layout(2)
     result = route_all(layout)
-    assert all(v >= 0 for v in result.grid.history.values())
+    assert all(v >= 0 for v in result.grid.history)
     if len(result.iterations) > 1:
-        assert result.grid.history  # escalation left a trace
+        assert any(result.grid.history)  # escalation left a trace
 
 
 def test_routes_commit_matches_grid():

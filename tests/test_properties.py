@@ -73,7 +73,7 @@ def routed_outcome(params):
         ),
         [(it.index, it.conflicts, it.stitch_count, it.nets_rerouted) for it in result.iterations],
         sorted(result.grid.committed.items()),
-        sorted(result.grid.history.items()),
+        list(result.grid.history),
     )
 
 

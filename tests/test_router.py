@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from instances import empty_grid, oracle_instance, pressure_instance, register_pins, two_pin_net
+from instances import empty_grid, oracle_instance, passable, pressure_instance, register_pins, two_pin_net
 from tplroute import oracle, router
 from tplroute.baseline import run_baseline
 from tplroute.color_state import COLOR_ORDER, Color, cardinality
@@ -332,12 +332,12 @@ def _reference_wall_blockers(queue, grid, net, remaining):
                     wall[t] = owner[0]
         return wall
 
-    stack = [v for idx in remaining for v in net.pins[idx].covered_vertices if grid.passable(v, net.id)]
+    stack = [v for idx in remaining for v in net.pins[idx].covered_vertices if passable(grid, v, net.id)]
     pocket = set(stack)
     while stack:
         v = stack.pop()
         for _, t in grid.neighbors(v):
-            if t not in pocket and grid.passable(t, net.id):
+            if t not in pocket and passable(grid, t, net.id):
                 pocket.add(t)
                 stack.append(t)
     pocket_side = region_wall(pocket)
@@ -421,7 +421,7 @@ def _classic_dijkstra(grid, src, dst):
 
 
 def test_search_relaxation_matches_grid_definitions():
-    # color_state_search inlines Grid.passable, trad_cost and color_cost, and
+    # color_state_search inlines the keep-out rule, trad_cost and color_cost, and
     # drops a child that a label at its target already dominates. For every
     # passable move of a popped node, either the child it inserted agrees
     # with the grid definitions, or the target's labels when the node was
@@ -473,7 +473,7 @@ def test_search_relaxation_matches_grid_definitions():
         by_dir = {c[2]: c for c in got}
         inserted_moves = []
         for d, t in grid.neighbors(vertex):
-            if not grid.passable(t, net.id):
+            if not passable(grid, t, net.id):
                 continue
             terms = {
                 c: grid.color_cost(vertex, d, c, net.id)
@@ -534,7 +534,7 @@ def test_route_does_not_mutate_grid():
     grid = empty_grid(5, 5, ("H",))
     net = two_pin_net((0, 0, 0), (4, 4, 0))
     register_pins(grid, net)
-    before = (dict(grid.committed), dict(grid.history))
+    before = (dict(grid.committed), list(grid.history))
     route_net(net, grid)
     assert (grid.committed, grid.history) == before
 

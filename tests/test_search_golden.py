@@ -130,7 +130,7 @@ def _routes_text(routes):
 def _grid_text(grid):
     return [
         f"committed {sorted((v, n, int(c)) for v, (n, c) in grid.committed.items())!r}",
-        f"history {sorted(grid.history.items())!r}",
+        f"history {sorted((v, h) for v, h in zip(grid.move_table()[1], grid.history) if h)!r}",
     ]
 
 
