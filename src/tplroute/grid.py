@@ -15,10 +15,11 @@ Each grid fact the router reads is defined once here, per vertex id
 (PathFinder-style negotiation, McMurchie & Ebeling, FPGA 1995), a
 guide's off_guide penalties, and the d_color stencils.
 
-The committed map is an Occupancy: next to the vertex -> (net, color)
-entries it maintains, per mask, how many commits lie within the d_color
-stencil of each vertex, so a color cost is one list read rather than a
-stencil scan. It also indexes each net's vertices for rip-up.
+Next to the committed vertex -> (net, color) map, the grid keeps, per
+mask, how many commits lie within the d_color stencil of each vertex, so
+a color cost is one list read rather than a stencil scan. The counts are
+built on the first read and then kept in step by the map's only three
+writers: commit_route, rip_up and recolor_vertex.
 """
 
 from __future__ import annotations
@@ -60,139 +61,6 @@ class CollisionError(RuntimeError):
     """A commit touched a vertex owned by a different net."""
 
 
-_MISSING = object()
-
-
-class Occupancy(dict):
-    """Committed vertices, vertex -> (net_id, color), with two indexes.
-
-    For each mask, a flat list indexed like Grid.vid holds, per vertex,
-    how many commits of that mask (any net) lie within Manhattan distance
-    < d_color on the vertex's layer. The lists are built on the first
-    read under a d_color and rebuilt when a read asks for another one.
-    A per-net index holds each net's committed vertices. Every mutator
-    keeps both in step; get, `in` and iteration are the native dict's.
-    """
-
-    __slots__ = ("_shape", "_d_color", "_counts", "_nets")
-
-    def __init__(self, width: int, height: int, layers: int, entries=()):
-        super().__init__()
-        self._shape = (width, height, layers)
-        self._d_color: int | None = None
-        self._counts: dict[Color, list[int]] = {}
-        self._nets: dict[int, set[Vertex]] = {}
-        self.update(entries)
-
-    def __reduce__(self):
-        return type(self), (*self._shape, dict(self))
-
-    # ---- mutators ----------------------------------------------------
-
-    def __setitem__(self, v: Vertex, entry: tuple[int, Color]) -> None:
-        net_id, color = entry
-        old = self.get(v, _MISSING)
-        dict.__setitem__(self, v, entry)
-        if old is not _MISSING:
-            if old == entry:
-                return
-            self._unindex(v, old)
-        self._nets.setdefault(net_id, set()).add(v)
-        self._spread(v, color, 1)
-
-    def __delitem__(self, v: Vertex) -> None:
-        entry = self[v]
-        dict.__delitem__(self, v)
-        self._unindex(v, entry)
-
-    def setdefault(self, v, entry=None):
-        if v not in self:
-            self[v] = entry
-        return self[v]
-
-    def pop(self, v, *default):
-        if v not in self:
-            return dict.pop(self, v, *default)
-        entry = self[v]
-        del self[v]
-        return entry
-
-    def popitem(self):
-        v, entry = dict.popitem(self)
-        self._unindex(v, entry)
-        return v, entry
-
-    def update(self, *args, **kwargs) -> None:
-        for v, entry in dict(*args, **kwargs).items():
-            self[v] = entry
-
-    def __ior__(self, other):
-        self.update(other)
-        return self
-
-    def clear(self) -> None:
-        dict.clear(self)
-        self._nets.clear()
-        self._d_color = None
-        self._counts = {}
-
-    # ---- indexes -----------------------------------------------------
-
-    def net_vertices(self, net_id: int) -> set[Vertex]:
-        """The vertices committed to net_id (empty when it has none)."""
-        return self._nets.get(net_id, set())
-
-    def counts(self, d_color: int) -> dict[Color, list[int]]:
-        """Per mask, the commits within distance < d_color of each vertex id."""
-        if d_color != self._d_color:
-            width, height, layers = self._shape
-            self._d_color = d_color
-            self._counts = {c: [0] * (width * height * layers) for c in Color}
-            for v, (_, color) in self.items():
-                self._spread(v, color, 1)
-        return self._counts
-
-    def foreign_counts(self, d_color: int, net_id: int) -> tuple[list[int], list[int], list[int]]:
-        """Red, green and blue counts of the commits of nets other than net_id.
-
-        The shared lists when net_id has nothing committed, else copies
-        with the net's own commits taken out.
-        """
-        counts = self.counts(d_color)
-        own = self._nets.get(net_id)
-        if own:
-            counts = {c: list(counts[c]) for c in COLOR_ORDER}
-            for v in own:
-                self._spread(v, self[v][1], -1, counts)
-        return counts[Color.RED], counts[Color.GREEN], counts[Color.BLUE]
-
-    def _unindex(self, v: Vertex, entry: tuple[int, Color]) -> None:
-        net_id, color = entry
-        own = self._nets[net_id]
-        own.discard(v)
-        if not own:
-            del self._nets[net_id]
-        self._spread(v, color, -1)
-
-    def _spread(self, v: Vertex, color: Color, delta: int, into=None) -> None:
-        """Add delta to color's count at every in-grid vertex of v's stencil.
-
-        into replaces the maintained counts as the target when given.
-        """
-        if self._d_color is None:
-            return
-        width, height, layers = self._shape
-        x, y, l = v
-        if not 0 <= l < layers:
-            return
-        lst = (into or self._counts)[color]
-        base = l * height
-        for dx, dy in _stencil(self._d_color):
-            tx, ty = x + dx, y + dy
-            if 0 <= tx < width and 0 <= ty < height:
-                lst[(base + ty) * width + tx] += delta
-
-
 @dataclass
 class Grid:
     width: int
@@ -200,17 +68,21 @@ class Grid:
     layer_dirs: list[str]  # "H" or "V" per layer
     rules: DesignRules
     obstacles: set[Vertex] = field(default_factory=set)
-    # vertex -> (net_id, color)
+    # vertex -> (net_id, color). Written only by commit_route, rip_up and
+    # recolor_vertex, which keep _counts in step; a map passed in is copied.
     committed: dict[Vertex, tuple[int, Color]] = field(default_factory=dict)
     # Per vertex id, the history cost added by negotiation (None: all zeros).
     history: list[float] | None = None
     # Pin vertices are keep-outs for every other net.
     pin_owners: dict[Vertex, int] = field(default_factory=dict)
+    # (d_color, per mask the commits within d_color of each vertex id), or
+    # None until a read builds it (see foreign_counts).
+    _counts: tuple[int, dict[Color, list[int]]] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
-        shape = (self.width, self.height, self.num_layers)
-        if not (isinstance(self.committed, Occupancy) and self.committed._shape == shape):
-            self.committed = Occupancy(*shape, self.committed)
+        self.committed = dict(self.committed)
         if self.history is None:
             self.history = [0.0] * (self.width * self.height * self.num_layers)
 
@@ -341,13 +213,61 @@ class Grid:
     def vertex_color_cost(self, v: Vertex, color: Color, net_id: int) -> float:
         """gamma-weighted count of foreign same-color commits near v (same layer).
 
-        A read of the committed map's foreign counts, the one definition of
-        conflict cost. The router reads the same counts, taken once per net.
+        A read of foreign_counts, the one definition of conflict cost. The
+        router reads the same counts, taken once per net.
         """
         if not self.in_bounds(v):
             raise ValueError(f"vertex {v} is off the grid")
-        counts = self.committed.foreign_counts(self.rules.d_color, net_id)
+        counts = self.foreign_counts(net_id)
         return self.rules.gamma * counts[COLOR_ORDER.index(color)][self.vid(v)]
+
+    def foreign_counts(self, net_id: int) -> tuple[list[int], list[int], list[int]]:
+        """Red, green and blue counts, per vertex id, of other nets' commits.
+
+        A count is of the commits of nets other than net_id that lie within
+        Manhattan distance < d_color on the vertex's layer. They are the
+        grid's own lists when net_id has nothing committed, else copies
+        with the net's own commits taken out. The grid's lists are built
+        from committed on the first read, and again when rules.d_color is
+        not the one they were built under.
+        """
+        d_color = self.rules.d_color
+        if self._counts is None or self._counts[0] != d_color:
+            size = self.width * self.height * self.num_layers
+            self._counts = (d_color, {c: [0] * size for c in Color})
+            for v, (_, color) in self.committed.items():
+                self._spread(v, color, 1)
+        counts = self._counts[1]
+        own = self.net_vertices(net_id)
+        if own:
+            counts = {c: list(counts[c]) for c in COLOR_ORDER}
+            for v in own:
+                self._spread(v, self.committed[v][1], -1, counts)
+        return counts[Color.RED], counts[Color.GREEN], counts[Color.BLUE]
+
+    def net_vertices(self, net_id: int) -> set[Vertex]:
+        """The vertices committed to net_id (empty when it has none)."""
+        return {v for v, (owner, _) in self.committed.items() if owner == net_id}
+
+    def _spread(self, v: Vertex, color: Color, delta: int, counts=None) -> None:
+        """Add delta to color's count at every in-grid vertex of v's d_color stencil.
+
+        counts replaces the grid's own counts as the target when given;
+        without it, nothing happens until the grid's counts are built.
+        """
+        if self._counts is None:
+            return
+        d_color, own = self._counts
+        x, y, l = v
+        if not 0 <= l < self.num_layers:
+            return
+        width, height = self.width, self.height
+        lst = (counts or own)[color]
+        base = l * height
+        for dx, dy in _stencil(d_color):
+            tx, ty = x + dx, y + dy
+            if 0 <= tx < width and 0 <= ty < height:
+                lst[(base + ty) * width + tx] += delta
 
     def color_cost(self, v: Vertex, direction: Direction, color: Color, net_id: int) -> float:
         """Conflict cost of arriving at the target of (v, direction) with a color."""
@@ -374,12 +294,17 @@ class Grid:
                     f"vertex {v} already committed to net {owner[0]}, not {net_id}"
                 )
         for v, color in colored_path:
+            old = self.committed.get(v)
             self.committed[v] = (net_id, color)
+            if old is not None:
+                self._spread(v, old[1], -1)
+            self._spread(v, color, 1)
 
     def rip_up(self, net_id: int) -> None:
         """Free every vertex of a net. History costs stay."""
-        for v in list(self.committed.net_vertices(net_id)):
-            del self.committed[v]
+        for v in self.net_vertices(net_id):
+            _, color = self.committed.pop(v)
+            self._spread(v, color, -1)
 
     def recolor_vertex(self, v: Vertex, color: Color) -> None:
         """Change the committed color of a vertex without moving it."""
@@ -387,6 +312,8 @@ class Grid:
         if owner is None:
             raise KeyError(f"vertex {v} is not committed")
         self.committed[v] = (owner[0], color)
+        self._spread(v, owner[1], -1)
+        self._spread(v, color, 1)
 
     def add_history(self, v: Vertex, amount: float) -> None:
         """Add amount to v's history cost; it stays through rip-ups."""
@@ -424,25 +351,29 @@ def _move_table(
 
     A row lists (direction, vid offset, planar, base_trad) in F,B,R,L,U,D
     order, where base_trad is trad_cost's rule part (1 + wrong-way or via
-    cost). Equal rows are one shared tuple, so a grid holds a few distinct
-    rows whatever its size. Building a table walks every vertex, so it is
-    cached on its arguments, which are all it depends on; the result is
-    immutable.
+    cost). A row depends only on the vertex's layer and on which grid
+    edges it lies on, so it is built once per such class and shared by
+    the class's vertices: a grid holds at most nine rows per layer
+    whatever its size. The table is cached on its arguments, which are
+    all it depends on; the result is immutable.
     """
     layers = len(layer_dirs)
-    shared: dict[tuple[Move, ...], tuple[Move, ...]] = {}
+    by_class: dict[tuple[int, bool, bool, bool, bool], tuple[Move, ...]] = {}
     rows: list[tuple[Move, ...]] = []
     vertices: list[Vertex] = []
     for l, preferred in enumerate(layer_dirs):
         steps = _STEPS_H if preferred == "H" else _STEPS_V
         for y in range(height):
             for x in range(width):
-                row = tuple(
-                    (d, (dl * height + dy) * width + dx, d not in VIA_DIRECTIONS, base_trad[d])
-                    for d, (dx, dy, dl) in steps
-                    if 0 <= x + dx < width and 0 <= y + dy < height and 0 <= l + dl < layers
-                )
-                rows.append(shared.setdefault(row, row))
+                key = (l, x == 0, x == width - 1, y == 0, y == height - 1)
+                row = by_class.get(key)
+                if row is None:
+                    row = by_class[key] = tuple(
+                        (d, (dl * height + dy) * width + dx, d not in VIA_DIRECTIONS, base_trad[d])
+                        for d, (dx, dy, dl) in steps
+                        if 0 <= x + dx < width and 0 <= y + dy < height and 0 <= l + dl < layers
+                    )
+                rows.append(row)
                 vertices.append((x, y, l))
     return tuple(rows), tuple(vertices)
 

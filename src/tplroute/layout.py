@@ -200,10 +200,11 @@ def _rule_value(value: Any, kind: type) -> Any:
 def load_layout(path: str | Path) -> Layout:
     """Load a layout file, raising LayoutError on any parse or validation problem."""
     try:
-        data = json.loads(Path(path).read_text())
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise LayoutError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        # RecursionError: arrays or objects nested deeper than the parser's stack.
         raise LayoutError(f"cannot parse {path}: {exc}") from exc
     return layout_from_dict(data)
 

@@ -144,7 +144,7 @@ class SolutionQueue:
     The queue also carries the net's search context, taken from the grid
     when the queue is made: the move table and vertex list
     (Grid.move_table), the red, green and blue counts of other nets'
-    commits (Occupancy.foreign_counts), the keep-outs (Grid.keep_outs),
+    commits (Grid.foreign_counts), the keep-outs (Grid.keep_outs),
     the history (Grid.history itself, not a copy), the off-guide
     penalties (Grid.off_guide), and pin_at, per vertex id the frozenset
     of the net's pin indices covering it (None when none). It is a
@@ -156,7 +156,7 @@ class SolutionQueue:
     def __init__(self, grid: Grid, net: Net):
         self._vid = grid.vid
         self.moves, self.vertices = grid.move_table()
-        self.counts = grid.committed.foreign_counts(grid.rules.d_color, net.id)
+        self.counts = grid.foreign_counts(net.id)
         self.closed = grid.keep_outs(net.id)
         self.hist = grid.history
         self.off_guide = grid.off_guide(net.guide)
@@ -254,7 +254,7 @@ def _cheapest_color(seg: SegSet, grid: Grid, counts: Sequence[list[int]]) -> Col
     """The segSet's mask with the least summed conflict cost over its members.
 
     counts are the net's foreign red, green and blue counts
-    (Occupancy.foreign_counts), so each cost is Grid.vertex_color_cost's.
+    (Grid.foreign_counts), so each cost is Grid.vertex_color_cost's.
     """
     gamma = grid.rules.gamma
     ids = [grid.vid(v) for v in seg.members]
@@ -461,7 +461,7 @@ def route_net(net: Net, grid: Grid, *, two_pin_mode: bool = False) -> RouteTree:
             if pins_here is not None:
                 queue.connected |= pins_here
 
-    return finalize_colors(tree, grid, net.id)
+    return finalize_colors(tree, grid, net.id, queue.counts)
 
 
 def _seed_labels(grid: Grid, counts: Sequence[list[int]], v: Vertex) -> list[tuple[float, int]]:
@@ -534,15 +534,17 @@ def _wall_blockers(
     return set(wall.values()), {queue.vertices[t] for t in wall}
 
 
-def finalize_colors(tree: _TreeBuilder, grid: Grid, net_id: int) -> RouteTree:
+def finalize_colors(
+    tree: _TreeBuilder, grid: Grid, net_id: int, counts: Sequence[list[int]]
+) -> RouteTree:
     """Pick each segSet's final mask and derive per-vertex colors and stitches.
 
     Candidate costs are the summed conflict costs of the segSet's member
-    vertices against the current grid; ties fall back to the fixed
-    RED > GREEN > BLUE order.
+    vertices, read from counts, the net's foreign red, green and blue
+    counts (Grid.foreign_counts) on the current grid; ties fall back to
+    the fixed RED > GREEN > BLUE order.
     """
     vertex_colors: dict[Vertex, Color] = {}
-    counts = grid.committed.foreign_counts(grid.rules.d_color, net_id)
     for seg in tree.segsets:
         if not seg.members:
             continue  # emptied by a merge

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 from tplroute.color_state import COLOR_ORDER, Color
 from tplroute.generate import generate_instance
@@ -155,6 +156,5 @@ def random_colored_grid(seed):
     ]
     rng.shuffle(cells)
     take = rng.randint(5, min(40, len(cells)))
-    for v in cells[:take]:
-        grid.committed[v] = (rng.randrange(n_nets), rng.choice(COLOR_ORDER))
-    return grid, rules
+    committed = {v: (rng.randrange(n_nets), rng.choice(COLOR_ORDER)) for v in cells[:take]}
+    return replace(grid, committed=committed), rules

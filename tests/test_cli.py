@@ -159,6 +159,17 @@ def test_error_json_on_wrong_json_type(tmp_path):
     assert "pins must be a list" in err["message"]
 
 
+def test_error_json_on_too_deeply_nested_file(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000)
+    proc = run_cli(["--mode", "route", "--input", str(path), "--output", str(tmp_path / "x")], timeout=60)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    err = json.loads(proc.stderr.strip().splitlines()[-1])
+    assert err["error"] == "LayoutError"
+    assert "cannot parse" in err["message"]
+
+
 def test_route_outputs_byte_identical_across_processes(tmp_path, instance_file):
     outs = []
     for name in ("r1", "r2"):

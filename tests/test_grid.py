@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -162,10 +163,11 @@ class TestColorCost:
     def test_matches_brute_force_scan(self):
         rng = random.Random(3)
         rules = DesignRules(d_color=3, gamma=7.0)
-        grid = empty_grid(6, 6, ("H",), rules)
+        committed = {}
         for i in range(12):
             v = (rng.randrange(6), rng.randrange(6), 0)
-            grid.committed.setdefault(v, (rng.randrange(3) + 10, rng.choice(list(Color))))
+            committed.setdefault(v, (rng.randrange(3) + 10, rng.choice(list(Color))))
+        grid = replace(empty_grid(6, 6, ("H",), rules), committed=committed)
         for x in range(5):
             for c in Color:
                 got = grid.color_cost((x, 2, 0), Direction.F, c, net_id=0)
@@ -199,7 +201,7 @@ class TestOccupancy:
                 grid.vertex_color_cost((x, y, 0), c, net)
                 for x in range(4) for y in range(2) for c in Color for net in (1, 2)
             ]
-            return dict(grid.committed), set(grid.committed.net_vertices(2)), costs
+            return dict(grid.committed), grid.net_vertices(2), costs
 
         before = state()
         with pytest.raises(CollisionError, match="committed to net 1"):
@@ -275,9 +277,8 @@ def _keep_out_grid(rng):
         grid.obstacles.add(vertex())
     for _ in range(rng.randint(0, 8)):
         grid.pin_owners[vertex()] = rng.randrange(4)
-    for _ in range(rng.randint(0, 8)):
-        grid.committed[vertex()] = (rng.randrange(4), rng.choice(list(Color)))
-    return grid
+    committed = {vertex(): (rng.randrange(4), rng.choice(list(Color))) for _ in range(rng.randint(0, 8))}
+    return replace(grid, committed=committed)
 
 
 @settings(max_examples=60, deadline=None)

@@ -66,6 +66,20 @@ def test_unparsable_file(tmp_path):
         load_layout(path)
 
 
+def test_too_deeply_nested_file(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000)
+    with pytest.raises(LayoutError, match="cannot parse"):
+        load_layout(path)
+
+
+def test_non_utf8_file(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"name": "caf\u00e9"}'.encode("latin-1"))
+    with pytest.raises(LayoutError, match="cannot parse"):
+        load_layout(path)
+
+
 def test_duplicate_net_id():
     data = minimal_dict()
     data["nets"].append({"id": 0, "name": "dup", "pins": [[[1, 1, 0]], [[2, 2, 0]]]})

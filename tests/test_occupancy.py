@@ -1,12 +1,11 @@
-"""The committed map's maintained indexes against brute-force scans.
+"""The grid's maintained conflict counts against brute-force scans.
 
-Random sequences of every way the router and the tests write the
-committed map (commit, rip-up, recolor, direct item writes, dict
-mutators, dataclasses.replace, swapping the rules to another d_color)
+Random sequences of the committed map's three writers (commit, rip-up,
+recolor), dataclasses.replace and swapping the rules to another d_color,
 interleaved with color-cost reads, which build the per-mask counts
 part-way so later writes must keep them in step. Afterwards every color
 cost, for every vertex, mask and net, equals a scan of the committed
-entries, and so does the per-net vertex index.
+entries, and so does each net's vertex set.
 """
 
 import copy
@@ -20,7 +19,7 @@ from hypothesis import strategies as st
 from instances import empty_grid
 from tplroute.color_state import COLOR_ORDER
 from tplroute.generate import generate_instance
-from tplroute.grid import CollisionError, Occupancy
+from tplroute.grid import CollisionError
 from tplroute.layout import DesignRules
 from tplroute.negotiation import route_all
 from tplroute.router import route_net
@@ -33,20 +32,11 @@ written = st.tuples(st.integers(-1, W), st.integers(-1, H), st.integers(0, L - 1
 on_grid = st.tuples(st.integers(0, W - 1), st.integers(0, H - 1), st.integers(0, L - 1))
 nets = st.sampled_from(NETS)
 colors = st.sampled_from(COLOR_ORDER)
-entries = st.tuples(nets, colors)
 
 OPS = st.one_of(
     st.tuples(st.just("commit"), nets, st.lists(st.tuples(written, colors), max_size=5)),
     st.tuples(st.just("rip_up"), nets),
     st.tuples(st.just("recolor"), written, colors),
-    st.tuples(st.just("set"), written, entries),
-    st.tuples(st.just("setdefault"), written, entries),
-    st.tuples(st.just("del"), written),
-    st.tuples(st.just("pop"), written),
-    st.tuples(st.just("popitem")),
-    st.tuples(st.just("update"), st.dictionaries(written, entries, max_size=4)),
-    st.tuples(st.just("ior"), st.dictionaries(written, entries, max_size=4)),
-    st.tuples(st.just("clear")),
     st.tuples(st.just("replace"), st.booleans()),
     st.tuples(st.just("d_color"), st.integers(1, 3)),
     st.tuples(st.just("read"), on_grid, colors, nets),
@@ -60,36 +50,17 @@ def apply(grid, op):
         try:
             grid.commit_route(*args)
         except CollisionError:
-            pass  # the vertices before the collision stay committed
+            pass  # a rejected path commits nothing
     elif kind == "rip_up":
         grid.rip_up(*args)
     elif kind == "recolor":
         if args[0] in committed:
             grid.recolor_vertex(*args)
-    elif kind == "set":
-        committed[args[0]] = args[1]
-    elif kind == "setdefault":
-        committed.setdefault(*args)
-    elif kind == "del":
-        if args[0] in committed:
-            del committed[args[0]]
-    elif kind == "pop":
-        if args[0] in committed:
-            committed.pop(args[0])
-        else:
-            assert committed.pop(args[0], None) is None
-    elif kind == "popitem":
-        if committed:
-            committed.popitem()
-    elif kind == "update":
-        committed.update(args[0])
-    elif kind == "ior":
-        committed |= args[0]
-    elif kind == "clear":
-        committed.clear()
     elif kind == "replace":
-        # A plain dict is wrapped afresh; the same map is shared.
-        grid = replace(grid, committed=dict(committed) if args[0] else committed)
+        # Passed in or not, the map is copied: the two grids never share it.
+        new = replace(grid, committed=committed) if args[0] else replace(grid)
+        assert new.committed == committed and new.committed is not committed
+        grid = new
     elif kind == "d_color":
         grid.rules = replace(grid.rules, d_color=args[0])
     elif kind == "read":
@@ -107,10 +78,8 @@ def brute_cost(grid, v, color, net_id):
 
 
 def assert_indexes_match(grid):
-    committed = grid.committed
-    assert isinstance(committed, Occupancy)
     for net_id in [*NETS, 99]:
-        assert committed.net_vertices(net_id) == {v for v, (n, _) in committed.items() if n == net_id}
+        assert grid.net_vertices(net_id) == {v for v, (n, _) in grid.committed.items() if n == net_id}
     probes = [(x, y, l) for l in range(L) for y in range(H) for x in range(W)]
     for net_id in [*NETS, 99]:
         for v in probes:
@@ -138,17 +107,7 @@ def test_copies_rebuild_the_indexes():
         assert_indexes_match(clone)
         clone.rip_up(1)
         assert_indexes_match(clone)
-    assert grid.committed.net_vertices(1) == {(1, 1, 0), (2, 1, 0)}
-
-
-def test_clear_drops_the_counts():
-    grid = empty_grid(W, H, ("H", "V"), DesignRules(d_color=2))
-    grid.commit_route(1, [((1, 1, 0), COLOR_ORDER[0])])
-    assert grid.vertex_color_cost((1, 2, 0), COLOR_ORDER[0], 0) == grid.rules.gamma
-    grid.committed.clear()
-    assert_indexes_match(grid)
-    grid.commit_route(2, [((3, 3, 1), COLOR_ORDER[1])])
-    assert_indexes_match(grid)
+    assert grid.net_vertices(1) == {(1, 1, 0), (2, 1, 0)}
 
 
 def test_off_grid_reads_raise():
@@ -164,8 +123,8 @@ def test_rip_up_leaves_other_nets():
     grid.commit_route(1, [((0, 0, 0), COLOR_ORDER[0]), ((1, 0, 0), COLOR_ORDER[0])])
     grid.commit_route(2, [((3, 0, 0), COLOR_ORDER[1])])
     grid.rip_up(1)
-    assert dict(grid.committed) == {(3, 0, 0): (2, COLOR_ORDER[1])}
-    assert grid.committed.net_vertices(1) == set()
+    assert grid.committed == {(3, 0, 0): (2, COLOR_ORDER[1])}
+    assert grid.net_vertices(1) == set()
 
 
 def test_route_net_ignores_the_nets_own_commits():
@@ -177,9 +136,9 @@ def test_route_net_ignores_the_nets_own_commits():
     )
     grid = route_all(layout).grid
     for net in layout.nets:
-        assert grid.committed.net_vertices(net.id)
+        assert grid.net_vertices(net.id)
         with_own = route_net(net, grid)
-        saved = {v: grid.committed[v] for v in grid.committed.net_vertices(net.id)}
+        saved = {v: grid.committed[v] for v in grid.net_vertices(net.id)}
         grid.rip_up(net.id)
         assert route_net(net, grid) == with_own
-        grid.committed.update(saved)
+        grid.commit_route(net.id, [(v, c) for v, (_, c) in sorted(saved.items())])
