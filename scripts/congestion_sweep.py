@@ -3,7 +3,9 @@
 
 For each congestion level, generates seeded instances, routes them with
 both arms, and prints aggregate conflicts/stitches as one JSON line per
-level (unroutable draws are skipped and counted).
+level. Both arms run on every draw; each arm's unroutable draws are
+counted, and the totals are over the draws both arms completed (the
+rest are counted as skipped).
 """
 
 import argparse
@@ -35,6 +37,7 @@ def main() -> int:
     for level in args.levels:
         started = time.perf_counter()
         totals = {"router": [0, 0], "baseline": [0, 0]}
+        unroutable = {"router": 0, "baseline": 0}
         routed = 0
         skipped = 0
         for seed in range(args.seeds):
@@ -47,14 +50,17 @@ def main() -> int:
                 pins_per_net=args.pins_per_net,
                 congestion=level,
             )
-            try:
-                ours = route_all(layout)
-                base = run_baseline(layout)
-            except UnroutableError:
+            results = {}
+            for tag, run in (("router", route_all), ("baseline", run_baseline)):
+                try:
+                    results[tag] = run(layout)
+                except UnroutableError:
+                    unroutable[tag] += 1
+            if len(results) < 2:
                 skipped += 1
                 continue
             routed += 1
-            for tag, result in (("router", ours), ("baseline", base)):
+            for tag, result in results.items():
                 rep = score(result.grid, result.routes, layout.rules)
                 totals[tag][0] += rep.conflicts
                 totals[tag][1] += rep.stitches
@@ -64,6 +70,8 @@ def main() -> int:
                     "congestion": level,
                     "instances": routed,
                     "skipped": skipped,
+                    "router_unroutable": unroutable["router"],
+                    "baseline_unroutable": unroutable["baseline"],
                     "router": {"conflicts": totals["router"][0], "stitches": totals["router"][1]},
                     "baseline": {
                         "conflicts": totals["baseline"][0],

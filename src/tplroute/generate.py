@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 
-from .layout import DesignRules, Layer, Layout, Net, Pin, Vertex
+from .layout import MAX_GRID_VERTICES, DesignRules, Layer, Layout, Net, Pin, Vertex
 
 OBSTACLE_FRACTION = 0.05  # of all vertices, at congestion 1.0
 BAND_HALF_HEIGHT = 1  # pins sit within +-1 track of their band center
@@ -35,6 +35,8 @@ def generate_instance(
 ) -> Layout:
     if min(width, height, layers, num_nets, pins_per_net) < 1:
         raise ValueError("all size parameters must be positive")
+    if width * height * layers > MAX_GRID_VERTICES:
+        raise ValueError(f"grid {width}x{height}x{layers} has more than {MAX_GRID_VERTICES} vertices")
     if not 0.0 <= congestion <= 1.0:
         raise ValueError(f"congestion must be in [0, 1], got {congestion}")
     rng = random.Random(seed)

@@ -29,7 +29,7 @@ from enum import IntEnum
 from functools import cache, lru_cache
 from itertools import chain
 
-from .color_state import COLOR_LETTERS, COLOR_ORDER, Color
+from .color_state import COLOR_ORDER, Color
 from .layout import DesignRules, Layout, Vertex
 
 
@@ -115,13 +115,11 @@ class Grid:
         x, y, l = v
         return (l * self.height + y) * self.width + x
 
-    def _steps(self, l: int) -> tuple[tuple[Direction, tuple[int, int, int]], ...]:
-        return _STEPS_H if self.layer_dirs[l] == "H" else _STEPS_V
-
     def step(self, v: Vertex, direction: Direction) -> Vertex | None:
         """Geometric neighbor in a direction, or None if off-grid."""
         x, y, l = v
-        dx, dy, dl = self._steps(l)[direction][1]
+        steps = _STEPS_H if self.layer_dirs[l] == "H" else _STEPS_V
+        dx, dy, dl = steps[direction][1]
         tx, ty, tl = x + dx, y + dy, l + dl
         if 0 <= tx < self.width and 0 <= ty < self.height and 0 <= tl < len(self.layer_dirs):
             return (tx, ty, tl)
@@ -134,20 +132,6 @@ class Grid:
         _move_table).
         """
         return _move_table(self.width, self.height, tuple(self.layer_dirs), _base_trad(self.rules))
-
-    def neighbors(self, v: Vertex) -> list[tuple[Direction, Vertex]]:
-        """In-bounds, non-obstacle neighbors in fixed F,B,R,L,U,D order."""
-        x, y, l = v
-        width, height, layers = self.width, self.height, len(self.layer_dirs)
-        obstacles = self.obstacles
-        out = []
-        for d, (dx, dy, dl) in self._steps(l):
-            tx, ty, tl = x + dx, y + dy, l + dl
-            if 0 <= tx < width and 0 <= ty < height and 0 <= tl < layers:
-                t = (tx, ty, tl)
-                if t not in obstacles:
-                    out.append((d, t))
-        return out
 
     def keep_outs(self, net_id: int) -> bytearray:
         """Per vertex id, 1 where net_id may not go, else 0.
@@ -184,42 +168,6 @@ class Grid:
                     for x in range(max(x0, 0), min(x1, width - 1) + 1):
                         off_guide[row + x] = 0.0
         return off_guide
-
-    # ---- cost engine -------------------------------------------------
-
-    def trad_cost(
-        self,
-        v: Vertex,
-        direction: Direction,
-        guide: list[tuple[int, int, int, int, int]] | None = None,
-    ) -> float:
-        """Unweighted traditional cost of moving from v in a direction.
-
-        The sum, in the order color_state_search adds it, of move_table's
-        base_trad, the target's history and its off_guide penalty. Builds
-        the whole off-guide array per call, so it is a reference, not a
-        search path.
-        """
-        target = self.step(v, direction)
-        if target is None:
-            raise ValueError(f"no edge from {v} in direction {direction.name}")
-        i = self.vid(target)
-        cost = _base_trad(self.rules)[direction] + self.history[i]
-        off_guide = self.off_guide(guide)
-        if off_guide is not None:
-            cost += off_guide[i]
-        return cost
-
-    def vertex_color_cost(self, v: Vertex, color: Color, net_id: int) -> float:
-        """gamma-weighted count of foreign same-color commits near v (same layer).
-
-        A read of foreign_counts, the one definition of conflict cost. The
-        router reads the same counts, taken once per net.
-        """
-        if not self.in_bounds(v):
-            raise ValueError(f"vertex {v} is off the grid")
-        counts = self.foreign_counts(net_id)
-        return self.rules.gamma * counts[COLOR_ORDER.index(color)][self.vid(v)]
 
     def foreign_counts(self, net_id: int) -> tuple[list[int], list[int], list[int]]:
         """Red, green and blue counts, per vertex id, of other nets' commits.
@@ -270,11 +218,17 @@ class Grid:
                 lst[(base + ty) * width + tx] += delta
 
     def color_cost(self, v: Vertex, direction: Direction, color: Color, net_id: int) -> float:
-        """Conflict cost of arriving at the target of (v, direction) with a color."""
+        """Conflict cost of arriving at the target of (v, direction) with a color.
+
+        gamma times the target's foreign_counts entry. The search reads
+        those counts directly; this method stays because perfbench/spans.py
+        wraps it by name.
+        """
         target = self.step(v, direction)
         if target is None:
             raise ValueError(f"no edge from {v} in direction {direction.name}")
-        return self.vertex_color_cost(target, color, net_id)
+        counts = self.foreign_counts(net_id)
+        return self.rules.gamma * counts[COLOR_ORDER.index(color)][self.vid(target)]
 
     # ---- occupancy ---------------------------------------------------
 
@@ -321,27 +275,6 @@ class Grid:
             raise ValueError(f"vertex {v} is off the grid")
         self.history[self.vid(v)] += amount
 
-    # ---- debug -------------------------------------------------------
-
-    def dump(self) -> str:
-        """Text matrix per layer: '.' free, '#' obstacle, R/G/B committed."""
-        blocks = []
-        for l in range(self.num_layers):
-            rows = [f"layer {l} ({self.layer_dirs[l]})"]
-            for y in range(self.height):
-                row = []
-                for x in range(self.width):
-                    v = (x, y, l)
-                    if v in self.obstacles:
-                        row.append("#")
-                    elif v in self.committed:
-                        row.append(COLOR_LETTERS[self.committed[v][1]])
-                    else:
-                        row.append(".")
-                rows.append("".join(row))
-            blocks.append("\n".join(rows))
-        return "\n\n".join(blocks) + "\n"
-
 
 @lru_cache(maxsize=32)
 def _move_table(
@@ -350,8 +283,8 @@ def _move_table(
     """Per vertex id, the moves that stay on the grid; and each id's vertex.
 
     A row lists (direction, vid offset, planar, base_trad) in F,B,R,L,U,D
-    order, where base_trad is trad_cost's rule part (1 + wrong-way or via
-    cost). A row depends only on the vertex's layer and on which grid
+    order, where base_trad is the move's rule cost (1, plus the wrong-way
+    or via cost). A row depends only on the vertex's layer and on which grid
     edges it lies on, so it is built once per such class and shared by
     the class's vertices: a grid holds at most nine rows per layer
     whatever its size. The table is cached on its arguments, which are
@@ -379,7 +312,7 @@ def _move_table(
 
 
 def _base_trad(rules: DesignRules) -> tuple[float, ...]:
-    """trad_cost before history and guide terms, indexed by Direction."""
+    """A move's traditional cost before the history and off-guide terms, by Direction."""
     wrong_way = 1.0 + rules.wrong_way_cost
     via = 1.0 + rules.via_cost
     return (1.0, 1.0, wrong_way, wrong_way, via, via)

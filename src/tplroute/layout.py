@@ -24,6 +24,12 @@ from typing import Any
 
 Vertex = tuple[int, int, int]
 
+# The most vertices (width * height * layers) a grid may have. A Grid and
+# one net's SolutionQueue take about 130-140 bytes per vertex, so this
+# keeps them near 0.6 GB; larger inputs are rejected before any
+# per-vertex array is built.
+MAX_GRID_VERTICES = 2**22
+
 
 class LayoutError(ValueError):
     """Malformed or inconsistent layout input."""
@@ -220,6 +226,11 @@ def validate(layout: Layout) -> list[str]:
         return problems + _rule_problems(layout.rules)
     if layout.width < 1 or layout.height < 1:
         problems.append(f"grid dimensions must be positive, got {layout.width}x{layout.height}")
+    elif layout.width * layout.height * layout.num_layers > MAX_GRID_VERTICES:
+        problems.append(
+            f"grid {layout.width}x{layout.height}x{layout.num_layers} has more than"
+            f" {MAX_GRID_VERTICES} vertices"
+        )
     for a, b in zip(layout.layers, layout.layers[1:]):
         if a.preferred_direction == b.preferred_direction:
             problems.append(

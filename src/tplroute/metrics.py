@@ -50,7 +50,7 @@ def score(grid: Grid, routes: dict[int, RouteTree], rules: DesignRules) -> Score
         per_net.append(
             NetScore(
                 net_id=net_id,
-                trad=_tree_trad(tree, grid),
+                trad=_tree_trad(tree, grid, rules),
                 stitches=len(tree.stitches),
                 conflicts=per_net_conflicts.get(net_id, 0),
             )
@@ -109,16 +109,17 @@ def report_to_dict(report: ScoreReport, include_wall_time: bool = False) -> dict
     }
 
 
-def _tree_trad(tree: RouteTree, grid: Grid) -> float:
+def _tree_trad(tree: RouteTree, grid: Grid, rules: DesignRules) -> float:
+    """Geometric wirelength cost of a tree's paths under rules' via and wrong-way costs."""
     total = 0.0
     for path in tree.paths:
         for u, t in zip(path, path[1:]):
             total += 1.0
             if u[2] != t[2]:
-                total += grid.rules.via_cost
+                total += rules.via_cost
             else:
                 horizontal = grid.layer_dirs[u[2]] == "H"
                 moved_y = t[1] != u[1]
                 if (horizontal and moved_y) or (not horizontal and not moved_y):
-                    total += grid.rules.wrong_way_cost
+                    total += rules.wrong_way_cost
     return total

@@ -8,9 +8,11 @@ programming, and keeps the global minimum of
 
 with conflict cost charged on every path vertex (the wire occupies its
 endpoints too) and a stitch wherever consecutive same-layer vertices
-change mask. All cost arithmetic here is written against the raw grid
-data, separately from the router's cost engine, so agreement between the
-two is evidence rather than tautology.
+change mask. Moves (neighbors), keep-outs (usable), move costs
+(move_cost) and conflict costs (conflict_costs) are written here against
+the raw grid data, apart from the router's move table and count arrays,
+so agreement between the two is evidence rather than tautology; the
+tests use the four as their references.
 """
 
 from __future__ import annotations
@@ -52,9 +54,9 @@ def optimal_colored_path(
 ) -> OracleResult:
     """Global minimum over (simple path, per-vertex coloring) pairs.
 
-    Ties break by path length, then lexicographic vertex order, then
-    lexicographic color order (RED < GREEN < BLUE), so the result is
-    independent of enumeration order.
+    Ties break by path length, then the path's vertex-id tuple, then its
+    color tuple (RED < GREEN < BLUE), so the result is independent of the
+    order neighbors lists moves in.
     """
     sigma = rules.beta * rules.stitch_cost
     color_idx = {c: i for i, c in enumerate(COLOR_ORDER)}
@@ -63,12 +65,12 @@ def optimal_colored_path(
     def vertex_costs(v: Vertex) -> tuple[float, float, float]:
         got = cc_cache.get(v)
         if got is None:
-            got = _conflict_costs(grid, rules, v, net_id)
+            got = conflict_costs(grid, rules, v, net_id)
             cc_cache[v] = got
         return got
 
-    srcs = [v for v in sorted(src_set) if _usable(grid, v, net_id)]
-    dsts = {v for v in dst_set if _usable(grid, v, net_id)}
+    srcs = [v for v in sorted(src_set) if usable(grid, v, net_id)]
+    dsts = {v for v in dst_set if usable(grid, v, net_id)}
     best: tuple | None = None  # (cost, length, vid-tuple, color-idx-tuple, path, coloring)
     enumerated = 0
 
@@ -105,12 +107,12 @@ def optimal_colored_path(
         lower = rules.alpha * (trad + remaining_lb(v)) + min(dp)
         if best is not None and lower > best[0]:
             return
-        for _, target in grid.neighbors(v):
-            if target in visited or not _usable(grid, target, net_id):
+        for target in neighbors(grid, v):
+            if target in visited or not usable(grid, target, net_id):
                 continue
             if target in src_set and target not in dsts:
                 continue  # a path from that source dominates this one
-            step = _move_cost(grid, rules, v, target, guide)
+            step = move_cost(grid, rules, v, target, guide)
             planar = v[2] == target[2]
             cc = vertex_costs(target)
             base = min(dp)
@@ -166,7 +168,15 @@ def all_pairs_conflicts(grid: Grid, rules: DesignRules) -> list[Conflict]:
     return found
 
 
-def _usable(grid: Grid, v: Vertex, net_id: int) -> bool:
+def neighbors(grid: Grid, v: Vertex) -> list[Vertex]:
+    """The in-bounds, non-obstacle vertices one track from v along x, y or layer."""
+    x, y, l = v
+    around = ((x + 1, y, l), (x - 1, y, l), (x, y + 1, l), (x, y - 1, l), (x, y, l + 1), (x, y, l - 1))
+    return [t for t in around if grid.in_bounds(t) and t not in grid.obstacles]
+
+
+def usable(grid: Grid, v: Vertex, net_id: int) -> bool:
+    """Open to net_id: in bounds, no obstacle, and no other net's pin or commit."""
     if not grid.in_bounds(v) or v in grid.obstacles:
         return False
     pin_owner = grid.pin_owners.get(v)
@@ -176,7 +186,7 @@ def _usable(grid: Grid, v: Vertex, net_id: int) -> bool:
     return owner is None or owner[0] == net_id
 
 
-def _move_cost(
+def move_cost(
     grid: Grid,
     rules: DesignRules,
     u: Vertex,
@@ -203,7 +213,7 @@ def _move_cost(
     return cost
 
 
-def _conflict_costs(
+def conflict_costs(
     grid: Grid, rules: DesignRules, v: Vertex, net_id: int
 ) -> tuple[float, float, float]:
     """Per-color conflict cost of occupying v, by direct scan of commits."""

@@ -19,32 +19,40 @@ as the equal-state runs among them.
 Each vertex keeps a Pareto set of (cost, state) labels: a costlier label
 survives if its state is not a subset of a cheaper label's, which is what
 lets a later stretch reuse a mask that a cheaper arrival had priced out.
+On an exact (cost, state) tie the incumbent stays.
 
 A label is one plain tuple, (cost, vid, dir_key, seq, state, prev), and
-it is its own heap entry: the first four fields are the pop order. vid is
-the vertex id (Grid.vid), dir_key the arrival Direction or -1 for a
-source, seq a per-queue counter (unique, so a heap comparison never
-reaches state or prev), and prev the predecessor label or None for a
-source. A pruned label is not removed from the heap; its seq goes into
-the queue's dead set, and pop skips it. Sources (start-pin seeds and the
-traced vertices re-seeded after a backtrace) enter through
+it is its own heap entry: the first four fields are the pop order, so
+runs are reproducible. vid is the vertex id (Grid.vid), dir_key the
+arrival Direction or -1 for a source, seq a per-queue counter (unique,
+so a heap comparison never reaches state or prev), and prev the
+predecessor label or None for a source. Each label is pushed once, so it
+pops at most once. A pruned label is not removed from the heap; its seq
+goes into the queue's dead set, and pop skips it. Sources (start-pin
+seeds and the traced vertices re-seeded after a backtrace) enter through
 SolutionQueue.source.
 
 The search does no work whose result is already known. Everything it
 reads that stays fixed while a net is routed is taken from the grid once
 per net, when route_net makes the net's SolutionQueue: the foreign
-per-mask counts, and the vertex-id arrays of keep-outs, history and
-off-guide penalties, each defined in grid.py and read here as it is. The
-move table (per vertex id, the on-grid moves as vertex-id offsets) is
-shared by every grid of one shape and move costs. Label sets are keyed
-by vertex id, and the queue keeps, per vertex id, the least cost of a
-label holding all three masks, and the pin indices each vertex id
-covers (pin_at). A move is skipped before it is priced when that cost is
-no more than the popped label's (every cost term is non-negative, so the
-child could not be cheaper). A priced child that a label at its target
-dominates is dropped before its label is built. The same labels pop and
-the same labels are accepted, in the same order, as when every child is
-priced and offered to the queue.
+per-mask counts, and the vertex-id arrays of keep-outs (obstacles,
+other nets' pins and commits), history and off-guide penalties, each
+defined in grid.py and read here as it is. The queue is a snapshot, so
+the grid must not change while it is in use; route_net makes one queue
+per net and does not change the grid while routing it. The move table
+(per vertex id, the on-grid moves as vertex-id offsets with their rule
+costs) is shared by every grid of one shape and move costs. Label sets
+are keyed by vertex id, and the queue keeps, per vertex id, the least
+cost of a label holding all three masks (settled), and the pin indices
+each vertex id covers (pin_at), so whether a popped label covers a pin
+is one read. A move is skipped before it is priced when its target is
+settled at no more than the popped label's cost (every cost term is
+non-negative, so the child could not be cheaper). A priced child that a
+label at its target dominates is dropped before its label is built, so
+insert sees only labels it accepts. The same labels pop and the same
+labels are accepted, in the same order, as when every child is priced
+and offered to the queue. The rescue path finds a wall of foreign
+commits by walking vertex ids through the same move table and keep-outs.
 """
 
 from __future__ import annotations
@@ -126,31 +134,14 @@ class RouteTree:
 class SolutionQueue:
     """Priority queue of search labels with per-vertex Pareto label sets.
 
-    A label is the tuple (cost, vid, dir_key, seq, state, prev) and is
-    pushed onto the heap as it is, so pop order is (cost, row-major vertex
-    id, arrival direction, insertion order) and runs are reproducible.
-    Each label is pushed once, so it pops at most once.
-
-    A label is kept only while no other label at the same vertex is both
-    cheaper-or-equal and has a superset state; on exact (cost, state) ties
-    the incumbent wins. labels maps a vertex id to its non-empty list of
-    live labels. A label pruned from its list stays in the heap, and its
-    seq goes into dead, so pop skips it. settled[vid] is the least cost of
-    a live label with state 111 there (inf when none). color_state_search
-    reads labels and settled to skip a child that insert would reject, so
-    every label it hands to insert is accepted. source builds a source
-    label (dir_key -1, no prev) with the next seq and inserts it.
-
-    The queue also carries the net's search context, taken from the grid
-    when the queue is made: the move table and vertex list
-    (Grid.move_table), the red, green and blue counts of other nets'
-    commits (Grid.foreign_counts), the keep-outs (Grid.keep_outs),
-    the history (Grid.history itself, not a copy), the off-guide
-    penalties (Grid.off_guide), and pin_at, per vertex id the frozenset
-    of the net's pin indices covering it (None when none). It is a
-    snapshot: the grid must not change while the queue is in use.
-    route_net makes one queue per net and does not change the grid while
-    routing it.
+    labels maps a vertex id to its non-empty list of live labels, dead
+    holds the seq of every pruned label, and settled[vid] is the least
+    cost of a live 111 label there (inf when none). The rest is the net's
+    search context: moves and vertices (Grid.move_table), counts
+    (Grid.foreign_counts), closed (Grid.keep_outs), hist (Grid.history
+    itself, not a copy), off_guide (Grid.off_guide), and pin_at, per
+    vertex id the frozenset of the net's pin indices covering it (None
+    when none). The module docstring describes how the search uses them.
     """
 
     def __init__(self, grid: Grid, net: Net):
@@ -254,7 +245,7 @@ def _cheapest_color(seg: SegSet, grid: Grid, counts: Sequence[list[int]]) -> Col
     """The segSet's mask with the least summed conflict cost over its members.
 
     counts are the net's foreign red, green and blue counts
-    (Grid.foreign_counts), so each cost is Grid.vertex_color_cost's.
+    (Grid.foreign_counts), so a member's cost is gamma times its count.
     """
     gamma = grid.rules.gamma
     ids = [grid.vid(v) for v in seg.members]
@@ -264,25 +255,11 @@ def _cheapest_color(seg: SegSet, grid: Grid, counts: Sequence[list[int]]) -> Col
 
 
 def color_state_search(queue: SolutionQueue, grid: Grid, net: Net) -> Label:
-    """Pop minimum-cost labels until one covers a not-yet-connected pin.
+    """Pop minimum-cost labels until one covers a not-yet-connected pin, and return it.
 
-    Every popped label relaxes its vertex's six neighbors: for each mask,
-    the conflict cost of the target plus one stitch charge when the move
-    is planar and the mask is outside the label's state; the child label
-    gets the minimum and the set of masks achieving it. A child is the
-    tuple (cost, target vid, move direction, next seq, state, popped
-    label); whether a popped label covers a pin is one read of the
-    queue's pin_at.
-
-    The moves, conflict counts, keep-outs (obstacles, foreign pins and
-    foreign commits), history and off-guide penalties are all read from
-    the queue's per-net context, by vertex id; the grid must not have
-    changed since the queue was made. A move whose target is settled
-    (holds a label with all three masks) at no more than the popped cost
-    is skipped before pricing, since every cost term is non-negative. A
-    priced child that a label at its target dominates is dropped before
-    its tuple is built, so insert sees only labels it accepts, in the
-    same order.
+    Every popped label relaxes its vertex's moves from the queue's per-net
+    context, as the module docstring describes. Raises
+    SearchExhaustedError when the queue empties first.
     """
     rules = grid.rules
     stitch_term = rules.beta * rules.stitch_cost

@@ -9,6 +9,7 @@ from tplroute.color_state import COLOR_ORDER, Color
 from tplroute.generate import generate_instance
 from tplroute.grid import Grid
 from tplroute.layout import DesignRules, Layer, Layout, Net, Pin
+from tplroute.oracle import usable
 
 
 def empty_grid(width, height, layer_dirs=("H",), rules=None):
@@ -25,21 +26,6 @@ def two_pin_net(src, dst, net_id=0):
         id=net_id, name=f"net{net_id}",
         pins=[Pin(net_id, [src]), Pin(net_id, [dst])],
     )
-
-
-def passable(grid, v, net_id):
-    """Usable by net_id: in bounds, no obstacle, no foreign commit or pin.
-
-    The keep-out rule written against the raw grid data, the reference
-    that Grid.keep_outs is checked against.
-    """
-    if not grid.in_bounds(v) or v in grid.obstacles:
-        return False
-    pin_owner = grid.pin_owners.get(v)
-    if pin_owner is not None and pin_owner != net_id:
-        return False
-    owner = grid.committed.get(v)
-    return owner is None or owner[0] == net_id
 
 
 def register_pins(grid, net):
@@ -84,7 +70,7 @@ def oracle_instance(seed):
         for l in range(n_layers)
         for y in range(height)
         for x in range(width)
-        if passable(grid, (x, y, l), 0)
+        if usable(grid, (x, y, l), 0)
     ]
     if len(free) < 2:
         return None

@@ -170,6 +170,19 @@ def test_error_json_on_too_deeply_nested_file(tmp_path):
     assert "cannot parse" in err["message"]
 
 
+def test_error_json_on_oversized_grid(tmp_path):
+    data = json.loads(DEMO.read_text())
+    data["grid"]["width"] = data["grid"]["height"] = 10**6
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(data))
+    proc = run_cli(["--mode", "route", "--input", str(path), "--output", str(tmp_path / "x")], timeout=60)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    err = json.loads(proc.stderr.strip().splitlines()[-1])
+    assert err["error"] == "LayoutError"
+    assert "vertices" in err["message"]
+
+
 def test_route_outputs_byte_identical_across_processes(tmp_path, instance_file):
     outs = []
     for name in ("r1", "r2"):

@@ -60,6 +60,8 @@ def test_rejects_bad_parameters():
         generate_instance(seed=0, width=0, height=4, layers=1, num_nets=1, pins_per_net=1, congestion=0.5)
     with pytest.raises(ValueError):
         generate_instance(seed=0, width=4, height=4, layers=1, num_nets=1, pins_per_net=1, congestion=1.5)
+    with pytest.raises(ValueError, match="more than"):
+        generate_instance(seed=0, width=10**6, height=10**6, layers=2, num_nets=1, pins_per_net=2, congestion=0.5)
 
 
 def test_pins_avoid_obstacles_and_each_other():

@@ -5,29 +5,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from instances import empty_grid, passable
-from tplroute.color_state import Color
+from instances import empty_grid
+from tplroute import oracle
+from tplroute.color_state import COLOR_ORDER, Color
 from tplroute.grid import VIA_DIRECTIONS, CollisionError, Direction
 from tplroute.layout import DesignRules
 
 
 def test_neighbors_center_two_layers():
     grid = empty_grid(4, 4, ("H", "V"))
-    nbrs = grid.neighbors((1, 1, 0))
-    assert len(nbrs) == 5  # four planar plus up
-    dirs = [d for d, _ in nbrs]
-    assert dirs == [Direction.F, Direction.B, Direction.R, Direction.L, Direction.U]
+    rows, _ = grid.move_table()
+    dirs = [d for d, _, _, _ in rows[grid.vid((1, 1, 0))]]
+    assert dirs == [Direction.F, Direction.B, Direction.R, Direction.L, Direction.U]  # four planar plus up
 
 
 def test_neighbors_corner_single_layer():
     grid = empty_grid(4, 4, ("H",))
-    assert len(grid.neighbors((0, 0, 0))) == 2
+    rows, _ = grid.move_table()
+    assert len(rows[grid.vid((0, 0, 0))]) == 2
 
 
 def test_neighbors_ringed_by_obstacles():
     grid = empty_grid(3, 3, ("H",))
     grid.obstacles |= {(0, 1, 0), (2, 1, 0), (1, 0, 0), (1, 2, 0)}
-    assert grid.neighbors((1, 1, 0)) == []
+    assert oracle.neighbors(grid, (1, 1, 0)) == []
 
 
 def test_neighbors_never_out_of_bounds_or_obstacle():
@@ -36,7 +37,7 @@ def test_neighbors_never_out_of_bounds_or_obstacle():
     for l in range(2):
         for y in range(4):
             for x in range(5):
-                for _, t in grid.neighbors((x, y, l)):
+                for t in oracle.neighbors(grid, (x, y, l)):
                     assert grid.in_bounds(t)
                     assert t not in grid.obstacles
 
@@ -54,18 +55,22 @@ def test_direction_semantics_respect_preferred_axis():
 
 
 def _check_move_table(grid):
-    """Each vid's moves equal neighbors (obstacle-free) and trad_cost's rule part."""
+    """Each vid's moves, in F,B,R,L,U,D order, reach oracle.neighbors (the
+    grid is obstacle-free and has no history) at oracle.move_cost."""
     rows, vertices = grid.move_table()
     assert len(rows) == len(vertices) == grid.width * grid.height * grid.num_layers
     for vid, (row, v) in enumerate(zip(rows, vertices)):
         assert grid.vid(v) == vid
-        assert [(d, vertices[vid + dvid]) for d, dvid, _, _ in row] == grid.neighbors(v)
-        for d, _, planar, base_trad in row:
+        targets = [vertices[vid + dvid] for _, dvid, _, _ in row]
+        assert sorted(targets) == sorted(oracle.neighbors(grid, v))
+        assert [d for d, _, _, _ in row] == sorted(d for d, _, _, _ in row)
+        for (d, _, planar, base_trad), t in zip(row, targets):
+            assert grid.step(v, d) == t
             assert planar == (d not in VIA_DIRECTIONS)
-            assert base_trad == grid.trad_cost(v, d)
+            assert base_trad == oracle.move_cost(grid, grid.rules, v, t, None)
 
 
-def test_move_table_matches_neighbors_and_trad_cost():
+def test_move_table_matches_oracle_moves():
     rules = DesignRules(wrong_way_cost=2.5, via_cost=4.0)
     stacks = [("H",), ("V",), ("H", "V"), ("V", "V"), ("H", "V", "H"), ("V", "H", "H")]
     for width in range(1, 6):
@@ -90,32 +95,46 @@ def test_move_table_keyed_by_move_costs():
     assert dear.move_table() is empty_grid(4, 3, ("H", "V"), dear.rules).move_table()
 
 
+def _move(grid, v, direction):
+    """The target vid and base_trad of v's move-table entry in a direction."""
+    rows, _ = grid.move_table()
+    vid = grid.vid(v)
+    ((dvid, base_trad),) = [(dvid, base_trad) for d, dvid, _, base_trad in rows[vid] if d == direction]
+    return vid + dvid, base_trad
+
+
 class TestTradCost:
+    """The search's trad term: base_trad + history + off-guide penalty at the target."""
+
     def test_preferred_direction_unit_cost(self):
         grid = empty_grid(4, 4, ("H",))
-        assert grid.trad_cost((0, 0, 0), Direction.F) == 1.0
+        i, base_trad = _move(grid, (0, 0, 0), Direction.F)
+        assert base_trad + grid.history[i] == 1.0
 
     def test_via_cost(self):
         # 1 + via_cost, recomposed term by term
         rules = DesignRules(via_cost=4.0)
         grid = empty_grid(4, 4, ("H", "V"), rules)
         expected = 1.0 + rules.via_cost
-        assert grid.trad_cost((1, 1, 0), Direction.U) == expected == 5.0
+        i, base_trad = _move(grid, (1, 1, 0), Direction.U)
+        assert base_trad + grid.history[i] == expected == 5.0
 
     def test_wrong_way_plus_history(self):
         rules = DesignRules(wrong_way_cost=2.0)
         grid = empty_grid(4, 4, ("H",), rules)
         grid.add_history((1, 2, 0), 3.0)
         expected = 1.0 + rules.wrong_way_cost + 3.0
-        assert grid.trad_cost((1, 1, 0), Direction.R) == expected == 6.0
+        i, base_trad = _move(grid, (1, 1, 0), Direction.R)
+        assert i == grid.vid((1, 2, 0))
+        assert base_trad + grid.history[i] == expected == 6.0
 
     def test_off_guide_penalty(self):
         grid = empty_grid(6, 6, ("H",))
-        guide = [(0, 0, 0, 2, 2)]
-        on = grid.trad_cost((1, 1, 0), Direction.F, guide=guide)
-        off = grid.trad_cost((2, 1, 0), Direction.F, guide=guide)
-        assert on == 1.0
-        assert off == 1.0 + grid.rules.off_guide_penalty
+        off_guide = grid.off_guide([(0, 0, 0, 2, 2)])
+        i_on, on = _move(grid, (1, 1, 0), Direction.F)
+        i_off, off = _move(grid, (2, 1, 0), Direction.F)
+        assert on + grid.history[i_on] + off_guide[i_on] == 1.0
+        assert off + grid.history[i_off] + off_guide[i_off] == 1.0 + grid.rules.off_guide_penalty
 
 
 class TestColorCost:
@@ -156,9 +175,8 @@ class TestColorCost:
             ga.commit_route(1, [(p, color)])
             gb = empty_grid(6, 6, ("H",), rules)
             gb.commit_route(2, [(q, color)])
-            assert ga.vertex_color_cost(q, color, net_id=2) == gb.vertex_color_cost(
-                p, color, net_id=1
-            )
+            k = COLOR_ORDER.index(color)
+            assert ga.foreign_counts(2)[k][ga.vid(q)] == gb.foreign_counts(1)[k][gb.vid(p)]
 
     def test_matches_brute_force_scan(self):
         rng = random.Random(3)
@@ -171,12 +189,7 @@ class TestColorCost:
         for x in range(5):
             for c in Color:
                 got = grid.color_cost((x, 2, 0), Direction.F, c, net_id=0)
-                tx, ty = x + 1, 2
-                want = rules.gamma * sum(
-                    1
-                    for (cx, cy, cl), (n, col) in grid.committed.items()
-                    if cl == 0 and col == c and abs(cx - tx) + abs(cy - ty) < rules.d_color
-                )
+                want = oracle.conflict_costs(grid, rules, (x + 1, 2, 0), 0)[COLOR_ORDER.index(c)]
                 assert got == want
 
 
@@ -184,7 +197,9 @@ class TestOccupancy:
     def test_commit_and_dump(self):
         grid = empty_grid(3, 1, ("H",))
         grid.commit_route(1, [((0, 0, 0), Color.RED), ((1, 0, 0), Color.GREEN), ((2, 0, 0), Color.BLUE)])
-        assert grid.dump() == "layer 0 (H)\nRGB\n"
+        assert grid.committed == {
+            (0, 0, 0): (1, Color.RED), (1, 0, 0): (1, Color.GREEN), (2, 0, 0): (1, Color.BLUE)
+        }
 
     def test_commit_collision(self):
         grid = empty_grid(3, 3, ("H",))
@@ -197,11 +212,9 @@ class TestOccupancy:
         grid.commit_route(1, [((2, 0, 0), Color.RED)])
 
         def state():
-            costs = [
-                grid.vertex_color_cost((x, y, 0), c, net)
-                for x in range(4) for y in range(2) for c in Color for net in (1, 2)
-            ]
-            return dict(grid.committed), grid.net_vertices(2), costs
+            # Copies: foreign_counts hands out the grid's own lists for a net with no commits.
+            counts = [[list(c) for c in grid.foreign_counts(net)] for net in (1, 2)]
+            return dict(grid.committed), grid.net_vertices(2), counts
 
         before = state()
         with pytest.raises(CollisionError, match="committed to net 1"):
@@ -288,7 +301,7 @@ def test_keep_outs_match_reference(seed):
     _, vertices = grid.move_table()
     for net_id in range(-1, 5):  # every owner, and nets owning nothing
         closed = grid.keep_outs(net_id)
-        assert [bool(c) for c in closed] == [not passable(grid, v, net_id) for v in vertices]
+        assert [bool(c) for c in closed] == [not oracle.usable(grid, v, net_id) for v in vertices]
 
 
 @settings(max_examples=60, deadline=None)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from tplroute.baseline import route_colorless
 from tplroute.generate import generate_instance
 from tplroute.layout import (
+    MAX_GRID_VERTICES,
     DesignRules,
     LayoutError,
     layout_from_dict,
@@ -78,6 +79,19 @@ def test_non_utf8_file(tmp_path):
     path.write_bytes('{"name": "caf\u00e9"}'.encode("latin-1"))
     with pytest.raises(LayoutError, match="cannot parse"):
         load_layout(path)
+
+
+@pytest.mark.parametrize("width, height, ok", [(2**11, 2**10, True), (2**11 + 1, 2**10, False), (10**6, 10**6, False)])
+def test_grid_vertex_cap(width, height, ok):
+    # 2**11 x 2**10 x 2 layers is exactly MAX_GRID_VERTICES.
+    data = minimal_dict()
+    data["grid"]["width"], data["grid"]["height"] = width, height
+    assert MAX_GRID_VERTICES == 2**22
+    if ok:
+        assert layout_from_dict(data).width == width
+    else:
+        with pytest.raises(LayoutError, match="more than 4194304 vertices"):
+            layout_from_dict(data)
 
 
 def test_duplicate_net_id():

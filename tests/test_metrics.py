@@ -38,6 +38,18 @@ def test_single_clean_net_costs_alpha_times_length():
     assert report.weighted_cost == pytest.approx(rules.alpha * (len(path) - 1))
 
 
+def test_wirelength_priced_by_the_rules_passed_in():
+    # One preferred step, one wrong-way step and one via, scored under rules
+    # other than the grid's: every term comes from the rules argument.
+    grid = empty_grid(3, 3, ("H", "V"))
+    tree = make_tree(0, [(0, 0, 0), (1, 0, 0), (1, 1, 0), (1, 1, 1)], Color.RED)
+    grid.commit_route(0, sorted(tree.vertex_colors.items()))
+    rules = DesignRules(alpha=2.0, via_cost=100.0, wrong_way_cost=50.0)
+    report = score(grid, {0: tree}, rules)
+    assert report.per_net[0].trad == 1.0 + (1.0 + 50.0) + (1.0 + 100.0)
+    assert report.weighted_cost == 2.0 * 153.0
+
+
 def test_clean_solution_dominates_forced_conflicts():
     rules = DesignRules(d_color=2)
     # tight: two parallel same-color wires one track apart

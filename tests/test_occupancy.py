@@ -2,10 +2,10 @@
 
 Random sequences of the committed map's three writers (commit, rip-up,
 recolor), dataclasses.replace and swapping the rules to another d_color,
-interleaved with color-cost reads, which build the per-mask counts
-part-way so later writes must keep them in step. Afterwards every color
-cost, for every vertex, mask and net, equals a scan of the committed
-entries, and so does each net's vertex set.
+interleaved with count reads, which build the per-mask counts part-way
+so later writes must keep them in step. Afterwards every net's counts,
+times gamma, equal oracle.conflict_costs (a scan of the committed
+entries) at every vertex, and each net's vertex set equals a scan too.
 """
 
 import copy
@@ -17,9 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from instances import empty_grid
+from tplroute import oracle
 from tplroute.color_state import COLOR_ORDER
 from tplroute.generate import generate_instance
-from tplroute.grid import CollisionError
+from tplroute.grid import CollisionError, Direction
 from tplroute.layout import DesignRules
 from tplroute.negotiation import route_all
 from tplroute.router import route_net
@@ -27,9 +28,8 @@ from tplroute.router import route_net
 W, H, L = 5, 4, 2
 NETS = range(4)
 
-# Writes may land one track off the grid; reads stay on it.
+# Writes may land one track off the grid.
 written = st.tuples(st.integers(-1, W), st.integers(-1, H), st.integers(0, L - 1))
-on_grid = st.tuples(st.integers(0, W - 1), st.integers(0, H - 1), st.integers(0, L - 1))
 nets = st.sampled_from(NETS)
 colors = st.sampled_from(COLOR_ORDER)
 
@@ -39,7 +39,7 @@ OPS = st.one_of(
     st.tuples(st.just("recolor"), written, colors),
     st.tuples(st.just("replace"), st.booleans()),
     st.tuples(st.just("d_color"), st.integers(1, 3)),
-    st.tuples(st.just("read"), on_grid, colors, nets),
+    st.tuples(st.just("read"), nets),
 )
 
 
@@ -64,28 +64,20 @@ def apply(grid, op):
     elif kind == "d_color":
         grid.rules = replace(grid.rules, d_color=args[0])
     elif kind == "read":
-        grid.vertex_color_cost(*args)
+        grid.foreign_counts(*args)
     return grid
-
-
-def brute_cost(grid, v, color, net_id):
-    x, y, l = v
-    return grid.rules.gamma * sum(
-        1
-        for (cx, cy, cl), (n, c) in grid.committed.items()
-        if cl == l and n != net_id and c == color and abs(cx - x) + abs(cy - y) < grid.rules.d_color
-    )
 
 
 def assert_indexes_match(grid):
     for net_id in [*NETS, 99]:
         assert grid.net_vertices(net_id) == {v for v, (n, _) in grid.committed.items() if n == net_id}
     probes = [(x, y, l) for l in range(L) for y in range(H) for x in range(W)]
+    gamma = grid.rules.gamma
     for net_id in [*NETS, 99]:
+        counts = grid.foreign_counts(net_id)
         for v in probes:
-            for color in COLOR_ORDER:
-                want = brute_cost(grid, v, color, net_id)
-                assert grid.vertex_color_cost(v, color, net_id) == want, (v, color, net_id)
+            got = tuple(gamma * c[grid.vid(v)] for c in counts)
+            assert got == oracle.conflict_costs(grid, grid.rules, v, net_id), (v, net_id)
 
 
 @settings(max_examples=80, deadline=None)
@@ -101,7 +93,7 @@ def test_copies_rebuild_the_indexes():
     grid = empty_grid(W, H, ("H", "V"), DesignRules(d_color=3))
     grid.commit_route(1, [((1, 1, 0), COLOR_ORDER[0]), ((2, 1, 0), COLOR_ORDER[1])])
     grid.commit_route(2, [((3, 2, 1), COLOR_ORDER[2])])
-    grid.vertex_color_cost((0, 0, 0), COLOR_ORDER[0], 0)  # build the counts
+    grid.foreign_counts(0)  # build the counts
     for clone in (copy.deepcopy(grid), pickle.loads(pickle.dumps(grid))):
         assert clone.committed == grid.committed
         assert_indexes_match(clone)
@@ -111,11 +103,16 @@ def test_copies_rebuild_the_indexes():
 
 
 def test_off_grid_reads_raise():
+    # Edges leaving the grid: past each side of a layer, and above the top or below the bottom layer.
     grid = empty_grid(W, H, ("H", "V"))
     grid.commit_route(1, [((0, 0, 0), COLOR_ORDER[0])])
-    for v in [(-1, 0, 0), (W, H - 1, 1), (0, 0, L)]:
+    edges = [
+        ((0, 0, 0), Direction.B), ((W - 1, 0, 0), Direction.F), ((0, H - 1, 0), Direction.R),
+        ((0, 0, 1), Direction.B), ((0, 0, 1), Direction.U), ((0, 0, 0), Direction.D),
+    ]
+    for v, direction in edges:
         with pytest.raises(ValueError):
-            grid.vertex_color_cost(v, COLOR_ORDER[0], 0)
+            grid.color_cost(v, direction, COLOR_ORDER[0], 0)
 
 
 def test_rip_up_leaves_other_nets():

@@ -4,18 +4,18 @@ Every run of route_all or run_baseline either routes or raises
 UnroutableError. A routed run commits exactly its route trees, with no
 vertex in two nets, on an obstacle or on another net's pin; each tree's
 stitches are the recount of its colors; every net's foreign conflict
-counts on the final grid equal a scan of the committed map (for the
-baseline that covers the recolorings made after routing built the
-counts). route_all's reported final conflicts are a fresh scan of the
-final grid. Two runs of the same instance give the same result, or the
-same error.
+counts on the final grid, times gamma, equal oracle.conflict_costs (a
+scan of the committed map) at every vertex (for the baseline that covers
+the recolorings made after routing built the counts). route_all's
+reported final conflicts are a fresh scan of the final grid. Two runs of
+the same instance give the same result, or the same error.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tplroute import oracle
 from tplroute.baseline import run_baseline
-from tplroute.color_state import COLOR_ORDER
 from tplroute.generate import InfeasiblePlacementError, generate_instance
 from tplroute.layout import DesignRules
 from tplroute.negotiation import detect_conflicts, route_all
@@ -51,18 +51,6 @@ def unroutable(exc):
     )
 
 
-def scanned_foreign_counts(grid, net_id):
-    """Grid.foreign_counts recomputed by testing every commit against every vertex."""
-    counts = {c: [0] * (grid.width * grid.height * grid.num_layers) for c in COLOR_ORDER}
-    vertices = [(x, y, l) for l in range(grid.num_layers) for y in range(grid.height) for x in range(grid.width)]
-    for (cx, cy, cl), (owner, color) in grid.committed.items():
-        if owner != net_id:
-            for x, y, l in vertices:
-                if l == cl and abs(x - cx) + abs(y - cy) < grid.rules.d_color:
-                    counts[color][grid.vid((x, y, l))] += 1
-    return tuple(counts[c] for c in COLOR_ORDER)
-
-
 def check_routed(layout, routes, grid):
     """The invariants a routed run of either arm holds on its trees and grid."""
     owners = {v: net.id for net in layout.nets for pin in net.pins for v in pin.covered_vertices}
@@ -75,8 +63,12 @@ def check_routed(layout, routes, grid):
             from_trees[v] = (net_id, color)
         assert tree.stitches == recount_stitches(tree.vertex_colors)
     assert grid.committed == from_trees
+    _, vertices = grid.move_table()
     for net in layout.nets:
-        assert grid.foreign_counts(net.id) == scanned_foreign_counts(grid, net.id), net.id
+        counts = grid.foreign_counts(net.id)
+        for vid, v in enumerate(vertices):
+            got = tuple(grid.rules.gamma * c[vid] for c in counts)
+            assert got == oracle.conflict_costs(grid, grid.rules, v, net.id), (net.id, v)
 
 
 def trees(routes):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from instances import empty_grid, oracle_instance, passable, pressure_instance, register_pins, two_pin_net
+from instances import empty_grid, oracle_instance, pressure_instance, register_pins, two_pin_net
 from tplroute import oracle, router
 from tplroute.baseline import run_baseline
 from tplroute.color_state import COLOR_ORDER, Color, cardinality
@@ -321,23 +321,23 @@ def test_unroutable_reports_remaining_pins():
 
 
 def _reference_wall_blockers(queue, grid, net, remaining):
-    """The rescue wall by the Grid.neighbors walk over vertex tuples."""
+    """The rescue wall by the oracle.neighbors walk over vertex tuples."""
 
     def region_wall(region):
         wall = {}
         for v in region:
-            for _, t in grid.neighbors(v):
+            for t in oracle.neighbors(grid, v):
                 owner = grid.committed.get(t)
                 if owner is not None and owner[0] != net.id:
                     wall[t] = owner[0]
         return wall
 
-    stack = [v for idx in remaining for v in net.pins[idx].covered_vertices if passable(grid, v, net.id)]
+    stack = [v for idx in remaining for v in net.pins[idx].covered_vertices if oracle.usable(grid, v, net.id)]
     pocket = set(stack)
     while stack:
         v = stack.pop()
-        for _, t in grid.neighbors(v):
-            if t not in pocket and passable(grid, t, net.id):
+        for t in oracle.neighbors(grid, v):
+            if t not in pocket and oracle.usable(grid, t, net.id):
                 pocket.add(t)
                 stack.append(t)
     pocket_side = region_wall(pocket)
@@ -412,8 +412,8 @@ def _classic_dijkstra(grid, src, dst):
             return d
         if d > dist.get(v, float("inf")):
             continue
-        for direction, t in grid.neighbors(v):
-            nd = d + grid.trad_cost(v, direction)
+        for t in oracle.neighbors(grid, v):
+            nd = d + oracle.move_cost(grid, grid.rules, v, t, None)
             if nd < dist.get(t, float("inf")):
                 dist[t] = nd
                 heapq.heappush(heap, (nd, t))
@@ -421,13 +421,14 @@ def _classic_dijkstra(grid, src, dst):
 
 
 def test_search_relaxation_matches_grid_definitions():
-    # color_state_search inlines the keep-out rule, trad_cost and color_cost, and
-    # drops a child that a label at its target already dominates. For every
-    # passable move of a popped node, either the child it inserted agrees
-    # with the grid definitions, or the target's labels when the node was
-    # popped held one dominating the child the definitions give. Checked on a
-    # grid with obstacles, a foreign pin, foreign and own commits, history
-    # and a guide.
+    # color_state_search reads the keep-outs, move costs and conflict counts
+    # from per-net arrays, and drops a child that a label at its target
+    # already dominates. For every usable move of a popped node, either the
+    # child it inserted agrees with the oracle's raw-data definitions
+    # (usable, move_cost and conflict_costs), or the target's labels when
+    # the node was popped held one dominating the child those definitions
+    # give. Checked on a grid with obstacles, a foreign pin, foreign and own
+    # commits, history and a guide.
     rules = DesignRules(d_color=3, gamma=5.0, wrong_way_cost=2.0, via_cost=3.0)
     grid = empty_grid(7, 6, ("H", "V", "H"), rules)
     net = two_pin_net((0, 0, 0), (6, 5, 2))
@@ -451,7 +452,7 @@ def test_search_relaxation_matches_grid_definitions():
             popped.append(label)
             labels_at_pop[id(label)] = {
                 t: [(ex[0], ex[4]) for ex in queue.labels.get(grid.vid(t), [])]
-                for _, t in grid.neighbors(queue.vertices[label[1]])
+                for t in oracle.neighbors(grid, queue.vertices[label[1]])
             }
         return label
 
@@ -472,16 +473,17 @@ def test_search_relaxation_matches_grid_definitions():
         got = children.get(id(node), [])
         by_dir = {c[2]: c for c in got}
         inserted_moves = []
-        for d, t in grid.neighbors(vertex):
-            if not passable(grid, t, net.id):
+        for d in Direction:
+            t = grid.step(vertex, d)
+            if t is None or not oracle.usable(grid, t, net.id):
                 continue
+            conflict = oracle.conflict_costs(grid, rules, t, net.id)
             terms = {
-                c: grid.color_cost(vertex, d, c, net.id)
-                + (stitch if d not in VIA_DIRECTIONS and not node_state & c else 0.0)
-                for c in COLOR_ORDER
+                c: conflict[k] + (stitch if d not in VIA_DIRECTIONS and not node_state & c else 0.0)
+                for k, c in enumerate(COLOR_ORDER)
             }
             best = min(terms.values())
-            trad = grid.trad_cost(vertex, d, net.guide)
+            trad = oracle.move_cost(grid, rules, vertex, t, net.guide)
             cost = node_cost + rules.alpha * trad + best
             state = sum(int(c) for c, term in terms.items() if term == best)
             child = by_dir.get(d)
