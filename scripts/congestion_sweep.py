@@ -3,9 +3,10 @@
 
 For each congestion level, generates seeded instances, routes them with
 both arms, and prints aggregate conflicts/stitches as one JSON line per
-level. Both arms run on every draw; each arm's unroutable draws are
-counted, and the totals are over the draws both arms completed (the
-rest are counted as skipped).
+level. Draws whose pins the generator cannot place are counted as
+infeasible and routed by neither arm. Both arms run on every other
+draw; each arm's unroutable draws are counted, and the totals are over
+the draws both arms completed (the rest are counted as skipped).
 """
 
 import argparse
@@ -17,7 +18,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from tplroute.baseline import run_baseline  # noqa: E402
-from tplroute.generate import generate_instance  # noqa: E402
+from tplroute.generate import InfeasiblePlacementError, generate_instance  # noqa: E402
 from tplroute.metrics import score  # noqa: E402
 from tplroute.negotiation import route_all  # noqa: E402
 from tplroute.router import UnroutableError  # noqa: E402
@@ -40,16 +41,21 @@ def main() -> int:
         unroutable = {"router": 0, "baseline": 0}
         routed = 0
         skipped = 0
+        infeasible = 0
         for seed in range(args.seeds):
-            layout = generate_instance(
-                seed=seed,
-                width=args.width,
-                height=args.height,
-                layers=args.layers,
-                num_nets=args.num_nets,
-                pins_per_net=args.pins_per_net,
-                congestion=level,
-            )
+            try:
+                layout = generate_instance(
+                    seed=seed,
+                    width=args.width,
+                    height=args.height,
+                    layers=args.layers,
+                    num_nets=args.num_nets,
+                    pins_per_net=args.pins_per_net,
+                    congestion=level,
+                )
+            except InfeasiblePlacementError:
+                infeasible += 1
+                continue
             results = {}
             for tag, run in (("router", route_all), ("baseline", run_baseline)):
                 try:
@@ -70,6 +76,7 @@ def main() -> int:
                     "congestion": level,
                     "instances": routed,
                     "skipped": skipped,
+                    "infeasible": infeasible,
                     "router_unroutable": unroutable["router"],
                     "baseline_unroutable": unroutable["baseline"],
                     "router": {"conflicts": totals["router"][0], "stitches": totals["router"][1]},

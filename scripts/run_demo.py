@@ -1,7 +1,10 @@
 #!/usr/bin/env python3
 """Route a bundled demo instance end to end and render it.
 
-Writes report, route dump, comparison, and per-layer SVGs into --outdir.
+Runs the tplroute CLI in route, baseline and compare mode with --render,
+each under its own prefix in --outdir: route.* and baseline.* (report,
+route dump and per-layer SVGs of that arm) and compare.* (the comparison
+and the router's SVGs).
 """
 
 import argparse
@@ -27,16 +30,14 @@ def main() -> int:
 
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    prefix = str(outdir / "demo")
-
     for mode in ("route", "baseline", "compare"):
         code = cli_main(
-            ["--mode", mode, "--input", args.input, "--output", prefix, "--render"]
+            ["--mode", mode, "--input", args.input, "--output", str(outdir / mode), "--render"]
         )
         if code != 0:
             return code
 
-    comparison = json.loads(Path(f"{prefix}.compare.json").read_text())
+    comparison = json.loads((outdir / "compare.compare.json").read_text())
     print("\ncomparison (baseline vs router):")
     for row in comparison["rows"]:
         improvement = row["improvement"]

@@ -37,13 +37,6 @@ class ConflictGraph:
     # Index pairs (i < j): same net, grid-adjacent on one layer.
     stitch_edges: list[tuple[int, int]]
 
-    def adjacency(self) -> list[set[int]]:
-        adj = [set() for _ in self.segments]
-        for i, j in self.conflict_edges:
-            adj[i].add(j)
-            adj[j].add(i)
-        return adj
-
 
 @dataclass
 class Decomposition:
@@ -83,7 +76,7 @@ def build_conflict_graph(grid: Grid, rules: DesignRules) -> ConflictGraph:
     segments = _extract_segments(grid)
     segment_of = {v: seg.index for seg in segments for v in seg.vertices}
     committed = grid.committed
-    half = half_stencil(rules.d_color)
+    half = half_stencil(grid.clamp_d_color(rules.d_color))
     conflicts: set[tuple[int, int]] = set()
     stitches: set[tuple[int, int]] = set()
     for v, i in segment_of.items():
@@ -108,14 +101,12 @@ def decompose(graph: ConflictGraph) -> Decomposition:
     rest fall back to greedy coloring in descending conflict-degree order
     (ties by node index). Route geometry is untouched.
     """
-    colors: list[Color | None] = [None] * len(graph.segments)
-    adj = graph.adjacency()
-    stitch_adj: list[set[int]] = [set() for _ in graph.segments]
-    for i, j in graph.stitch_edges:
-        stitch_adj[i].add(j)
-        stitch_adj[j].add(i)
+    n = len(graph.segments)
+    colors = [Color.RED] * n
+    adj = _adjacency(n, graph.conflict_edges)
+    stitch_adj = _adjacency(n, graph.stitch_edges)
 
-    for component in _components(len(graph.segments), adj, stitch_adj):
+    for component in _components(n, adj, stitch_adj):
         if len(component) <= EXACT_COMPONENT_LIMIT:
             assignment = exact_color_component(component, adj, stitch_adj)
         else:
@@ -123,10 +114,9 @@ def decompose(graph: ConflictGraph) -> Decomposition:
         for node, color in assignment.items():
             colors[node] = color
 
-    final = [c if c is not None else Color.RED for c in colors]
-    conflict_count = sum(1 for i, j in graph.conflict_edges if final[i] == final[j])
-    stitch_count = sum(1 for i, j in graph.stitch_edges if final[i] != final[j])
-    return Decomposition(final, conflict_count, stitch_count)
+    conflict_count = sum(1 for i, j in graph.conflict_edges if colors[i] == colors[j])
+    stitch_count = sum(1 for i, j in graph.stitch_edges if colors[i] != colors[j])
+    return Decomposition(colors, conflict_count, stitch_count)
 
 
 def greedy_color_component(component: list[int], adj: list[set[int]]) -> dict[int, Color]:
@@ -197,6 +187,15 @@ def run_baseline(layout: Layout) -> BaselineResult:
             stitches=recount_stitches(vertex_colors),
         )
     return BaselineResult(grid, recolored, graph, decomposition)
+
+
+def _adjacency(count: int, edges: list[tuple[int, int]]) -> list[set[int]]:
+    """Per node of 0..count-1, its neighbors along edges."""
+    adj: list[set[int]] = [set() for _ in range(count)]
+    for i, j in edges:
+        adj[i].add(j)
+        adj[j].add(i)
+    return adj
 
 
 def _components(

@@ -115,8 +115,18 @@ class Grid:
         x, y, l = v
         return (l * self.height + y) * self.width + x
 
+    def clamp_d_color(self, d_color: int) -> int:
+        """d_color capped at width + height - 1, the size its stencils are built at.
+
+        No two vertices of a layer lie that far apart, so a larger d_color
+        covers no more pairs; only its stencils would grow without bound.
+        """
+        return min(d_color, self.width + self.height - 1)
+
     def step(self, v: Vertex, direction: Direction) -> Vertex | None:
-        """Geometric neighbor in a direction, or None if off-grid."""
+        """Geometric neighbor in a direction, or None if v or the neighbor is off-grid."""
+        if not self.in_bounds(v):
+            return None
         x, y, l = v
         steps = _STEPS_H if self.layer_dirs[l] == "H" else _STEPS_V
         dx, dy, dl = steps[direction][1]
@@ -176,10 +186,10 @@ class Grid:
         Manhattan distance < d_color on the vertex's layer. They are the
         grid's own lists when net_id has nothing committed, else copies
         with the net's own commits taken out. The grid's lists are built
-        from committed on the first read, and again when rules.d_color is
-        not the one they were built under.
+        from committed on the first read, and again when rules.d_color
+        (clamped by clamp_d_color) is not the one they were built under.
         """
-        d_color = self.rules.d_color
+        d_color = self.clamp_d_color(self.rules.d_color)
         if self._counts is None or self._counts[0] != d_color:
             size = self.width * self.height * self.num_layers
             self._counts = (d_color, {c: [0] * size for c in Color})

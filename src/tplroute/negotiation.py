@@ -50,7 +50,7 @@ class RoutingResult:
 
 def detect_conflicts(grid: Grid, rules: DesignRules) -> list[Conflict]:
     """Every cross-net same-layer same-color pair below d_color, once each."""
-    half = half_stencil(rules.d_color)
+    half = half_stencil(grid.clamp_d_color(rules.d_color))
     found = []
     for v in sorted(grid.committed):
         net, color = grid.committed[v]
@@ -124,10 +124,8 @@ def route_batch(
                 grid.rip_up(b)
                 routes.pop(b, None)
             requeue = [net] + [by_id[b] for b in blockers if b not in queued]
-            for n in reversed(requeue):
-                if n.id not in queued:
-                    pending.appendleft(n)
-                    queued.add(n.id)
+            pending.extendleft(reversed(requeue))
+            queued.update(n.id for n in requeue)
             continue
         routes[net.id] = tree
         grid.commit_route(net.id, sorted(tree.vertex_colors.items()))
@@ -153,13 +151,8 @@ def route_all(layout: Layout) -> RoutingResult:
         try:
             routed_now = route_batch(grid, to_route, routes, ordered)
         except UnroutableError as exc:
-            raise UnroutableError(
-                exc.net_id,
-                exc.remaining_pins,
-                f"iteration {iteration}: {exc}",
-                exc.blocked_nets,
-                exc.blocked_vertices,
-            ) from exc
+            exc.args = (f"iteration {iteration}: {exc}",)
+            raise
         conflicts = detect_conflicts(grid, layout.rules)
         stitch_count = sum(len(t.stitches) for t in routes.values())
         iterations.append(

@@ -106,13 +106,12 @@ class SegSet:
     """A chain of verSets forced onto a single final mask.
 
     members lists the traced vertices; state is the accumulated
-    intersection of their traced states (the final mask once frozen). A
-    segSet emptied by a merge has no members.
+    intersection of their traced states, the one mask once fixed
+    (_TreeBuilder.fix_masks). A segSet emptied by a merge has no members.
     """
 
     state: int
     members: list[Vertex]
-    final_color: Color | None = None
 
 
 @dataclass
@@ -126,9 +125,6 @@ class RouteTree:
     # Color state each vertex carried when traced (search soundness checks).
     vertex_states: dict[Vertex, int]
     total_cost: float
-
-    def vertices(self) -> set[Vertex]:
-        return set(self.vertex_colors)
 
 
 class SolutionQueue:
@@ -207,14 +203,14 @@ class SolutionQueue:
 
 
 class _TreeBuilder:
-    """Accumulates segSets and paths across a net's backtraces."""
+    """A net's segSets (each state its one mask once fixed), paths and summed cost."""
 
     def __init__(self) -> None:
         self.segset_of: dict[Vertex, SegSet] = {}
         self.segsets: list[SegSet] = []
         self.vertex_states: dict[Vertex, int] = {}
         self.paths: list[list[Vertex]] = []
-        self.path_costs: list[float] = []
+        self.total_cost = 0.0
 
     def add(self, vertex: Vertex, state: int, seg: SegSet | None = None) -> SegSet:
         """Put a traced vertex into seg, or into a new segSet when seg is None."""
@@ -233,12 +229,11 @@ class _TreeBuilder:
         into.members.extend(other.members)
         other.members.clear()
 
-    def freeze_open_segsets(self, grid: Grid, counts: Sequence[list[int]]) -> None:
-        """Collapse every still-open segSet to its final mask (2-pin mode)."""
+    def fix_masks(self, grid: Grid, counts: Sequence[list[int]]) -> None:
+        """Narrow every live segSet's state to its cheapest mask; a fixed one keeps its own."""
         for seg in self.segsets:
-            if seg.members and seg.final_color is None:
-                seg.final_color = _cheapest_color(seg, grid, counts)
-                seg.state = int(seg.final_color)
+            if seg.members:
+                seg.state = int(_cheapest_color(seg, grid, counts))
 
 
 def _cheapest_color(seg: SegSet, grid: Grid, counts: Sequence[list[int]]) -> Color:
@@ -372,7 +367,7 @@ def backtrace(
                 cur_seg = tree.add(vertex, state)
 
     if freeze:
-        tree.freeze_open_segsets(grid, queue.counts)
+        tree.fix_masks(grid, queue.counts)
 
     for vertex, state in trace:
         queue.source(vertex, 0.0, tree.segset_of[vertex].state if freeze else state)
@@ -396,25 +391,10 @@ def route_net(net: Net, grid: Grid, *, two_pin_mode: bool = False) -> RouteTree:
 
     queue = SolutionQueue(grid, net)
     tree = _TreeBuilder()
-    seeded = False
     for v in net.pins[0].covered_vertices:
         if grid.in_bounds(v) and not queue.closed[grid.vid(v)]:
             for cost, state in _seed_labels(grid, queue.counts, v):
                 queue.source(v, cost, state)
-            seeded = True
-    if not seeded:
-        blocked = {
-            v: grid.committed[v][0]
-            for v in net.pins[0].covered_vertices
-            if v in grid.committed and grid.committed[v][0] != net.id
-        }
-        raise UnroutableError(
-            net.id,
-            list(range(len(net.pins))),
-            f"net {net.id}: every start-pin vertex is blocked",
-            blocked_nets=set(blocked.values()),
-            blocked_vertices=set(blocked),
-        )
 
     total_pins = len(net.pins)
     while len(queue.connected) < total_pins:
@@ -432,7 +412,7 @@ def route_net(net: Net, grid: Grid, *, two_pin_mode: bool = False) -> RouteTree:
             ) from None
         path = backtrace(queue, dst, tree, grid, freeze=two_pin_mode)
         tree.paths.append(path)
-        tree.path_costs.append(dst[0])
+        tree.total_cost += dst[0]
         for v in path:
             pins_here = queue.pin_at[grid.vid(v)]
             if pins_here is not None:
@@ -514,29 +494,25 @@ def _wall_blockers(
 def finalize_colors(
     tree: _TreeBuilder, grid: Grid, net_id: int, counts: Sequence[list[int]]
 ) -> RouteTree:
-    """Pick each segSet's final mask and derive per-vertex colors and stitches.
+    """Fix each segSet's mask and derive per-vertex colors and stitches.
 
-    Candidate costs are the summed conflict costs of the segSet's member
-    vertices, read from counts, the net's foreign red, green and blue
-    counts (Grid.foreign_counts) on the current grid; ties fall back to
-    the fixed RED > GREEN > BLUE order.
+    _TreeBuilder.fix_masks gives each live segSet the mask of least summed
+    member conflict cost, read from counts (Grid.foreign_counts on the
+    current grid), ties in RED > GREEN > BLUE order; a segSet fixed by a
+    2-pin-mode backtrace keeps its mask.
     """
+    tree.fix_masks(grid, counts)
     vertex_colors: dict[Vertex, Color] = {}
     for seg in tree.segsets:
-        if not seg.members:
-            continue  # emptied by a merge
-        if seg.final_color is None:
-            seg.final_color = _cheapest_color(seg, grid, counts)
-        for v in seg.members:
-            vertex_colors[v] = seg.final_color
-    stitches = recount_stitches(vertex_colors)
+        if seg.members:
+            vertex_colors.update(dict.fromkeys(seg.members, Color(seg.state)))
     return RouteTree(
         net_id=net_id,
         paths=tree.paths,
         vertex_colors=vertex_colors,
-        stitches=stitches,
+        stitches=recount_stitches(vertex_colors),
         vertex_states=dict(tree.vertex_states),
-        total_cost=sum(tree.path_costs),
+        total_cost=tree.total_cost,
     )
 
 

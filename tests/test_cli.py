@@ -210,6 +210,21 @@ def test_nan_rule_override_rejected(tmp_path):
     assert not list(tmp_path.iterdir())
 
 
+def test_run_demo_keeps_each_arm_under_its_own_prefix(tmp_path):
+    script = Path(__file__).resolve().parent.parent / "scripts" / "run_demo.py"
+    proc = subprocess.run(
+        [sys.executable, str(script), "--outdir", str(tmp_path)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    routes = json.loads((tmp_path / "route.routes.json").read_text())
+    assert routes["method"] == "router"
+    report = json.loads((tmp_path / "route.report.json").read_text())
+    comparison = json.loads((tmp_path / "compare.compare.json").read_text())
+    assert report["stitches"] == comparison["router"]["stitches"]
+
 def test_generate_rejects_bad_override_before_writing(tmp_path, capsys):
     path = tmp_path / "gen.json"
     code = main(["--mode", "generate", "--output", str(path), "--stitch-cost", "inf"])

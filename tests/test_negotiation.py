@@ -1,10 +1,16 @@
+from dataclasses import replace
+from pathlib import Path
+
 import pytest
 
 from instances import congested_layout, empty_grid
+from tplroute.baseline import run_baseline
 from tplroute.color_state import Color
-from tplroute.layout import DesignRules, Layer, Layout, Net, Pin
+from tplroute.layout import DesignRules, Layer, Layout, Net, Pin, load_layout
 from tplroute.negotiation import detect_conflicts, net_order_key, route_all
 from tplroute.router import UnroutableError
+
+DEMO_2NET = Path(__file__).resolve().parent.parent / "data" / "demo_2net.json"
 
 
 def test_detect_different_colors_no_conflict():
@@ -143,6 +149,23 @@ def test_unroutable_run_keeps_blockers():
     with pytest.raises(UnroutableError) as exc_info:
         route_all(layout)
     exc = exc_info.value
+    assert str(exc) == f"iteration 0: net {exc.net_id}: pins [1] unreachable"
+    assert exc.net_id == 1
     assert exc.remaining_pins == [1]
     assert exc.blocked_nets == {1 - exc.net_id}
     assert exc.blocked_vertices, "the re-raise must keep the wall's vertices"
+
+
+def test_d_color_past_the_grid_span_changes_nothing():
+    # No two vertices of an 8x8 layer lie 15 apart, so any larger d_color
+    # gives the same routes; its stencils are built at 15, not at 10**6.
+    layout = load_layout(DEMO_2NET)
+    runs = {}
+    for d_color in (15, 10**6):
+        layout.rules = replace(layout.rules, d_color=d_color)
+        ours, base = route_all(layout), run_baseline(layout)
+        runs[d_color] = (
+            ours.routes, ours.iterations, ours.grid.committed,
+            base.routes, base.graph, base.decomposition, base.grid.committed,
+        )
+    assert runs[10**6] == runs[15]

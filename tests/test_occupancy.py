@@ -103,12 +103,15 @@ def test_copies_rebuild_the_indexes():
 
 
 def test_off_grid_reads_raise():
-    # Edges leaving the grid: past each side of a layer, and above the top or below the bottom layer.
+    # Edges leaving the grid: past each side of a layer, and above the top or
+    # below the bottom layer. The last three start off the grid and would
+    # land on it: a layer index of -1 or L must not wrap or overrun.
     grid = empty_grid(W, H, ("H", "V"))
     grid.commit_route(1, [((0, 0, 0), COLOR_ORDER[0])])
     edges = [
         ((0, 0, 0), Direction.B), ((W - 1, 0, 0), Direction.F), ((0, H - 1, 0), Direction.R),
         ((0, 0, 1), Direction.B), ((0, 0, 1), Direction.U), ((0, 0, 0), Direction.D),
+        ((0, 0, -1), Direction.U), ((0, 0, L), Direction.D), ((-1, 0, 0), Direction.F),
     ]
     for v, direction in edges:
         with pytest.raises(ValueError):

@@ -320,6 +320,21 @@ def test_unroutable_reports_remaining_pins():
     assert exc_info.value.remaining_pins == [1]
 
 
+def test_blocked_start_pin_fails_like_any_wall():
+    # Net 1 holds the start pin's only vertex: the search exhausts at once
+    # and the wall walk from the far pin names net 1 and that vertex.
+    grid = empty_grid(3, 1, ("H",))
+    net = two_pin_net((0, 0, 0), (2, 0, 0))
+    register_pins(grid, net)
+    grid.commit_route(1, [((0, 0, 0), Color.RED)])
+    with pytest.raises(UnroutableError) as exc_info:
+        route_net(net, grid)
+    exc = exc_info.value
+    assert str(exc) == "net 0: pins [1] unreachable"
+    assert exc.remaining_pins == [1]
+    assert exc.blocked_nets == {1}
+    assert exc.blocked_vertices == {(0, 0, 0)}
+
 def _reference_wall_blockers(queue, grid, net, remaining):
     """The rescue wall by the oracle.neighbors walk over vertex tuples."""
 
@@ -516,7 +531,7 @@ def test_zero_alpha_still_connects_pins():
     net = two_pin_net((5, 0, 0), (3, 2, 1))
     register_pins(grid, net)
     tree = route_net(net, grid)
-    vertices = tree.vertices()
+    vertices = set(tree.vertex_colors)
     assert (5, 0, 0) in vertices and (3, 2, 1) in vertices
 
 
@@ -561,7 +576,7 @@ def test_route_tree_invariants_random(seed):
     )
     assert recount_stitches(tree.vertex_colors) == tree.stitches
     # connectivity: one component touching both pins
-    vertices = tree.vertices()
+    vertices = set(tree.vertex_colors)
     assert src in vertices and dst in vertices
     seen = {src}
     frontier = [src]
