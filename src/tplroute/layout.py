@@ -11,7 +11,8 @@ The on-disk format is a single JSON object:
 Coordinates are abstract grid tracks. "guide" is optional per net. Every
 rules key is required except "off_guide_penalty", the soft penalty for
 leaving the guide (default 4.0). Rules typed int in DesignRules must be
-JSON integers; the rest may be any finite JSON number, stored as float.
+JSON integers; the rest are cost rules and may be any JSON number from 0
+to COST_RULE_MAX (4096), stored as float.
 """
 
 from __future__ import annotations
@@ -92,6 +93,16 @@ class Layout:
 
 # Rule name -> its type (int or float), taken from the field defaults.
 RULE_TYPES: dict[str, type] = {f.name: type(f.default) for f in fields(DesignRules)}
+
+# The largest value a cost rule (every float rule) may take. A move's
+# rule terms, alpha * (1 + wrong_way_cost + via_cost + off_guide_penalty)
+# + beta * stitch_cost, then stay below 2**27, so over a path through
+# every vertex of a MAX_GRID_VERTICES grid they sum to below 2**49: far
+# from overflow, and 16 times below 2**53, past which adding a unit step
+# would round. That margin is for the terms that grow with the run
+# rather than with the rules: history, and gamma per conflicting commit.
+# The int rules (d_color, max_iterations) price nothing themselves.
+COST_RULE_MAX = 2.0**12
 _OPTIONAL_RULES = {"off_guide_penalty"}
 _RULE_MINIMUMS = {"d_color": 1, "max_iterations": 1}
 
@@ -300,6 +311,8 @@ def _rule_problems(rules: DesignRules) -> list[str]:
             problems.append(f"{name} must be >= {_RULE_MINIMUMS[name]}, got {value}")
         elif value < 0:
             problems.append(f"rule {name} must be non-negative, got {value}")
+        elif kind is float and value > COST_RULE_MAX:
+            problems.append(f"rule {name} must be at most {COST_RULE_MAX:g}, got {value}")
     return problems
 
 

@@ -28,9 +28,13 @@ arrival Direction or -1 for a source, seq a per-queue counter (unique,
 so a heap comparison never reaches state or prev), and prev the
 predecessor label or None for a source. Each label is pushed once, so it
 pops at most once. A pruned label is not removed from the heap; its seq
-goes into the queue's dead set, and pop skips it. Sources (start-pin
+goes into the queue's dead set, and a pop skips it. Sources (start-pin
 seeds and the traced vertices re-seeded after a backtrace) enter through
-SolutionQueue.source.
+SolutionQueue.source, which goes through SolutionQueue.insert. The
+search does not call insert or pop: it runs the same accept and the same
+pop inline. Both reach the heap only through this module's heappush and
+heappop, so every accepted label is one heappush and every pop is one
+heappop of a label not in dead.
 
 The search does no work whose result is already known. Everything it
 reads that stays fixed while a net is routed is taken from the grid once
@@ -43,16 +47,20 @@ per net and does not change the grid while routing it. The move table
 (per vertex id, the on-grid moves as vertex-id offsets with their rule
 costs) is shared by every grid of one shape and move costs. Label sets
 are keyed by vertex id, and the queue keeps, per vertex id, the least
-cost of a label holding all three masks (settled), and the pin indices
-each vertex id covers (pin_at), so whether a popped label covers a pin
-is one read. A move is skipped before it is priced when its target is
-settled at no more than the popped label's cost (every cost term is
-non-negative, so the child could not be cheaper). A priced child that a
-label at its target dominates is dropped before its label is built, so
-insert sees only labels it accepts. The same labels pop and the same
-labels are accepted, in the same order, as when every child is priced
-and offered to the queue. The rescue path finds a wall of foreign
-commits by walking vertex ids through the same move table and keep-outs.
+cost of a label holding all three masks (settled, -inf at keep-outs),
+and the pin indices each vertex id covers (pin_at), so whether a popped
+label covers a pin is one read. A move is skipped before it is priced
+when its target is settled at no more than the popped label's cost:
+every cost term is non-negative, so the child could not be cheaper, and
+a keep-out is skipped by the same read. A priced child is accepted in
+one pass over its target's labels: a label dominating it ends the scan
+before the child is built, and otherwise every label it dominates is
+marked dead, the label list is rebuilt only if one was, and the child
+is appended and pushed. One pass suffices because live labels never
+dominate one another. The same labels pop and the same labels are
+accepted, in the same order, as when every child is priced and offered
+to insert. The rescue path finds a wall of foreign commits by walking
+vertex ids through the same move table and keep-outs.
 """
 
 from __future__ import annotations
@@ -132,12 +140,17 @@ class SolutionQueue:
 
     labels maps a vertex id to its non-empty list of live labels, dead
     holds the seq of every pruned label, and settled[vid] is the least
-    cost of a live 111 label there (inf when none). The rest is the net's
-    search context: moves and vertices (Grid.move_table), counts
-    (Grid.foreign_counts), closed (Grid.keep_outs), hist (Grid.history
-    itself, not a copy), off_guide (Grid.off_guide), and pin_at, per
-    vertex id the frozenset of the net's pin indices covering it (None
-    when none). The module docstring describes how the search uses them.
+    cost of a live 111 label there (inf when none, -inf at a keep-out, so
+    one read skips both). The rest is the net's search context: moves
+    and vertices (Grid.move_table), counts (Grid.foreign_counts), closed
+    (Grid.keep_outs, read by the seeding and the wall walk), hist
+    (Grid.history itself, not a copy), off_guide (Grid.off_guide), and
+    pin_at, per vertex id the frozenset of the net's pin indices covering
+    it (None when none). insert is the one entry for sources;
+    color_state_search runs insert's accept and pop's skip inline, on the
+    same heap. pop has no caller in the package: it stays because
+    perfbench/spans.py wraps it by name. The module docstring describes
+    how the search uses all of these.
     """
 
     def __init__(self, grid: Grid, net: Net):
@@ -147,7 +160,7 @@ class SolutionQueue:
         self.closed = grid.keep_outs(net.id)
         self.hist = grid.history
         self.off_guide = grid.off_guide(net.guide)
-        self.settled = [math.inf] * len(self.vertices)
+        self.settled = [-math.inf if shut else math.inf for shut in self.closed]
         self._heap: list[Label] = []
         self._seq = count()
         self.dead: set[int] = set()
@@ -253,27 +266,28 @@ def color_state_search(queue: SolutionQueue, grid: Grid, net: Net) -> Label:
     """Pop minimum-cost labels until one covers a not-yet-connected pin, and return it.
 
     Every popped label relaxes its vertex's moves from the queue's per-net
-    context, as the module docstring describes. Raises
-    SearchExhaustedError when the queue empties first.
+    context and accepts its children itself, as the module docstring
+    describes. Raises SearchExhaustedError when the queue empties first.
     """
     rules = grid.rules
     stitch_term = rules.beta * rules.stitch_cost
     alpha, gamma = rules.alpha, rules.gamma
     red, green, blue = queue.counts
-    closed, hist, off_guide, settled = queue.closed, queue.hist, queue.off_guide, queue.settled
+    hist, off_guide, settled = queue.hist, queue.off_guide, queue.settled
     moves, labels, pin_at, connected = queue.moves, queue.labels, queue.pin_at, queue.connected
-    pop, insert, next_seq = queue.pop, queue.insert, queue._seq.__next__
-    while True:
-        label = pop()
-        if label is None:
-            raise SearchExhaustedError("solution queue exhausted")
+    heap, dead, next_seq = queue._heap, queue.dead, queue._seq.__next__
+    push, pop = heappush, heappop
+    while heap:
+        label = pop(heap)
+        if label[3] in dead:
+            continue
         cost, v, _, _, held, _ = label
         pins_here = pin_at[v]
         if pins_here is not None and not pins_here <= connected:
             return label
         for direction, dvid, planar, base_trad in moves[v]:
             i = v + dvid
-            if closed[i] or settled[i] <= cost:
+            if settled[i] <= cost:
                 continue
             trad = base_trad + hist[i]
             if off_guide is not None:
@@ -306,15 +320,29 @@ def color_state_search(queue: SolutionQueue, grid: Grid, net: Net) -> Label:
                 best, state = 0.0, held if planar and stitch_term else ALL_COLORS
             child_cost = cost + alpha * trad + best
             bucket = labels.get(i)
-            if bucket is not None:
-                dominated = False
+            if bucket is None:
+                bucket = labels[i] = []
+            else:
+                # insert's one-pass accept, run before the child is built.
+                dominated = pruned = False
                 for ex in bucket:
-                    if ex[0] <= child_cost and (ex[4] & state) == state:
-                        dominated = True
+                    ex_cost, ex_state = ex[0], ex[4]
+                    if ex_cost <= child_cost and (ex_state & state) == state:
+                        dominated = True  # ties keep the incumbent
                         break
+                    if child_cost <= ex_cost and (state & ex_state) == ex_state:
+                        dead.add(ex[3])
+                        pruned = True
                 if dominated:
                     continue
-            insert((child_cost, i, direction, next_seq(), state, label))
+                if pruned:
+                    bucket = labels[i] = [ex for ex in bucket if ex[3] not in dead]
+            child = (child_cost, i, direction, next_seq(), state, label)
+            bucket.append(child)
+            if state == ALL_COLORS:
+                settled[i] = child_cost
+            push(heap, child)
+    raise SearchExhaustedError("solution queue exhausted")
 
 
 def backtrace(

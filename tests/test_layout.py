@@ -1,14 +1,17 @@
 import json
+import math
 from dataclasses import fields, replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tplroute.baseline import route_colorless
 from tplroute.generate import generate_instance
 from tplroute.layout import (
+    COST_RULE_MAX,
     MAX_GRID_VERTICES,
+    RULE_TYPES,
     DesignRules,
     LayoutError,
     layout_from_dict,
@@ -20,6 +23,7 @@ from tplroute.layout import (
 from tplroute.negotiation import route_all
 
 RULE_NAMES = [f.name for f in fields(DesignRules)]
+COST_RULES = [name for name, kind in RULE_TYPES.items() if kind is float]
 
 
 def minimal_dict():
@@ -233,6 +237,42 @@ def test_bad_rule_value_rejected(name, bad):
     data["rules"][name] = bad
     with pytest.raises(LayoutError, match=name):
         layout_from_dict(data)
+
+
+@pytest.mark.parametrize("bad", [math.nextafter(COST_RULE_MAX, math.inf), 1e308])
+@pytest.mark.parametrize("name", COST_RULES)
+def test_cost_rule_above_cap_rejected(name, bad):
+    data = minimal_dict()
+    data["rules"][name] = bad
+    with pytest.raises(LayoutError, match=f"rule {name} must be at most 4096"):
+        layout_from_dict(data)
+
+
+def _cap_draw(rules):
+    # The draw on which alpha = 1e308 once overflowed every path cost to
+    # inf and failed with "net 1: pins [1] unreachable".
+    return generate_instance(
+        seed=1, width=6, height=6, layers=2, num_nets=2, pins_per_net=2,
+        congestion=0.0, rules=rules,
+    )
+
+
+def test_huge_alpha_rejected_before_routing():
+    with pytest.raises(LayoutError, match="rule alpha must be at most 4096"):
+        route_all(_cap_draw(DesignRules(alpha=1e308)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.fixed_dictionaries({name: st.integers(-12, 12) for name in COST_RULES}))
+@example({name: 12 for name in COST_RULES})
+def test_cost_rules_up_to_the_cap_route(exponents):
+    # Each cost rule log-uniform between 2**-12 and the cap: the open
+    # draw routes every net at a finite cost.
+    rules = DesignRules(**{name: 2.0**e for name, e in exponents.items()})
+    layout = _cap_draw(rules)
+    result = route_all(layout)
+    assert sorted(result.routes) == sorted(net.id for net in layout.nets)
+    assert all(math.isfinite(tree.total_cost) for tree in result.routes.values())
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import heapq
+import math
 import random
 
 import pytest
@@ -14,6 +15,7 @@ from tplroute.generate import generate_instance
 from tplroute.layout import DesignRules, Layer, Layout, Net, Pin
 from tplroute.negotiation import route_all
 from tplroute.router import (
+    SearchExhaustedError,
     SolutionQueue,
     UnroutableError,
     _TreeBuilder,
@@ -179,17 +181,26 @@ COST, STATE = 0, 4  # fields of a label tuple
 
 
 def record_pops(monkeypatch, field):
-    """Collect one field of every label SolutionQueue.pop hands out."""
-    seen = []
-    pop = SolutionQueue.pop
+    """Collect one field of every label the search pops.
 
-    def recording_pop(queue):
-        label = pop(queue)
-        if label is not None:
+    A pop is a heappop of a label whose seq is not in the dead set of the
+    queue being searched, the one most recently made.
+    """
+    seen, current = [], []
+    init, pop = SolutionQueue.__init__, router.heappop
+
+    def recording_init(queue, *args):
+        init(queue, *args)
+        current[:] = [queue]
+
+    def recording_pop(heap):
+        label = pop(heap)
+        if label[3] not in current[0].dead:
             seen.append(label[field])
         return label
 
-    monkeypatch.setattr(SolutionQueue, "pop", recording_pop)
+    monkeypatch.setattr(SolutionQueue, "__init__", recording_init)
+    monkeypatch.setattr(router, "heappop", recording_pop)
     return seen
 
 
@@ -281,6 +292,73 @@ def test_pop_skips_pruned_and_never_repeats(ops):
         assert label is min(waiting)
         popped.add(label[3])
     assert queue.pop() is None
+
+
+def _search_instance(seed):
+    """A <= 6x6x2 grid with obstacles, foreign pins and commits, history,
+    an own commit and a guide, and a two-pin net on it."""
+    rng = random.Random(seed)
+    width, height, layers = rng.randint(2, 6), rng.randint(2, 6), rng.randint(1, 2)
+    rules = DesignRules(d_color=rng.randint(1, 3), via_cost=rng.choice([0.0, 4.0]))
+    grid = empty_grid(width, height, ("H", "V")[:layers], rules)
+    cells = [(x, y, l) for l in range(layers) for y in range(height) for x in range(width)]
+    rng.shuffle(cells)
+    src, dst, *rest = cells
+    net = two_pin_net(src, dst)
+    if rng.random() < 0.3:
+        net.guide = [(0, 0, 0, width // 2, height // 2)]
+    register_pins(grid, net)
+    for k, v in enumerate(rest[: len(rest) // 2]):
+        kind = rng.randrange(6)
+        if kind == 0:
+            grid.obstacles.add(v)
+        elif kind == 1:
+            grid.pin_owners[v] = 5
+        elif kind == 2:
+            grid.add_history(v, rng.choice([0.5, 10.0]))
+        else:
+            grid.commit_route(0 if kind == 3 else 6 + k % 2, [(v, rng.choice(COLOR_ORDER))])
+    return grid, net
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10**6))
+def test_search_accept_matches_two_pass_reference(seed):
+    # The search accepts labels itself, in one pass over the target's
+    # bucket. Replayed in push order through the two-pass reference, every
+    # label it pushed is accepted, and the final buckets, dead set and
+    # settled costs agree, with settled at -inf on every keep-out. The
+    # search is run to exhaustion, one returned pin label at a time.
+    grid, net = _search_instance(seed)
+    queue = SolutionQueue(grid, net)
+    src = net.pins[0].covered_vertices[0]
+    pushed, push = [], router.heappush
+
+    def recording_push(heap, label):
+        pushed.append(label)
+        push(heap, label)
+
+    router.heappush = recording_push
+    try:
+        for cost, state in router._seed_labels(grid, queue.counts, src):
+            queue.source(src, cost, state)
+        while True:
+            try:
+                color_state_search(queue, grid, net)
+            except SearchExhaustedError:
+                break
+    finally:
+        router.heappush = push
+
+    reference, pruned = {}, set()
+    for label in pushed:
+        assert _reference_insert(reference, pruned, label)
+    assert queue.labels == {k: bucket for k, bucket in reference.items() if bucket}
+    assert queue.dead == pruned
+    for k, shut in enumerate(queue.closed):
+        full = [ex[0] for ex in reference.get(k, []) if ex[4] == 0b111]
+        assert queue.settled[k] == (-math.inf if shut else min(full, default=math.inf))
+    assert not any(queue.closed[k] for k in reference)
 
 
 def test_source_returns_insert_verdict():
@@ -435,7 +513,7 @@ def _classic_dijkstra(grid, src, dst):
     return None
 
 
-def test_search_relaxation_matches_grid_definitions():
+def test_search_relaxation_matches_grid_definitions(monkeypatch):
     # color_state_search reads the keep-outs, move costs and conflict counts
     # from per-net arrays, and drops a child that a label at its target
     # already dominates. For every usable move of a popped node, either the
@@ -459,11 +537,11 @@ def test_search_relaxation_matches_grid_definitions():
     queue = SolutionQueue(grid, net)
     queue.source((0, 0, 0), 0.0, 0b111)
     popped, children, labels_at_pop = [], {}, {}
-    pop, insert = queue.pop, queue.insert
+    pop, push = router.heappop, router.heappush
 
-    def record_pop():
-        label = pop()
-        if label is not None:
+    def record_pop(heap):
+        label = pop(heap)
+        if label[3] not in queue.dead:
             popped.append(label)
             labels_at_pop[id(label)] = {
                 t: [(ex[0], ex[4]) for ex in queue.labels.get(grid.vid(t), [])]
@@ -471,13 +549,14 @@ def test_search_relaxation_matches_grid_definitions():
             }
         return label
 
-    def record_insert(label):
-        accepted = insert(label)
-        assert accepted  # the search hands insert only labels it accepts
+    def record_push(heap, label):
+        push(heap, label)
+        accepted = any(ex is label for ex in queue.labels[label[1]])
+        assert accepted  # the search pushes only labels it accepts
         children.setdefault(id(label[5]), []).append(label)
-        return accepted
 
-    queue.pop, queue.insert = record_pop, record_insert
+    monkeypatch.setattr(router, "heappop", record_pop)
+    monkeypatch.setattr(router, "heappush", record_push)
     color_state_search(queue, grid, net)
 
     stitch = rules.beta * rules.stitch_cost

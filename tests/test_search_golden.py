@@ -11,9 +11,10 @@ committed grid and the decomposition for ``run_baseline``. A draw on
 which an arm raises ``UnroutableError`` is digested by its message.
 
 A second digest per draw and arm pins the search itself: every label
-``SolutionQueue.pop`` hands out and every label ``SolutionQueue.insert``
-accepts, in order, as (cost, vertex, state, arrival direction or -1,
-predecessor vertex or None). Same pops, same accepted labels, same order.
+the search pops and every label it accepts, in order, observed at the
+router's ``heappop``/``heappush``, as (cost, vertex, state, arrival
+direction or -1, predecessor vertex or None). Same pops, same accepted
+labels, same order.
 
 To re-record: ``PYTHONPATH=src python tests/test_search_golden.py``.
 """
@@ -26,6 +27,7 @@ from tplroute.baseline import run_baseline
 from tplroute.generate import generate_instance
 from tplroute.layout import DesignRules
 from tplroute.negotiation import route_all
+from tplroute import router
 from tplroute.router import SolutionQueue, UnroutableError
 
 # (seed, width, height, layers, num_nets, pins_per_net, congestion, d_color, guided)
@@ -179,29 +181,39 @@ def _label_fields(queue, label):
 
 
 def search_trace_digest(run, layout):
-    """SHA-256 over every pop and every accepted insert of one arm's run."""
-    digest = hashlib.sha256()
-    pop, insert = SolutionQueue.pop, SolutionQueue.insert
+    """SHA-256 over every pop and every accepted label of one arm's run.
 
-    def recording_pop(queue):
-        label = pop(queue)
-        if label is not None:
+    Observed at the heap: each accepted label is pushed once, and a pop
+    is a heappop of a label whose seq is not in the queue's dead set.
+    """
+    digest = hashlib.sha256()
+    init, push, pop = SolutionQueue.__init__, router.heappush, router.heappop
+    current = []
+
+    def recording_init(queue, *args):
+        init(queue, *args)
+        current[:] = [queue]
+
+    def recording_push(heap, label):
+        push(heap, label)
+        digest.update(f"insert {_label_fields(current[0], label)!r}\n".encode())
+
+    def recording_pop(heap):
+        label = pop(heap)
+        queue = current[0]
+        if label[3] not in queue.dead:
             digest.update(f"pop {_label_fields(queue, label)!r}\n".encode())
         return label
 
-    def recording_insert(queue, label):
-        accepted = insert(queue, label)
-        if accepted:
-            digest.update(f"insert {_label_fields(queue, label)!r}\n".encode())
-        return accepted
-
-    SolutionQueue.pop, SolutionQueue.insert = recording_pop, recording_insert
+    SolutionQueue.__init__ = recording_init
+    router.heappush, router.heappop = recording_push, recording_pop
     try:
         run(layout)
     except UnroutableError:
         pass
     finally:
-        SolutionQueue.pop, SolutionQueue.insert = pop, insert
+        SolutionQueue.__init__ = init
+        router.heappush, router.heappop = push, pop
     return digest.hexdigest()
 
 
