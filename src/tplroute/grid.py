@@ -24,6 +24,7 @@ writers: commit_route, rip_up and recolor_vertex.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import IntEnum
 from functools import cache, lru_cache
@@ -280,9 +281,15 @@ class Grid:
         self._spread(v, color, 1)
 
     def add_history(self, v: Vertex, amount: float) -> None:
-        """Add amount to v's history cost; it stays through rip-ups."""
+        """Add amount to v's history cost; it stays through rip-ups.
+
+        amount must be finite and non-negative: the search skips a move
+        before pricing it on the premise that no cost term is negative.
+        """
         if not self.in_bounds(v):
             raise ValueError(f"vertex {v} is off the grid")
+        if not (math.isfinite(amount) and amount >= 0):
+            raise ValueError(f"history amount must be finite and non-negative, got {amount}")
         self.history[self.vid(v)] += amount
 
 

@@ -41,7 +41,10 @@ reads that stays fixed while a net is routed is taken from the grid once
 per net, when route_net makes the net's SolutionQueue: the foreign
 per-mask counts, and the vertex-id arrays of keep-outs (obstacles,
 other nets' pins and commits), history and off-guide penalties, each
-defined in grid.py and read here as it is. The queue is a snapshot, so
+defined in grid.py and read here as it is. When gamma is 0 every
+conflict term is 0 whatever the counts, so the queue reads shared zero
+counts instead and the grid never builds or spreads its own (the
+baseline's colorless pass runs this way). The queue is a snapshot, so
 the grid must not change while it is in use; route_net makes one queue
 per net and does not change the grid while routing it. The move table
 (per vertex id, the on-grid moves as vertex-id offsets with their rule
@@ -49,26 +52,39 @@ costs) is shared by every grid of one shape and move costs. Label sets
 are keyed by vertex id, and the queue keeps, per vertex id, the least
 cost of a label holding all three masks (settled, -inf at keep-outs),
 and the pin indices each vertex id covers (pin_at), so whether a popped
-label covers a pin is one read. A move is skipped before it is priced
-when its target is settled at no more than the popped label's cost:
-every cost term is non-negative, so the child could not be cheaper, and
-a keep-out is skipped by the same read. A priced child is accepted in
-one pass over its target's labels: a label dominating it ends the scan
-before the child is built, and otherwise every label it dominates is
-marked dead, the label list is rebuilt only if one was, and the child
-is appended and pushed. One pass suffices because live labels never
-dominate one another. The same labels pop and the same labels are
-accepted, in the same order, as when every child is priced and offered
-to insert. The rescue path finds a wall of foreign commits by walking
-vertex ids through the same move table and keep-outs.
+label covers a pin is one read. Three tests of the target's settled
+entry, read once per move, decide a child before its target's labels
+are scanned:
+
+- A move is skipped before it is priced when its target is settled at
+  no more than the popped label's cost plus alpha, one floor per pop:
+  trad is at least 1 and every other cost term is non-negative
+  (Grid.add_history refuses a negative amount), so the child could not
+  be cheaper. A keep-out is skipped by the same read.
+- A priced child whose target is settled at no more than its own cost
+  is dominated by the live 111 label there.
+- A 111 child under its target's settled cost is dominated by no live
+  label, so it is accepted without the state tests: every label not
+  cheaper than it is marked dead, and the survivors keep their order.
+
+Any other child is accepted in one pass over its target's labels: a
+label dominating it ends the scan before the child is built, and
+otherwise every label it dominates is marked dead, the label list is
+rebuilt only if one was, and the child is appended and pushed. One pass
+suffices because live labels never dominate one another. The same
+labels pop and the same labels are accepted, in the same order, as when
+every child is priced and offered to insert. The rescue path finds a
+wall of foreign commits by walking vertex ids through the same move
+table and keep-outs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from heapq import heappop, heappush
-from itertools import count
+from itertools import compress, count
 from typing import Sequence
 
 from .color_state import ALL_COLORS, COLOR_ORDER, Color, colors_in, pick_final
@@ -139,14 +155,18 @@ class SolutionQueue:
     """Priority queue of search labels with per-vertex Pareto label sets.
 
     labels maps a vertex id to its non-empty list of live labels, dead
-    holds the seq of every pruned label, and settled[vid] is the least
-    cost of a live 111 label there (inf when none, -inf at a keep-out, so
-    one read skips both). The rest is the net's search context: moves
-    and vertices (Grid.move_table), counts (Grid.foreign_counts), closed
-    (Grid.keep_outs, read by the seeding and the wall walk), hist
-    (Grid.history itself, not a copy), off_guide (Grid.off_guide), and
-    pin_at, per vertex id the frozenset of the net's pin indices covering
-    it (None when none). insert is the one entry for sources;
+    holds the seq of every pruned label, and settled[vid] is the cost of
+    the one live 111 label there (inf when none, -inf at a keep-out, so
+    one read skips both). The search reads a move's entry once and
+    tests it three ways: against the pop's cost plus alpha before
+    pricing, against the child's cost after, and a 111 child under it is
+    accepted without the state tests. The rest is the net's search
+    context: moves and vertices (Grid.move_table), counts
+    (Grid.foreign_counts, or shared zeros when gamma is 0, which every
+    conflict term ignores), closed (Grid.keep_outs, read by the seeding
+    and the wall walk), hist (Grid.history itself, not a copy),
+    off_guide (Grid.off_guide), and pin_at, per vertex id the frozenset
+    of the net's pin indices covering it (None when none). insert is the one entry for sources;
     color_state_search runs insert's accept and pop's skip inline, on the
     same heap. pop has no caller in the package: it stays because
     perfbench/spans.py wraps it by name. The module docstring describes
@@ -156,11 +176,14 @@ class SolutionQueue:
     def __init__(self, grid: Grid, net: Net):
         self._vid = grid.vid
         self.moves, self.vertices = grid.move_table()
-        self.counts = grid.foreign_counts(net.id)
+        n = len(self.vertices)
+        self.counts = grid.foreign_counts(net.id) if grid.rules.gamma else _zero_counts(n)
         self.closed = grid.keep_outs(net.id)
         self.hist = grid.history
         self.off_guide = grid.off_guide(net.guide)
-        self.settled = [-math.inf if shut else math.inf for shut in self.closed]
+        self.settled = [math.inf] * n
+        for vid in compress(range(n), self.closed):
+            self.settled[vid] = -math.inf
         self._heap: list[Label] = []
         self._seq = count()
         self.dead: set[int] = set()
@@ -170,7 +193,7 @@ class SolutionQueue:
             for v in pin.covered_vertices:
                 if grid.in_bounds(v):
                     cover.setdefault(grid.vid(v), set()).add(idx)
-        self.pin_at: list[frozenset[int] | None] = [None] * len(self.vertices)
+        self.pin_at: list[frozenset[int] | None] = [None] * n
         for vid, pins in cover.items():
             self.pin_at[vid] = frozenset(pins)
         self.connected: set[int] = {0}
@@ -242,14 +265,14 @@ class _TreeBuilder:
         into.members.extend(other.members)
         other.members.clear()
 
-    def fix_masks(self, grid: Grid, counts: Sequence[list[int]]) -> None:
+    def fix_masks(self, grid: Grid, counts: Sequence[Sequence[int]]) -> None:
         """Narrow every live segSet's state to its cheapest mask; a fixed one keeps its own."""
         for seg in self.segsets:
             if seg.members:
                 seg.state = int(_cheapest_color(seg, grid, counts))
 
 
-def _cheapest_color(seg: SegSet, grid: Grid, counts: Sequence[list[int]]) -> Color:
+def _cheapest_color(seg: SegSet, grid: Grid, counts: Sequence[Sequence[int]]) -> Color:
     """The segSet's mask with the least summed conflict cost over its members.
 
     counts are the net's foreign red, green and blue counts
@@ -285,9 +308,12 @@ def color_state_search(queue: SolutionQueue, grid: Grid, net: Net) -> Label:
         pins_here = pin_at[v]
         if pins_here is not None and not pins_here <= connected:
             return label
+        # Every child costs at least cost + alpha: trad >= 1, other terms >= 0.
+        floor = cost + alpha
         for direction, dvid, planar, base_trad in moves[v]:
             i = v + dvid
-            if settled[i] <= cost:
+            least = settled[i]
+            if least <= floor:
                 continue
             trad = base_trad + hist[i]
             if off_guide is not None:
@@ -319,9 +345,21 @@ def color_state_search(queue: SolutionQueue, grid: Grid, net: Net) -> Label:
                 # No conflicts: the masks in the held state cost nothing.
                 best, state = 0.0, held if planar and stitch_term else ALL_COLORS
             child_cost = cost + alpha * trad + best
+            if least <= child_cost:
+                continue  # the live 111 label dominates the child
             bucket = labels.get(i)
             if bucket is None:
                 bucket = labels[i] = []
+            elif state == ALL_COLORS:
+                # Nothing live dominates a 111 child under settled, and it
+                # prunes every label not cheaper than itself.
+                pruned = False
+                for ex in bucket:
+                    if child_cost <= ex[0]:
+                        dead.add(ex[3])
+                        pruned = True
+                if pruned:
+                    bucket = labels[i] = [ex for ex in bucket if ex[0] < child_cost]
             else:
                 # insert's one-pass accept, run before the child is built.
                 dominated = pruned = False
@@ -449,7 +487,19 @@ def route_net(net: Net, grid: Grid, *, two_pin_mode: bool = False) -> RouteTree:
     return finalize_colors(tree, grid, net.id, queue.counts)
 
 
-def _seed_labels(grid: Grid, counts: Sequence[list[int]], v: Vertex) -> list[tuple[float, int]]:
+@lru_cache(maxsize=4)
+def _zero_counts(size: int) -> tuple[tuple[int, ...], ...]:
+    """Red, green and blue counts of 0 at every one of size vertex ids.
+
+    A queue reads these instead of Grid.foreign_counts when gamma is 0:
+    every conflict term is then 0 whatever the counts, and the grid never
+    builds or spreads its own. Shared and immutable.
+    """
+    zeros = (0,) * size
+    return zeros, zeros, zeros
+
+
+def _seed_labels(grid: Grid, counts: Sequence[Sequence[int]], v: Vertex) -> list[tuple[float, int]]:
     """Source labels for a start-pin vertex, one per conflict-cost level.
 
     The wire occupies the start vertex too, so its per-color conflict
@@ -520,7 +570,7 @@ def _wall_blockers(
 
 
 def finalize_colors(
-    tree: _TreeBuilder, grid: Grid, net_id: int, counts: Sequence[list[int]]
+    tree: _TreeBuilder, grid: Grid, net_id: int, counts: Sequence[Sequence[int]]
 ) -> RouteTree:
     """Fix each segSet's mask and derive per-vertex colors and stitches.
 

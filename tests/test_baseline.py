@@ -12,6 +12,7 @@ from tplroute.baseline import (
     run_baseline,
 )
 from tplroute.color_state import Color
+from tplroute.grid import Grid
 from tplroute.layout import DesignRules
 from tplroute.negotiation import detect_conflicts
 
@@ -100,6 +101,19 @@ def test_segments_partition_committed_vertices():
             assert v not in seen, f"{v} in two segments"
             seen[v] = s.index
     assert set(seen) == set(grid.committed)
+
+
+def test_colorless_pass_never_builds_conflict_counts(monkeypatch):
+    # gamma is 0 in the colorless pass, so the search reads zero counts
+    # and the grid never builds, copies or spreads its per-mask counts.
+    def refuse(grid, net_id):
+        raise AssertionError("foreign_counts read during the colorless pass")
+
+    monkeypatch.setattr(Grid, "foreign_counts", refuse)
+    layout = congested_layout(1)
+    grid, routes = route_colorless(layout)
+    assert len(routes) == len(layout.nets)
+    assert grid._counts is None
 
 
 def test_greedy_never_beats_exact():

@@ -252,6 +252,16 @@ class TestOccupancy:
                 grid.add_history(v, 5.0)
         assert not any(grid.history)
 
+    def test_add_history_rejects_negative_or_non_finite_amount(self):
+        grid = empty_grid(4, 3, ("H",))
+        for amount in (-5.0, -1e-9, float("inf"), float("-inf"), float("nan")):
+            with pytest.raises(ValueError, match="finite and non-negative"):
+                grid.add_history((1, 1, 0), amount)
+        assert not any(grid.history)
+        grid.add_history((1, 1, 0), 0.0)
+        grid.add_history((1, 1, 0), 2.5)
+        assert grid.history[grid.vid((1, 1, 0))] == 2.5
+
     def test_pin_keep_out(self):
         grid = empty_grid(4, 4, ("H",))
         grid.pin_owners[(1, 1, 0)] = 7

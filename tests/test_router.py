@@ -1,6 +1,7 @@
 import heapq
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -359,6 +360,139 @@ def test_search_accept_matches_two_pass_reference(seed):
         full = [ex[0] for ex in reference.get(k, []) if ex[4] == 0b111]
         assert queue.settled[k] == (-math.inf if shut else min(full, default=math.inf))
     assert not any(queue.closed[k] for k in reference)
+
+
+def _search_to_exhaustion(grid, net):
+    """Seed the net's first pin and search until the queue empties.
+
+    Returns the queue, every label pushed in push order, and every popped
+    label the search expanded (those it returned cover a pin and are not
+    expanded).
+    """
+    queue = SolutionQueue(grid, net)
+    src = net.pins[0].covered_vertices[0]
+    pushed, popped, returned = [], [], set()
+    push, pop = router.heappush, router.heappop
+
+    def recording_push(heap, label):
+        pushed.append(label)
+        push(heap, label)
+
+    def recording_pop(heap):
+        label = pop(heap)
+        if label[3] not in queue.dead:
+            popped.append(label)
+        return label
+
+    router.heappush, router.heappop = recording_push, recording_pop
+    try:
+        for cost, state in router._seed_labels(grid, queue.counts, src):
+            queue.source(src, cost, state)
+        while True:
+            try:
+                returned.add(color_state_search(queue, grid, net)[3])
+            except SearchExhaustedError:
+                break
+    finally:
+        router.heappush, router.heappop = push, pop
+    return queue, pushed, [label for label in popped if label[3] not in returned]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(0, 10**6),
+    st.sampled_from([0.0, 0.5, 1.0, 7.0]),
+    st.sampled_from([0.0, 50.0]),
+    st.sampled_from([0.0, 5.0]),
+)
+def test_search_skips_match_two_pass_reference_under_drawn_rules(seed, alpha, gamma, stitch_cost):
+    # The search skips a move when its target is settled at no more than
+    # the pop's cost plus alpha, drops a priced child settled at no more
+    # than its own cost, accepts a 111 child without the state tests, and
+    # reads zero counts when gamma is 0. Replayed in push order through the
+    # two-pass reference, every pushed label is accepted and the final
+    # buckets, dead set and settled costs agree. Every pushed child is the
+    # oracle's child of its predecessor, and no skip loses one: the
+    # oracle's child of every expanded move is dominated by a live label
+    # at its target when the search ends.
+    grid, net = _search_instance(seed)
+    grid.rules = rules = replace(grid.rules, alpha=alpha, gamma=gamma, stitch_cost=stitch_cost)
+    queue, pushed, expanded = _search_to_exhaustion(grid, net)
+
+    reference, pruned = {}, set()
+    for label in pushed:
+        assert _reference_insert(reference, pruned, label)
+    assert queue.labels == {k: bucket for k, bucket in reference.items() if bucket}
+    assert queue.dead == pruned
+    for k, shut in enumerate(queue.closed):
+        full = [ex[0] for ex in reference.get(k, []) if ex[4] == 0b111]
+        assert queue.settled[k] == (-math.inf if shut else min(full, default=math.inf))
+
+    stitch = rules.beta * rules.stitch_cost
+
+    def oracle_child(node, t):
+        vertex = queue.vertices[node[1]]
+        conflict = oracle.conflict_costs(grid, rules, t, net.id)
+        terms = [
+            conflict[k] + (stitch if t[2] == vertex[2] and not node[4] & c else 0.0)
+            for k, c in enumerate(COLOR_ORDER)
+        ]
+        best = min(terms)
+        cost = node[0] + rules.alpha * oracle.move_cost(grid, rules, vertex, t, net.guide) + best
+        return cost, sum(int(c) for c, term in zip(COLOR_ORDER, terms) if term == best)
+
+    for label in pushed:
+        if label[5] is not None:
+            assert (label[0], label[4]) == oracle_child(label[5], queue.vertices[label[1]])
+    for node in expanded:
+        for t in oracle.neighbors(grid, queue.vertices[node[1]]):
+            if oracle.usable(grid, t, net.id):
+                cost, state = oracle_child(node, t)
+                assert any(
+                    ex[0] <= cost and ex[4] & state == state for ex in queue.labels[grid.vid(t)]
+                ), (node, t)
+    if gamma == 0:
+        assert queue.counts == router._zero_counts(len(queue.vertices))
+        assert grid._counts is None  # the grid never built its counts
+
+
+@pytest.mark.parametrize("stitch_cost", [0.0, 5.0])
+def test_zero_gamma_zero_counts_match_real_counts(monkeypatch, stitch_cost):
+    # With gamma 0 the queue reads shared zero counts and never asks the
+    # grid for its own. Routing each net with the grid's real foreign
+    # counts patched in instead gives the same tree, or the same failure,
+    # and pushes the same labels in the same order.
+    init, push = SolutionQueue.__init__, router.heappush
+    real_counts_seen = 0
+    for seed in range(40):
+        outcomes = []
+        for patched in (False, True):
+            grid, net = _search_instance(seed)
+            grid.rules = replace(grid.rules, gamma=0.0, stitch_cost=stitch_cost)
+            pushed = []
+
+            def init_with_real_counts(queue, grid, net):
+                init(queue, grid, net)
+                queue.counts = grid.foreign_counts(net.id)
+
+            def recording_push(heap, label):
+                pushed.append(label)
+                push(heap, label)
+
+            monkeypatch.setattr(SolutionQueue, "__init__", init_with_real_counts if patched else init)
+            monkeypatch.setattr(router, "heappush", recording_push)
+            try:
+                result = route_net(net, grid)
+            except UnroutableError as exc:
+                result = (str(exc), exc.remaining_pins, exc.blocked_nets, exc.blocked_vertices)
+            if patched:
+                real_counts_seen += any(any(c) for c in grid.foreign_counts(net.id))
+            else:
+                assert grid._counts is None  # nothing built, nothing spread
+            # Each pushed label, its predecessor named by seq.
+            outcomes.append((result, [(*label[:5], label[5] and label[5][3]) for label in pushed]))
+        assert outcomes[0] == outcomes[1], seed
+    assert real_counts_seen >= 10
 
 
 def test_source_returns_insert_verdict():
