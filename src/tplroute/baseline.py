@@ -137,9 +137,20 @@ def greedy_color_component(component: list[int], adj: list[set[int]]) -> dict[in
 def exact_color_component(
     component: list[int], adj: list[set[int]], stitch_adj: list[set[int]]
 ) -> dict[int, Color]:
-    """Exhaustive lexicographic minimum of (conflicts, stitches)."""
+    """Exhaustive lexicographic minimum of (conflicts, stitches).
+
+    Nodes are colored in sorted order, each trying COLOR_ORDER in turn, so
+    of the assignments tied at the minimum the lexicographically least one
+    is found first and kept. Edges to nodes outside component are ignored.
+    """
     nodes = sorted(component)
     pos = {n: i for i, n in enumerate(nodes)}
+    # Per position, the earlier positions it shares a conflict or stitch edge with.
+    earlier_conflicts: list[list[int]] = []
+    earlier_stitches: list[list[int]] = []
+    for i, node in enumerate(nodes):
+        earlier_conflicts.append([pos[n] for n in adj[node] if n in pos and pos[n] < i])
+        earlier_stitches.append([pos[n] for n in stitch_adj[node] if n in pos and pos[n] < i])
     best: tuple[int, int, tuple[int, ...]] | None = None
     assignment: list[int] = [0] * len(nodes)  # COLOR_ORDER indices
 
@@ -150,20 +161,18 @@ def exact_color_component(
         if i == len(nodes):
             best = (conflicts, stitches, tuple(assignment))
             return
-        node = nodes[i]
+        # Earlier neighbours per mask: a conflict for each on the same one,
+        # a stitch for each stitch neighbour on another.
+        same = [0, 0, 0]
+        for j in earlier_conflicts[i]:
+            same[assignment[j]] += 1
+        joined = [0, 0, 0]
+        for j in earlier_stitches[i]:
+            joined[assignment[j]] += 1
+        stitch_total = len(earlier_stitches[i])
         for ci in range(3):
             assignment[i] = ci
-            extra_c = sum(
-                1
-                for n in adj[node]
-                if n in pos and pos[n] < i and assignment[pos[n]] == ci
-            )
-            extra_s = sum(
-                1
-                for n in stitch_adj[node]
-                if n in pos and pos[n] < i and assignment[pos[n]] != ci
-            )
-            walk(i + 1, conflicts + extra_c, stitches + extra_s)
+            walk(i + 1, conflicts + same[ci], stitches + stitch_total - joined[ci])
 
     walk(0, 0, 0)
     assert best is not None

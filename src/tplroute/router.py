@@ -73,9 +73,22 @@ otherwise every label it dominates is marked dead, the label list is
 rebuilt only if one was, and the child is appended and pushed. One pass
 suffices because live labels never dominate one another. The same
 labels pop and the same labels are accepted, in the same order, as when
-every child is priced and offered to insert. The rescue path finds a
-wall of foreign commits by walking vertex ids through the same move
-table and keep-outs.
+every child is priced and offered to insert.
+
+A search whose queue reads the zero counts and has accepted only 111
+labels (SolutionQueue.all_111) runs a plain Dijkstra loop instead (the
+baseline's colorless pass runs this way). Every conflict term is then 0,
+so a move from a 111 label makes a 111 child costing the pop's cost plus
+alpha times trad: every label is 111, and a vertex holds at most one
+live label, the one costing settled. A move passes the same floor, its
+child is accepted only under its target's settled cost, and it replaces
+the live label there, which is marked dead. The same labels pop and are
+accepted, in the same order, as in the loop above, with no mask or
+bucket work. A one-mask source, such as a two-pin-mode re-seed, clears
+the flag, and the queue's later searches run the loop above.
+
+The rescue path finds a wall of foreign commits by walking vertex ids
+through the same move table and keep-outs.
 """
 
 from __future__ import annotations
@@ -166,7 +179,11 @@ class SolutionQueue:
     conflict term ignores), closed (Grid.keep_outs, read by the seeding
     and the wall walk), hist (Grid.history itself, not a copy),
     off_guide (Grid.off_guide), and pin_at, per vertex id the frozenset
-    of the net's pin indices covering it (None when none). insert is the one entry for sources;
+    of the net's pin indices covering it (None when none). all_111 stays
+    True while every label insert has accepted holds all three masks;
+    insert clears it on accepting any other. With the zero counts it
+    selects the search's plain Dijkstra loop, which accepts only 111
+    labels itself. insert is the one entry for sources;
     color_state_search runs insert's accept and pop's skip inline, on the
     same heap. pop has no caller in the package: it stays because
     perfbench/spans.py wraps it by name. The module docstring describes
@@ -197,6 +214,7 @@ class SolutionQueue:
         for vid, pins in cover.items():
             self.pin_at[vid] = frozenset(pins)
         self.connected: set[int] = {0}
+        self.all_111 = True
 
     def insert(self, label: Label) -> bool:
         cost, vid, _, _, state, _ = label
@@ -222,6 +240,8 @@ class SolutionQueue:
         if state == ALL_COLORS:
             # An accepted 111 label undercuts every live one, and prunes it.
             self.settled[vid] = cost
+        else:
+            self.all_111 = False
         heappush(self._heap, label)
         return True
 
@@ -300,6 +320,37 @@ def color_state_search(queue: SolutionQueue, grid: Grid, net: Net) -> Label:
     moves, labels, pin_at, connected = queue.moves, queue.labels, queue.pin_at, queue.connected
     heap, dead, next_seq = queue._heap, queue.dead, queue._seq.__next__
     push, pop = heappush, heappop
+    if queue.all_111 and queue.counts is _zero_counts(len(settled)):
+        # Plain Dijkstra (see the module docstring): a vertex's one live
+        # label is 111 and costs settled.
+        inf = math.inf
+        while heap:
+            label = pop(heap)
+            if label[3] in dead:
+                continue
+            cost, v = label[0], label[1]
+            pins_here = pin_at[v]
+            if pins_here is not None and not pins_here <= connected:
+                return label
+            floor = cost + alpha
+            for direction, dvid, _, base_trad in moves[v]:
+                i = v + dvid
+                least = settled[i]
+                if least <= floor:
+                    continue
+                trad = base_trad + hist[i]
+                if off_guide is not None:
+                    trad += off_guide[i]
+                child_cost = cost + alpha * trad
+                if least <= child_cost:
+                    continue
+                if least != inf:
+                    dead.add(labels[i][0][3])
+                child = (child_cost, i, direction, next_seq(), ALL_COLORS, label)
+                labels[i] = [child]
+                settled[i] = child_cost
+                push(heap, child)
+        raise SearchExhaustedError("solution queue exhausted")
     while heap:
         label = pop(heap)
         if label[3] in dead:
@@ -310,6 +361,8 @@ def color_state_search(queue: SolutionQueue, grid: Grid, net: Net) -> Label:
             return label
         # Every child costs at least cost + alpha: trad >= 1, other terms >= 0.
         floor = cost + alpha
+        # A conflict-free on-layer child keeps the held masks when a stitch costs.
+        free_planar = held if stitch_term else ALL_COLORS
         for direction, dvid, planar, base_trad in moves[v]:
             i = v + dvid
             least = settled[i]
@@ -341,10 +394,11 @@ def color_state_search(queue: SolutionQueue, grid: Grid, net: Net) -> Label:
                     best, state = blue_term, BLUE
                 elif blue_term == best:
                     state |= BLUE
+                child_cost = cost + alpha * trad + best
             else:
                 # No conflicts: the masks in the held state cost nothing.
-                best, state = 0.0, held if planar and stitch_term else ALL_COLORS
-            child_cost = cost + alpha * trad + best
+                state = free_planar if planar else ALL_COLORS
+                child_cost = cost + alpha * trad
             if least <= child_cost:
                 continue  # the live 111 label dominates the child
             bucket = labels.get(i)
@@ -353,12 +407,15 @@ def color_state_search(queue: SolutionQueue, grid: Grid, net: Net) -> Label:
             elif state == ALL_COLORS:
                 # Nothing live dominates a 111 child under settled, and it
                 # prunes every label not cheaper than itself.
-                pruned = False
+                kept = 0
                 for ex in bucket:
                     if child_cost <= ex[0]:
                         dead.add(ex[3])
-                        pruned = True
-                if pruned:
+                    else:
+                        kept += 1
+                if not kept:
+                    bucket.clear()
+                elif kept < len(bucket):
                     bucket = labels[i] = [ex for ex in bucket if ex[0] < child_cost]
             else:
                 # insert's one-pass accept, run before the child is built.
@@ -493,7 +550,8 @@ def _zero_counts(size: int) -> tuple[tuple[int, ...], ...]:
 
     A queue reads these instead of Grid.foreign_counts when gamma is 0:
     every conflict term is then 0 whatever the counts, and the grid never
-    builds or spreads its own. Shared and immutable.
+    builds or spreads its own. Shared and immutable; color_state_search
+    tells them by identity when it selects its plain Dijkstra loop.
     """
     zeros = (0,) * size
     return zeros, zeros, zeros

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 from instances import congested_layout, empty_grid
@@ -11,7 +12,7 @@ from tplroute.baseline import (
     route_colorless,
     run_baseline,
 )
-from tplroute.color_state import Color
+from tplroute.color_state import COLOR_ORDER, Color
 from tplroute.grid import Grid
 from tplroute.layout import DesignRules
 from tplroute.negotiation import detect_conflicts
@@ -136,6 +137,36 @@ def test_greedy_never_beats_exact():
         greedy = greedy_color_component(nodes, adj)
         count = lambda coloring: sum(1 for i, j in edges if coloring[i] == coloring[j])
         assert count(greedy) >= count(exact)
+
+
+def test_exact_coloring_matches_brute_force():
+    # Up to 8 nodes, drawn from 0..11 so some edges leave the node list:
+    # only edges inside it count. The exact colorer returns the least
+    # assignment, in sorted-node order, by (conflicts, stitches, masks).
+    rng = random.Random(11)
+    for _ in range(40):
+        nodes = sorted(rng.sample(range(12), rng.randint(1, 8)))
+        pairs = [(i, j) for i in range(12) for j in range(i + 1, 12)]
+        conflict_edges = [p for p in pairs if rng.random() < 0.3]
+        stitch_edges = [p for p in pairs if p not in conflict_edges and rng.random() < 0.2]
+        adj, stitch_adj = [set() for _ in range(12)], [set() for _ in range(12)]
+        for edges, into in ((conflict_edges, adj), (stitch_edges, stitch_adj)):
+            for i, j in edges:
+                into[i].add(j)
+                into[j].add(i)
+        pos = {n: k for k, n in enumerate(nodes)}
+        inner_conflicts, inner_stitches = (
+            [(pos[i], pos[j]) for i, j in edges if i in pos and j in pos]
+            for edges in (conflict_edges, stitch_edges)
+        )
+        conflicts = lambda a: sum(1 for i, j in inner_conflicts if a[i] == a[j])
+        stitches = lambda a: sum(1 for i, j in inner_stitches if a[i] != a[j])
+        brute = min(
+            itertools.product(range(3), repeat=len(nodes)),
+            key=lambda a: (conflicts(a), stitches(a), a),
+        )
+        exact = exact_color_component(nodes, adj, stitch_adj)
+        assert tuple(COLOR_ORDER.index(exact[n]) for n in nodes) == brute
 
 
 def test_decompose_preserves_geometry():

@@ -362,12 +362,13 @@ def test_search_accept_matches_two_pass_reference(seed):
     assert not any(queue.closed[k] for k in reference)
 
 
-def _search_to_exhaustion(grid, net):
+def _search_to_exhaustion(grid, net, source_state=None):
     """Seed the net's first pin and search until the queue empties.
 
-    Returns the queue, every label pushed in push order, and every popped
-    label the search expanded (those it returned cover a pin and are not
-    expanded).
+    The pin is seeded by _seed_labels, or with one cost-0 label of
+    source_state when one is given. Returns the queue, every label pushed
+    in push order, and every popped label the search expanded (those it
+    returned cover a pin and are not expanded).
     """
     queue = SolutionQueue(grid, net)
     src = net.pins[0].covered_vertices[0]
@@ -386,7 +387,11 @@ def _search_to_exhaustion(grid, net):
 
     router.heappush, router.heappop = recording_push, recording_pop
     try:
-        for cost, state in router._seed_labels(grid, queue.counts, src):
+        if source_state is None:
+            seeds = router._seed_labels(grid, queue.counts, src)
+        else:
+            seeds = [(0.0, source_state)]
+        for cost, state in seeds:
             queue.source(src, cost, state)
         while True:
             try:
@@ -404,20 +409,27 @@ def _search_to_exhaustion(grid, net):
     st.sampled_from([0.0, 0.5, 1.0, 7.0]),
     st.sampled_from([0.0, 50.0]),
     st.sampled_from([0.0, 5.0]),
+    st.sampled_from([None, 0b111, 0b001, 0b010, 0b100]),
 )
-def test_search_skips_match_two_pass_reference_under_drawn_rules(seed, alpha, gamma, stitch_cost):
+def test_search_skips_match_two_pass_reference_under_drawn_rules(
+    seed, alpha, gamma, stitch_cost, source_state
+):
     # The search skips a move when its target is settled at no more than
     # the pop's cost plus alpha, drops a priced child settled at no more
-    # than its own cost, accepts a 111 child without the state tests, and
-    # reads zero counts when gamma is 0. Replayed in push order through the
+    # than its own cost, accepts a 111 child without the state tests,
+    # reads zero counts when gamma is 0, and runs plain Dijkstra when it
+    # also holds only 111 labels. Replayed in push order through the
     # two-pass reference, every pushed label is accepted and the final
-    # buckets, dead set and settled costs agree. Every pushed child is the
-    # oracle's child of its predecessor, and no skip loses one: the
-    # oracle's child of every expanded move is dominated by a live label
-    # at its target when the search ends.
+    # buckets, dead set and settled costs agree, a one-mask source
+    # included. Every pushed child is the oracle's child of its
+    # predecessor, and no skip loses one: the oracle's child of every
+    # expanded move is dominated by a live label at its target when the
+    # search ends.
     grid, net = _search_instance(seed)
     grid.rules = rules = replace(grid.rules, alpha=alpha, gamma=gamma, stitch_cost=stitch_cost)
-    queue, pushed, expanded = _search_to_exhaustion(grid, net)
+    queue, pushed, expanded = _search_to_exhaustion(grid, net, source_state)
+    # The flag says whether every label insert accepted (the sources) is 111.
+    assert queue.all_111 == all(label[4] == 0b111 for label in pushed if label[5] is None)
 
     reference, pruned = {}, set()
     for label in pushed:
@@ -452,7 +464,7 @@ def test_search_skips_match_two_pass_reference_under_drawn_rules(seed, alpha, ga
                     ex[0] <= cost and ex[4] & state == state for ex in queue.labels[grid.vid(t)]
                 ), (node, t)
     if gamma == 0:
-        assert queue.counts == router._zero_counts(len(queue.vertices))
+        assert queue.counts is router._zero_counts(len(queue.vertices))  # the plain loop selects by identity
         assert grid._counts is None  # the grid never built its counts
 
 
