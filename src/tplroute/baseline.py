@@ -11,6 +11,7 @@ i.e. bends and junctions.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import chain
 
 from .color_state import COLOR_ORDER, Color
 from .grid import Grid, half_stencil
@@ -71,26 +72,30 @@ def build_conflict_graph(grid: Grid, rules: DesignRules) -> ConflictGraph:
     Two segments conflict when some vertex pair of different nets lies
     within d_color on one layer, and share a stitch edge when some
     same-net pair is grid-adjacent on one layer. Each edge list is sorted
-    and holds each (i, j) pair once.
+    and holds each (i, j) pair once. The walk reads segment indices from
+    a per-vertex-id array (see _extract_segments).
     """
-    segments = _extract_segments(grid)
-    segment_of = {v: seg.index for seg in segments for v in seg.vertices}
-    committed = grid.committed
-    half = half_stencil(grid.clamp_d_color(rules.d_color))
+    segments, seg_at = _extract_segments(grid)
+    width, height = grid.width, grid.height
+    seg_net = [seg.net_id for seg in segments]
+    half = [(dx, dy, dy * width + dx) for dx, dy in half_stencil(grid.clamp_d_color(rules.d_color))]
     conflicts: set[tuple[int, int]] = set()
     stitches: set[tuple[int, int]] = set()
-    for v, i in segment_of.items():
-        net_id = committed[v][0]
-        x, y, l = v
-        for dx, dy in half:
-            w = (x + dx, y + dy, l)
-            j = segment_of.get(w)
-            if j is not None and committed[w][0] != net_id:
-                conflicts.add((i, j) if i < j else (j, i))
-        for w in ((x + 1, y, l), (x, y + 1, l)):
-            j = segment_of.get(w)
-            if j is not None and j != i and committed[w][0] == net_id:
-                stitches.add((i, j) if i < j else (j, i))
+    for i, seg in enumerate(segments):
+        net_id = seg.net_id
+        for x, y, l in seg.vertices:
+            vid = (l * height + y) * width + x
+            # Every half-stencil offset has dy >= 0, so y + dy >= 0.
+            for dx, dy, offset in half:
+                if 0 <= x + dx < width and y + dy < height:
+                    j = seg_at[vid + offset]
+                    if j >= 0 and seg_net[j] != net_id:
+                        conflicts.add((i, j) if i < j else (j, i))
+            right = seg_at[vid + 1] if x + 1 < width else -1
+            above = seg_at[vid + width] if y + 1 < height else -1
+            for j in (right, above):
+                if j >= 0 and j != i and seg_net[j] == net_id:
+                    stitches.add((i, j) if i < j else (j, i))
     return ConflictGraph(segments, sorted(conflicts), sorted(stitches))
 
 
@@ -184,16 +189,24 @@ def run_baseline(layout: Layout) -> BaselineResult:
     grid, routes = route_colorless(layout)
     graph = build_conflict_graph(grid, layout.rules)
     decomposition = decompose(graph)
+    committed = grid.committed
+    # Only the vertices whose mask changes are written; the colorless pass
+    # commits every vertex RED, so a RED segment writes nothing.
     for segment, color in zip(graph.segments, decomposition.node_colors):
         for v in segment.vertices:
-            grid.recolor_vertex(v, color)
+            if committed[v][1] != color:
+                grid.recolor_vertex(v, color)
+    # A tree's vertices are its net's commits, so it has a stitch only when
+    # one of the net's stitch edges joins two masks.
+    colors = decomposition.node_colors
+    stitched = {graph.segments[i].net_id for i, j in graph.stitch_edges if colors[i] != colors[j]}
     recolored: dict[int, RouteTree] = {}
     for net_id, tree in routes.items():
-        vertex_colors = {v: grid.committed[v][1] for v in tree.vertex_colors}
+        vertex_colors = {v: committed[v][1] for v in tree.vertex_colors}
         recolored[net_id] = replace(
             tree,
             vertex_colors=vertex_colors,
-            stitches=recount_stitches(vertex_colors),
+            stitches=recount_stitches(vertex_colors) if net_id in stitched else [],
         )
     return BaselineResult(grid, recolored, graph, decomposition)
 
@@ -210,7 +223,11 @@ def _adjacency(count: int, edges: list[tuple[int, int]]) -> list[set[int]]:
 def _components(
     count: int, adj: list[set[int]], stitch_adj: list[set[int]]
 ) -> list[list[int]]:
-    """Connected components over conflict and stitch edges combined."""
+    """Connected components over conflict and stitch edges combined.
+
+    Each component is sorted, and they come in the order of their least
+    nodes, so the walk's order within a component does not show.
+    """
     seen: set[int] = set()
     out = []
     for start in range(count):
@@ -222,7 +239,7 @@ def _components(
         while stack:
             node = stack.pop()
             component.append(node)
-            for n in sorted(adj[node] | stitch_adj[node]):
+            for n in chain(adj[node], stitch_adj[node]):
                 if n not in seen:
                     seen.add(n)
                     stack.append(n)
@@ -230,56 +247,56 @@ def _components(
     return out
 
 
-def _extract_segments(grid: Grid) -> list[Segment]:
+def _extract_segments(grid: Grid) -> tuple[list[Segment], list[int]]:
     """Partition committed vertices into maximal straight same-layer runs.
 
     Runs along the layer's preferred axis are taken first (length >= 2);
     leftovers become runs along the other axis, singles included.
+    Segments are ordered by net id, then by first vertex. Also returns,
+    per vertex id, the index of the segment holding it (-1 for none).
+    Every committed vertex must lie on the grid.
     """
-    by_net_layer: dict[tuple[int, int], set[tuple[int, int]]] = {}
-    for (x, y, l), (net_id, _) in grid.committed.items():
-        by_net_layer.setdefault((net_id, l), set()).add((x, y))
+    width, height, layers = grid.width, grid.height, grid.num_layers
+    size = width * height * layers
+    net_at: list[int | None] = [None] * size
+    entries = []
+    for v, (net_id, _) in grid.committed.items():
+        x, y, l = v
+        if not (0 <= x < width and 0 <= y < height and 0 <= l < layers):
+            raise ValueError(f"committed vertex {v} is off the grid")
+        vid = (l * height + y) * width + x
+        net_at[vid] = net_id
+        entries.append((net_id, x, y, l, vid, grid.layer_dirs[l] == "H"))
 
-    raw: list[tuple[int, int, list[Vertex]]] = []
-    for (net_id, layer) in sorted(by_net_layer):
-        points = by_net_layer[(net_id, layer)]
-        horizontal = grid.layer_dirs[layer] == "H"
-        taken: set[tuple[int, int]] = set()
-        for run in _axis_runs(points, along_x=horizontal):
-            if len(run) >= 2:
-                taken.update(run)
-                raw.append((net_id, layer, [(x, y, layer) for x, y in run]))
-        rest = points - taken
-        for run in _axis_runs(rest, along_x=not horizontal):
-            raw.append((net_id, layer, [(x, y, layer) for x, y in run]))
-
-    raw.sort(key=lambda item: (item[0], min(item[2])))
-    return [
-        Segment(index=i, net_id=net_id, layer=layer, vertices=sorted(vertices))
-        for i, (net_id, layer, vertices) in enumerate(raw)
-    ]
-
-
-def _axis_runs(points: set[tuple[int, int]], along_x: bool) -> list[list[tuple[int, int]]]:
-    groups: dict[int, list[int]] = {}
-    for x, y in points:
-        key, pos = (y, x) if along_x else (x, y)
-        groups.setdefault(key, []).append(pos)
-    runs = []
-    for key in sorted(groups):
-        positions = sorted(groups[key])
-        start = prev = positions[0]
-        for p in positions[1:]:
-            if p == prev + 1:
-                prev = p
+    # A run is (net_id, x, y, layer, along_x, length), from its first vertex.
+    runs: list[tuple[int, int, int, int, bool, int]] = []
+    taken = bytearray(size)
+    for preferred in (True, False):
+        for net_id, x, y, l, vid, horizontal in entries:
+            if taken[vid]:
                 continue
-            runs.append(_run_points(key, start, prev, along_x))
-            start = prev = p
-        runs.append(_run_points(key, start, prev, along_x))
-    return runs
+            along_x = horizontal == preferred
+            pos, limit, step = (x, width, 1) if along_x else (y, height, width)
+            if pos and net_at[vid - step] == net_id and not taken[vid - step]:
+                continue  # not the first vertex of its run
+            length = 1
+            while pos + length < limit and net_at[vid + length * step] == net_id and not taken[vid + length * step]:
+                length += 1
+            if preferred and length < 2:
+                continue
+            runs.append((net_id, x, y, l, along_x, length))
+            taken[vid : vid + length * step : step] = b"\x01" * length
+    runs.sort()
 
-
-def _run_points(key: int, start: int, end: int, along_x: bool) -> list[tuple[int, int]]:
-    if along_x:
-        return [(p, key) for p in range(start, end + 1)]
-    return [(key, p) for p in range(start, end + 1)]
+    segments: list[Segment] = []
+    seg_at = [-1] * size
+    for index, (net_id, x, y, l, along_x, length) in enumerate(runs):
+        if along_x:
+            vertices = [(x + k, y, l) for k in range(length)]
+        else:
+            vertices = [(x, y + k, l) for k in range(length)]
+        vid = (l * height + y) * width + x
+        step = 1 if along_x else width
+        seg_at[vid : vid + length * step : step] = [index] * length
+        segments.append(Segment(index=index, net_id=net_id, layer=l, vertices=vertices))
+    return segments, seg_at

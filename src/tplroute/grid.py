@@ -19,7 +19,10 @@ Next to the committed vertex -> (net, color) map, the grid keeps, per
 mask, how many commits lie within the d_color stencil of each vertex, so
 a color cost is one list read rather than a stencil scan. The counts are
 built on the first read and then kept in step by the map's only three
-writers: commit_route, rip_up and recolor_vertex.
+writers: commit_route, rip_up and recolor_vertex. The first two also keep
+each net's committed vertices and a per-vertex-id occupied array in step,
+so a net's keep-outs start from a copy of that array and a rip-up walks
+only the net's own commits.
 """
 
 from __future__ import annotations
@@ -70,7 +73,8 @@ class Grid:
     rules: DesignRules
     obstacles: set[Vertex] = field(default_factory=set)
     # vertex -> (net_id, color). Written only by commit_route, rip_up and
-    # recolor_vertex, which keep _counts in step; a map passed in is copied.
+    # recolor_vertex, which keep _counts, _owned and _occupied in step; a
+    # map passed in is copied.
     committed: dict[Vertex, tuple[int, Color]] = field(default_factory=dict)
     # Per vertex id, the history cost added by negotiation (None: all zeros).
     history: list[float] | None = None
@@ -81,11 +85,21 @@ class Grid:
     _counts: tuple[int, dict[Color, list[int]]] | None = field(
         default=None, init=False, repr=False, compare=False
     )
+    # Per net id, its committed vertices; and per vertex id, 1 where an
+    # in-grid vertex is committed. commit_route and rip_up keep both in step.
+    _owned: dict[int, set[Vertex]] = field(default_factory=dict, init=False, repr=False, compare=False)
+    _occupied: bytearray = field(default_factory=bytearray, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.committed = dict(self.committed)
+        size = self.width * self.height * self.num_layers
         if self.history is None:
-            self.history = [0.0] * (self.width * self.height * self.num_layers)
+            self.history = [0.0] * size
+        self._occupied = bytearray(size)
+        for v, (net_id, _) in self.committed.items():
+            self._owned.setdefault(net_id, set()).add(v)
+            if self.in_bounds(v):
+                self._occupied[self.vid(v)] = 1
 
     @classmethod
     def from_layout(cls, layout: Layout) -> "Grid":
@@ -148,15 +162,16 @@ class Grid:
         """Per vertex id, 1 where net_id may not go, else 0.
 
         The keep-outs are obstacles, other nets' pins and other nets'
-        commits; entries off the grid are ignored.
+        commits; entries off the grid are ignored. Built from the
+        occupied ids with the net's own commits cleared, so only the
+        net's own commits, the obstacles and the pins are walked.
         """
         width, height, layers = self.width, self.height, self.num_layers
-        closed = bytearray(width * height * layers)
-        entries = chain(
-            self.obstacles,
-            [v for v, owner in self.pin_owners.items() if owner != net_id],
-            [v for v, (owner, _) in self.committed.items() if owner != net_id],
-        )
+        closed = bytearray(self._occupied)
+        for x, y, l in self._owned.get(net_id, ()):
+            if 0 <= x < width and 0 <= y < height and 0 <= l < layers:
+                closed[(l * height + y) * width + x] = 0
+        entries = chain(self.obstacles, [v for v, owner in self.pin_owners.items() if owner != net_id])
         for x, y, l in entries:
             if 0 <= x < width and 0 <= y < height and 0 <= l < layers:
                 closed[(l * height + y) * width + x] = 1
@@ -165,10 +180,11 @@ class Grid:
     def off_guide(self, guide: list[tuple[int, int, int, int, int]] | None) -> list[float] | None:
         """Per vertex id, the off-guide penalty: 0 inside a guide box, else the rule's.
 
-        None when there is no guide. Boxes are (layer, x0, y0, x1, y1) with
-        inclusive bounds; the parts off the grid are ignored.
+        None when there is no guide, given as None or as no boxes. Boxes
+        are (layer, x0, y0, x1, y1) with inclusive bounds; the parts off
+        the grid are ignored.
         """
-        if guide is None:
+        if not guide:
             return None
         width, height, layers = self.width, self.height, self.num_layers
         off_guide = [self.rules.off_guide_penalty] * (width * height * layers)
@@ -197,7 +213,7 @@ class Grid:
             for v, (_, color) in self.committed.items():
                 self._spread(v, color, 1)
         counts = self._counts[1]
-        own = self.net_vertices(net_id)
+        own = self._owned.get(net_id)
         if own:
             counts = {c: list(counts[c]) for c in COLOR_ORDER}
             for v in own:
@@ -206,7 +222,7 @@ class Grid:
 
     def net_vertices(self, net_id: int) -> set[Vertex]:
         """The vertices committed to net_id (empty when it has none)."""
-        return {v for v, (owner, _) in self.committed.items() if owner == net_id}
+        return set(self._owned.get(net_id, ()))
 
     def _spread(self, v: Vertex, color: Color, delta: int, counts=None) -> None:
         """Add delta to color's count at every in-grid vertex of v's d_color stencil.
@@ -258,18 +274,35 @@ class Grid:
                 raise CollisionError(
                     f"vertex {v} already committed to net {owner[0]}, not {net_id}"
                 )
+        committed, occupied = self.committed, self._occupied
+        owned = self._owned.setdefault(net_id, set())
+        width, height, layers = self.width, self.height, self.num_layers
+        spread = self._counts is not None
         for v, color in colored_path:
-            old = self.committed.get(v)
-            self.committed[v] = (net_id, color)
-            if old is not None:
+            old = committed.get(v)
+            committed[v] = (net_id, color)
+            if old is None:
+                owned.add(v)
+                x, y, l = v
+                if 0 <= x < width and 0 <= y < height and 0 <= l < layers:
+                    occupied[(l * height + y) * width + x] = 1
+            elif spread:
                 self._spread(v, old[1], -1)
-            self._spread(v, color, 1)
+            if spread:
+                self._spread(v, color, 1)
 
     def rip_up(self, net_id: int) -> None:
         """Free every vertex of a net. History costs stay."""
-        for v in self.net_vertices(net_id):
-            _, color = self.committed.pop(v)
-            self._spread(v, color, -1)
+        committed, occupied = self.committed, self._occupied
+        width, height, layers = self.width, self.height, self.num_layers
+        spread = self._counts is not None
+        for v in self._owned.pop(net_id, ()):
+            _, color = committed.pop(v)
+            x, y, l = v
+            if 0 <= x < width and 0 <= y < height and 0 <= l < layers:
+                occupied[(l * height + y) * width + x] = 0
+            if spread:
+                self._spread(v, color, -1)
 
     def recolor_vertex(self, v: Vertex, color: Color) -> None:
         """Change the committed color of a vertex without moving it."""

@@ -69,7 +69,8 @@ class Net:
     id: int
     name: str
     pins: list[Pin]
-    # Guide boxes as (layer, x0, y0, x1, y1), inclusive bounds.
+    # Guide boxes as (layer, x0, y0, x1, y1), inclusive bounds. None and
+    # an empty list both mean no guide.
     guide: list[tuple[int, int, int, int, int]] | None = None
 
 

@@ -203,7 +203,7 @@ def move_cost(
         if (horizontal and moved_y) or (not horizontal and not moved_y):
             cost += rules.wrong_way_cost
     cost += grid.history[grid.vid(t)]
-    if guide is not None:
+    if guide:  # None and no boxes both mean no guide
         x, y, l = t
         inside = any(
             l == gl and x0 <= x <= x1 and y0 <= y <= y1 for gl, x0, y0, x1, y1 in guide

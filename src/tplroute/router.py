@@ -13,8 +13,18 @@ grouped: a verSet is a run with one identical state, a segSet is a chain
 of verSets whose accumulated state intersection stays non-empty and which
 therefore ends up on a single mask. A stitch exists exactly where a segSet
 had to be closed. Final masks and stitches depend only on segSets, so a
-segSet stores its member vertices directly and its verSets stay implicit
-as the equal-state runs among them.
+segSet stores its member vertex ids directly and its verSets stay
+implicit as the equal-state runs among them.
+
+A net is worked in vertex ids from its seeds to its finished tree.
+route_net seeds the start pin's ids; each search returns a popped label;
+backtrace walks the label's prev chain once, puts each traced id into a
+segSet (keyed by id), re-inserts it through SolutionQueue.insert as a
+cost-0 source tuple, and marks connected the pins its pin_at entry
+names. finalize_colors then picks each segSet's mask from the count
+lists by id, summing nothing when gamma is 0 (every cost is then 0), and
+turns the ids into vertices once, when it builds the RouteTree that the
+caller commits.
 
 Each vertex keeps a Pareto set of (cost, state) labels: a costlier label
 survives if its state is not a subset of a cheaper label's, which is what
@@ -100,7 +110,7 @@ from heapq import heappop, heappush
 from itertools import compress, count
 from typing import Sequence
 
-from .color_state import ALL_COLORS, COLOR_ORDER, Color, colors_in, pick_final
+from .color_state import ALL_COLORS, COLOR_ORDER, Color
 from .grid import Direction, Grid
 from .layout import Net, Vertex
 
@@ -142,13 +152,13 @@ Label = tuple[float, int, "Direction | int", int, int, "Label | None"]
 class SegSet:
     """A chain of verSets forced onto a single final mask.
 
-    members lists the traced vertices; state is the accumulated
+    members lists the traced vertex ids; state is the accumulated
     intersection of their traced states, the one mask once fixed
-    (_TreeBuilder.fix_masks). A segSet emptied by a merge has no members.
+    (_fix_masks). A segSet emptied by a merge has no members.
     """
 
     state: int
-    members: list[Vertex]
+    members: list[int]
 
 
 @dataclass
@@ -205,11 +215,12 @@ class SolutionQueue:
         self._seq = count()
         self.dead: set[int] = set()
         self.labels: dict[int, list[Label]] = {}
+        width, height, layers = grid.width, grid.height, grid.num_layers
         cover: dict[int, set[int]] = {}
         for idx, pin in enumerate(net.pins):
-            for v in pin.covered_vertices:
-                if grid.in_bounds(v):
-                    cover.setdefault(grid.vid(v), set()).add(idx)
+            for x, y, l in pin.covered_vertices:
+                if 0 <= x < width and 0 <= y < height and 0 <= l < layers:
+                    cover.setdefault((l * height + y) * width + x, set()).add(idx)
         self.pin_at: list[frozenset[int] | None] = [None] * n
         for vid, pins in cover.items():
             self.pin_at[vid] = frozenset(pins)
@@ -259,50 +270,45 @@ class SolutionQueue:
 
 
 class _TreeBuilder:
-    """A net's segSets (each state its one mask once fixed), paths and summed cost."""
+    """A net's segSets, traced states, paths and summed cost, in vertex ids.
+
+    segset_of maps a traced vertex id to its segSet, and vertex_states to
+    the state it carried when first traced. finalize_colors turns the ids
+    into vertices once, when it builds the RouteTree.
+    """
 
     def __init__(self) -> None:
-        self.segset_of: dict[Vertex, SegSet] = {}
+        self.segset_of: dict[int, SegSet] = {}
         self.segsets: list[SegSet] = []
-        self.vertex_states: dict[Vertex, int] = {}
-        self.paths: list[list[Vertex]] = []
+        self.vertex_states: dict[int, int] = {}
+        self.paths: list[list[int]] = []
         self.total_cost = 0.0
 
-    def add(self, vertex: Vertex, state: int, seg: SegSet | None = None) -> SegSet:
-        """Put a traced vertex into seg, or into a new segSet when seg is None."""
-        if seg is None:
-            seg = SegSet(state=state, members=[])
-            self.segsets.append(seg)
-        seg.members.append(vertex)
-        self.segset_of[vertex] = seg
-        self.vertex_states.setdefault(vertex, state)
-        return seg
 
-    def merge_segsets(self, into: SegSet, other: SegSet, shared: int) -> None:
-        into.state = shared
-        for v in other.members:
-            self.segset_of[v] = into
-        into.members.extend(other.members)
-        other.members.clear()
+def _fix_masks(segsets: list[SegSet], gamma: float, counts: Sequence[Sequence[int]]) -> None:
+    """Narrow every live segSet's state to its cheapest mask; a fixed one keeps its own.
 
-    def fix_masks(self, grid: Grid, counts: Sequence[Sequence[int]]) -> None:
-        """Narrow every live segSet's state to its cheapest mask; a fixed one keeps its own."""
-        for seg in self.segsets:
-            if seg.members:
-                seg.state = int(_cheapest_color(seg, grid, counts))
-
-
-def _cheapest_color(seg: SegSet, grid: Grid, counts: Sequence[Sequence[int]]) -> Color:
-    """The segSet's mask with the least summed conflict cost over its members.
-
-    counts are the net's foreign red, green and blue counts
-    (Grid.foreign_counts), so a member's cost is gamma times its count.
+    A mask's cost is gamma times the member vertex ids' counts of it,
+    summed (counts are the net's foreign red, green and blue counts,
+    Grid.foreign_counts); ties go RED > GREEN > BLUE, as in pick_final.
+    When gamma is 0 every cost is 0, so the first mask of the state is
+    taken without summing.
     """
-    gamma = grid.rules.gamma
-    ids = [grid.vid(v) for v in seg.members]
-    by_color = dict(zip(COLOR_ORDER, counts))
-    costs = {c: sum(gamma * by_color[c][i] for i in ids) for c in colors_in(seg.state)}
-    return pick_final(seg.state, costs)
+    red, green, blue = counts
+    for seg in segsets:
+        state, members = seg.state, seg.members
+        if not members or not state & (state - 1):
+            continue  # emptied by a merge, or one mask already
+        if not gamma:
+            seg.state = RED if state & RED else GREEN
+            continue
+        best = best_cost = 0
+        for mask, mask_counts in ((RED, red), (GREEN, green), (BLUE, blue)):
+            if state & mask:
+                cost = sum([gamma * mask_counts[i] for i in members])
+                if not best or cost < best_cost:
+                    best, best_cost = mask, cost
+        seg.state = best
 
 
 def color_state_search(queue: SolutionQueue, grid: Grid, net: Net) -> Label:
@@ -419,7 +425,8 @@ def color_state_search(queue: SolutionQueue, grid: Grid, net: Net) -> Label:
                     bucket = labels[i] = [ex for ex in bucket if ex[0] < child_cost]
             else:
                 # insert's one-pass accept, run before the child is built.
-                dominated = pruned = False
+                dominated = False
+                kept = 0
                 for ex in bucket:
                     ex_cost, ex_state = ex[0], ex[4]
                     if ex_cost <= child_cost and (ex_state & state) == state:
@@ -427,10 +434,13 @@ def color_state_search(queue: SolutionQueue, grid: Grid, net: Net) -> Label:
                         break
                     if child_cost <= ex_cost and (state & ex_state) == ex_state:
                         dead.add(ex[3])
-                        pruned = True
+                    else:
+                        kept += 1
                 if dominated:
                     continue
-                if pruned:
+                if not kept:
+                    bucket.clear()
+                elif kept < len(bucket):
                     bucket = labels[i] = [ex for ex in bucket if ex[3] not in dead]
             child = (child_cost, i, direction, next_seq(), state, label)
             bucket.append(child)
@@ -446,56 +456,71 @@ def backtrace(
     tree: _TreeBuilder,
     grid: Grid,
     freeze: bool = False,
-) -> list[Vertex]:
-    """Walk prev links from dst to the tree, grouping vertices into segSets.
+) -> list[int]:
+    """Walk prev links from dst to the tree, grouping vertex ids into segSets.
 
     A predecessor joins the growing segSet while the segSet's accumulated
     state still shares a mask with it (the share becomes the new state);
     otherwise the segSet closes and a fresh one starts, which is where a
     stitch will fall. Hitting a vertex that already belongs to the tree
     merges the two segSets when their states share a mask. All traced
-    vertices are re-inserted as sources at cost 0 so the next search
-    starts from the whole tree.
+    vertex ids are re-inserted as sources at cost 0 so the next search
+    starts from the whole tree, and every pin they cover is marked
+    connected. Returns the traced path's vertex ids, source first.
     """
     # Sources (pin seeds and re-seeded tree labels) are exactly the
     # prev-less labels, so the walk ends at one; a cost == 0 test would
     # misfire when alpha is 0.
-    vertices = queue.vertices
-    trace: list[tuple[Vertex, int]] = []
+    vids: list[int] = []
+    states: list[int] = []
     label: Label | None = dst
     while label is not None:
-        trace.append((vertices[label[1]], label[4]))
+        vids.append(label[1])
+        states.append(label[4])
         label = label[5]
 
-    dst_vertex, dst_state = trace[0]
-    cur_seg = tree.segset_of.get(dst_vertex)
-    if cur_seg is None:
-        cur_seg = tree.add(dst_vertex, dst_state)
-    for vertex, state in trace[1:]:
-        other_seg = tree.segset_of.get(vertex)
+    segset_of, vertex_states = tree.segset_of, tree.vertex_states
+    cur_seg: SegSet | None = None
+    for vid, state in zip(vids, states):
+        other_seg = segset_of.get(vid)
         if other_seg is not None:
-            if other_seg is not cur_seg:
+            if cur_seg is None:
+                cur_seg = other_seg
+            elif other_seg is not cur_seg:
                 shared = cur_seg.state & other_seg.state
                 if shared:
-                    tree.merge_segsets(cur_seg, other_seg, shared)
+                    cur_seg.state = shared
+                    for member in other_seg.members:
+                        segset_of[member] = cur_seg
+                    cur_seg.members.extend(other_seg.members)
+                    other_seg.members.clear()
                 else:
                     # no shared mask: segSet boundary, the junction is a stitch
                     cur_seg = other_seg
+            continue
+        shared = cur_seg.state & state if cur_seg is not None else 0
+        if shared:
+            cur_seg.state = shared
         else:
-            shared = cur_seg.state & state
-            if shared:
-                cur_seg.state = shared
-                tree.add(vertex, state, cur_seg)
-            else:
-                cur_seg = tree.add(vertex, state)
+            cur_seg = SegSet(state, [])
+            tree.segsets.append(cur_seg)
+        cur_seg.members.append(vid)
+        segset_of[vid] = cur_seg
+        vertex_states[vid] = state
 
     if freeze:
-        tree.fix_masks(grid, queue.counts)
+        _fix_masks(tree.segsets, grid.rules.gamma, queue.counts)
 
-    for vertex, state in trace:
-        queue.source(vertex, 0.0, tree.segset_of[vertex].state if freeze else state)
+    insert, next_seq = queue.insert, queue._seq.__next__
+    pin_at, connected = queue.pin_at, queue.connected
+    for vid, state in zip(vids, states):
+        insert((0.0, vid, -1, next_seq(), segset_of[vid].state if freeze else state, None))
+        pins_here = pin_at[vid]
+        if pins_here is not None:
+            connected |= pins_here
 
-    return [vertex for vertex, _ in reversed(trace)]
+    vids.reverse()
+    return vids
 
 
 def route_net(net: Net, grid: Grid, *, two_pin_mode: bool = False) -> RouteTree:
@@ -533,15 +558,10 @@ def route_net(net: Net, grid: Grid, *, two_pin_mode: bool = False) -> RouteTree:
                 blocked_nets=wall_nets,
                 blocked_vertices=wall_vertices,
             ) from None
-        path = backtrace(queue, dst, tree, grid, freeze=two_pin_mode)
-        tree.paths.append(path)
+        tree.paths.append(backtrace(queue, dst, tree, grid, freeze=two_pin_mode))
         tree.total_cost += dst[0]
-        for v in path:
-            pins_here = queue.pin_at[grid.vid(v)]
-            if pins_here is not None:
-                queue.connected |= pins_here
 
-    return finalize_colors(tree, grid, net.id, queue.counts)
+    return finalize_colors(queue, tree, grid, net.id)
 
 
 @lru_cache(maxsize=4)
@@ -627,27 +647,32 @@ def _wall_blockers(
     return set(wall.values()), {queue.vertices[t] for t in wall}
 
 
-def finalize_colors(
-    tree: _TreeBuilder, grid: Grid, net_id: int, counts: Sequence[Sequence[int]]
-) -> RouteTree:
+def finalize_colors(queue: SolutionQueue, tree: _TreeBuilder, grid: Grid, net_id: int) -> RouteTree:
     """Fix each segSet's mask and derive per-vertex colors and stitches.
 
-    _TreeBuilder.fix_masks gives each live segSet the mask of least summed
-    member conflict cost, read from counts (Grid.foreign_counts on the
-    current grid), ties in RED > GREEN > BLUE order; a segSet fixed by a
-    2-pin-mode backtrace keeps its mask.
+    _fix_masks gives each live segSet the mask of least summed member
+    conflict cost, read from the queue's counts (Grid.foreign_counts on
+    the current grid), ties in RED > GREEN > BLUE order; a segSet fixed
+    by a 2-pin-mode backtrace keeps its mask. The tree's vertex ids
+    become vertices here, once.
     """
-    tree.fix_masks(grid, counts)
+    _fix_masks(tree.segsets, grid.rules.gamma, queue.counts)
+    vertices = queue.vertices
     vertex_colors: dict[Vertex, Color] = {}
+    masks = set()
     for seg in tree.segsets:
         if seg.members:
-            vertex_colors.update(dict.fromkeys(seg.members, Color(seg.state)))
+            masks.add(seg.state)
+            color = Color(seg.state)
+            for vid in seg.members:
+                vertex_colors[vertices[vid]] = color
     return RouteTree(
         net_id=net_id,
-        paths=tree.paths,
+        paths=[[vertices[vid] for vid in path] for path in tree.paths],
         vertex_colors=vertex_colors,
-        stitches=recount_stitches(vertex_colors),
-        vertex_states=dict(tree.vertex_states),
+        # A stitch joins two masks, so a one-mask tree has none.
+        stitches=recount_stitches(vertex_colors) if len(masks) > 1 else [],
+        vertex_states={vertices[vid]: state for vid, state in tree.vertex_states.items()},
         total_cost=tree.total_cost,
     )
 

@@ -332,5 +332,7 @@ def test_off_guide_matches_point_check(seed):
         else grid.rules.off_guide_penalty
         for x, y, l in vertices
     ]
-    assert grid.off_guide(guide) == want
+    # No boxes is no guide, as None is: no vertex pays the penalty.
+    assert grid.off_guide(guide) == (want if guide else None)
     assert grid.off_guide(None) is None
+    assert grid.off_guide([]) is None

@@ -11,9 +11,9 @@ from instances import empty_grid, oracle_instance, pressure_instance, register_p
 from tplroute import oracle, router
 from tplroute.baseline import run_baseline
 from tplroute.color_state import COLOR_ORDER, Color, cardinality
-from tplroute.grid import VIA_DIRECTIONS, Direction
-from tplroute.generate import generate_instance
-from tplroute.layout import DesignRules, Layer, Layout, Net, Pin
+from tplroute.grid import VIA_DIRECTIONS, CollisionError, Direction, Grid
+from tplroute.generate import InfeasiblePlacementError, generate_instance
+from tplroute.layout import DesignRules, Layer, Layout, Net, Pin, layout_from_dict, layout_to_dict
 from tplroute.negotiation import route_all
 from tplroute.router import (
     SearchExhaustedError,
@@ -132,30 +132,30 @@ class TestBacktraceSegSets:
             arrival = -1 if label is None else Direction.F
             label = (float(i), grid.vid((i, 0, 0)), arrival, i, state, label)
         tree = _TreeBuilder()
-        path = backtrace(queue, label, tree, grid)
+        path = [queue.vertices[vid] for vid in backtrace(queue, label, tree, grid)]
         live = [s for s in tree.segsets if s.members]
-        return path, tree, live
+        return path, tree, live, queue.vertices
 
     def test_overlapping_states_narrow_to_single_segset(self):
         # prefix 110, suffix 011: one segSet narrowed to 010, no stitch
-        path, tree, segs = self._run_chain([0b111, 0b110, 0b110, 0b011, 0b011])
+        path, tree, segs, _ = self._run_chain([0b111, 0b110, 0b110, 0b011, 0b011])
         assert len(segs) == 1
         assert segs[0].state == 0b010
         assert path == [(i, 0, 0) for i in range(5)]
 
     def test_disjoint_states_split_segsets(self):
         # prefix 100, suffix 011: two segSets, stitch at the boundary
-        _, tree, segs = self._run_chain([0b111, 0b100, 0b100, 0b011, 0b011])
+        _, tree, segs, _ = self._run_chain([0b111, 0b100, 0b100, 0b011, 0b011])
         assert len(segs) == 2
         states = sorted(s.state for s in segs)
         assert states == [0b011, 0b100]
 
     def test_uniform_states_single_verset(self):
-        _, tree, segs = self._run_chain([0b111, 0b111, 0b111])
+        _, tree, segs, vertices = self._run_chain([0b111, 0b111, 0b111])
         assert len(segs) == 1
         # one verSet: every member carries the same traced state
-        assert sorted(segs[0].members) == [(0, 0, 0), (1, 0, 0), (2, 0, 0)]
-        assert {tree.vertex_states[v] for v in segs[0].members} == {0b111}
+        assert sorted(vertices[vid] for vid in segs[0].members) == [(0, 0, 0), (1, 0, 0), (2, 0, 0)]
+        assert {tree.vertex_states[vid] for vid in segs[0].members} == {0b111}
         assert segs[0].state == 0b111
 
     def test_reseeded_nodes_pushed_at_zero_cost(self):
@@ -176,6 +176,20 @@ class TestBacktraceSegSets:
             if cost == 0.0 and arrival == -1 and prev is None
         }
         assert reseeded == {(0, 0, 0), (1, 0, 0), (2, 0, 0)}
+
+    def test_path_to_an_earlier_pin_connects_a_later_pin_it_crosses(self):
+        # Pin 1 sits at the path's end and pin 2 on its way: backtrace marks
+        # every pin the traced vertex ids cover, not only the one reached.
+        grid = empty_grid(5, 1, ("H",))
+        net = Net(id=0, name="n", pins=[Pin(0, [(0, 0, 0)]), Pin(0, [(4, 0, 0)]), Pin(0, [(2, 0, 0)])])
+        register_pins(grid, net)
+        queue = SolutionQueue(grid, net)
+        label = None
+        for x in range(5):
+            label = (float(x), grid.vid((x, 0, 0)), Direction.F if label else -1, 100 + x, 0b111, label)
+        assert queue.connected == {0}
+        backtrace(queue, label, _TreeBuilder(), grid)
+        assert queue.connected == {0, 1, 2}
 
 
 COST, STATE = 0, 4  # fields of a label tuple
@@ -772,6 +786,27 @@ def test_guide_region_steers_route():
     assert tree.total_cost == pytest.approx(14.0)
 
 
+def test_empty_guide_routes_as_no_guide():
+    # validate and layout_to_dict read guide=[] as no guide, so a save and
+    # reload turns [] into None; both must route alike.
+    def routes_text(layout):
+        routes = route_all(layout).routes
+        return repr([(k, t.paths, sorted(t.vertex_colors.items()), t.total_cost) for k, t in sorted(routes.items())])
+
+    texts = []
+    for guide in (None, []):
+        layout = generate_instance(
+            seed=3, width=10, height=10, layers=2, num_nets=4, pins_per_net=3, congestion=0.3
+        )
+        for net in layout.nets:
+            net.guide = guide
+        texts.append(routes_text(layout))
+        texts.append(routes_text(layout_from_dict(layout_to_dict(layout))))
+    assert len(set(texts)) == 1
+    grid = empty_grid(3, 1, ("H",))
+    assert oracle.move_cost(grid, grid.rules, (0, 0, 0), (1, 0, 0), []) == 1.0
+
+
 def test_route_does_not_mutate_grid():
     grid = empty_grid(5, 5, ("H",))
     net = two_pin_net((0, 0, 0), (4, 4, 0))
@@ -846,3 +881,72 @@ def test_multibit_states_appear_during_search():
     register_pins(grid, net)
     tree = route_net(net, grid)
     assert all(cardinality(s) == 3 for s in tree.vertex_states.values())
+
+
+GRID_WRITES = st.lists(
+    st.tuples(
+        st.sampled_from(("commit", "rip_up", "recolor")),
+        st.integers(0, 2),  # net index: the draw's first two nets, then a foreign id
+        st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8), st.integers(0, 1)), min_size=1, max_size=6),
+        st.sampled_from(COLOR_ORDER),
+    ),
+    max_size=16,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 10_000),
+    st.integers(3, 8),
+    st.integers(3, 8),
+    st.integers(1, 2),
+    st.sampled_from((0.0, 0.5, 1.0)),
+    GRID_WRITES,
+)
+def test_queue_context_follows_grid_writes(seed, width, height, layers, congestion, writes):
+    # After each write by the committed map's writers on a generated draw,
+    # every net's queue starts from the grid's keep-outs, which match a
+    # from-scratch scan; settled is -inf exactly there and inf elsewhere;
+    # and pin_at maps each vertex id to the pins covering it.
+    try:
+        layout = generate_instance(
+            seed=seed, width=width, height=height, layers=layers,
+            num_nets=4, pins_per_net=2, congestion=congestion,
+        )
+    except InfeasiblePlacementError:
+        return
+    grid = Grid.from_layout(layout)
+    _, vertices = grid.move_table()
+    covers = {
+        net.id: [
+            frozenset(k for k, pin in enumerate(net.pins) if v in pin.covered_vertices) or None
+            for v in vertices
+        ]
+        for net in layout.nets
+    }
+
+    def check():
+        for net in layout.nets:
+            queue = SolutionQueue(grid, net)
+            keep_outs = grid.keep_outs(net.id)
+            assert queue.closed == keep_outs
+            assert [bool(c) for c in keep_outs] == [not oracle.usable(grid, v, net.id) for v in vertices]
+            assert queue.settled == [-math.inf if c else math.inf for c in keep_outs]
+            assert queue.pin_at == covers[net.id]
+
+    check()
+    net_ids = [layout.nets[0].id, layout.nets[1].id, 90]
+    for kind, which, cells, color in writes:
+        # Folded onto the grid and the track just past its far edges, where
+        # (width, y) would alias (0, y + 1) by the vid formula.
+        cells = [(x % (width + 1), y % (height + 1), l % layers) for x, y, l in cells]
+        if kind == "commit":
+            try:
+                grid.commit_route(net_ids[which], [(v, color) for v in dict.fromkeys(cells)])
+            except CollisionError:
+                pass
+        elif kind == "rip_up":
+            grid.rip_up(net_ids[which])
+        elif cells[0] in grid.committed:
+            grid.recolor_vertex(cells[0], color)
+        check()
