@@ -254,16 +254,13 @@ def _extract_segments(grid: Grid) -> tuple[list[Segment], list[int]]:
     leftovers become runs along the other axis, singles included.
     Segments are ordered by net id, then by first vertex. Also returns,
     per vertex id, the index of the segment holding it (-1 for none).
-    Every committed vertex must lie on the grid.
     """
-    width, height, layers = grid.width, grid.height, grid.num_layers
-    size = width * height * layers
+    width, height = grid.width, grid.height
+    size = width * height * grid.num_layers
     net_at: list[int | None] = [None] * size
     entries = []
     for v, (net_id, _) in grid.committed.items():
         x, y, l = v
-        if not (0 <= x < width and 0 <= y < height and 0 <= l < layers):
-            raise ValueError(f"committed vertex {v} is off the grid")
         vid = (l * height + y) * width + x
         net_at[vid] = net_id
         entries.append((net_id, x, y, l, vid, grid.layer_dirs[l] == "H"))

@@ -15,14 +15,22 @@ Each grid fact the router reads is defined once here, per vertex id
 (PathFinder-style negotiation, McMurchie & Ebeling, FPGA 1995), a
 guide's off_guide penalties, and the d_color stencils.
 
+A grid's geometry is checked once, when it is built, and trusted after:
+construction raises ValueError for an obstacle, pin or commit off the
+grid, a pin on an obstacle, a commit on an obstacle or another net's pin,
+or a history whose length is not the vertex count. obstacles is a
+frozenset and pin_owners a copy; a grid with other geometry is a new grid
+(dataclasses.replace). Past these checks and commit_route's, no reader
+tests whether an entry lies on the grid.
+
 Next to the committed vertex -> (net, color) map, the grid keeps, per
 mask, how many commits lie within the d_color stencil of each vertex, so
 a color cost is one list read rather than a stencil scan. The counts are
 built on the first read and then kept in step by the map's only three
 writers: commit_route, rip_up and recolor_vertex. The first two also keep
-each net's committed vertices and a per-vertex-id occupied array in step,
-so a net's keep-outs start from a copy of that array and a rip-up walks
-only the net's own commits.
+each net's committed vertices and one per-vertex-id keep-out template (1
+at every obstacle, pin and commit) in step, so a net's keep-outs are a
+copy of the template with its own commits and pins cleared.
 """
 
 from __future__ import annotations
@@ -71,10 +79,10 @@ class Grid:
     height: int
     layer_dirs: list[str]  # "H" or "V" per layer
     rules: DesignRules
-    obstacles: set[Vertex] = field(default_factory=set)
+    obstacles: frozenset[Vertex] = frozenset()
     # vertex -> (net_id, color). Written only by commit_route, rip_up and
-    # recolor_vertex, which keep _counts, _owned and _occupied in step; a
-    # map passed in is copied.
+    # recolor_vertex, which keep _counts, _owned and _blocked in step; a
+    # map passed in is committed through commit_route, in its order.
     committed: dict[Vertex, tuple[int, Color]] = field(default_factory=dict)
     # Per vertex id, the history cost added by negotiation (None: all zeros).
     history: list[float] | None = None
@@ -85,35 +93,45 @@ class Grid:
     _counts: tuple[int, dict[Color, list[int]]] | None = field(
         default=None, init=False, repr=False, compare=False
     )
-    # Per net id, its committed vertices; and per vertex id, 1 where an
-    # in-grid vertex is committed. commit_route and rip_up keep both in step.
+    # Per net id, its committed vertices and its pins' vertex ids; and per
+    # vertex id, 1 at every obstacle, pin and commit (the keep-out template).
     _owned: dict[int, set[Vertex]] = field(default_factory=dict, init=False, repr=False, compare=False)
-    _occupied: bytearray = field(default_factory=bytearray, init=False, repr=False, compare=False)
+    _pin_vids: dict[int, list[int]] = field(default_factory=dict, init=False, repr=False, compare=False)
+    _blocked: bytearray = field(default_factory=bytearray, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.committed = dict(self.committed)
         size = self.width * self.height * self.num_layers
+        self.obstacles = frozenset(self.obstacles)
+        self.pin_owners = dict(self.pin_owners)
         if self.history is None:
             self.history = [0.0] * size
-        self._occupied = bytearray(size)
-        for v, (net_id, _) in self.committed.items():
-            self._owned.setdefault(net_id, set()).add(v)
-            if self.in_bounds(v):
-                self._occupied[self.vid(v)] = 1
+        elif len(self.history) != size:
+            raise ValueError(f"history has {len(self.history)} entries for {size} vertices")
+        blocked = self._blocked = bytearray(size)
+        for v in chain(self.obstacles, self.pin_owners):
+            if not self.in_bounds(v):
+                raise ValueError(f"obstacle or pin vertex {v} is off the grid")
+            blocked[self.vid(v)] = 1
+        if not self.obstacles.isdisjoint(self.pin_owners):
+            raise ValueError(f"pin vertices {sorted(self.obstacles & self.pin_owners.keys())} sit on obstacles")
+        for v, net_id in self.pin_owners.items():
+            self._pin_vids.setdefault(net_id, []).append(self.vid(v))
+        committed, self.committed = self.committed, {}
+        for v, (net_id, color) in committed.items():
+            try:
+                self.commit_route(net_id, [(v, color)])
+            except CollisionError as exc:
+                raise ValueError(str(exc)) from None
 
     @classmethod
     def from_layout(cls, layout: Layout) -> "Grid":
-        pin_owners: dict[Vertex, int] = {}
-        for net in layout.nets:
-            for pin in net.pins:
-                for v in pin.covered_vertices:
-                    pin_owners[v] = net.id
+        pin_owners = {v: net.id for net in layout.nets for pin in net.pins for v in pin.covered_vertices}
         return cls(
             width=layout.width,
             height=layout.height,
             layer_dirs=[layer.preferred_direction for layer in layout.layers],
             rules=layout.rules,
-            obstacles=set(layout.obstacles),
+            obstacles=frozenset(layout.obstacles),
             pin_owners=pin_owners,
         )
 
@@ -159,22 +177,16 @@ class Grid:
         return _move_table(self.width, self.height, tuple(self.layer_dirs), _base_trad(self.rules))
 
     def keep_outs(self, net_id: int) -> bytearray:
-        """Per vertex id, 1 where net_id may not go, else 0.
+        """Per vertex id, 1 at an obstacle or another net's pin or commit, else 0.
 
-        The keep-outs are obstacles, other nets' pins and other nets'
-        commits; entries off the grid are ignored. Built from the
-        occupied ids with the net's own commits cleared, so only the
-        net's own commits, the obstacles and the pins are walked.
+        A copy of the grid's template with the net's own commits and pins cleared.
         """
-        width, height, layers = self.width, self.height, self.num_layers
-        closed = bytearray(self._occupied)
+        width, height = self.width, self.height
+        closed = bytearray(self._blocked)
         for x, y, l in self._owned.get(net_id, ()):
-            if 0 <= x < width and 0 <= y < height and 0 <= l < layers:
-                closed[(l * height + y) * width + x] = 0
-        entries = chain(self.obstacles, [v for v, owner in self.pin_owners.items() if owner != net_id])
-        for x, y, l in entries:
-            if 0 <= x < width and 0 <= y < height and 0 <= l < layers:
-                closed[(l * height + y) * width + x] = 1
+            closed[(l * height + y) * width + x] = 0
+        for vid in self._pin_vids.get(net_id, ()):
+            closed[vid] = 0
         return closed
 
     def off_guide(self, guide: list[tuple[int, int, int, int, int]] | None) -> list[float] | None:
@@ -234,8 +246,6 @@ class Grid:
             return
         d_color, own = self._counts
         x, y, l = v
-        if not 0 <= l < self.num_layers:
-            return
         width, height = self.width, self.height
         lst = (counts or own)[color]
         base = l * height
@@ -262,21 +272,28 @@ class Grid:
     def commit_route(self, net_id: int, colored_path: list[tuple[Vertex, Color]]) -> None:
         """Mark vertices committed to net_id with their final colors.
 
-        Re-commits by the same net are idempotent; touching another net's
-        vertex is a logic error, not a design-rule conflict. Every vertex
-        is checked before any is written, so a rejected path commits nothing.
+        Re-commits by the same net are idempotent. An off-grid vertex
+        raises ValueError; an obstacle, another net's pin or another net's
+        commit is a logic error, not a design-rule conflict, and raises
+        CollisionError. Every vertex is checked before any is written, so
+        a rejected path commits nothing.
         """
-        for v, _ in colored_path:
-            if v in self.obstacles:
-                raise CollisionError(f"vertex {v} is an obstacle")
-            owner = self.committed.get(v)
-            if owner is not None and owner[0] != net_id:
-                raise CollisionError(
-                    f"vertex {v} already committed to net {owner[0]}, not {net_id}"
-                )
-        committed, occupied = self.committed, self._occupied
-        owned = self._owned.setdefault(net_id, set())
+        committed, pin_owners, obstacles = self.committed, self.pin_owners, self.obstacles
         width, height, layers = self.width, self.height, self.num_layers
+        for v, _ in colored_path:
+            x, y, l = v
+            if not (0 <= x < width and 0 <= y < height and 0 <= l < layers):
+                raise ValueError(f"vertex {v} is off the grid")
+            if v in obstacles:
+                raise CollisionError(f"vertex {v} is an obstacle")
+            pin_owner = pin_owners.get(v, net_id)
+            if pin_owner != net_id:
+                raise CollisionError(f"vertex {v} is a pin of net {pin_owner}, not {net_id}")
+            owner = committed.get(v)
+            if owner is not None and owner[0] != net_id:
+                raise CollisionError(f"vertex {v} already committed to net {owner[0]}, not {net_id}")
+        blocked = self._blocked
+        owned = self._owned.setdefault(net_id, set())
         spread = self._counts is not None
         for v, color in colored_path:
             old = committed.get(v)
@@ -284,25 +301,25 @@ class Grid:
             if old is None:
                 owned.add(v)
                 x, y, l = v
-                if 0 <= x < width and 0 <= y < height and 0 <= l < layers:
-                    occupied[(l * height + y) * width + x] = 1
+                blocked[(l * height + y) * width + x] = 1
             elif spread:
                 self._spread(v, old[1], -1)
             if spread:
                 self._spread(v, color, 1)
 
     def rip_up(self, net_id: int) -> None:
-        """Free every vertex of a net. History costs stay."""
-        committed, occupied = self.committed, self._occupied
-        width, height, layers = self.width, self.height, self.num_layers
+        """Free every vertex of a net; its pins stay keep-outs. History costs stay."""
+        committed, blocked = self.committed, self._blocked
+        width, height = self.width, self.height
         spread = self._counts is not None
         for v in self._owned.pop(net_id, ()):
             _, color = committed.pop(v)
             x, y, l = v
-            if 0 <= x < width and 0 <= y < height and 0 <= l < layers:
-                occupied[(l * height + y) * width + x] = 0
+            blocked[(l * height + y) * width + x] = 0
             if spread:
                 self._spread(v, color, -1)
+        for vid in self._pin_vids.get(net_id, ()):
+            blocked[vid] = 1
 
     def recolor_vertex(self, v: Vertex, color: Color) -> None:
         """Change the committed color of a vertex without moving it."""

@@ -153,12 +153,7 @@ def layout_from_dict(data: dict) -> Layout:
     raw_layers = _array(_require(grid, "layers", "grid"), "grid layers")
     if not raw_layers:
         raise LayoutError("grid needs at least one layer")
-    layers = []
-    for i, entry in enumerate(raw_layers):
-        d = _require(entry, "dir", f"layer {i}")
-        if d not in ("H", "V"):
-            raise LayoutError(f"layer {i} direction must be 'H' or 'V', got {d!r}")
-        layers.append(Layer(index=i, preferred_direction=d))
+    layers = [Layer(i, _require(entry, "dir", f"layer {i}")) for i, entry in enumerate(raw_layers)]
 
     raw_rules = _object(_require(data, "rules", "layout"), "rules")
     rules = DesignRules(
@@ -243,6 +238,9 @@ def validate(layout: Layout) -> list[str]:
             f"grid {layout.width}x{layout.height}x{layout.num_layers} has more than"
             f" {MAX_GRID_VERTICES} vertices"
         )
+    for layer in layout.layers:
+        if layer.preferred_direction not in ("H", "V"):
+            problems.append(f"layer {layer.index} direction must be 'H' or 'V', got {layer.preferred_direction!r}")
     for a, b in zip(layout.layers, layout.layers[1:]):
         if a.preferred_direction == b.preferred_direction:
             problems.append(

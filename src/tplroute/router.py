@@ -179,25 +179,14 @@ class SolutionQueue:
 
     labels maps a vertex id to its non-empty list of live labels, dead
     holds the seq of every pruned label, and settled[vid] is the cost of
-    the one live 111 label there (inf when none, -inf at a keep-out, so
-    one read skips both). The search reads a move's entry once and
-    tests it three ways: against the pop's cost plus alpha before
-    pricing, against the child's cost after, and a 111 child under it is
-    accepted without the state tests. The rest is the net's search
-    context: moves and vertices (Grid.move_table), counts
-    (Grid.foreign_counts, or shared zeros when gamma is 0, which every
-    conflict term ignores), closed (Grid.keep_outs, read by the seeding
-    and the wall walk), hist (Grid.history itself, not a copy),
-    off_guide (Grid.off_guide), and pin_at, per vertex id the frozenset
-    of the net's pin indices covering it (None when none). all_111 stays
-    True while every label insert has accepted holds all three masks;
-    insert clears it on accepting any other. With the zero counts it
-    selects the search's plain Dijkstra loop, which accepts only 111
-    labels itself. insert is the one entry for sources;
-    color_state_search runs insert's accept and pop's skip inline, on the
-    same heap. pop has no caller in the package: it stays because
-    perfbench/spans.py wraps it by name. The module docstring describes
-    how the search uses all of these.
+    the one live 111 label there (inf when none, -inf at a keep-out).
+    The rest is the net's search context, taken from the grid once:
+    moves and vertices (Grid.move_table), counts (Grid.foreign_counts, or
+    shared zeros when gamma is 0), closed (Grid.keep_outs), hist
+    (Grid.history itself), off_guide (Grid.off_guide), and pin_at, per
+    vertex id the frozenset of the net's pin indices covering it (None
+    when none). all_111 stays True while every accepted label holds all
+    three masks. A net pin off the grid raises ValueError.
     """
 
     def __init__(self, grid: Grid, net: Net):
@@ -215,12 +204,12 @@ class SolutionQueue:
         self._seq = count()
         self.dead: set[int] = set()
         self.labels: dict[int, list[Label]] = {}
-        width, height, layers = grid.width, grid.height, grid.num_layers
         cover: dict[int, set[int]] = {}
         for idx, pin in enumerate(net.pins):
-            for x, y, l in pin.covered_vertices:
-                if 0 <= x < width and 0 <= y < height and 0 <= l < layers:
-                    cover.setdefault((l * height + y) * width + x, set()).add(idx)
+            for v in pin.covered_vertices:
+                if not grid.in_bounds(v):
+                    raise ValueError(f"net {net.id} pin {idx} vertex {v} is off the grid")
+                cover.setdefault(grid.vid(v), set()).add(idx)
         self.pin_at: list[frozenset[int] | None] = [None] * n
         for vid, pins in cover.items():
             self.pin_at[vid] = frozenset(pins)
@@ -261,6 +250,7 @@ class SolutionQueue:
         return self.insert((cost, self._vid(vertex), -1, next(self._seq), state, None))
 
     def pop(self) -> Label | None:
+        """The least live label, or None. The search pops inline; perfbench/spans.py wraps this by name."""
         heap, dead = self._heap, self.dead
         while heap:
             label = heappop(heap)
@@ -540,7 +530,7 @@ def route_net(net: Net, grid: Grid, *, two_pin_mode: bool = False) -> RouteTree:
     queue = SolutionQueue(grid, net)
     tree = _TreeBuilder()
     for v in net.pins[0].covered_vertices:
-        if grid.in_bounds(v) and not queue.closed[grid.vid(v)]:
+        if not queue.closed[grid.vid(v)]:
             for cost, state in _seed_labels(grid, queue.counts, v):
                 queue.source(v, cost, state)
 
@@ -623,12 +613,8 @@ def _wall_blockers(
     through the queue's move table and keep-out array.
     """
     moves, closed = queue.moves, queue.closed
-    stack = [
-        grid.vid(v)
-        for idx in remaining
-        for v in net.pins[idx].covered_vertices
-        if grid.in_bounds(v) and not closed[grid.vid(v)]
-    ]
+    pins = (grid.vid(v) for idx in remaining for v in net.pins[idx].covered_vertices)
+    stack = [vid for vid in pins if not closed[vid]]
     pocket = set(stack)
     while stack:
         v = stack.pop()

@@ -5,18 +5,20 @@ from __future__ import annotations
 import random
 from dataclasses import replace
 
+import pytest
+
 from tplroute.color_state import COLOR_ORDER, Color
 from tplroute.generate import generate_instance
-from tplroute.grid import Grid
+from tplroute.grid import CollisionError, Grid
 from tplroute.layout import DesignRules, Layer, Layout, Net, Pin
 from tplroute.oracle import usable
 
 
-def empty_grid(width, height, layer_dirs=("H",), rules=None):
+def empty_grid(width, height, layer_dirs=("H",), rules=None, obstacles=()):
     layers = [Layer(i, d) for i, d in enumerate(layer_dirs)]
     layout = Layout(
         width=width, height=height, layers=layers,
-        rules=rules or DesignRules(), nets=[],
+        rules=rules or DesignRules(), obstacles=set(obstacles), nets=[],
     )
     return Grid.from_layout(layout)
 
@@ -29,9 +31,34 @@ def two_pin_net(src, dst, net_id=0):
 
 
 def register_pins(grid, net):
-    for pin in net.pins:
-        for v in pin.covered_vertices:
-            grid.pin_owners[v] = net.id
+    """A copy of grid with net's pin vertices added to its pin owners."""
+    pins = {v: net.id for pin in net.pins for v in pin.covered_vertices}
+    return replace(grid, pin_owners=grid.pin_owners | pins)
+
+
+def commit_or_refusal(grid, net_id, path):
+    """Commit path to net_id, or check that commit_route refuses it and writes nothing.
+
+    The first vertex the raw data rules out names the refusal: ValueError
+    off the grid, CollisionError on an obstacle or on another net's pin or
+    commit (oracle.usable). Returns whether the path was committed.
+    """
+    refusal = None
+    for v, _ in path:
+        if not grid.in_bounds(v):
+            refusal = ValueError
+        elif not usable(grid, v, net_id):
+            refusal = CollisionError
+        if refusal:
+            break
+    if refusal is None:
+        grid.commit_route(net_id, path)
+        return True
+    before = dict(grid.committed), grid.net_vertices(net_id), grid.keep_outs(net_id)
+    with pytest.raises(refusal):
+        grid.commit_route(net_id, path)
+    assert (dict(grid.committed), grid.net_vertices(net_id), grid.keep_outs(net_id)) == before
+    return False
 
 
 def oracle_instance(seed):
@@ -83,7 +110,7 @@ def oracle_instance(seed):
         return None
     dst = rng.choice(far)
     net = two_pin_net(src, dst)
-    register_pins(grid, net)
+    grid = register_pins(grid, net)
     return grid, net, rules, src, dst
 
 
@@ -121,7 +148,7 @@ def pressure_instance(seed):
             fid += 1
     pin_vertices = [(0, 3, 0), (10, 3, 0), (bx1, 0, 0), (bx2, 0, 0)]
     net = Net(id=0, name="n0", pins=[Pin(0, [p]) for p in pin_vertices])
-    register_pins(grid, net)
+    grid = register_pins(grid, net)
     return grid, net
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from instances import empty_grid
+from instances import commit_or_refusal, empty_grid
 from tplroute import oracle
 from tplroute.color_state import COLOR_ORDER, Color
 from tplroute.grid import VIA_DIRECTIONS, CollisionError, Direction
@@ -26,14 +26,12 @@ def test_neighbors_corner_single_layer():
 
 
 def test_neighbors_ringed_by_obstacles():
-    grid = empty_grid(3, 3, ("H",))
-    grid.obstacles |= {(0, 1, 0), (2, 1, 0), (1, 0, 0), (1, 2, 0)}
+    grid = empty_grid(3, 3, ("H",), obstacles={(0, 1, 0), (2, 1, 0), (1, 0, 0), (1, 2, 0)})
     assert oracle.neighbors(grid, (1, 1, 0)) == []
 
 
 def test_neighbors_never_out_of_bounds_or_obstacle():
-    grid = empty_grid(5, 4, ("H", "V"))
-    grid.obstacles |= {(2, 2, 0), (0, 1, 1)}
+    grid = empty_grid(5, 4, ("H", "V"), obstacles={(2, 2, 0), (0, 1, 1)})
     for l in range(2):
         for y in range(4):
             for x in range(5):
@@ -263,10 +261,46 @@ class TestOccupancy:
         assert grid.history[grid.vid((1, 1, 0))] == 2.5
 
     def test_pin_keep_out(self):
-        grid = empty_grid(4, 4, ("H",))
-        grid.pin_owners[(1, 1, 0)] = 7
+        grid = replace(empty_grid(4, 4, ("H",)), pin_owners={(1, 1, 0): 7})
         assert grid.keep_outs(0)[grid.vid((1, 1, 0))] == 1
         assert grid.keep_outs(7)[grid.vid((1, 1, 0))] == 0
+
+    def test_rip_up_keeps_own_pin_a_foreign_keep_out(self):
+        grid = replace(empty_grid(4, 4, ("H",)), pin_owners={(1, 1, 0): 7})
+        grid.commit_route(7, [((1, 1, 0), Color.RED), ((2, 1, 0), Color.RED)])
+        grid.rip_up(7)
+        assert grid.keep_outs(0)[grid.vid((1, 1, 0))] == 1
+        assert grid.keep_outs(0)[grid.vid((2, 1, 0))] == 0
+
+    def test_commit_refuses_foreign_pin_and_off_grid_vertex(self):
+        grid = replace(empty_grid(4, 3, ("H", "V"), obstacles={(3, 2, 1)}), pin_owners={(1, 1, 0): 7})
+        before = dict(grid.committed), bytes(grid.keep_outs(0))
+        with pytest.raises(CollisionError, match="pin of net 7"):
+            grid.commit_route(0, [((0, 1, 0), Color.RED), ((1, 1, 0), Color.RED)])
+        with pytest.raises(CollisionError, match="obstacle"):
+            grid.commit_route(0, [((0, 1, 0), Color.RED), ((3, 2, 1), Color.RED)])
+        # (4, 0, 0) would alias (0, 1, 0) by the vid formula.
+        for v in ((4, 0, 0), (-1, 0, 0), (0, 3, 1), (0, 0, 2)):
+            with pytest.raises(ValueError, match="off the grid"):
+                grid.commit_route(0, [((0, 1, 0), Color.RED), (v, Color.RED)])
+        assert (dict(grid.committed), bytes(grid.keep_outs(0))) == before
+
+
+@pytest.mark.parametrize(
+    "fields, match",
+    [
+        (dict(obstacles={(4, 0, 0)}), r"vertex \(4, 0, 0\) is off the grid"),
+        (dict(pin_owners={(0, 3, 0): 1}), "off the grid"),
+        (dict(committed={(0, 0, 2): (1, Color.RED)}), "off the grid"),
+        (dict(obstacles={(1, 1, 0)}, pin_owners={(1, 1, 0): 1}), "sit on obstacles"),
+        (dict(obstacles={(1, 1, 0)}, committed={(1, 1, 0): (1, Color.RED)}), "is an obstacle"),
+        (dict(pin_owners={(1, 1, 0): 2}, committed={(1, 1, 0): (1, Color.RED)}), "pin of net 2"),
+        (dict(history=[0.0] * 23), "history has 23 entries for 24 vertices"),
+    ],
+)
+def test_construction_refuses_bad_geometry(fields, match):
+    with pytest.raises(ValueError, match=match):
+        replace(empty_grid(4, 3, ("H", "V")), **fields)
 
 
 @settings(max_examples=30, deadline=None)
@@ -281,14 +315,18 @@ def test_rip_commit_round_trip_random(seed):
     assert grid.committed == {}
 
 
-def _keep_out_grid(rng):
+def _keep_out_grid(rng, check=lambda grid: None):
     """A grid <= 6x5x3 with obstacles, and pins and commits of nets 0-3.
 
-    About one entry in five lies just off the grid; (width, y, 0) would
-    alias (0, y + 1, 0) by the vid formula.
+    About one drawn entry in five lies just off the grid, where
+    (width, y, 0) would alias (0, y + 1, 0) by the vid formula. A grid
+    built with such an entry, or with a pin on an obstacle, must raise
+    ValueError, and is then built without the offending entries. Each
+    commit must go through or be refused with nothing written
+    (commit_or_refusal); check(grid) runs after every one.
     """
     width, height, layers = rng.randint(1, 6), rng.randint(1, 5), rng.randint(1, 3)
-    grid = empty_grid(width, height, ("H", "V", "H")[:layers])
+    base = empty_grid(width, height, ("H", "V", "H")[:layers])
 
     def vertex():
         if rng.random() < 0.2:
@@ -296,22 +334,38 @@ def _keep_out_grid(rng):
             return rng.choice(off)
         return (rng.randrange(width), rng.randrange(height), rng.randrange(layers))
 
-    for _ in range(rng.randint(0, 6)):
-        grid.obstacles.add(vertex())
+    obstacles = {vertex() for _ in range(rng.randint(0, 6))}
+    pin_owners = {vertex(): rng.randrange(4) for _ in range(rng.randint(0, 8))}
+    bad = {v for v in obstacles | pin_owners.keys() if not base.in_bounds(v)} | (obstacles & pin_owners.keys())
+    if bad:
+        with pytest.raises(ValueError):
+            replace(base, obstacles=obstacles, pin_owners=pin_owners)
+    pin_owners = {v: net_id for v, net_id in pin_owners.items() if v not in bad}
+    grid = replace(base, obstacles=obstacles - bad, pin_owners=pin_owners)
+    check(grid)
     for _ in range(rng.randint(0, 8)):
-        grid.pin_owners[vertex()] = rng.randrange(4)
-    committed = {vertex(): (rng.randrange(4), rng.choice(list(Color))) for _ in range(rng.randint(0, 8))}
-    return replace(grid, committed=committed)
+        commit_or_refusal(grid, rng.randrange(4), [(vertex(), rng.choice(list(Color)))])
+        check(grid)
+    return grid
+
+
+def _check_keep_outs(grid):
+    _, vertices = grid.move_table()
+    for net_id in range(-1, 5):  # every owner, and nets owning nothing
+        closed = grid.keep_outs(net_id)
+        assert [bool(c) for c in closed] == [not oracle.usable(grid, v, net_id) for v in vertices]
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=99_999))
 def test_keep_outs_match_reference(seed):
-    grid = _keep_out_grid(random.Random(seed))
-    _, vertices = grid.move_table()
-    for net_id in range(-1, 5):  # every owner, and nets owning nothing
-        closed = grid.keep_outs(net_id)
-        assert [bool(c) for c in closed] == [not oracle.usable(grid, v, net_id) for v in vertices]
+    rng = random.Random(seed)
+    grid = _keep_out_grid(rng, _check_keep_outs)
+    with pytest.raises(AttributeError):  # the geometry is fixed when the grid is built
+        grid.obstacles.add((0, 0, 0))
+    for _ in range(3):
+        grid.rip_up(rng.randrange(4))
+        _check_keep_outs(grid)
 
 
 @settings(max_examples=60, deadline=None)

@@ -13,10 +13,12 @@ from tplroute.layout import (
     MAX_GRID_VERTICES,
     RULE_TYPES,
     DesignRules,
+    Layer,
     LayoutError,
     layout_from_dict,
     layout_to_dict,
     load_layout,
+    require_valid,
     save_layout,
     validate,
 )
@@ -130,6 +132,21 @@ def test_non_alternating_layers_rejected():
     data = minimal_dict()
     data["grid"]["layers"] = [{"dir": "H"}, {"dir": "H"}]
     with pytest.raises(LayoutError, match="alternate"):
+        layout_from_dict(data)
+
+
+def test_layer_direction_checked_by_validate():
+    # A layout built in code must meet the same rule as a loaded one, or
+    # save_layout would write a file that load_layout rejects.
+    layout = generate_instance(seed=1, width=6, height=6, layers=2, num_nets=2, pins_per_net=2, congestion=0.2)
+    assert validate(layout) == []
+    layout.layers = [Layer(0, "H"), Layer(1, "diagonal")]
+    assert validate(layout) == ["layer 1 direction must be 'H' or 'V', got 'diagonal'"]
+    with pytest.raises(LayoutError, match="direction must be 'H' or 'V'"):
+        require_valid(layout)
+    data = layout_to_dict(replace(layout, layers=[Layer(0, "H"), Layer(1, "V")]))
+    data["grid"]["layers"][1]["dir"] = "diagonal"
+    with pytest.raises(LayoutError, match="layer 1 direction must be 'H' or 'V'"):
         layout_from_dict(data)
 
 

@@ -75,7 +75,7 @@ def test_clean_solution_dominates_forced_conflicts():
 def test_weighted_cost_recomposable_from_breakdown():
     grid = empty_grid(8, 8, ("H", "V"))
     net = two_pin_net((0, 0, 0), (7, 6, 1))
-    register_pins(grid, net)
+    grid = register_pins(grid, net)
     tree = route_net(net, grid)
     grid.commit_route(0, sorted(tree.vertex_colors.items()))
     report = score(grid, {0: tree}, grid.rules)
@@ -91,7 +91,7 @@ def test_weighted_cost_recomposable_from_breakdown():
 def test_score_is_pure():
     grid = empty_grid(6, 6, ("H",))
     net = two_pin_net((0, 0, 0), (5, 5, 0))
-    register_pins(grid, net)
+    grid = register_pins(grid, net)
     tree = route_net(net, grid)
     grid.commit_route(0, sorted(tree.vertex_colors.items()))
     a = score(grid, {0: tree}, grid.rules)

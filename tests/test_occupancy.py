@@ -3,9 +3,12 @@
 Random sequences of the committed map's three writers (commit, rip-up,
 recolor), dataclasses.replace and swapping the rules to another d_color,
 interleaved with count reads, which build the per-mask counts part-way
-so later writes must keep them in step. Afterwards every net's counts,
-times gamma, equal oracle.conflict_costs (a scan of the committed
-entries) at every vertex, and each net's vertex set equals a scan too.
+so later writes must keep them in step. A commit that lands off the grid,
+on an obstacle or on another net's pin or commit must be refused with
+nothing written. Afterwards every net's counts, times gamma, equal
+oracle.conflict_costs (a scan of the committed entries) at every vertex,
+each net's vertex set equals a scan too, and so do its keep-outs
+(oracle.usable).
 """
 
 import copy
@@ -16,11 +19,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from instances import empty_grid
+from instances import commit_or_refusal, empty_grid
 from tplroute import oracle
 from tplroute.color_state import COLOR_ORDER
 from tplroute.generate import generate_instance
-from tplroute.grid import CollisionError, Direction
+from tplroute.grid import Direction
 from tplroute.layout import DesignRules
 from tplroute.negotiation import route_all
 from tplroute.router import route_net
@@ -28,10 +31,24 @@ from tplroute.router import route_net
 W, H, L = 5, 4, 2
 NETS = range(4)
 
-# Writes may land one track off the grid.
-written = st.tuples(st.integers(-1, W), st.integers(-1, H), st.integers(0, L - 1))
+OBSTACLES = {(0, 3, 0), (4, 1, 1)}
+PINS = {(3, 0, 0): 1, (1, 2, 1): 2}
+
+# About one write in ten lands one track off the grid, on an obstacle or
+# on a pin; commit_route refuses the first two and another net's pin.
+ON_GRID = st.tuples(st.integers(0, W - 1), st.integers(0, H - 1), st.integers(0, L - 1))
+ODD = st.sampled_from(sorted(OBSTACLES | PINS.keys()) + [(W, 1, 0), (0, -1, 1)])
+written = st.integers(0, 9).flatmap(lambda k: ODD if k == 0 else ON_GRID)
 nets = st.sampled_from(NETS)
 colors = st.sampled_from(COLOR_ORDER)
+
+PROBES = [(x, y, l) for l in range(L) for y in range(H) for x in range(W)]
+
+
+def _geometry_grid(rules):
+    """A W x H x 2 grid with OBSTACLES and PINS."""
+    return replace(empty_grid(W, H, ("H", "V"), rules, obstacles=OBSTACLES), pin_owners=PINS)
+
 
 OPS = st.one_of(
     st.tuples(st.just("commit"), nets, st.lists(st.tuples(written, colors), max_size=5)),
@@ -47,10 +64,7 @@ def apply(grid, op):
     kind, *args = op
     committed = grid.committed
     if kind == "commit":
-        try:
-            grid.commit_route(*args)
-        except CollisionError:
-            pass  # a rejected path commits nothing
+        commit_or_refusal(grid, *args)
     elif kind == "rip_up":
         grid.rip_up(*args)
     elif kind == "recolor":
@@ -71,35 +85,39 @@ def apply(grid, op):
 def assert_indexes_match(grid):
     for net_id in [*NETS, 99]:
         assert grid.net_vertices(net_id) == {v for v, (n, _) in grid.committed.items() if n == net_id}
-    probes = [(x, y, l) for l in range(L) for y in range(H) for x in range(W)]
+        assert list(grid.keep_outs(net_id)) == [not oracle.usable(grid, v, net_id) for v in PROBES]
     gamma = grid.rules.gamma
     for net_id in [*NETS, 99]:
         counts = grid.foreign_counts(net_id)
-        for v in probes:
+        for v in PROBES:
             got = tuple(gamma * c[grid.vid(v)] for c in counts)
             assert got == oracle.conflict_costs(grid, grid.rules, v, net_id), (v, net_id)
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(st.integers(1, 3), st.lists(OPS, max_size=25))
 def test_indexes_follow_every_mutation(d_color, ops):
-    grid = empty_grid(W, H, ("H", "V"), DesignRules(d_color=d_color, gamma=3.0))
+    grid = _geometry_grid(DesignRules(d_color=d_color, gamma=3.0))
     for op in ops:
         grid = apply(grid, op)
     assert_indexes_match(grid)
 
 
 def test_copies_rebuild_the_indexes():
-    grid = empty_grid(W, H, ("H", "V"), DesignRules(d_color=3))
-    grid.commit_route(1, [((1, 1, 0), COLOR_ORDER[0]), ((2, 1, 0), COLOR_ORDER[1])])
+    # Counts, vertex sets and the keep-out template, with net 1's commits
+    # on its own pin, which stays a keep-out for the others after rip-up.
+    grid = _geometry_grid(DesignRules(d_color=3))
+    grid.commit_route(1, [((1, 1, 0), COLOR_ORDER[0]), ((2, 1, 0), COLOR_ORDER[1]), ((3, 0, 0), COLOR_ORDER[1])])
     grid.commit_route(2, [((3, 2, 1), COLOR_ORDER[2])])
     grid.foreign_counts(0)  # build the counts
-    for clone in (copy.deepcopy(grid), pickle.loads(pickle.dumps(grid))):
+    for clone in (copy.deepcopy(grid), pickle.loads(pickle.dumps(grid)), replace(grid)):
         assert clone.committed == grid.committed
+        assert clone.obstacles == grid.obstacles and clone.pin_owners == grid.pin_owners
         assert_indexes_match(clone)
         clone.rip_up(1)
         assert_indexes_match(clone)
-    assert grid.net_vertices(1) == {(1, 1, 0), (2, 1, 0)}
+    assert grid.net_vertices(1) == {(1, 1, 0), (2, 1, 0), (3, 0, 0)}
+    assert_indexes_match(grid)
 
 
 def test_off_grid_reads_raise():

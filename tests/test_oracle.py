@@ -46,8 +46,7 @@ def test_two_zone_corridor_pays_one_stitch():
 
 def test_path_cap_error():
     rules = DesignRules()
-    grid = empty_grid(5, 1, ("H",), rules)
-    grid.obstacles.add((2, 0, 0))
+    grid = empty_grid(5, 1, ("H",), rules, obstacles={(2, 0, 0)})
     with pytest.raises(oracle.PathCapError):
         oracle.optimal_colored_path(grid, {(0, 0, 0)}, {(4, 0, 0)}, rules, net_id=0)
 

@@ -7,10 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from instances import empty_grid, oracle_instance, pressure_instance, register_pins, two_pin_net
+from instances import (
+    commit_or_refusal,
+    empty_grid,
+    oracle_instance,
+    pressure_instance,
+    register_pins,
+    two_pin_net,
+)
 from tplroute import oracle, router
 from tplroute.baseline import run_baseline
-from tplroute.color_state import COLOR_ORDER, Color, cardinality
+from tplroute.color_state import COLOR_ORDER, Color, cardinality, pick_final
 from tplroute.grid import VIA_DIRECTIONS, CollisionError, Direction, Grid
 from tplroute.generate import InfeasiblePlacementError, generate_instance
 from tplroute.layout import DesignRules, Layer, Layout, Net, Pin, layout_from_dict, layout_to_dict
@@ -52,7 +59,7 @@ def test_single_pin_net_empty_tree():
 def test_straight_two_pin_route():
     grid = empty_grid(5, 1, ("H",))
     net = two_pin_net((0, 0, 0), (4, 0, 0))
-    register_pins(grid, net)
+    grid = register_pins(grid, net)
     tree = route_net(net, grid)
     assert tree.paths == [[(0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0), (4, 0, 0)]]
     assert tree.total_cost == 4.0 * grid.rules.alpha
@@ -67,7 +74,7 @@ def test_multi_vertex_pin_covers():
         Pin(0, [(0, 0, 0), (0, 2, 0)]),
         Pin(0, [(6, 0, 0), (6, 1, 0), (6, 2, 0)]),
     ])
-    register_pins(grid, net)
+    grid = register_pins(grid, net)
     tree = route_net(net, grid)
     path = tree.paths[0]
     assert path[0] in {(0, 0, 0), (0, 2, 0)}
@@ -80,7 +87,7 @@ def test_three_pin_second_path_starts_on_tree():
     net = Net(id=0, name="n", pins=[
         Pin(0, [(0, 2, 0)]), Pin(0, [(6, 2, 0)]), Pin(0, [(3, 4, 0)]),
     ])
-    register_pins(grid, net)
+    grid = register_pins(grid, net)
     tree = route_net(net, grid)
     assert len(tree.paths) == 2
     assert tree.paths[1][0] in set(tree.paths[0])
@@ -93,7 +100,7 @@ def test_conflict_zone_excludes_red_from_states():
     for x in range(2, 5):
         grid.commit_route(900, [((x, 0, 0), Color.RED)])
     net = two_pin_net((0, 1, 0), (6, 1, 0))
-    register_pins(grid, net)
+    grid = register_pins(grid, net)
     tree = route_net(net, grid)
     for v, state in tree.vertex_states.items():
         if v[1] == 1 and 2 <= v[0] <= 4 and v != (0, 1, 0):
@@ -111,7 +118,7 @@ def test_forced_stitch_corridor_matches_oracle():
         grid.commit_route(902, [((x, 0, 0), Color.GREEN)])
         grid.commit_route(903, [((x, 2, 0), Color.BLUE)])
     net = two_pin_net((0, 1, 0), (6, 1, 0))
-    register_pins(grid, net)
+    grid = register_pins(grid, net)
     tree = route_net(net, grid)
     assert len(tree.stitches) == 1
     best = oracle.optimal_colored_path(grid, {(0, 1, 0)}, {(6, 1, 0)}, rules, net_id=0)
@@ -182,7 +189,7 @@ class TestBacktraceSegSets:
         # every pin the traced vertex ids cover, not only the one reached.
         grid = empty_grid(5, 1, ("H",))
         net = Net(id=0, name="n", pins=[Pin(0, [(0, 0, 0)]), Pin(0, [(4, 0, 0)]), Pin(0, [(2, 0, 0)])])
-        register_pins(grid, net)
+        grid = register_pins(grid, net)
         queue = SolutionQueue(grid, net)
         label = None
         for x in range(5):
@@ -223,7 +230,7 @@ def test_queue_monotone_pops(monkeypatch):
     pops = record_pops(monkeypatch, COST)
     grid = empty_grid(6, 6, ("H", "V"))
     net = two_pin_net((0, 0, 0), (5, 5, 1))
-    register_pins(grid, net)
+    grid = register_pins(grid, net)
     route_net(net, grid)
     assert pops
     # re-seeded zero-cost sources arrive between searches; within a run
@@ -236,7 +243,7 @@ def test_queue_never_holds_dead_states(monkeypatch):
     collected = record_pops(monkeypatch, STATE)
     grid = empty_grid(5, 5, ("H",))
     net = two_pin_net((0, 0, 0), (4, 4, 0))
-    register_pins(grid, net)
+    grid = register_pins(grid, net)
     route_net(net, grid)
     assert collected
     assert all(s != 0 for s in collected)
@@ -322,17 +329,22 @@ def _search_instance(seed):
     net = two_pin_net(src, dst)
     if rng.random() < 0.3:
         net.guide = [(0, 0, 0, width // 2, height // 2)]
-    register_pins(grid, net)
+    obstacles, pin_owners, history, commits = set(), {}, [], []
     for k, v in enumerate(rest[: len(rest) // 2]):
         kind = rng.randrange(6)
         if kind == 0:
-            grid.obstacles.add(v)
+            obstacles.add(v)
         elif kind == 1:
-            grid.pin_owners[v] = 5
+            pin_owners[v] = 5
         elif kind == 2:
-            grid.add_history(v, rng.choice([0.5, 10.0]))
+            history.append((v, rng.choice([0.5, 10.0])))
         else:
-            grid.commit_route(0 if kind == 3 else 6 + k % 2, [(v, rng.choice(COLOR_ORDER))])
+            commits.append((0 if kind == 3 else 6 + k % 2, [(v, rng.choice(COLOR_ORDER))]))
+    grid = register_pins(replace(grid, obstacles=obstacles, pin_owners=pin_owners), net)
+    for v, amount in history:
+        grid.add_history(v, amount)
+    for net_id, path in commits:
+        grid.commit_route(net_id, path)
     return grid, net
 
 
@@ -549,29 +561,43 @@ def test_source_returns_insert_verdict():
 
 
 def test_unroutable_reports_remaining_pins():
-    grid = empty_grid(5, 1, ("H",))
-    grid.obstacles.add((2, 0, 0))
+    grid = empty_grid(5, 1, ("H",), obstacles={(2, 0, 0)})
     net = two_pin_net((0, 0, 0), (4, 0, 0))
-    register_pins(grid, net)
+    grid = register_pins(grid, net)
     with pytest.raises(UnroutableError) as exc_info:
         route_net(net, grid)
     assert exc_info.value.remaining_pins == [1]
 
 
 def test_blocked_start_pin_fails_like_any_wall():
-    # Net 1 holds the start pin's only vertex: the search exhausts at once
-    # and the wall walk from the far pin names net 1 and that vertex.
+    # Net 1 may not commit onto the start pin, but it holds the start pin's
+    # only neighbour: the search exhausts at once and the wall walk from the
+    # far pin names net 1 and that vertex.
     grid = empty_grid(3, 1, ("H",))
     net = two_pin_net((0, 0, 0), (2, 0, 0))
-    register_pins(grid, net)
-    grid.commit_route(1, [((0, 0, 0), Color.RED)])
+    grid = register_pins(grid, net)
+    with pytest.raises(CollisionError, match="pin of net 0"):
+        grid.commit_route(1, [((0, 0, 0), Color.RED)])
+    grid.commit_route(1, [((1, 0, 0), Color.RED)])
     with pytest.raises(UnroutableError) as exc_info:
         route_net(net, grid)
     exc = exc_info.value
     assert str(exc) == "net 0: pins [1] unreachable"
     assert exc.remaining_pins == [1]
     assert exc.blocked_nets == {1}
-    assert exc.blocked_vertices == {(0, 0, 0)}
+    assert exc.blocked_vertices == {(1, 0, 0)}
+
+
+def test_queue_refuses_an_off_grid_pin():
+    # (3, 0, 0) would alias (0, 1, 0) by the vid formula.
+    grid = empty_grid(3, 2, ("H",))
+    for v in ((3, 0, 0), (-1, 0, 0), (0, 2, 0), (0, 0, 1)):
+        net = two_pin_net((0, 0, 0), v)
+        with pytest.raises(ValueError, match=r"net 0 pin 1 vertex .* is off the grid"):
+            SolutionQueue(grid, net)
+        with pytest.raises(ValueError, match="off the grid"):
+            route_net(net, grid)
+
 
 def _reference_wall_blockers(queue, grid, net, remaining):
     """The rescue wall by the oracle.neighbors walk over vertex tuples."""
@@ -639,16 +665,14 @@ def test_dijkstra_degeneration():
     rules = DesignRules(gamma=0.0, stitch_cost=0.0)
     rng = random.Random(11)
     for _ in range(10):
-        grid = empty_grid(6, 6, ("H", "V"), rules)
-        for _ in range(6):
-            v = (rng.randrange(6), rng.randrange(6), rng.randrange(2))
-            grid.obstacles.add(v)
+        obstacles = {(rng.randrange(6), rng.randrange(6), rng.randrange(2)) for _ in range(6)}
+        grid = empty_grid(6, 6, ("H", "V"), rules, obstacles=obstacles)
         src = (0, 0, 0)
         dst = (5, 5, rng.randrange(2))
         if src in grid.obstacles or dst in grid.obstacles:
             continue
         net = two_pin_net(src, dst)
-        register_pins(grid, net)
+        grid = register_pins(grid, net)
         want = _classic_dijkstra(grid, src, dst)
         if want is None:
             continue
@@ -683,12 +707,10 @@ def test_search_relaxation_matches_grid_definitions(monkeypatch):
     # give. Checked on a grid with obstacles, a foreign pin, foreign and own
     # commits, history and a guide.
     rules = DesignRules(d_color=3, gamma=5.0, wrong_way_cost=2.0, via_cost=3.0)
-    grid = empty_grid(7, 6, ("H", "V", "H"), rules)
+    grid = empty_grid(7, 6, ("H", "V", "H"), rules, obstacles={(2, 0, 0), (3, 3, 1), (5, 4, 2)})
     net = two_pin_net((0, 0, 0), (6, 5, 2))
     net.guide = [(0, 0, 0, 4, 3), (1, 2, 1, 6, 5)]
-    register_pins(grid, net)
-    grid.obstacles |= {(2, 0, 0), (3, 3, 1), (5, 4, 2)}
-    grid.pin_owners[(1, 1, 0)] = 5
+    grid = register_pins(replace(grid, pin_owners={(1, 1, 0): 5}), net)
     grid.commit_route(7, [((3, 1, 0), Color.RED), ((4, 1, 0), Color.GREEN), ((2, 3, 1), Color.BLUE)])
     grid.commit_route(0, [((0, 2, 0), Color.RED)])
     grid.add_history((1, 0, 0), 1.5)
@@ -754,6 +776,28 @@ def test_search_relaxation_matches_grid_definitions(monkeypatch):
     assert len(popped) > 20 and skipped > 0
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(1, 7), st.lists(st.integers(0, 7), max_size=4)), max_size=6),
+    st.lists(st.lists(st.integers(0, 2), min_size=8, max_size=8), min_size=3, max_size=3),
+    st.sampled_from([0.0, 50.0]),
+)
+def test_fix_masks_picks_what_pick_final_picks(drawn, counts, gamma):
+    # Every live segSet with more than one mask gets
+    # pick_final(state, {mask: gamma * its members' summed counts}); counts
+    # drawn from 0-2 make ties common. Emptied and one-mask segSets keep
+    # their state.
+    segsets = [router.SegSet(state, list(members)) for state, members in drawn]
+    want = [
+        int(pick_final(seg.state, {c: gamma * sum(k[i] for i in seg.members) for c, k in zip(COLOR_ORDER, counts)}))
+        if seg.members and cardinality(seg.state) > 1
+        else seg.state
+        for seg in segsets
+    ]
+    router._fix_masks(segsets, gamma, counts)
+    assert [seg.state for seg in segsets] == want
+
+
 def test_tree_mode_beats_frozen_legs_on_pressure():
     g1, net1 = pressure_instance(3)
     g2, net2 = pressure_instance(3)
@@ -768,7 +812,7 @@ def test_zero_alpha_still_connects_pins():
     rules = DesignRules(alpha=0.0, gamma=0.0, stitch_cost=0.0)
     grid = empty_grid(6, 4, ("H", "V", "H"), rules)
     net = two_pin_net((5, 0, 0), (3, 2, 1))
-    register_pins(grid, net)
+    grid = register_pins(grid, net)
     tree = route_net(net, grid)
     vertices = set(tree.vertex_colors)
     assert (5, 0, 0) in vertices and (3, 2, 1) in vertices
@@ -780,7 +824,7 @@ def test_guide_region_steers_route():
     grid = empty_grid(5, 3, ("H",))
     net = two_pin_net((0, 1, 0), (4, 1, 0))
     net.guide = [(0, 0, 0, 4, 0)]
-    register_pins(grid, net)
+    grid = register_pins(grid, net)
     tree = route_net(net, grid)
     assert any(v[1] == 0 for v in tree.vertex_colors)
     assert tree.total_cost == pytest.approx(14.0)
@@ -810,7 +854,7 @@ def test_empty_guide_routes_as_no_guide():
 def test_route_does_not_mutate_grid():
     grid = empty_grid(5, 5, ("H",))
     net = two_pin_net((0, 0, 0), (4, 4, 0))
-    register_pins(grid, net)
+    grid = register_pins(grid, net)
     before = (dict(grid.committed), list(grid.history))
     route_net(net, grid)
     assert (grid.committed, grid.history) == before
@@ -878,7 +922,7 @@ def test_multibit_states_appear_during_search():
     # symmetric costs keep all three masks live the whole way
     grid = empty_grid(4, 1, ("H",))
     net = two_pin_net((0, 0, 0), (3, 0, 0))
-    register_pins(grid, net)
+    grid = register_pins(grid, net)
     tree = route_net(net, grid)
     assert all(cardinality(s) == 3 for s in tree.vertex_states.values())
 
@@ -938,13 +982,11 @@ def test_queue_context_follows_grid_writes(seed, width, height, layers, congesti
     net_ids = [layout.nets[0].id, layout.nets[1].id, 90]
     for kind, which, cells, color in writes:
         # Folded onto the grid and the track just past its far edges, where
-        # (width, y) would alias (0, y + 1) by the vid formula.
+        # (width, y) would alias (0, y + 1) by the vid formula: a commit
+        # there, or on an obstacle or another net's pin, must be refused.
         cells = [(x % (width + 1), y % (height + 1), l % layers) for x, y, l in cells]
         if kind == "commit":
-            try:
-                grid.commit_route(net_ids[which], [(v, color) for v in dict.fromkeys(cells)])
-            except CollisionError:
-                pass
+            commit_or_refusal(grid, net_ids[which], [(v, color) for v in dict.fromkeys(cells)])
         elif kind == "rip_up":
             grid.rip_up(net_ids[which])
         elif cells[0] in grid.committed:
