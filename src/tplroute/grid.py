@@ -19,18 +19,20 @@ A grid's geometry is checked once, when it is built, and trusted after:
 construction raises ValueError for an obstacle, pin or commit off the
 grid, a pin on an obstacle, a commit on an obstacle or another net's pin,
 or a history whose length is not the vertex count. obstacles is a
-frozenset and pin_owners a copy; a grid with other geometry is a new grid
-(dataclasses.replace). Past these checks and commit_route's, no reader
-tests whether an entry lies on the grid.
+frozenset and pin_owners a copy, and rebinding width, height, layer_dirs,
+obstacles or pin_owners raises AttributeError; a grid with other geometry
+is a new grid (dataclasses.replace). Past these checks and commit_route's,
+no reader tests whether an entry lies on the grid.
 
 Next to the committed vertex -> (net, color) map, the grid keeps, per
 mask, how many commits lie within the d_color stencil of each vertex, so
 a color cost is one list read rather than a stencil scan. The counts are
 built on the first read and then kept in step by the map's only three
 writers: commit_route, rip_up and recolor_vertex. The first two also keep
-each net's committed vertices and one per-vertex-id keep-out template (1
-at every obstacle, pin and commit) in step, so a net's keep-outs are a
-copy of the template with its own commits and pins cleared.
+each net's committed vertices and one per-vertex-id keep-out template
+(-inf at every obstacle, pin and commit, inf elsewhere) in step. A net's
+keep-outs are a copy of the template with its own commits and pins set
+to inf, which is the array its search starts from (router.SolutionQueue).
 """
 
 from __future__ import annotations
@@ -69,6 +71,12 @@ _STEPS_V = tuple(
 Move = tuple[Direction, int, bool, float]
 
 
+# The fields that fix a grid's geometry; Grid.__setattr__ refuses to rebind them.
+_GEOMETRY = frozenset({"width", "height", "layer_dirs", "obstacles", "pin_owners"})
+# One shared object each, so the keep-out template holds no float of its own.
+_INF, _KEEP_OUT = math.inf, -math.inf
+
+
 class CollisionError(RuntimeError):
     """A commit touched a vertex owned by a different net."""
 
@@ -94,24 +102,25 @@ class Grid:
         default=None, init=False, repr=False, compare=False
     )
     # Per net id, its committed vertices and its pins' vertex ids; and per
-    # vertex id, 1 at every obstacle, pin and commit (the keep-out template).
+    # vertex id, -inf at every obstacle, pin and commit and inf elsewhere
+    # (the keep-out template).
     _owned: dict[int, set[Vertex]] = field(default_factory=dict, init=False, repr=False, compare=False)
     _pin_vids: dict[int, list[int]] = field(default_factory=dict, init=False, repr=False, compare=False)
-    _blocked: bytearray = field(default_factory=bytearray, init=False, repr=False, compare=False)
+    _blocked: list[float] = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         size = self.width * self.height * self.num_layers
-        self.obstacles = frozenset(self.obstacles)
-        self.pin_owners = dict(self.pin_owners)
+        object.__setattr__(self, "obstacles", frozenset(self.obstacles))
+        object.__setattr__(self, "pin_owners", dict(self.pin_owners))
         if self.history is None:
             self.history = [0.0] * size
         elif len(self.history) != size:
             raise ValueError(f"history has {len(self.history)} entries for {size} vertices")
-        blocked = self._blocked = bytearray(size)
+        blocked = self._blocked = [_INF] * size
         for v in chain(self.obstacles, self.pin_owners):
             if not self.in_bounds(v):
                 raise ValueError(f"obstacle or pin vertex {v} is off the grid")
-            blocked[self.vid(v)] = 1
+            blocked[self.vid(v)] = _KEEP_OUT
         if not self.obstacles.isdisjoint(self.pin_owners):
             raise ValueError(f"pin vertices {sorted(self.obstacles & self.pin_owners.keys())} sit on obstacles")
         for v, net_id in self.pin_owners.items():
@@ -122,6 +131,11 @@ class Grid:
                 self.commit_route(net_id, [(v, color)])
             except CollisionError as exc:
                 raise ValueError(str(exc)) from None
+
+    def __setattr__(self, name: str, value) -> None:
+        if name in _GEOMETRY and name in self.__dict__:
+            raise AttributeError(f"a grid's {name} is fixed when it is built; use dataclasses.replace")
+        object.__setattr__(self, name, value)
 
     @classmethod
     def from_layout(cls, layout: Layout) -> "Grid":
@@ -176,18 +190,19 @@ class Grid:
         """
         return _move_table(self.width, self.height, tuple(self.layer_dirs), _base_trad(self.rules))
 
-    def keep_outs(self, net_id: int) -> bytearray:
-        """Per vertex id, 1 at an obstacle or another net's pin or commit, else 0.
+    def keep_outs(self, net_id: int) -> list[float]:
+        """Per vertex id, -inf at an obstacle or another net's pin or commit, else inf.
 
-        A copy of the grid's template with the net's own commits and pins cleared.
+        A copy of the grid's template with the net's own commits and pins
+        set to inf: the settled array a search of the net starts from.
         """
         width, height = self.width, self.height
-        closed = bytearray(self._blocked)
+        keep_outs = list(self._blocked)
         for x, y, l in self._owned.get(net_id, ()):
-            closed[(l * height + y) * width + x] = 0
+            keep_outs[(l * height + y) * width + x] = _INF
         for vid in self._pin_vids.get(net_id, ()):
-            closed[vid] = 0
-        return closed
+            keep_outs[vid] = _INF
+        return keep_outs
 
     def off_guide(self, guide: list[tuple[int, int, int, int, int]] | None) -> list[float] | None:
         """Per vertex id, the off-guide penalty: 0 inside a guide box, else the rule's.
@@ -301,7 +316,7 @@ class Grid:
             if old is None:
                 owned.add(v)
                 x, y, l = v
-                blocked[(l * height + y) * width + x] = 1
+                blocked[(l * height + y) * width + x] = _KEEP_OUT
             elif spread:
                 self._spread(v, old[1], -1)
             if spread:
@@ -315,11 +330,11 @@ class Grid:
         for v in self._owned.pop(net_id, ()):
             _, color = committed.pop(v)
             x, y, l = v
-            blocked[(l * height + y) * width + x] = 0
+            blocked[(l * height + y) * width + x] = _INF
             if spread:
                 self._spread(v, color, -1)
         for vid in self._pin_vids.get(net_id, ()):
-            blocked[vid] = 1
+            blocked[vid] = _KEEP_OUT
 
     def recolor_vertex(self, v: Vertex, color: Color) -> None:
         """Change the committed color of a vertex without moving it."""

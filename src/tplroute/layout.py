@@ -26,8 +26,10 @@ from typing import Any
 Vertex = tuple[int, int, int]
 
 # The most vertices (width * height * layers) a grid may have. A Grid and
-# one net's SolutionQueue take about 130-140 bytes per vertex, so this
-# keeps them near 0.6 GB; larger inputs are rejected before any
+# one net's SolutionQueue take about 136 bytes per vertex (tracemalloc,
+# 256x256x2: the grid's history and keep-out template 16, its per-mask
+# counts 24, the move table and the queue's settled and pin_at 96), so
+# this keeps them near 0.6 GB; larger inputs are rejected before any
 # per-vertex array is built.
 MAX_GRID_VERTICES = 2**22
 

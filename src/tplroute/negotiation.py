@@ -52,8 +52,7 @@ def detect_conflicts(grid: Grid, rules: DesignRules) -> list[Conflict]:
     """Every cross-net same-layer same-color pair below d_color, once each."""
     half = half_stencil(grid.clamp_d_color(rules.d_color))
     found = []
-    for v in sorted(grid.committed):
-        net, color = grid.committed[v]
+    for v, (net, color) in grid.committed.items():
         x, y, l = v
         for dx, dy in half:
             w = (x + dx, y + dy, l)

@@ -49,22 +49,26 @@ heappop of a label not in dead.
 The search does no work whose result is already known. Everything it
 reads that stays fixed while a net is routed is taken from the grid once
 per net, when route_net makes the net's SolutionQueue: the foreign
-per-mask counts, and the vertex-id arrays of keep-outs (obstacles,
-other nets' pins and commits), history and off-guide penalties, each
-defined in grid.py and read here as it is. When gamma is 0 every
-conflict term is 0 whatever the counts, so the queue reads shared zero
-counts instead and the grid never builds or spreads its own (the
-baseline's colorless pass runs this way). The queue is a snapshot, so
-the grid must not change while it is in use; route_net makes one queue
-per net and does not change the grid while routing it. The move table
-(per vertex id, the on-grid moves as vertex-id offsets with their rule
-costs) is shared by every grid of one shape and move costs. Label sets
-are keyed by vertex id, and the queue keeps, per vertex id, the least
-cost of a label holding all three masks (settled, -inf at keep-outs),
+per-mask counts, and the vertex-id arrays of keep-outs, history and
+off-guide penalties, each defined in grid.py and read here as it is.
+When gamma is 0 every conflict term is 0 whatever the counts, so the
+queue reads shared zero counts instead and the grid never builds or
+spreads its own (the baseline's colorless pass runs this way). The queue
+is a snapshot, so the grid must not change while it is in use; route_net
+makes one queue per net and does not change the grid while routing it.
+The move table (per vertex id, the on-grid moves as vertex-id offsets
+with their rule costs) is shared by every grid of one shape and move
+costs. Label sets are keyed by vertex id, and the queue keeps, per
+vertex id, the least cost of a label holding all three masks (settled),
 and the pin indices each vertex id covers (pin_at), so whether a popped
-label covers a pin is one read. Three tests of the target's settled
-entry, read once per move, decide a child before its target's labels
-are scanned:
+label covers a pin is one read.
+
+settled starts as the net's keep-outs (Grid.keep_outs): -inf at every
+obstacle and other net's pin or commit, inf elsewhere. A keep-out never
+accepts a label, so its entry stays -inf through every search, and the
+one array holds both facts. Two tests of the target's settled entry,
+read once per move, decide a child before its target's labels are
+scanned:
 
 - A move is skipped before it is priced when its target is settled at
   no more than the popped label's cost plus alpha, one floor per pop:
@@ -73,21 +77,20 @@ are scanned:
   be cheaper. A keep-out is skipped by the same read.
 - A priced child whose target is settled at no more than its own cost
   is dominated by the live 111 label there.
-- A 111 child under its target's settled cost is dominated by no live
-  label, so it is accepted without the state tests: every label not
-  cheaper than it is marked dead, and the survivors keep their order.
 
 Any other child is accepted in one pass over its target's labels: a
 label dominating it ends the scan before the child is built, and
 otherwise every label it dominates is marked dead, the label list is
 rebuilt only if one was, and the child is appended and pushed. One pass
-suffices because live labels never dominate one another. The same
-labels pop and the same labels are accepted, in the same order, as when
-every child is priced and offered to insert.
+suffices because live labels never dominate one another. A 111 child
+takes the same pass: under its target's settled cost no live label
+dominates it, and it prunes exactly the labels not cheaper than it. The
+same labels pop and the same labels are accepted, in the same order, as
+when every child is priced and offered to insert.
 
-A search whose queue reads the zero counts and has accepted only 111
-labels (SolutionQueue.all_111) runs a plain Dijkstra loop instead (the
-baseline's colorless pass runs this way). Every conflict term is then 0,
+When gamma is 0 and the queue has accepted only 111 labels
+(SolutionQueue.all_111), the search runs a plain Dijkstra loop instead
+(the baseline's colorless pass runs this way). Every conflict term is 0,
 so a move from a 111 label makes a 111 child costing the pop's cost plus
 alpha times trad: every label is 111, and a vertex holds at most one
 live label, the one costing settled. A move passes the same floor, its
@@ -107,7 +110,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heappop, heappush
-from itertools import compress, count
+from itertools import count
 from typing import Sequence
 
 from .color_state import ALL_COLORS, COLOR_ORDER, Color
@@ -177,16 +180,13 @@ class RouteTree:
 class SolutionQueue:
     """Priority queue of search labels with per-vertex Pareto label sets.
 
-    labels maps a vertex id to its non-empty list of live labels, dead
-    holds the seq of every pruned label, and settled[vid] is the cost of
-    the one live 111 label there (inf when none, -inf at a keep-out).
-    The rest is the net's search context, taken from the grid once:
-    moves and vertices (Grid.move_table), counts (Grid.foreign_counts, or
-    shared zeros when gamma is 0), closed (Grid.keep_outs), hist
-    (Grid.history itself), off_guide (Grid.off_guide), and pin_at, per
-    vertex id the frozenset of the net's pin indices covering it (None
-    when none). all_111 stays True while every accepted label holds all
-    three masks. A net pin off the grid raises ValueError.
+    labels maps a vertex id to its live labels, dead holds the seq of
+    every pruned label, settled[vid] is the cost of the live 111 label
+    there (inf when none, -inf at a keep-out), and pin_at[vid] is the
+    frozenset of the net's pin indices covering it (None when none).
+    moves, vertices, counts, hist and off_guide are the net's search
+    context, read from the grid once. all_111 stays True while every
+    accepted label holds all three masks.
     """
 
     def __init__(self, grid: Grid, net: Net):
@@ -194,12 +194,9 @@ class SolutionQueue:
         self.moves, self.vertices = grid.move_table()
         n = len(self.vertices)
         self.counts = grid.foreign_counts(net.id) if grid.rules.gamma else _zero_counts(n)
-        self.closed = grid.keep_outs(net.id)
         self.hist = grid.history
         self.off_guide = grid.off_guide(net.guide)
-        self.settled = [math.inf] * n
-        for vid in compress(range(n), self.closed):
-            self.settled[vid] = -math.inf
+        self.settled = grid.keep_outs(net.id)
         self._heap: list[Label] = []
         self._seq = count()
         self.dead: set[int] = set()
@@ -316,7 +313,7 @@ def color_state_search(queue: SolutionQueue, grid: Grid, net: Net) -> Label:
     moves, labels, pin_at, connected = queue.moves, queue.labels, queue.pin_at, queue.connected
     heap, dead, next_seq = queue._heap, queue.dead, queue._seq.__next__
     push, pop = heappush, heappop
-    if queue.all_111 and queue.counts is _zero_counts(len(settled)):
+    if queue.all_111 and not gamma:
         # Plain Dijkstra (see the module docstring): a vertex's one live
         # label is 111 and costs settled.
         inf = math.inf
@@ -400,19 +397,6 @@ def color_state_search(queue: SolutionQueue, grid: Grid, net: Net) -> Label:
             bucket = labels.get(i)
             if bucket is None:
                 bucket = labels[i] = []
-            elif state == ALL_COLORS:
-                # Nothing live dominates a 111 child under settled, and it
-                # prunes every label not cheaper than itself.
-                kept = 0
-                for ex in bucket:
-                    if child_cost <= ex[0]:
-                        dead.add(ex[3])
-                    else:
-                        kept += 1
-                if not kept:
-                    bucket.clear()
-                elif kept < len(bucket):
-                    bucket = labels[i] = [ex for ex in bucket if ex[0] < child_cost]
             else:
                 # insert's one-pass accept, run before the child is built.
                 dominated = False
@@ -524,13 +508,11 @@ def route_net(net: Net, grid: Grid, *, two_pin_mode: bool = False) -> RouteTree:
     """
     if not net.pins:
         raise ValueError(f"net {net.id} has no pins")
-    if len(net.pins) == 1:
-        return RouteTree(net.id, [], {}, [], {}, 0.0)
 
     queue = SolutionQueue(grid, net)
     tree = _TreeBuilder()
     for v in net.pins[0].covered_vertices:
-        if not queue.closed[grid.vid(v)]:
+        if queue.settled[grid.vid(v)] != -math.inf:
             for cost, state in _seed_labels(grid, queue.counts, v):
                 queue.source(v, cost, state)
 
@@ -560,8 +542,7 @@ def _zero_counts(size: int) -> tuple[tuple[int, ...], ...]:
 
     A queue reads these instead of Grid.foreign_counts when gamma is 0:
     every conflict term is then 0 whatever the counts, and the grid never
-    builds or spreads its own. Shared and immutable; color_state_search
-    tells them by identity when it selects its plain Dijkstra loop.
+    builds or spreads its own. Shared and immutable.
     """
     zeros = (0,) * size
     return zeros, zeros, zeros
@@ -587,14 +568,15 @@ def _region_wall(queue: SolutionQueue, grid: Grid, region, net_id: int) -> dict[
     """Foreign committed vertex ids bordering a region of ids, with their owners.
 
     Obstacles are never committed (Grid.commit_route refuses them), so a
-    closed neighbour with a committed owner is a foreign commit.
+    keep-out neighbour with a committed owner is a foreign commit.
     """
-    moves, closed, vertices, committed = queue.moves, queue.closed, queue.vertices, grid.committed
+    moves, settled, vertices, committed = queue.moves, queue.settled, queue.vertices, grid.committed
+    keep_out = -math.inf
     wall: dict[int, int] = {}
     for v in region:
         for _, dvid, _, _ in moves[v]:
             t = v + dvid
-            if closed[t] and t not in wall:
+            if settled[t] == keep_out and t not in wall:
                 owner = committed.get(vertices[t])
                 if owner is not None and owner[0] != net_id:
                     wall[t] = owner[0]
@@ -610,17 +592,18 @@ def _wall_blockers(
     separating wall is committed by nets adjacent to both that pocket and
     the exhausted search region (falling back to both sides together when
     the wall is layered from two nets). The walk is over vertex ids,
-    through the queue's move table and keep-out array.
+    through the queue's move table, past the keep-outs in its settled array.
     """
-    moves, closed = queue.moves, queue.closed
+    moves, settled = queue.moves, queue.settled
+    keep_out = -math.inf
     pins = (grid.vid(v) for idx in remaining for v in net.pins[idx].covered_vertices)
-    stack = [vid for vid in pins if not closed[vid]]
+    stack = [vid for vid in pins if settled[vid] != keep_out]
     pocket = set(stack)
     while stack:
         v = stack.pop()
         for _, dvid, _, _ in moves[v]:
             t = v + dvid
-            if not closed[t] and t not in pocket:
+            if settled[t] != keep_out and t not in pocket:
                 pocket.add(t)
                 stack.append(t)
     pocket_side = _region_wall(queue, grid, pocket, net.id)

@@ -1,3 +1,4 @@
+import math
 import random
 from dataclasses import replace
 
@@ -262,19 +263,19 @@ class TestOccupancy:
 
     def test_pin_keep_out(self):
         grid = replace(empty_grid(4, 4, ("H",)), pin_owners={(1, 1, 0): 7})
-        assert grid.keep_outs(0)[grid.vid((1, 1, 0))] == 1
-        assert grid.keep_outs(7)[grid.vid((1, 1, 0))] == 0
+        assert grid.keep_outs(0)[grid.vid((1, 1, 0))] == -math.inf
+        assert grid.keep_outs(7)[grid.vid((1, 1, 0))] == math.inf
 
     def test_rip_up_keeps_own_pin_a_foreign_keep_out(self):
         grid = replace(empty_grid(4, 4, ("H",)), pin_owners={(1, 1, 0): 7})
         grid.commit_route(7, [((1, 1, 0), Color.RED), ((2, 1, 0), Color.RED)])
         grid.rip_up(7)
-        assert grid.keep_outs(0)[grid.vid((1, 1, 0))] == 1
-        assert grid.keep_outs(0)[grid.vid((2, 1, 0))] == 0
+        assert grid.keep_outs(0)[grid.vid((1, 1, 0))] == -math.inf
+        assert grid.keep_outs(0)[grid.vid((2, 1, 0))] == math.inf
 
     def test_commit_refuses_foreign_pin_and_off_grid_vertex(self):
         grid = replace(empty_grid(4, 3, ("H", "V"), obstacles={(3, 2, 1)}), pin_owners={(1, 1, 0): 7})
-        before = dict(grid.committed), bytes(grid.keep_outs(0))
+        before = dict(grid.committed), grid.keep_outs(0)
         with pytest.raises(CollisionError, match="pin of net 7"):
             grid.commit_route(0, [((0, 1, 0), Color.RED), ((1, 1, 0), Color.RED)])
         with pytest.raises(CollisionError, match="obstacle"):
@@ -283,7 +284,7 @@ class TestOccupancy:
         for v in ((4, 0, 0), (-1, 0, 0), (0, 3, 1), (0, 0, 2)):
             with pytest.raises(ValueError, match="off the grid"):
                 grid.commit_route(0, [((0, 1, 0), Color.RED), (v, Color.RED)])
-        assert (dict(grid.committed), bytes(grid.keep_outs(0))) == before
+        assert (dict(grid.committed), grid.keep_outs(0)) == before
 
 
 @pytest.mark.parametrize(
@@ -301,6 +302,21 @@ class TestOccupancy:
 def test_construction_refuses_bad_geometry(fields, match):
     with pytest.raises(ValueError, match=match):
         replace(empty_grid(4, 3, ("H", "V")), **fields)
+
+
+def test_geometry_cannot_be_rebound():
+    grid = replace(empty_grid(3, 1, ("H",)), pin_owners={(2, 0, 0): 1})
+    with pytest.raises(AttributeError, match="obstacles is fixed"):
+        grid.obstacles |= {(1, 0, 0)}
+    for name, value in (("width", 4), ("height", 2), ("layer_dirs", ["V"]), ("pin_owners", {})):
+        with pytest.raises(AttributeError, match=f"{name} is fixed"):
+            setattr(grid, name, value)
+    assert (grid.width, grid.height, grid.layer_dirs) == (3, 1, ["H"])
+    _, vertices = grid.move_table()
+    assert grid.keep_outs(0) == [math.inf if oracle.usable(grid, v, 0) else -math.inf for v in vertices]
+    assert grid.keep_outs(0) == [math.inf, math.inf, -math.inf]
+    grid.rules = DesignRules(gamma=0.0)  # the rules stay assignable
+    assert replace(grid, obstacles={(1, 0, 0)}).keep_outs(0) == [math.inf, -math.inf, -math.inf]
 
 
 @settings(max_examples=30, deadline=None)
@@ -352,8 +368,8 @@ def _keep_out_grid(rng, check=lambda grid: None):
 def _check_keep_outs(grid):
     _, vertices = grid.move_table()
     for net_id in range(-1, 5):  # every owner, and nets owning nothing
-        closed = grid.keep_outs(net_id)
-        assert [bool(c) for c in closed] == [not oracle.usable(grid, v, net_id) for v in vertices]
+        expected = [math.inf if oracle.usable(grid, v, net_id) else -math.inf for v in vertices]
+        assert grid.keep_outs(net_id) == expected
 
 
 @settings(max_examples=60, deadline=None)

@@ -12,6 +12,7 @@ each net's vertex set equals a scan too, and so do its keep-outs
 """
 
 import copy
+import math
 import pickle
 from dataclasses import replace
 
@@ -85,7 +86,7 @@ def apply(grid, op):
 def assert_indexes_match(grid):
     for net_id in [*NETS, 99]:
         assert grid.net_vertices(net_id) == {v for v, (n, _) in grid.committed.items() if n == net_id}
-        assert list(grid.keep_outs(net_id)) == [not oracle.usable(grid, v, net_id) for v in PROBES]
+        assert grid.keep_outs(net_id) == [math.inf if oracle.usable(grid, v, net_id) else -math.inf for v in PROBES]
     gamma = grid.rules.gamma
     for net_id in [*NETS, 99]:
         counts = grid.foreign_counts(net_id)

@@ -382,10 +382,11 @@ def test_search_accept_matches_two_pass_reference(seed):
         assert _reference_insert(reference, pruned, label)
     assert queue.labels == {k: bucket for k, bucket in reference.items() if bucket}
     assert queue.dead == pruned
-    for k, shut in enumerate(queue.closed):
+    keep_outs = grid.keep_outs(net.id)
+    for k, keep_out in enumerate(keep_outs):
         full = [ex[0] for ex in reference.get(k, []) if ex[4] == 0b111]
-        assert queue.settled[k] == (-math.inf if shut else min(full, default=math.inf))
-    assert not any(queue.closed[k] for k in reference)
+        assert queue.settled[k] == (keep_out if keep_out == -math.inf else min(full, default=math.inf))
+    assert not any(keep_outs[k] == -math.inf for k in reference)
 
 
 def _search_to_exhaustion(grid, net, source_state=None):
@@ -442,12 +443,11 @@ def test_search_skips_match_two_pass_reference_under_drawn_rules(
 ):
     # The search skips a move when its target is settled at no more than
     # the pop's cost plus alpha, drops a priced child settled at no more
-    # than its own cost, accepts a 111 child without the state tests,
-    # reads zero counts when gamma is 0, and runs plain Dijkstra when it
-    # also holds only 111 labels. Replayed in push order through the
-    # two-pass reference, every pushed label is accepted and the final
-    # buckets, dead set and settled costs agree, a one-mask source
-    # included. Every pushed child is the oracle's child of its
+    # than its own cost, reads zero counts when gamma is 0, and runs
+    # plain Dijkstra when gamma is 0 and it holds only 111 labels.
+    # Replayed in push order through the two-pass reference, every pushed
+    # label is accepted and the final buckets, dead set and settled costs
+    # agree, a one-mask source included. Every pushed child is the oracle's child of its
     # predecessor, and no skip loses one: the oracle's child of every
     # expanded move is dominated by a live label at its target when the
     # search ends.
@@ -462,9 +462,9 @@ def test_search_skips_match_two_pass_reference_under_drawn_rules(
         assert _reference_insert(reference, pruned, label)
     assert queue.labels == {k: bucket for k, bucket in reference.items() if bucket}
     assert queue.dead == pruned
-    for k, shut in enumerate(queue.closed):
+    for k, keep_out in enumerate(grid.keep_outs(net.id)):
         full = [ex[0] for ex in reference.get(k, []) if ex[4] == 0b111]
-        assert queue.settled[k] == (-math.inf if shut else min(full, default=math.inf))
+        assert queue.settled[k] == (keep_out if keep_out == -math.inf else min(full, default=math.inf))
 
     stitch = rules.beta * rules.stitch_cost
 
@@ -597,6 +597,13 @@ def test_queue_refuses_an_off_grid_pin():
             SolutionQueue(grid, net)
         with pytest.raises(ValueError, match="off the grid"):
             route_net(net, grid)
+
+
+def test_one_pin_net_refuses_an_off_grid_pin_too():
+    # A one-pin net takes the same path as any other, so its pin is checked.
+    grid = empty_grid(4, 4, ("H",))
+    with pytest.raises(ValueError, match=r"net 0 pin 0 vertex \(9, 9, 0\) is off the grid"):
+        route_net(Net(0, "n", [Pin(0, [(9, 9, 0)])]), grid)
 
 
 def _reference_wall_blockers(queue, grid, net, remaining):
@@ -973,9 +980,8 @@ def test_queue_context_follows_grid_writes(seed, width, height, layers, congesti
         for net in layout.nets:
             queue = SolutionQueue(grid, net)
             keep_outs = grid.keep_outs(net.id)
-            assert queue.closed == keep_outs
-            assert [bool(c) for c in keep_outs] == [not oracle.usable(grid, v, net.id) for v in vertices]
-            assert queue.settled == [-math.inf if c else math.inf for c in keep_outs]
+            assert queue.settled == keep_outs
+            assert keep_outs == [math.inf if oracle.usable(grid, v, net.id) else -math.inf for v in vertices]
             assert queue.pin_at == covers[net.id]
 
     check()
