@@ -19,10 +19,11 @@ A grid's geometry is checked once, when it is built, and trusted after:
 construction raises ValueError for an obstacle, pin or commit off the
 grid, a pin on an obstacle, a commit on an obstacle or another net's pin,
 or a history whose length is not the vertex count. obstacles is a
-frozenset and pin_owners a copy, and rebinding width, height, layer_dirs,
-obstacles or pin_owners raises AttributeError; a grid with other geometry
-is a new grid (dataclasses.replace). Past these checks and commit_route's,
-no reader tests whether an entry lies on the grid.
+frozenset, layer_dirs a tuple and pin_owners a read-only PinOwners copy,
+so none can be changed in place, and rebinding width, height,
+layer_dirs, obstacles or pin_owners raises AttributeError; a grid with
+other geometry is a new grid (dataclasses.replace). Past these checks
+and commit_route's, no reader tests whether an entry lies on the grid.
 
 Next to the committed vertex -> (net, color) map, the grid keeps, per
 mask, how many commits lie within the d_color stencil of each vertex, so
@@ -38,6 +39,7 @@ to inf, which is the array its search starts from (router.SolutionQueue).
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import IntEnum
 from functools import cache, lru_cache
@@ -81,11 +83,35 @@ class CollisionError(RuntimeError):
     """A commit touched a vertex owned by a different net."""
 
 
+class PinOwners(Mapping):
+    """Pin vertex -> owning net id, read-only: a grid's pins are fixed when it is built."""
+
+    __slots__ = ("_owners",)
+
+    def __init__(self, owners=()):
+        self._owners: dict[Vertex, int] = dict(owners)
+
+    def __getitem__(self, v: Vertex) -> int:
+        return self._owners[v]
+
+    def __iter__(self):
+        return iter(self._owners)
+
+    def __len__(self) -> int:
+        return len(self._owners)
+
+    def get(self, v, default=None):
+        return self._owners.get(v, default)  # commit_route reads one per vertex
+
+    def __repr__(self) -> str:
+        return f"PinOwners({self._owners!r})"
+
+
 @dataclass
 class Grid:
     width: int
     height: int
-    layer_dirs: list[str]  # "H" or "V" per layer
+    layer_dirs: tuple[str, ...]  # "H" or "V" per layer
     rules: DesignRules
     obstacles: frozenset[Vertex] = frozenset()
     # vertex -> (net_id, color). Written only by commit_route, rip_up and
@@ -95,7 +121,7 @@ class Grid:
     # Per vertex id, the history cost added by negotiation (None: all zeros).
     history: list[float] | None = None
     # Pin vertices are keep-outs for every other net.
-    pin_owners: dict[Vertex, int] = field(default_factory=dict)
+    pin_owners: Mapping[Vertex, int] = field(default_factory=PinOwners)
     # (d_color, per mask the commits within d_color of each vertex id), or
     # None until a read builds it (see foreign_counts).
     _counts: tuple[int, dict[Color, list[int]]] | None = field(
@@ -111,7 +137,8 @@ class Grid:
     def __post_init__(self) -> None:
         size = self.width * self.height * self.num_layers
         object.__setattr__(self, "obstacles", frozenset(self.obstacles))
-        object.__setattr__(self, "pin_owners", dict(self.pin_owners))
+        object.__setattr__(self, "layer_dirs", tuple(self.layer_dirs))
+        object.__setattr__(self, "pin_owners", PinOwners(self.pin_owners))
         if self.history is None:
             self.history = [0.0] * size
         elif len(self.history) != size:
@@ -143,7 +170,7 @@ class Grid:
         return cls(
             width=layout.width,
             height=layout.height,
-            layer_dirs=[layer.preferred_direction for layer in layout.layers],
+            layer_dirs=tuple(layer.preferred_direction for layer in layout.layers),
             rules=layout.rules,
             obstacles=frozenset(layout.obstacles),
             pin_owners=pin_owners,
@@ -188,7 +215,7 @@ class Grid:
         Shared by every grid of this shape and these move costs (see
         _move_table).
         """
-        return _move_table(self.width, self.height, tuple(self.layer_dirs), _base_trad(self.rules))
+        return _move_table(self.width, self.height, self.layer_dirs, _base_trad(self.rules))
 
     def keep_outs(self, net_id: int) -> list[float]:
         """Per vertex id, -inf at an obstacle or another net's pin or commit, else inf.

@@ -32,19 +32,30 @@ lets a later stretch reuse a mask that a cheaper arrival had priced out.
 On an exact (cost, state) tie the incumbent stays.
 
 A label is one plain tuple, (cost, vid, dir_key, seq, state, prev), and
-it is its own heap entry: the first four fields are the pop order, so
-runs are reproducible. vid is the vertex id (Grid.vid), dir_key the
-arrival Direction or -1 for a source, seq a per-queue counter (unique,
-so a heap comparison never reaches state or prev), and prev the
-predecessor label or None for a source. Each label is pushed once, so it
-pops at most once. A pruned label is not removed from the heap; its seq
-goes into the queue's dead set, and a pop skips it. Sources (start-pin
-seeds and the traced vertices re-seeded after a backtrace) enter through
+its first four fields are the pop order, so runs are reproducible. vid
+is the vertex id (Grid.vid), dir_key the arrival Direction or -1 for a
+source, seq a per-queue counter (unique, so a comparison never reaches
+state or prev), and prev the predecessor label or None for a source.
+
+The queue is a bucket queue (Dial, CACM 1969, Algorithm 360): one
+unsorted list of labels per cost (buckets) and a small heap of the
+distinct costs (costs), since a search sees only a few dozen costs under
+default rules. Every accepted label joins its cost's bucket once,
+through _enqueue, so it pops at most once. A pruned label stays in its
+bucket; its seq goes into the queue's dead set. The search pops the
+least cost, drops that bucket's dead labels and sorts the rest once
+(_sorted_live), and works through the sorted list. A child costs no less
+than its parent, so only a child of the same cost, which alpha 0 or a
+tiny alpha makes, can join or prune that list. Such a child goes to the
+cost's ties, not to a bucket, and from then on the rest of the list and
+the ties are one heap, drained with a dead check (_drain), so each tie
+costs O(log n). When a search returns in the middle of a bucket, the
+rest goes back into buckets. Labels pop in (cost, vid, dir_key, seq)
+order, as from one heap of them all. Sources (start-pin seeds and the
+traced vertices re-seeded after a backtrace) enter through
 SolutionQueue.source, which goes through SolutionQueue.insert. The
 search does not call insert or pop: it runs the same accept and the same
-pop inline. Both reach the heap only through this module's heappush and
-heappop, so every accepted label is one heappush and every pop is one
-heappop of a label not in dead.
+pop order inline.
 
 The search does no work whose result is already known. Everything it
 reads that stays fixed while a net is routed is taken from the grid once
@@ -81,7 +92,7 @@ scanned:
 Any other child is accepted in one pass over its target's labels: a
 label dominating it ends the scan before the child is built, and
 otherwise every label it dominates is marked dead, the label list is
-rebuilt only if one was, and the child is appended and pushed. One pass
+rebuilt only if one was, and the child is appended and queued. One pass
 suffices because live labels never dominate one another. A 111 child
 takes the same pass: under its target's settled cost no live label
 dominates it, and it prunes exactly the labels not cheaper than it. The
@@ -97,7 +108,7 @@ live label, the one costing settled. A move passes the same floor, its
 child is accepted only under its target's settled cost, and it replaces
 the live label there, which is marked dead. The same labels pop and are
 accepted, in the same order, as in the loop above, with no mask or
-bucket work. A one-mask source, such as a two-pin-mode re-seed, clears
+label-list work. A one-mask source, such as a two-pin-mode re-seed, clears
 the flag, and the queue's later searches run the loop above.
 
 The rescue path finds a wall of foreign commits by walking vertex ids
@@ -109,6 +120,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from bisect import bisect_right
 from heapq import heappop, heappush
 from itertools import count
 from typing import Sequence
@@ -178,10 +190,12 @@ class RouteTree:
 
 
 class SolutionQueue:
-    """Priority queue of search labels with per-vertex Pareto label sets.
+    """Bucket queue of search labels with per-vertex Pareto label sets.
 
-    labels maps a vertex id to its live labels, dead holds the seq of
-    every pruned label, settled[vid] is the cost of the live 111 label
+    buckets maps a cost to the labels queued at it (unsorted, pruned
+    ones included) and costs is a heap of the costs in buckets, each
+    once. labels maps a vertex id to its live labels, dead holds the seq
+    of every pruned label, settled[vid] is the cost of the live 111 label
     there (inf when none, -inf at a keep-out), and pin_at[vid] is the
     frozenset of the net's pin indices covering it (None when none).
     moves, vertices, counts, hist and off_guide are the net's search
@@ -197,7 +211,8 @@ class SolutionQueue:
         self.hist = grid.history
         self.off_guide = grid.off_guide(net.guide)
         self.settled = grid.keep_outs(net.id)
-        self._heap: list[Label] = []
+        self.buckets: dict[float, list[Label]] = {}
+        self.costs: list[float] = []
         self._seq = count()
         self.dead: set[int] = set()
         self.labels: dict[int, list[Label]] = {}
@@ -215,16 +230,16 @@ class SolutionQueue:
 
     def insert(self, label: Label) -> bool:
         cost, vid, _, _, state, _ = label
-        bucket = self.labels.get(vid)
-        if bucket is None:
+        rivals = self.labels.get(vid)
+        if rivals is None:
             self.labels[vid] = [label]
         else:
             # One pass suffices: live labels never dominate one another, so
-            # no label this one prunes can share the bucket with one that
+            # no label this one prunes can share the list with one that
             # dominates it.
             dead = self.dead
             pruned = False
-            for ex in bucket:
+            for ex in rivals:
                 ex_cost, ex_state = ex[0], ex[4]
                 if ex_cost <= cost and (ex_state & state) == state:
                     return False  # dominated; ties keep the incumbent
@@ -232,14 +247,18 @@ class SolutionQueue:
                     dead.add(ex[3])
                     pruned = True
             if pruned:
-                bucket = self.labels[vid] = [ex for ex in bucket if ex[3] not in dead]
-            bucket.append(label)
+                rivals = self.labels[vid] = [ex for ex in rivals if ex[3] not in dead]
+            rivals.append(label)
         if state == ALL_COLORS:
             # An accepted 111 label undercuts every live one, and prunes it.
             self.settled[vid] = cost
         else:
             self.all_111 = False
-        heappush(self._heap, label)
+        waiting = self.buckets.get(cost)
+        if waiting is None:
+            waiting = self.buckets[cost] = []
+            heappush(self.costs, cost)
+        _enqueue(waiting, label)
         return True
 
     def source(self, vertex: Vertex, cost: float, state: int) -> bool:
@@ -248,12 +267,60 @@ class SolutionQueue:
 
     def pop(self) -> Label | None:
         """The least live label, or None. The search pops inline; perfbench/spans.py wraps this by name."""
-        heap, dead = self._heap, self.dead
-        while heap:
-            label = heappop(heap)
-            if label[3] not in dead:
-                return label
+        costs = self.costs
+        while costs:
+            cost = heappop(costs)
+            live = _sorted_live(self.buckets.pop(cost), self.dead)
+            if live:
+                self._put_back(cost, live[1:])
+                return live[0]
         return None
+
+    def _put_back(self, cost: float, rest: list[Label]) -> None:
+        """Return the unpopped rest of a cost's bucket, taken out to be popped."""
+        if rest:
+            self.buckets[cost] = rest
+            heappush(self.costs, cost)
+
+
+# Every accepted label joins its cost's bucket, or the ties of the cost
+# being popped, through this one call (tests wrap it to watch accepts).
+_enqueue = list.append
+
+
+def _sorted_live(bucket: list[Label], dead: set[int]) -> list[Label]:
+    """A cost bucket's live labels in pop order, taken once per activation.
+
+    The bucket is the caller's to reuse: it is sorted in place unless a
+    label in it is dead.
+    """
+    for label in bucket:
+        if label[3] in dead:
+            bucket = [label for label in bucket if label[3] not in dead]
+            break
+    bucket.sort()
+    return bucket
+
+
+def _drain(heap: list[Label], ties: list[Label], dead: set[int]):
+    """Yield the live labels of one cost, least first, once it has ties.
+
+    heap holds the cost's labels not yet popped. ties collects the
+    equal-cost children the search accepts while it runs; each joins
+    the heap before the next pop, so the labels come in the order of
+    one heap of all of them.
+    """
+    push, pop = heappush, heappop
+    while True:
+        if ties:
+            for label in ties:
+                push(heap, label)
+            ties.clear()
+        if not heap:
+            return
+        label = pop(heap)
+        if label[3] not in dead:
+            yield label
 
 
 class _TreeBuilder:
@@ -311,116 +378,151 @@ def color_state_search(queue: SolutionQueue, grid: Grid, net: Net) -> Label:
     red, green, blue = queue.counts
     hist, off_guide, settled = queue.hist, queue.off_guide, queue.settled
     moves, labels, pin_at, connected = queue.moves, queue.labels, queue.pin_at, queue.connected
-    heap, dead, next_seq = queue._heap, queue.dead, queue._seq.__next__
-    push, pop = heappush, heappop
+    buckets, costs, dead, next_seq = queue.buckets, queue.costs, queue.dead, queue._seq.__next__
+    push, pop, enqueue = heappush, heappop, _enqueue
+    ties: list[Label] = []  # children at the cost being popped
     if queue.all_111 and not gamma:
         # Plain Dijkstra (see the module docstring): a vertex's one live
         # label is 111 and costs settled.
         inf = math.inf
-        while heap:
-            label = pop(heap)
-            if label[3] in dead:
-                continue
-            cost, v = label[0], label[1]
-            pins_here = pin_at[v]
-            if pins_here is not None and not pins_here <= connected:
-                return label
+        while costs:
+            cost = pop(costs)
             floor = cost + alpha
-            for direction, dvid, _, base_trad in moves[v]:
-                i = v + dvid
-                least = settled[i]
-                if least <= floor:
-                    continue
-                trad = base_trad + hist[i]
-                if off_guide is not None:
-                    trad += off_guide[i]
-                child_cost = cost + alpha * trad
-                if least <= child_cost:
-                    continue
-                if least != inf:
-                    dead.add(labels[i][0][3])
-                child = (child_cost, i, direction, next_seq(), ALL_COLORS, label)
-                labels[i] = [child]
-                settled[i] = child_cost
-                push(heap, child)
+            run = order = _sorted_live(buckets.pop(cost), dead)
+            heap = None
+            while True:
+                for label in order:
+                    v = label[1]
+                    pins_here = pin_at[v]
+                    if pins_here is not None and not pins_here <= connected:
+                        queue._put_back(cost, run[bisect_right(run, label):] if heap is None else heap)
+                        return label
+                    for direction, dvid, _, base_trad in moves[v]:
+                        i = v + dvid
+                        least = settled[i]
+                        if least <= floor:
+                            continue
+                        trad = base_trad + hist[i]
+                        if off_guide is not None:
+                            trad += off_guide[i]
+                        child_cost = cost + alpha * trad
+                        if least <= child_cost:
+                            continue
+                        if least != inf:
+                            dead.add(labels[i][0][3])
+                        child = (child_cost, i, direction, next_seq(), ALL_COLORS, label)
+                        labels[i] = [child]
+                        settled[i] = child_cost
+                        waiting = buckets.get(child_cost)
+                        if waiting is None:
+                            if child_cost == cost:
+                                waiting = ties
+                            else:
+                                waiting = buckets[child_cost] = []
+                                push(costs, child_cost)
+                        enqueue(waiting, child)
+                    if ties and heap is None:
+                        break
+                else:
+                    break
+                # A child at this cost: the sorted rest is already a heap.
+                heap = run[bisect_right(run, label):]
+                order = _drain(heap, ties, dead)
         raise SearchExhaustedError("solution queue exhausted")
-    while heap:
-        label = pop(heap)
-        if label[3] in dead:
-            continue
-        cost, v, _, _, held, _ = label
-        pins_here = pin_at[v]
-        if pins_here is not None and not pins_here <= connected:
-            return label
+    while costs:
+        cost = pop(costs)
         # Every child costs at least cost + alpha: trad >= 1, other terms >= 0.
         floor = cost + alpha
-        # A conflict-free on-layer child keeps the held masks when a stitch costs.
-        free_planar = held if stitch_term else ALL_COLORS
-        for direction, dvid, planar, base_trad in moves[v]:
-            i = v + dvid
-            least = settled[i]
-            if least <= floor:
-                continue
-            trad = base_trad + hist[i]
-            if off_guide is not None:
-                trad += off_guide[i]
-            if red[i] or green[i] or blue[i]:
-                red_term, green_term, blue_term = gamma * red[i], gamma * green[i], gamma * blue[i]
-                if planar:
-                    if not held & RED:
-                        red_term += stitch_term
-                    if not held & GREEN:
-                        green_term += stitch_term
-                    if not held & BLUE:
-                        blue_term += stitch_term
-                # The cheapest mask, with ties OR-ed in, in RED, GREEN, BLUE order.
-                best, state = math.inf, 0
-                if red_term < best:
-                    best, state = red_term, RED
-                elif red_term == best:
-                    state = RED
-                if green_term < best:
-                    best, state = green_term, GREEN
-                elif green_term == best:
-                    state |= GREEN
-                if blue_term < best:
-                    best, state = blue_term, BLUE
-                elif blue_term == best:
-                    state |= BLUE
-                child_cost = cost + alpha * trad + best
-            else:
-                # No conflicts: the masks in the held state cost nothing.
-                state = free_planar if planar else ALL_COLORS
-                child_cost = cost + alpha * trad
-            if least <= child_cost:
-                continue  # the live 111 label dominates the child
-            bucket = labels.get(i)
-            if bucket is None:
-                bucket = labels[i] = []
-            else:
-                # insert's one-pass accept, run before the child is built.
-                dominated = False
-                kept = 0
-                for ex in bucket:
-                    ex_cost, ex_state = ex[0], ex[4]
-                    if ex_cost <= child_cost and (ex_state & state) == state:
-                        dominated = True  # ties keep the incumbent
-                        break
-                    if child_cost <= ex_cost and (state & ex_state) == ex_state:
-                        dead.add(ex[3])
+        run = order = _sorted_live(buckets.pop(cost), dead)
+        heap = None
+        while True:
+            for label in order:
+                v, held = label[1], label[4]
+                pins_here = pin_at[v]
+                if pins_here is not None and not pins_here <= connected:
+                    queue._put_back(cost, run[bisect_right(run, label):] if heap is None else heap)
+                    return label
+                # A conflict-free on-layer child keeps the held masks when a stitch costs.
+                free_planar = held if stitch_term else ALL_COLORS
+                for direction, dvid, planar, base_trad in moves[v]:
+                    i = v + dvid
+                    least = settled[i]
+                    if least <= floor:
+                        continue
+                    trad = base_trad + hist[i]
+                    if off_guide is not None:
+                        trad += off_guide[i]
+                    if red[i] or green[i] or blue[i]:
+                        red_term, green_term, blue_term = gamma * red[i], gamma * green[i], gamma * blue[i]
+                        if planar:
+                            if not held & RED:
+                                red_term += stitch_term
+                            if not held & GREEN:
+                                green_term += stitch_term
+                            if not held & BLUE:
+                                blue_term += stitch_term
+                        # The cheapest mask, with ties OR-ed in, in RED, GREEN, BLUE order.
+                        best, state = math.inf, 0
+                        if red_term < best:
+                            best, state = red_term, RED
+                        elif red_term == best:
+                            state = RED
+                        if green_term < best:
+                            best, state = green_term, GREEN
+                        elif green_term == best:
+                            state |= GREEN
+                        if blue_term < best:
+                            best, state = blue_term, BLUE
+                        elif blue_term == best:
+                            state |= BLUE
+                        child_cost = cost + alpha * trad + best
                     else:
-                        kept += 1
-                if dominated:
-                    continue
-                if not kept:
-                    bucket.clear()
-                elif kept < len(bucket):
-                    bucket = labels[i] = [ex for ex in bucket if ex[3] not in dead]
-            child = (child_cost, i, direction, next_seq(), state, label)
-            bucket.append(child)
-            if state == ALL_COLORS:
-                settled[i] = child_cost
-            push(heap, child)
+                        # No conflicts: the masks in the held state cost nothing.
+                        state = free_planar if planar else ALL_COLORS
+                        child_cost = cost + alpha * trad
+                    if least <= child_cost:
+                        continue  # the live 111 label dominates the child
+                    rivals = labels.get(i)
+                    if rivals is None:
+                        rivals = labels[i] = []
+                    else:
+                        # insert's one-pass accept, run before the child is built.
+                        dominated = False
+                        kept = 0
+                        for ex in rivals:
+                            ex_cost, ex_state = ex[0], ex[4]
+                            if ex_cost <= child_cost and (ex_state & state) == state:
+                                dominated = True  # ties keep the incumbent
+                                break
+                            if child_cost <= ex_cost and (state & ex_state) == ex_state:
+                                dead.add(ex[3])
+                            else:
+                                kept += 1
+                        if dominated:
+                            continue
+                        if not kept:
+                            rivals.clear()
+                        elif kept < len(rivals):
+                            rivals = labels[i] = [ex for ex in rivals if ex[3] not in dead]
+                    child = (child_cost, i, direction, next_seq(), state, label)
+                    rivals.append(child)
+                    if state == ALL_COLORS:
+                        settled[i] = child_cost
+                    waiting = buckets.get(child_cost)
+                    if waiting is None:
+                        if child_cost == cost:
+                            waiting = ties
+                        else:
+                            waiting = buckets[child_cost] = []
+                            push(costs, child_cost)
+                    enqueue(waiting, child)
+                if ties and heap is None:
+                    break
+            else:
+                break
+            # A child at this cost: the sorted rest is already a heap.
+            heap = run[bisect_right(run, label):]
+            order = _drain(heap, ties, dead)
     raise SearchExhaustedError("solution queue exhausted")
 
 

@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import pytest
 
+from tplroute import router
 from tplroute.color_state import COLOR_ORDER, Color
 from tplroute.generate import generate_instance
 from tplroute.grid import CollisionError, Grid
@@ -33,7 +34,7 @@ def two_pin_net(src, dst, net_id=0):
 def register_pins(grid, net):
     """A copy of grid with net's pin vertices added to its pin owners."""
     pins = {v: net.id for pin in net.pins for v in pin.covered_vertices}
-    return replace(grid, pin_owners=grid.pin_owners | pins)
+    return replace(grid, pin_owners={**grid.pin_owners, **pins})
 
 
 def commit_or_refusal(grid, net_id, path):
@@ -59,6 +60,46 @@ def commit_or_refusal(grid, net_id, path):
         grid.commit_route(net_id, path)
     assert (dict(grid.committed), grid.net_vertices(net_id), grid.keep_outs(net_id)) == before
     return False
+
+
+def watch_search(monkeypatch, on_pop=None, on_accept=None):
+    """Patch the solution queue's seams so on_pop sees every label the
+    search pops and on_accept every label a queue accepts, as it happens.
+
+    A pop is a label the search takes from a cost bucket's sorted live
+    labels (router._sorted_live) or, once that cost has equal-cost
+    children, from router._drain; both hand out only live labels. An
+    accept is a label passed to router._enqueue, which the search and
+    SolutionQueue.insert call once per accepted label, after it has
+    joined its vertex's labels.
+    """
+    if on_pop is not None:
+        sorted_live, drain = router._sorted_live, router._drain
+
+        class Popping(list):
+            def __iter__(self):
+                for label in list.__iter__(self):
+                    on_pop(label)
+                    yield label
+
+        def watched_sorted_live(bucket, dead):
+            return Popping(sorted_live(bucket, dead))
+
+        def watched_drain(heap, ties, dead):
+            for label in drain(heap, ties, dead):
+                on_pop(label)
+                yield label
+
+        monkeypatch.setattr(router, "_sorted_live", watched_sorted_live)
+        monkeypatch.setattr(router, "_drain", watched_drain)
+    if on_accept is not None:
+        enqueue = router._enqueue
+
+        def watched_enqueue(waiting, label):
+            enqueue(waiting, label)
+            on_accept(label)
+
+        monkeypatch.setattr(router, "_enqueue", watched_enqueue)
 
 
 def oracle_instance(seed):

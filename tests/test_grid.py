@@ -311,12 +311,28 @@ def test_geometry_cannot_be_rebound():
     for name, value in (("width", 4), ("height", 2), ("layer_dirs", ["V"]), ("pin_owners", {})):
         with pytest.raises(AttributeError, match=f"{name} is fixed"):
             setattr(grid, name, value)
-    assert (grid.width, grid.height, grid.layer_dirs) == (3, 1, ["H"])
+    assert (grid.width, grid.height, grid.layer_dirs) == (3, 1, ("H",))
     _, vertices = grid.move_table()
     assert grid.keep_outs(0) == [math.inf if oracle.usable(grid, v, 0) else -math.inf for v in vertices]
     assert grid.keep_outs(0) == [math.inf, math.inf, -math.inf]
     grid.rules = DesignRules(gamma=0.0)  # the rules stay assignable
     assert replace(grid, obstacles={(1, 0, 0)}).keep_outs(0) == [math.inf, -math.inf, -math.inf]
+
+
+def test_geometry_cannot_be_changed_in_place():
+    # The pin map and the layer directions are read-only too, so the
+    # keep-out template and the move table cannot fall out of step.
+    grid = replace(empty_grid(3, 1, ("H",)), pin_owners={(2, 0, 0): 1})
+    keep_outs, moves = grid.keep_outs(0), grid.move_table()
+    with pytest.raises(TypeError):
+        grid.pin_owners[(2, 0, 0)] = 2
+    with pytest.raises(TypeError):
+        grid.pin_owners |= {(0, 0, 0): 2}
+    with pytest.raises(TypeError):
+        grid.layer_dirs[0] = "V"
+    assert dict(grid.pin_owners) == {(2, 0, 0): 1} and grid.layer_dirs == ("H",)
+    assert grid.keep_outs(0) == keep_outs == [math.inf, math.inf, -math.inf]
+    assert grid.move_table() == moves
 
 
 @settings(max_examples=30, deadline=None)

@@ -4,7 +4,11 @@
 metrics functions by name from outside the package, so a rename or a
 changed signature there breaks ``perfbench/run.py --trace 1``. This
 routes one desk draw with both arms through ``run.run_pass``, under
-``Tracer(hot=True)`` and untraced, and compares the outcome rows.
+``Tracer(hot=True)`` and untraced, and compares the outcome rows. The
+traced pass's whole counter block is pinned too, since it is what the
+benchmark sees of the solution queue: ``router.inserts`` and
+``router.labels_pruned`` read ``SolutionQueue.insert`` and
+``SolutionQueue.labels`` by name.
 """
 
 import sys
@@ -16,6 +20,45 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import run  # noqa: E402
 from spans import Tracer  # noqa: E402
 from workloads import WORKLOADS, load_draws  # noqa: E402
+
+# tracer.counts for desk draw 0 (seed 0), both arms, recorded from a
+# known-good build. labels_pruned reads negative because the search
+# accepts its children without calling insert.
+DESK_DRAW_0_COUNTS = {
+    "base.baseline.conflict_edges": 12,
+    "base.baseline.conflict_graph.calls": 1,
+    "base.baseline.decompose.calls": 1,
+    "base.baseline.exact_components": 9,
+    "base.baseline.run_baseline.calls": 1,
+    "base.baseline.segments": 29,
+    "base.grid.commit.calls": 8,
+    "base.grid.commit.vertices": 68,
+    "base.grid.rip_up.calls": 8,
+    "base.metrics.score.calls": 1,
+    "base.negotiation.detect_conflicts.calls": 1,
+    "base.negotiation.route_batch.calls": 1,
+    "base.router.backtrace.calls": 24,
+    "base.router.finalize.calls": 8,
+    "base.router.inserts": 92,
+    "base.router.inserts_dominated": 24,
+    "base.router.labels_pruned": -696,
+    "base.router.route_net.calls": 8,
+    "base.router.search.calls": 24,
+    "route.grid.commit.calls": 8,
+    "route.grid.commit.vertices": 67,
+    "route.grid.rip_up.calls": 8,
+    "route.metrics.score.calls": 1,
+    "route.negotiation.detect_conflicts.calls": 2,
+    "route.negotiation.route_all.calls": 1,
+    "route.negotiation.route_batch.calls": 1,
+    "route.router.backtrace.calls": 24,
+    "route.router.finalize.calls": 8,
+    "route.router.inserts": 91,
+    "route.router.inserts_dominated": 24,
+    "route.router.labels_pruned": -759,
+    "route.router.route_net.calls": 8,
+    "route.router.search.calls": 24,
+}
 
 
 def test_traced_pass_rows_equal_untraced():
@@ -29,3 +72,4 @@ def test_traced_pass_rows_equal_untraced():
     for arm in ("route", "base"):
         assert tracer.counts[f"{arm}.router.search.calls"] > 0
         assert tracer.counts[f"{arm}.grid.commit.vertices"] > 0
+    assert dict(tracer.counts) == DESK_DRAW_0_COUNTS

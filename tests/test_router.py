@@ -14,6 +14,7 @@ from instances import (
     pressure_instance,
     register_pins,
     two_pin_net,
+    watch_search,
 )
 from tplroute import oracle, router
 from tplroute.baseline import run_baseline
@@ -203,26 +204,9 @@ COST, STATE = 0, 4  # fields of a label tuple
 
 
 def record_pops(monkeypatch, field):
-    """Collect one field of every label the search pops.
-
-    A pop is a heappop of a label whose seq is not in the dead set of the
-    queue being searched, the one most recently made.
-    """
-    seen, current = [], []
-    init, pop = SolutionQueue.__init__, router.heappop
-
-    def recording_init(queue, *args):
-        init(queue, *args)
-        current[:] = [queue]
-
-    def recording_pop(heap):
-        label = pop(heap)
-        if label[3] not in current[0].dead:
-            seen.append(label[field])
-        return label
-
-    monkeypatch.setattr(SolutionQueue, "__init__", recording_init)
-    monkeypatch.setattr(router, "heappop", recording_pop)
+    """Collect one field of every label the search pops."""
+    seen = []
+    watch_search(monkeypatch, on_pop=lambda label: seen.append(label[field]))
     return seen
 
 
@@ -359,14 +343,9 @@ def test_search_accept_matches_two_pass_reference(seed):
     grid, net = _search_instance(seed)
     queue = SolutionQueue(grid, net)
     src = net.pins[0].covered_vertices[0]
-    pushed, push = [], router.heappush
-
-    def recording_push(heap, label):
-        pushed.append(label)
-        push(heap, label)
-
-    router.heappush = recording_push
-    try:
+    pushed = []
+    with pytest.MonkeyPatch.context() as mp:
+        watch_search(mp, on_accept=pushed.append)
         for cost, state in router._seed_labels(grid, queue.counts, src):
             queue.source(src, cost, state)
         while True:
@@ -374,8 +353,6 @@ def test_search_accept_matches_two_pass_reference(seed):
                 color_state_search(queue, grid, net)
             except SearchExhaustedError:
                 break
-    finally:
-        router.heappush = push
 
     reference, pruned = {}, set()
     for label in pushed:
@@ -400,20 +377,8 @@ def _search_to_exhaustion(grid, net, source_state=None):
     queue = SolutionQueue(grid, net)
     src = net.pins[0].covered_vertices[0]
     pushed, popped, returned = [], [], set()
-    push, pop = router.heappush, router.heappop
-
-    def recording_push(heap, label):
-        pushed.append(label)
-        push(heap, label)
-
-    def recording_pop(heap):
-        label = pop(heap)
-        if label[3] not in queue.dead:
-            popped.append(label)
-        return label
-
-    router.heappush, router.heappop = recording_push, recording_pop
-    try:
+    with pytest.MonkeyPatch.context() as mp:
+        watch_search(mp, on_pop=popped.append, on_accept=pushed.append)
         if source_state is None:
             seeds = router._seed_labels(grid, queue.counts, src)
         else:
@@ -425,8 +390,6 @@ def _search_to_exhaustion(grid, net, source_state=None):
                 returned.add(color_state_search(queue, grid, net)[3])
             except SearchExhaustedError:
                 break
-    finally:
-        router.heappush, router.heappop = push, pop
     return queue, pushed, [label for label in popped if label[3] not in returned]
 
 
@@ -500,7 +463,9 @@ def test_zero_gamma_zero_counts_match_real_counts(monkeypatch, stitch_cost):
     # grid for its own. Routing each net with the grid's real foreign
     # counts patched in instead gives the same tree, or the same failure,
     # and pushes the same labels in the same order.
-    init, push = SolutionQueue.__init__, router.heappush
+    init = SolutionQueue.__init__
+    pushed = []
+    watch_search(monkeypatch, on_accept=lambda label: pushed.append(label))
     real_counts_seen = 0
     for seed in range(40):
         outcomes = []
@@ -513,12 +478,7 @@ def test_zero_gamma_zero_counts_match_real_counts(monkeypatch, stitch_cost):
                 init(queue, grid, net)
                 queue.counts = grid.foreign_counts(net.id)
 
-            def recording_push(heap, label):
-                pushed.append(label)
-                push(heap, label)
-
             monkeypatch.setattr(SolutionQueue, "__init__", init_with_real_counts if patched else init)
-            monkeypatch.setattr(router, "heappush", recording_push)
             try:
                 result = route_net(net, grid)
             except UnroutableError as exc:
@@ -531,6 +491,99 @@ def test_zero_gamma_zero_counts_match_real_counts(monkeypatch, stitch_cost):
             outcomes.append((result, [(*label[:5], label[5] and label[5][3]) for label in pushed]))
         assert outcomes[0] == outcomes[1], seed
     assert real_counts_seen >= 10
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(0, 10**6),
+    st.sampled_from([0.0, 1e-300, 0.5, 1.0, 7.0]),
+    st.sampled_from([0.0, 50.0]),
+    st.booleans(),
+)
+def test_pops_follow_heap_order(seed, alpha, gamma, freeze):
+    # Replayed against one reference heap of the same label tuples, with
+    # each accepted label pushed and the labels the two-pass reference
+    # prunes skipped, every pop is the least live label at that moment.
+    # alpha 0 and 1e-300 make children that cost what their parent does,
+    # and freeze re-seeds the traced path with one mask per segSet, as
+    # two-pin mode does. The net's pins are connected, then the search
+    # runs on until the queue is empty.
+    grid, net = _search_instance(seed)
+    grid.rules = replace(grid.rules, alpha=alpha, gamma=gamma)
+    queue = SolutionQueue(grid, net)
+    src = net.pins[0].covered_vertices[0]
+    events, tree, searches = [], _TreeBuilder(), 0
+    with pytest.MonkeyPatch.context() as mp:
+        watch_search(
+            mp,
+            on_pop=lambda label: events.append((True, label)),
+            on_accept=lambda label: events.append((False, label)),
+        )
+        for cost, state in router._seed_labels(grid, queue.counts, src):
+            queue.source(src, cost, state)
+        while True:
+            searches += 1
+            try:
+                dst = color_state_search(queue, grid, net)
+            except SearchExhaustedError:
+                break
+            tree.paths.append(backtrace(queue, dst, tree, grid, freeze=freeze))
+
+    heap, reference, pruned = [], {}, set()
+    for popped, label in events:
+        if popped:
+            while heap[0][3] in pruned:
+                heapq.heappop(heap)
+            assert heapq.heappop(heap) is label
+        else:
+            assert _reference_insert(reference, pruned, label)
+            heapq.heappush(heap, label)
+    assert all(label[3] in pruned for label in heap)  # exhausted
+    assert queue.pop() is None
+    assert searches == len(tree.paths) + 1
+
+
+def test_equal_cost_labels_are_sorted_or_heaped_once(monkeypatch):
+    # With alpha 0 most children cost what their parent does. Each label
+    # enters one bucket sort (router._sorted_live) per time it is queued
+    # or put back after a search returns mid-bucket, or, as an
+    # equal-cost child, the heap of the cost being popped. So the labels
+    # entering sorts and heaps number at most the accepted labels plus
+    # those put back; re-sorting a bucket's rest for each tie breaks this.
+    layout = generate_instance(
+        seed=3, width=16, height=16, layers=2, num_nets=6, pins_per_net=4, congestion=0.5,
+        rules=DesignRules(alpha=0.0),
+    )
+    init, put_back = SolutionQueue.__init__, SolutionQueue._put_back
+    sorted_live, enqueue = router._sorted_live, router._enqueue
+    current, work = [], {"sorted": 0, "ties": 0, "accepted": 0, "put_back": 0}
+
+    def counting_init(queue, *args):
+        init(queue, *args)
+        current[:] = [queue]
+
+    def counting_sorted_live(bucket, dead):
+        work["sorted"] += len(bucket)
+        return sorted_live(bucket, dead)
+
+    def counting_enqueue(waiting, label):
+        enqueue(waiting, label)
+        work["accepted"] += 1
+        if waiting is not current[0].buckets.get(label[0]):
+            work["ties"] += 1  # joined the cost being popped, not a bucket
+
+    def counting_put_back(queue, cost, rest):
+        work["put_back"] += len(rest)
+        put_back(queue, cost, rest)
+
+    monkeypatch.setattr(SolutionQueue, "__init__", counting_init)
+    monkeypatch.setattr(router, "_sorted_live", counting_sorted_live)
+    monkeypatch.setattr(SolutionQueue, "_put_back", counting_put_back)
+    monkeypatch.setattr(router, "_enqueue", counting_enqueue)
+    route_all(layout)
+    run_baseline(layout)
+    assert work["ties"] > 100 and work["put_back"] > 0
+    assert work["sorted"] + work["ties"] <= work["accepted"] + work["put_back"], work
 
 
 def test_source_returns_insert_verdict():
@@ -726,26 +779,20 @@ def test_search_relaxation_matches_grid_definitions(monkeypatch):
     queue = SolutionQueue(grid, net)
     queue.source((0, 0, 0), 0.0, 0b111)
     popped, children, labels_at_pop = [], {}, {}
-    pop, push = router.heappop, router.heappush
 
-    def record_pop(heap):
-        label = pop(heap)
-        if label[3] not in queue.dead:
-            popped.append(label)
-            labels_at_pop[id(label)] = {
-                t: [(ex[0], ex[4]) for ex in queue.labels.get(grid.vid(t), [])]
-                for t in oracle.neighbors(grid, queue.vertices[label[1]])
-            }
-        return label
+    def record_pop(label):
+        popped.append(label)
+        labels_at_pop[id(label)] = {
+            t: [(ex[0], ex[4]) for ex in queue.labels.get(grid.vid(t), [])]
+            for t in oracle.neighbors(grid, queue.vertices[label[1]])
+        }
 
-    def record_push(heap, label):
-        push(heap, label)
+    def record_push(label):
         accepted = any(ex is label for ex in queue.labels[label[1]])
-        assert accepted  # the search pushes only labels it accepts
+        assert accepted  # the search queues only labels it accepts
         children.setdefault(id(label[5]), []).append(label)
 
-    monkeypatch.setattr(router, "heappop", record_pop)
-    monkeypatch.setattr(router, "heappush", record_push)
+    watch_search(monkeypatch, on_pop=record_pop, on_accept=record_push)
     color_state_search(queue, grid, net)
 
     stitch = rules.beta * rules.stitch_cost

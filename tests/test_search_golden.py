@@ -12,9 +12,9 @@ which an arm raises ``UnroutableError`` is digested by its message.
 
 A second digest per draw and arm pins the search itself: every label
 the search pops and every label it accepts, in order, observed at the
-router's ``heappop``/``heappush``, as (cost, vertex, state, arrival
-direction or -1, predecessor vertex or None). Same pops, same accepted
-labels, same order.
+solution queue's seams (``instances.watch_search``), as (cost, vertex,
+state, arrival direction or -1, predecessor vertex or None). Same pops,
+same accepted labels, same order.
 
 To re-record: ``PYTHONPATH=src python tests/test_search_golden.py``.
 """
@@ -23,11 +23,11 @@ import hashlib
 
 import pytest
 
+from instances import watch_search
 from tplroute.baseline import run_baseline
 from tplroute.generate import generate_instance
 from tplroute.layout import DesignRules
 from tplroute.negotiation import route_all
-from tplroute import router
 from tplroute.router import SolutionQueue, UnroutableError
 
 # (seed, width, height, layers, num_nets, pins_per_net, congestion, d_color, guided)
@@ -183,37 +183,28 @@ def _label_fields(queue, label):
 def search_trace_digest(run, layout):
     """SHA-256 over every pop and every accepted label of one arm's run.
 
-    Observed at the heap: each accepted label is pushed once, and a pop
-    is a heappop of a label whose seq is not in the queue's dead set.
+    Each accepted label is queued once, and each pop hands out a live
+    label (see watch_search); both are read against the queue most
+    recently made.
     """
     digest = hashlib.sha256()
-    init, push, pop = SolutionQueue.__init__, router.heappush, router.heappop
+    init = SolutionQueue.__init__
     current = []
 
     def recording_init(queue, *args):
         init(queue, *args)
         current[:] = [queue]
 
-    def recording_push(heap, label):
-        push(heap, label)
-        digest.update(f"insert {_label_fields(current[0], label)!r}\n".encode())
+    def record(event):
+        return lambda label: digest.update(f"{event} {_label_fields(current[0], label)!r}\n".encode())
 
-    def recording_pop(heap):
-        label = pop(heap)
-        queue = current[0]
-        if label[3] not in queue.dead:
-            digest.update(f"pop {_label_fields(queue, label)!r}\n".encode())
-        return label
-
-    SolutionQueue.__init__ = recording_init
-    router.heappush, router.heappop = recording_push, recording_pop
-    try:
-        run(layout)
-    except UnroutableError:
-        pass
-    finally:
-        SolutionQueue.__init__ = init
-        router.heappush, router.heappop = push, pop
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(SolutionQueue, "__init__", recording_init)
+        watch_search(mp, on_pop=record("pop"), on_accept=record("insert"))
+        try:
+            run(layout)
+        except UnroutableError:
+            pass
     return digest.hexdigest()
 
 
