@@ -139,9 +139,9 @@ class Grid:
         object.__setattr__(self, "obstacles", frozenset(self.obstacles))
         object.__setattr__(self, "layer_dirs", tuple(self.layer_dirs))
         object.__setattr__(self, "pin_owners", PinOwners(self.pin_owners))
-        if self.history is None:
-            self.history = [0.0] * size
-        elif len(self.history) != size:
+        # A copy, as committed is: a grid made by dataclasses.replace keeps its own history.
+        self.history = [0.0] * size if self.history is None else list(self.history)
+        if len(self.history) != size:
             raise ValueError(f"history has {len(self.history)} entries for {size} vertices")
         blocked = self._blocked = [_INF] * size
         for v in chain(self.obstacles, self.pin_owners):
@@ -196,18 +196,6 @@ class Grid:
         covers no more pairs; only its stencils would grow without bound.
         """
         return min(d_color, self.width + self.height - 1)
-
-    def step(self, v: Vertex, direction: Direction) -> Vertex | None:
-        """Geometric neighbor in a direction, or None if v or the neighbor is off-grid."""
-        if not self.in_bounds(v):
-            return None
-        x, y, l = v
-        steps = _STEPS_H if self.layer_dirs[l] == "H" else _STEPS_V
-        dx, dy, dl = steps[direction][1]
-        tx, ty, tl = x + dx, y + dy, l + dl
-        if 0 <= tx < self.width and 0 <= ty < self.height and 0 <= tl < len(self.layer_dirs):
-            return (tx, ty, tl)
-        return None
 
     def move_table(self) -> tuple[tuple[tuple[Move, ...], ...], tuple[Vertex, ...]]:
         """Per vertex id, its on-grid moves; and the vertex of each id.
@@ -299,15 +287,17 @@ class Grid:
     def color_cost(self, v: Vertex, direction: Direction, color: Color, net_id: int) -> float:
         """Conflict cost of arriving at the target of (v, direction) with a color.
 
-        gamma times the target's foreign_counts entry. The search reads
-        those counts directly; this method stays because perfbench/spans.py
-        wraps it by name.
+        gamma times the target's foreign_counts entry, the target found
+        through v's move-table row. The search reads those counts directly;
+        this method stays because perfbench/spans.py wraps it by name.
         """
-        target = self.step(v, direction)
-        if target is None:
-            raise ValueError(f"no edge from {v} in direction {direction.name}")
-        counts = self.foreign_counts(net_id)
-        return self.rules.gamma * counts[COLOR_ORDER.index(color)][self.vid(target)]
+        if self.in_bounds(v):
+            i = self.vid(v)
+            for d, dvid, _, _ in self.move_table()[0][i]:
+                if d == direction:
+                    counts = self.foreign_counts(net_id)[COLOR_ORDER.index(color)]
+                    return self.rules.gamma * counts[i + dvid]
+        raise ValueError(f"no edge from {v} in direction {direction.name}")
 
     # ---- occupancy ---------------------------------------------------
 

@@ -8,11 +8,11 @@ programming, and keeps the global minimum of
 
 with conflict cost charged on every path vertex (the wire occupies its
 endpoints too) and a stitch wherever consecutive same-layer vertices
-change mask. Moves (neighbors), keep-outs (usable), move costs
-(move_cost) and conflict costs (conflict_costs) are written here against
-the raw grid data, apart from the router's move table and count arrays,
-so agreement between the two is evidence rather than tautology; the
-tests use the four as their references.
+change mask. Moves (neighbors, and step for one direction), keep-outs
+(usable), move costs (move_cost) and conflict costs (conflict_costs) are
+written here against the raw grid data, apart from the router's move
+table and count arrays, so agreement between the two is evidence rather
+than tautology; the tests use these five as their references.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .color_state import COLOR_ORDER, Color
-from .grid import Grid
+from .grid import Direction, Grid
 from .layout import DesignRules, Vertex
 from .negotiation import Conflict
 
@@ -173,6 +173,26 @@ def neighbors(grid: Grid, v: Vertex) -> list[Vertex]:
     x, y, l = v
     around = ((x + 1, y, l), (x - 1, y, l), (x, y + 1, l), (x, y - 1, l), (x, y, l + 1), (x, y, l - 1))
     return [t for t in around if grid.in_bounds(t) and t not in grid.obstacles]
+
+
+def step(grid: Grid, v: Vertex, direction: Direction) -> Vertex | None:
+    """v's neighbor in a direction, or None when v or the neighbor is off the grid.
+
+    F and B move along the layer's preferred axis (x on an "H" layer, y on
+    a "V" one), R and L across it, U and D one layer up and down; the
+    first of each pair adds 1.
+    """
+    if not grid.in_bounds(v):
+        return None
+    x, y, l = v
+    sign = -1 if direction in (Direction.B, Direction.L, Direction.D) else 1
+    if direction in (Direction.U, Direction.D):
+        target = (x, y, l + sign)
+    elif (grid.layer_dirs[l] == "H") == (direction in (Direction.F, Direction.B)):
+        target = (x + sign, y, l)
+    else:
+        target = (x, y + sign, l)
+    return target if grid.in_bounds(target) else None
 
 
 def usable(grid: Grid, v: Vertex, net_id: int) -> bool:

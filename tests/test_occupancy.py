@@ -121,6 +121,19 @@ def test_copies_rebuild_the_indexes():
     assert_indexes_match(grid)
 
 
+def test_replace_keeps_its_own_history():
+    # A grid made by dataclasses.replace copies the history list, as it
+    # copies committed: history added on either grid stays on that grid.
+    grid = empty_grid(4, 4, ("H",))
+    grid.add_history((2, 2, 0), 3.0)
+    clone = replace(grid, obstacles={(0, 0, 0)})
+    assert clone.history == grid.history and clone.history is not grid.history
+    clone.add_history((1, 1, 0), 10.0)
+    grid.add_history((3, 3, 0), 5.0)
+    assert clone.history[clone.vid((1, 1, 0))] == 10.0 and clone.history[clone.vid((3, 3, 0))] == 0.0
+    assert grid.history[grid.vid((1, 1, 0))] == 0.0 and grid.history[grid.vid((2, 2, 0))] == 3.0
+
+
 def test_off_grid_reads_raise():
     # Edges leaving the grid: past each side of a layer, and above the top or
     # below the bottom layer. The last three start off the grid and would

@@ -406,8 +406,8 @@ def test_search_skips_match_two_pass_reference_under_drawn_rules(
 ):
     # The search skips a move when its target is settled at no more than
     # the pop's cost plus alpha, drops a priced child settled at no more
-    # than its own cost, reads zero counts when gamma is 0, and runs
-    # plain Dijkstra when gamma is 0 and it holds only 111 labels.
+    # than its own cost, reads zero counts when gamma is 0, and relaxes
+    # colorless when gamma is 0 and it holds only 111 labels.
     # Replayed in push order through the two-pass reference, every pushed
     # label is accepted and the final buckets, dead set and settled costs
     # agree, a one-mask source included. Every pushed child is the oracle's child of its
@@ -453,16 +453,17 @@ def test_search_skips_match_two_pass_reference_under_drawn_rules(
                     ex[0] <= cost and ex[4] & state == state for ex in queue.labels[grid.vid(t)]
                 ), (node, t)
     if gamma == 0:
-        assert queue.counts is router._zero_counts(len(queue.vertices))  # the plain loop selects by identity
+        assert queue.counts is router._zero_counts(len(queue.vertices))  # shared zero counts, not the grid's
         assert grid._counts is None  # the grid never built its counts
 
 
 @pytest.mark.parametrize("stitch_cost", [0.0, 5.0])
 def test_zero_gamma_zero_counts_match_real_counts(monkeypatch, stitch_cost):
     # With gamma 0 the queue reads shared zero counts and never asks the
-    # grid for its own. Routing each net with the grid's real foreign
-    # counts patched in instead gives the same tree, or the same failure,
-    # and pushes the same labels in the same order.
+    # grid for its own, and the search relaxes colorless. Routing each net
+    # with the grid's real foreign counts patched in and all_111 cleared,
+    # so the search relaxes colored, gives the same tree, or the same
+    # failure, and pushes the same labels in the same order.
     init = SolutionQueue.__init__
     pushed = []
     watch_search(monkeypatch, on_accept=lambda label: pushed.append(label))
@@ -477,6 +478,7 @@ def test_zero_gamma_zero_counts_match_real_counts(monkeypatch, stitch_cost):
             def init_with_real_counts(queue, grid, net):
                 init(queue, grid, net)
                 queue.counts = grid.foreign_counts(net.id)
+                queue.all_111 = False
 
             monkeypatch.setattr(SolutionQueue, "__init__", init_with_real_counts if patched else init)
             try:
@@ -804,7 +806,7 @@ def test_search_relaxation_matches_grid_definitions(monkeypatch):
         by_dir = {c[2]: c for c in got}
         inserted_moves = []
         for d in Direction:
-            t = grid.step(vertex, d)
+            t = oracle.step(grid, vertex, d)
             if t is None or not oracle.usable(grid, t, net.id):
                 continue
             conflict = oracle.conflict_costs(grid, rules, t, net.id)
