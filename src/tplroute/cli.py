@@ -151,6 +151,9 @@ def routes_to_dict(
     for net_id in sorted(routes):
         tree = routes[net_id]
         stats = by_net[net_id]
+        trad = rules.alpha * stats.trad
+        stitch = rules.beta * rules.stitch_cost * stats.stitches
+        color = rules.gamma * stats.conflicts
         nets.append(
             {
                 "net_id": net_id,
@@ -159,14 +162,7 @@ def routes_to_dict(
                     [list(v), COLOR_LETTERS[c]] for v, c in sorted(tree.vertex_colors.items())
                 ],
                 "stitches": [[list(a), list(b)] for a, b in tree.stitches],
-                "cost": {
-                    "trad": rules.alpha * stats.trad,
-                    "stitch": rules.beta * rules.stitch_cost * stats.stitches,
-                    "color": rules.gamma * stats.conflicts,
-                    "total": rules.alpha * stats.trad
-                    + rules.beta * rules.stitch_cost * stats.stitches
-                    + rules.gamma * stats.conflicts,
-                },
+                "cost": {"trad": trad, "stitch": stitch, "color": color, "total": trad + stitch + color},
             }
         )
     return {"method": method, "nets": nets}

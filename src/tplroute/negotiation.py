@@ -111,9 +111,7 @@ def route_batch(
             tree = route_net(net, grid)
         except UnroutableError as exc:
             used = rescues.get(net.id, 0)
-            blockers = sorted(
-                b for b in exc.blocked_nets if b != net.id and b in by_id
-            )
+            blockers = sorted(b for b in exc.blocked_nets if b in by_id)
             if used >= MAX_RESCUES_PER_NET or not blockers:
                 raise
             rescues[net.id] = used + 1

@@ -59,22 +59,25 @@ through SolutionQueue.insert. The search does not call insert or pop: it
 runs the same accept and the same pop order inline.
 
 Every other popped label relaxes its vertex's moves, by one of two
-relaxations picked once per label. The colored relaxation prices the
+relaxations picked once per search. The colored relaxation prices the
 three masks of each child and accepts it against its target's labels.
-The colorless one runs when gamma is 0 and the queue has accepted only
-111 labels (SolutionQueue.all_111), as in the baseline's colorless pass.
-Every conflict term is then 0, so a move from a 111 label makes a 111
-child costing the pop's cost plus alpha times trad, and a vertex holds at
-most one live label, the one costing settled. Only a source clears
-all_111: a one-mask source, such as a two-pin-mode re-seed, does, and
-the queue's later searches relax colored. So one search keeps one
-relaxation.
+The colorless one runs while the queue is colorless
+(SolutionQueue.colorless), as in the baseline's colorless pass: gamma is
+0 and every label the queue has accepted holds all three masks. Every
+conflict term is then 0, so a move from a 111 label makes a 111 child
+costing the pop's cost plus alpha times trad, and a vertex holds at most
+one live label, the one costing settled. The flag starts as not gamma,
+and insert clears it when it accepts a label lacking a mask: a one-mask
+source, such as a two-pin-mode re-seed, does, and the queue's later
+searches relax colored. The colorless relaxation makes only 111
+children and the colored one runs only once the flag is clear, so the
+flag stays exact and one search keeps one relaxation.
 
 The search does no work whose result is already known. Everything it
 reads that stays fixed while a net is routed is taken from the grid once
-per net, when route_net makes the net's SolutionQueue: the foreign
-per-mask counts, and the vertex-id arrays of keep-outs, history and
-off-guide penalties, each defined in grid.py and read here as it is.
+per net, when route_net makes the net's SolutionQueue: the rules, the
+foreign per-mask counts, and the vertex-id arrays of keep-outs, history
+and off-guide penalties, each defined in grid.py and read here as it is.
 When gamma is 0 every conflict term is 0 whatever the counts, so the
 queue reads shared zero counts instead and the grid never builds or
 spreads its own (the baseline's colorless pass runs this way). The queue
@@ -202,16 +205,18 @@ class SolutionQueue:
     buckets maps a cost to its queued labels, and costs heaps those
     costs. labels maps a vertex id to its live labels, and dead holds the
     seq of every pruned label. settled and pin_at are read per vertex id.
-    moves, vertices, counts, hist and off_guide are the net's search
-    context, read from the grid once. all_111 stays True while every
-    label insert has accepted holds all three masks.
+    moves, vertices, rules, counts, hist and off_guide are the net's
+    search context, read from the grid once. colorless starts as not
+    gamma, and insert clears it when it accepts a label lacking a mask.
     """
 
     def __init__(self, grid: Grid, net: Net):
         self._vid = grid.vid
         self.moves, self.vertices = grid.move_table()
         n = len(self.vertices)
-        self.counts = grid.foreign_counts(net.id) if grid.rules.gamma else _zero_counts(n)
+        self.rules = rules = grid.rules
+        self.colorless = not rules.gamma
+        self.counts = grid.foreign_counts(net.id) if rules.gamma else _zero_counts(n)
         self.hist = grid.history
         self.off_guide = grid.off_guide(net.guide)
         self.settled = grid.keep_outs(net.id)
@@ -230,7 +235,6 @@ class SolutionQueue:
         for vid, pins in cover.items():
             self.pin_at[vid] = frozenset(pins)
         self.connected: set[int] = {0}
-        self.all_111 = True
 
     def insert(self, label: Label) -> bool:
         cost, vid, _, _, state, _ = label
@@ -257,7 +261,7 @@ class SolutionQueue:
             # An accepted 111 label undercuts every live one, and prunes it.
             self.settled[vid] = cost
         else:
-            self.all_111 = False
+            self.colorless = False
         waiting = self.buckets.get(cost)
         if waiting is None:
             waiting = self.buckets[cost] = []
@@ -369,13 +373,13 @@ def _fix_masks(segsets: list[SegSet], gamma: float, counts: Sequence[Sequence[in
         seg.state = best
 
 
-def color_state_search(queue: SolutionQueue, grid: Grid, net: Net) -> Label:
+def color_state_search(queue: SolutionQueue) -> Label:
     """Pop minimum-cost labels until one covers a not-yet-connected pin, and return it.
 
     The one loop and its two relaxations are the module docstring's
     account. Raises SearchExhaustedError when the queue empties first.
     """
-    rules = grid.rules
+    rules = queue.rules
     stitch_term = rules.beta * rules.stitch_cost
     alpha, gamma = rules.alpha, rules.gamma
     red, green, blue = queue.counts
@@ -383,7 +387,7 @@ def color_state_search(queue: SolutionQueue, grid: Grid, net: Net) -> Label:
     moves, labels, pin_at, connected = queue.moves, queue.labels, queue.pin_at, queue.connected
     buckets, costs, dead, next_seq = queue.buckets, queue.costs, queue.dead, queue._seq.__next__
     push, pop, enqueue, inf = heappush, heappop, _enqueue, math.inf
-    colorless = queue.all_111 and not gamma  # only a source clears all_111
+    colorless = queue.colorless  # only insert clears it, and the search never calls insert
     ties: list[Label] = []  # children at the cost being popped
     while costs:
         cost = pop(costs)
@@ -446,11 +450,7 @@ def color_state_search(queue: SolutionQueue, grid: Grid, net: Net) -> Label:
                                 if not held & BLUE:
                                     blue_term += stitch_term
                             # The cheapest mask, with ties OR-ed in, in RED, GREEN, BLUE order.
-                            best, state = inf, 0
-                            if red_term < best:
-                                best, state = red_term, RED
-                            elif red_term == best:
-                                state = RED
+                            best, state = red_term, RED
                             if green_term < best:
                                 best, state = green_term, GREEN
                             elif green_term == best:
@@ -510,13 +510,7 @@ def color_state_search(queue: SolutionQueue, grid: Grid, net: Net) -> Label:
     raise SearchExhaustedError("solution queue exhausted")
 
 
-def backtrace(
-    queue: SolutionQueue,
-    dst: Label,
-    tree: _TreeBuilder,
-    grid: Grid,
-    freeze: bool = False,
-) -> list[int]:
+def backtrace(queue: SolutionQueue, dst: Label, tree: _TreeBuilder, freeze: bool = False) -> list[int]:
     """Walk prev links from dst to the tree, grouping vertex ids into segSets.
 
     A predecessor joins the growing segSet while the segSet's accumulated
@@ -528,25 +522,24 @@ def backtrace(
     starts from the whole tree, and every pin they cover is marked
     connected. Returns the traced path's vertex ids, source first.
     """
+    # dst covers a pin not yet connected and every traced vertex's pins
+    # are, so dst is not in the tree and its segSet starts with its state.
     # Sources (pin seeds and re-seeded tree labels) are exactly the
     # prev-less labels, so the walk ends at one; a cost == 0 test would
     # misfire when alpha is 0.
     vids: list[int] = []
     states: list[int] = []
+    segset_of, vertex_states = tree.segset_of, tree.vertex_states
+    cur_seg = SegSet(dst[4], [])
+    tree.segsets.append(cur_seg)
     label: Label | None = dst
     while label is not None:
-        vids.append(label[1])
-        states.append(label[4])
-        label = label[5]
-
-    segset_of, vertex_states = tree.segset_of, tree.vertex_states
-    cur_seg: SegSet | None = None
-    for vid, state in zip(vids, states):
+        _, vid, _, _, state, label = label
+        vids.append(vid)
+        states.append(state)
         other_seg = segset_of.get(vid)
         if other_seg is not None:
-            if cur_seg is None:
-                cur_seg = other_seg
-            elif other_seg is not cur_seg:
+            if other_seg is not cur_seg:
                 shared = cur_seg.state & other_seg.state
                 if shared:
                     cur_seg.state = shared
@@ -558,7 +551,7 @@ def backtrace(
                     # no shared mask: segSet boundary, the junction is a stitch
                     cur_seg = other_seg
             continue
-        shared = cur_seg.state & state if cur_seg is not None else 0
+        shared = cur_seg.state & state
         if shared:
             cur_seg.state = shared
         else:
@@ -569,7 +562,7 @@ def backtrace(
         vertex_states[vid] = state
 
     if freeze:
-        _fix_masks(tree.segsets, grid.rules.gamma, queue.counts)
+        _fix_masks(tree.segsets, queue.rules.gamma, queue.counts)
 
     insert, next_seq = queue.insert, queue._seq.__next__
     pin_at, connected = queue.pin_at, queue.connected
@@ -605,7 +598,7 @@ def route_net(net: Net, grid: Grid, *, two_pin_mode: bool = False) -> RouteTree:
     total_pins = len(net.pins)
     while len(queue.connected) < total_pins:
         try:
-            dst = color_state_search(queue, grid, net)
+            dst = color_state_search(queue)
         except SearchExhaustedError:
             remaining = sorted(set(range(total_pins)) - queue.connected)
             wall_nets, wall_vertices = _wall_blockers(queue, grid, net, remaining)
@@ -616,10 +609,10 @@ def route_net(net: Net, grid: Grid, *, two_pin_mode: bool = False) -> RouteTree:
                 blocked_nets=wall_nets,
                 blocked_vertices=wall_vertices,
             ) from None
-        tree.paths.append(backtrace(queue, dst, tree, grid, freeze=two_pin_mode))
+        tree.paths.append(backtrace(queue, dst, tree, freeze=two_pin_mode))
         tree.total_cost += dst[0]
 
-    return finalize_colors(queue, tree, grid, net.id)
+    return finalize_colors(queue, tree, net.id)
 
 
 @lru_cache(maxsize=4)
@@ -702,7 +695,7 @@ def _wall_blockers(
     return set(wall.values()), {queue.vertices[t] for t in wall}
 
 
-def finalize_colors(queue: SolutionQueue, tree: _TreeBuilder, grid: Grid, net_id: int) -> RouteTree:
+def finalize_colors(queue: SolutionQueue, tree: _TreeBuilder, net_id: int) -> RouteTree:
     """Fix each segSet's mask and derive per-vertex colors and stitches.
 
     _fix_masks gives each live segSet the mask of least summed member
@@ -711,7 +704,7 @@ def finalize_colors(queue: SolutionQueue, tree: _TreeBuilder, grid: Grid, net_id
     by a 2-pin-mode backtrace keeps its mask. The tree's vertex ids
     become vertices here, once.
     """
-    _fix_masks(tree.segsets, grid.rules.gamma, queue.counts)
+    _fix_masks(tree.segsets, queue.rules.gamma, queue.counts)
     vertices = queue.vertices
     vertex_colors: dict[Vertex, Color] = {}
     masks = set()

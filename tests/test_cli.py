@@ -148,6 +148,12 @@ def test_error_json_on_missing_input(tmp_path):
     assert "message" in err
 
 
+def test_error_json_without_input(tmp_path, capsys):
+    assert main(["--mode", "route", "--output", str(tmp_path / "x")]) == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err == {"error": "LayoutError", "message": "mode route needs --input"}
+
+
 def test_error_json_on_wrong_json_type(tmp_path):
     data = json.loads(DEMO.read_text())
     data["nets"][0]["pins"] = 5

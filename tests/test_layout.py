@@ -28,6 +28,14 @@ RULE_NAMES = [f.name for f in fields(DesignRules)]
 COST_RULES = [name for name, kind in RULE_TYPES.items() if kind is float]
 
 
+def set_at(data, path, value):
+    """Replace the entry that a path of keys leads to in nested data."""
+    *parents, last = path
+    for key in parents:
+        data = data[key]
+    data[last] = value
+
+
 def minimal_dict():
     return {
         "grid": {"width": 4, "height": 4, "layers": [{"dir": "H"}, {"dir": "V"}]},
@@ -205,13 +213,26 @@ def test_wrong_json_type_rejected(path, message):
     data = minimal_dict()
     data["nets"][0]["guide"] = [{"layer": 0, "x0": 0, "y0": 0, "x1": 3, "y1": 1}]
     if path:
-        *parents, last = path
-        target = data
-        for key in parents:
-            target = target[key]
-        target[last] = 5
+        set_at(data, path, 5)
     else:
         data = 5
+    with pytest.raises(LayoutError, match=message):
+        layout_from_dict(data)
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("nets", 0, "pins", 0, 0), [0, 0], r"bad vertex \[0, 0\] in net 0 pin 0"),
+        (("grid", "layers"), [], "grid needs at least one layer"),
+        (("grid", "width"), 0, "grid dimensions must be positive, got 0x4"),
+        (("obstacles",), [[9, 0, 0]], r"obstacle \(9, 0, 0\) out of bounds"),
+        (("nets", 0, "pins", 0), [], "net 0 pin 0 covers no vertices"),
+    ],
+)
+def test_bad_geometry_rejected(path, value, message):
+    data = minimal_dict()
+    set_at(data, path, value)
     with pytest.raises(LayoutError, match=message):
         layout_from_dict(data)
 

@@ -22,7 +22,7 @@ from tplroute.color_state import COLOR_ORDER, Color, cardinality, pick_final
 from tplroute.grid import VIA_DIRECTIONS, CollisionError, Direction, Grid
 from tplroute.generate import InfeasiblePlacementError, generate_instance
 from tplroute.layout import DesignRules, Layer, Layout, Net, Pin, layout_from_dict, layout_to_dict
-from tplroute.negotiation import route_all
+from tplroute.negotiation import net_order_key, route_all
 from tplroute.router import (
     SearchExhaustedError,
     SolutionQueue,
@@ -55,6 +55,11 @@ def test_single_pin_net_empty_tree():
     assert tree.vertex_colors == {}
     assert tree.stitches == []
     assert tree.total_cost == 0.0
+
+
+def test_net_without_pins_rejected():
+    with pytest.raises(ValueError, match="net 0 has no pins"):
+        route_net(Net(id=0, name="n", pins=[]), empty_grid(4, 4, ("H",)))
 
 
 def test_straight_two_pin_route():
@@ -140,7 +145,7 @@ class TestBacktraceSegSets:
             arrival = -1 if label is None else Direction.F
             label = (float(i), grid.vid((i, 0, 0)), arrival, i, state, label)
         tree = _TreeBuilder()
-        path = [queue.vertices[vid] for vid in backtrace(queue, label, tree, grid)]
+        path = [queue.vertices[vid] for vid in backtrace(queue, label, tree)]
         live = [s for s in tree.segsets if s.members]
         return path, tree, live, queue.vertices
 
@@ -176,7 +181,7 @@ class TestBacktraceSegSets:
         (a,) = queue.labels[grid.vid((0, 0, 0))]
         b = (1.0, grid.vid((1, 0, 0)), Direction.F, 100, 0b111, a)
         c = (2.0, grid.vid((2, 0, 0)), Direction.F, 101, 0b111, b)
-        backtrace(queue, c, _TreeBuilder(), grid)
+        backtrace(queue, c, _TreeBuilder())
         reseeded = {
             queue.vertices[vid]
             for bucket in queue.labels.values()
@@ -196,7 +201,7 @@ class TestBacktraceSegSets:
         for x in range(5):
             label = (float(x), grid.vid((x, 0, 0)), Direction.F if label else -1, 100 + x, 0b111, label)
         assert queue.connected == {0}
-        backtrace(queue, label, _TreeBuilder(), grid)
+        backtrace(queue, label, _TreeBuilder())
         assert queue.connected == {0, 1, 2}
 
 
@@ -350,7 +355,7 @@ def test_search_accept_matches_two_pass_reference(seed):
             queue.source(src, cost, state)
         while True:
             try:
-                color_state_search(queue, grid, net)
+                color_state_search(queue)
             except SearchExhaustedError:
                 break
 
@@ -387,7 +392,7 @@ def _search_to_exhaustion(grid, net, source_state=None):
             queue.source(src, cost, state)
         while True:
             try:
-                returned.add(color_state_search(queue, grid, net)[3])
+                returned.add(color_state_search(queue)[3])
             except SearchExhaustedError:
                 break
     return queue, pushed, [label for label in popped if label[3] not in returned]
@@ -417,8 +422,10 @@ def test_search_skips_match_two_pass_reference_under_drawn_rules(
     grid, net = _search_instance(seed)
     grid.rules = rules = replace(grid.rules, alpha=alpha, gamma=gamma, stitch_cost=stitch_cost)
     queue, pushed, expanded = _search_to_exhaustion(grid, net, source_state)
-    # The flag says whether every label insert accepted (the sources) is 111.
-    assert queue.all_111 == all(label[4] == 0b111 for label in pushed if label[5] is None)
+    # The queue stays colorless exactly when gamma is 0 and every source is
+    # 111: the colorless relaxation then makes only 111 children, and the
+    # colored one never runs.
+    assert queue.colorless == (not gamma and all(label[4] == 0b111 for label in pushed if label[5] is None))
 
     reference, pruned = {}, set()
     for label in pushed:
@@ -457,13 +464,53 @@ def test_search_skips_match_two_pass_reference_under_drawn_rules(
         assert grid._counts is None  # the grid never built its counts
 
 
+@pytest.mark.parametrize(
+    "rules, two_pin_mode",
+    [(DesignRules(), False), (DesignRules(gamma=0.0), False), (DesignRules(gamma=0.0), True)],
+)
+def test_colorless_flag_is_exact_after_every_search(monkeypatch, rules, two_pin_mode):
+    # A queue is colorless only at gamma 0, and only while every live label
+    # holds all three masks: after every search of every net of desk-shaped
+    # draws, routed in net_order_key order and committed. Two-pin mode
+    # re-seeds one-mask labels, which must clear the flag.
+    search = router.color_state_search
+    colorless_searches = 0
+
+    def checked_search(queue):
+        nonlocal colorless_searches
+        try:
+            return search(queue)
+        finally:
+            if queue.colorless:
+                assert not queue.rules.gamma
+                assert all(label[4] == 0b111 for bucket in queue.labels.values() for label in bucket)
+                colorless_searches += 1
+
+    monkeypatch.setattr(router, "color_state_search", checked_search)
+    for seed in range(30):
+        layout = generate_instance(
+            seed=seed, width=12, height=12, layers=2, num_nets=8, pins_per_net=4,
+            congestion=0.6, rules=rules,
+        )
+        grid = Grid.from_layout(layout)
+        for net in sorted(layout.nets, key=net_order_key):
+            try:
+                tree = route_net(net, grid, two_pin_mode=two_pin_mode)
+            except UnroutableError:
+                continue
+            grid.commit_route(net.id, sorted(tree.vertex_colors.items()))
+    # At gamma 0 the first search of every net runs colorless.
+    assert (colorless_searches > 0) == (not rules.gamma)
+
+
 @pytest.mark.parametrize("stitch_cost", [0.0, 5.0])
 def test_zero_gamma_zero_counts_match_real_counts(monkeypatch, stitch_cost):
     # With gamma 0 the queue reads shared zero counts and never asks the
-    # grid for its own, and the search relaxes colorless. Routing each net
-    # with the grid's real foreign counts patched in and all_111 cleared,
-    # so the search relaxes colored, gives the same tree, or the same
-    # failure, and pushes the same labels in the same order.
+    # grid for its own, and it stays colorless, since every seed and
+    # re-seed is 111, so the search relaxes colorless. Routing each net
+    # with the grid's real foreign counts patched in and colorless
+    # cleared, so the search relaxes colored, gives the same tree, or the
+    # same failure, and pushes the same labels in the same order.
     init = SolutionQueue.__init__
     pushed = []
     watch_search(monkeypatch, on_accept=lambda label: pushed.append(label))
@@ -478,7 +525,7 @@ def test_zero_gamma_zero_counts_match_real_counts(monkeypatch, stitch_cost):
             def init_with_real_counts(queue, grid, net):
                 init(queue, grid, net)
                 queue.counts = grid.foreign_counts(net.id)
-                queue.all_111 = False
+                queue.colorless = False
 
             monkeypatch.setattr(SolutionQueue, "__init__", init_with_real_counts if patched else init)
             try:
@@ -526,10 +573,10 @@ def test_pops_follow_heap_order(seed, alpha, gamma, freeze):
         while True:
             searches += 1
             try:
-                dst = color_state_search(queue, grid, net)
+                dst = color_state_search(queue)
             except SearchExhaustedError:
                 break
-            tree.paths.append(backtrace(queue, dst, tree, grid, freeze=freeze))
+            tree.paths.append(backtrace(queue, dst, tree, freeze=freeze))
 
     heap, reference, pruned = [], {}, set()
     for popped, label in events:
@@ -795,7 +842,7 @@ def test_search_relaxation_matches_grid_definitions(monkeypatch):
         children.setdefault(id(label[5]), []).append(label)
 
     watch_search(monkeypatch, on_pop=record_pop, on_accept=record_push)
-    color_state_search(queue, grid, net)
+    color_state_search(queue)
 
     stitch = rules.beta * rules.stitch_cost
     skipped = 0
