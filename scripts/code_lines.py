@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""Count the code lines of each module of src/tplroute, then their total.
+"""Count the code and prose lines of each module of src/tplroute, then their totals.
 
 A code line is a non-blank line that is neither a comment nor part of a
-module, class or function docstring. Run as python3 scripts/code_lines.py;
-it takes no options.
+module, class or function docstring. A prose line is any other non-blank
+line: a docstring or comment line. The counts are a report; nothing is
+checked. Run as python3 scripts/code_lines.py; it takes no options.
 """
 
 import ast
@@ -15,8 +16,8 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "tplroute"
 
 
-def code_lines(text: str) -> int:
-    """The number of code lines in one module's source text."""
+def _code_line_numbers(text: str) -> set[int]:
+    """The numbers of the code lines in one module's source text."""
     skipped = set()
     for node in ast.walk(ast.parse(text)):
         if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -32,16 +33,30 @@ def code_lines(text: str) -> int:
         if token.type not in (tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
                               tokenize.DEDENT, tokenize.ENDMARKER):
             code.update(range(token.start[0], token.end[0] + 1))
-    return len(code - skipped)
+    return code - skipped
+
+
+def code_lines(text: str) -> int:
+    """The number of code lines in one module's source text."""
+    return len(_code_line_numbers(text))
+
+
+def prose_lines(text: str) -> int:
+    """The number of prose (docstring and comment) lines in one module's source text."""
+    code = _code_line_numbers(text)
+    return sum(1 for number, line in enumerate(text.splitlines(), 1) if line.strip() and number not in code)
 
 
 def main() -> int:
-    total = 0
+    total_code = total_prose = 0
+    print("  code   prose  module")
     for path in sorted(PACKAGE.glob("*.py")):
-        lines = code_lines(path.read_text())
-        total += lines
-        print(f"{lines:6d}  {path.name}")
-    print(f"{total:6d}  total")
+        text = path.read_text()
+        code, prose = code_lines(text), prose_lines(text)
+        total_code += code
+        total_prose += prose
+        print(f"{code:6d}  {prose:6d}  {path.name}")
+    print(f"{total_code:6d}  {total_prose:6d}  total")
     return 0
 
 

@@ -26,10 +26,10 @@ from typing import Any
 Vertex = tuple[int, int, int]
 
 # The most vertices (width * height * layers) a grid may have. A Grid and
-# one net's SolutionQueue take about 136 bytes per vertex (tracemalloc,
+# one net's SolutionQueue take about 144 bytes per vertex (tracemalloc,
 # 256x256x2: the grid's history and keep-out template 16, its per-mask
-# counts 24, the move table and the queue's settled and pin_at 96), so
-# this keeps them near 0.6 GB; larger inputs are rejected before any
+# counts 24, the move table 80, the queue's settled, pin_at and live 24),
+# so this keeps them near 0.6 GB; larger inputs are rejected before any
 # per-vertex array is built.
 MAX_GRID_VERTICES = 2**22
 
@@ -106,8 +106,16 @@ RULE_TYPES: dict[str, type] = {f.name: type(f.default) for f in fields(DesignRul
 # rather than with the rules: history, and gamma per conflicting commit.
 # The int rules (d_color, max_iterations) price nothing themselves.
 COST_RULE_MAX = 2.0**12
+# The most negotiation iterations a run may ask for, 100 times the
+# default. An iteration on a conflict that never clears reroutes its
+# nets and costs about the same each time: 15.7 ms on the 24x24x2 draw
+# generate_instance(seed=34, num_nets=8, pins_per_net=4, congestion=0.5,
+# d_color=3) (200 iterations in 3.1 s, 2-core Xeon), so the cap holds
+# that draw to about 16 s where 10**12 iterations held it for years.
+MAX_ITERATIONS = 1000
 _OPTIONAL_RULES = {"off_guide_penalty"}
 _RULE_MINIMUMS = {"d_color": 1, "max_iterations": 1}
+_RULE_MAXIMUMS = {"max_iterations": MAX_ITERATIONS}
 
 
 def _object(raw: Any, where: str) -> dict:
@@ -302,6 +310,7 @@ def _rule_problems(rules: DesignRules) -> list[str]:
     problems = []
     for name, kind in RULE_TYPES.items():
         value = getattr(rules, name)
+        most = _RULE_MAXIMUMS.get(name, COST_RULE_MAX if kind is float else math.inf)
         if kind is int and not _is_int(value):
             problems.append(f"rule {name} must be an integer, got {value!r}")
         elif not (_is_int(value) or isinstance(value, float)):
@@ -312,8 +321,8 @@ def _rule_problems(rules: DesignRules) -> list[str]:
             problems.append(f"{name} must be >= {_RULE_MINIMUMS[name]}, got {value}")
         elif value < 0:
             problems.append(f"rule {name} must be non-negative, got {value}")
-        elif kind is float and value > COST_RULE_MAX:
-            problems.append(f"rule {name} must be at most {COST_RULE_MAX:g}, got {value}")
+        elif value > most:
+            problems.append(f"rule {name} must be at most {most:g}, got {value}")
     return problems
 
 

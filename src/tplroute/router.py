@@ -36,20 +36,21 @@ its first four fields are the pop order, so runs are reproducible. vid
 is the vertex id (Grid.vid), dir_key the arrival Direction or -1 for a
 source, seq a per-queue counter (unique, so a comparison never reaches
 state or prev), and prev the predecessor label or None for a source.
+A label is live exactly when it is in its vertex's list (the liveness
+rule): pruning removes it, and its seq keeps tuple equality exact.
 
 The search is one loop over a bucket queue (Dial, CACM 1969, Algorithm
 360): one unsorted list of labels per cost (buckets) and a small heap of
 the distinct costs (costs), since a search sees only a few dozen costs
 under default rules. Every accepted label joins its cost's bucket once,
-through _enqueue, so it pops at most once. A pruned label stays in its
-bucket; its seq goes into the queue's dead set. The loop pops the least
-cost, drops that bucket's dead labels and sorts the rest once
+through _enqueue, so it pops at most once; a pruned one stays there. The
+loop pops the least cost, sorts that bucket's live labels once
 (_sorted_live), and works through the sorted list. A child costs no less
 than its parent, so only a child of the same cost, which alpha 0 or a
 tiny alpha makes, can join or prune that list. Such a child goes to the
 cost's ties, not to a bucket, and from then on the rest of the list and
-the ties are one heap, drained with a dead check (_drain), so each tie
-costs O(log n). The loop returns the first label that covers a pin not
+the ties are one heap of live labels (_drain), so each tie costs
+O(log n). The loop returns the first label that covers a pin not
 yet connected and puts the rest of its cost back into buckets
 (SolutionQueue._put_back); it raises SearchExhaustedError when the queue
 empties. Labels pop in (cost, vid, dir_key, seq) order, as from one heap
@@ -85,10 +86,10 @@ is a snapshot, so the grid must not change while it is in use; route_net
 makes one queue per net and does not change the grid while routing it.
 The move table (per vertex id, the on-grid moves as vertex-id offsets
 with their rule costs) is shared by every grid of one shape and move
-costs. Label sets are keyed by vertex id, and the queue keeps, per
-vertex id, the least cost of a label holding all three masks (settled),
-and the pin indices each vertex id covers (pin_at), so whether a popped
-label covers a pin is one read.
+costs. The queue keeps, per vertex id, the live labels (live), the least
+cost of a label holding all three masks (settled), and the pin indices
+the vertex covers (pin_at), so whether a popped label covers a pin is
+one read.
 
 settled starts as the net's keep-outs (Grid.keep_outs): -inf at every
 obstacle and other net's pin or commit, inf elsewhere. A keep-out never
@@ -107,8 +108,8 @@ target's labels are scanned:
 
 In the colored relaxation, any other child is accepted in one pass over
 its target's labels: a label dominating it ends the scan before the
-child is built, and otherwise every label it dominates is marked dead,
-the label list is rebuilt only if one was, and the child is appended and
+child is built, and otherwise every label it dominates is pruned, the
+label list is rebuilt only if one was, and the child is appended and
 queued. One pass suffices because live labels never dominate one
 another. A 111 child takes the same pass: under its target's settled
 cost no live label dominates it, and it prunes exactly the labels not
@@ -116,7 +117,7 @@ cheaper than it. The same labels pop and the same labels are accepted,
 in the same order, as when every child is priced and offered to insert.
 
 In the colorless relaxation, a child under its target's settled cost is
-accepted and replaces the live label there, which is marked dead. The
+accepted and replaces the live label there, pruning it. The
 same labels pop and are accepted, in the same order, as under the
 colored relaxation, with no mask or label-list work.
 
@@ -203,11 +204,11 @@ class SolutionQueue:
 
     The module docstring is the account of how the search uses it.
     buckets maps a cost to its queued labels, and costs heaps those
-    costs. labels maps a vertex id to its live labels, and dead holds the
-    seq of every pruned label. settled and pin_at are read per vertex id.
-    moves, vertices, rules, counts, hist and off_guide are the net's
-    search context, read from the grid once. colorless starts as not
-    gamma, and insert clears it when it accepts a label lacking a mask.
+    costs. live, settled and pin_at are read per vertex id; live holds
+    None or the vertex's live labels (the liveness rule). moves, vertices,
+    rules, counts, hist, committed and off_guide are the net's search
+    context, read from the grid once. colorless starts as not gamma, and
+    insert clears it when it accepts a label lacking a mask.
     """
 
     def __init__(self, grid: Grid, net: Net):
@@ -218,13 +219,13 @@ class SolutionQueue:
         self.colorless = not rules.gamma
         self.counts = grid.foreign_counts(net.id) if rules.gamma else _zero_counts(n)
         self.hist = grid.history
+        self.committed = grid.committed
         self.off_guide = grid.off_guide(net.guide)
         self.settled = grid.keep_outs(net.id)
         self.buckets: dict[float, list[Label]] = {}
         self.costs: list[float] = []
         self._seq = count()
-        self.dead: set[int] = set()
-        self.labels: dict[int, list[Label]] = {}
+        self.live: list[list[Label] | None] = [None] * n
         cover: dict[int, set[int]] = {}
         for idx, pin in enumerate(net.pins):
             for v in pin.covered_vertices:
@@ -236,26 +237,26 @@ class SolutionQueue:
             self.pin_at[vid] = frozenset(pins)
         self.connected: set[int] = {0}
 
+    @property
+    def labels(self) -> dict[int, list[Label]]:
+        """{vid: live labels}, read-only and built per call, for perfbench/spans.py until ROADMAP item 4."""
+        return {vid: held for vid, held in enumerate(self.live) if held is not None}
+
     def insert(self, label: Label) -> bool:
         cost, vid, _, _, state, _ = label
-        rivals = self.labels.get(vid)
+        rivals = self.live[vid]
         if rivals is None:
-            self.labels[vid] = [label]
+            self.live[vid] = [label]
         else:
-            # One pass suffices: live labels never dominate one another, so
-            # no label this one prunes can share the list with one that
-            # dominates it.
-            dead = self.dead
-            pruned = False
+            kept = []  # one pass suffices: live labels never dominate one another
             for ex in rivals:
                 ex_cost, ex_state = ex[0], ex[4]
                 if ex_cost <= cost and (ex_state & state) == state:
                     return False  # dominated; ties keep the incumbent
-                if cost <= ex_cost and (state & ex_state) == ex_state:
-                    dead.add(ex[3])
-                    pruned = True
-            if pruned:
-                rivals = self.labels[vid] = [ex for ex in rivals if ex[3] not in dead]
+                if not (cost <= ex_cost and (state & ex_state) == ex_state):
+                    kept.append(ex)
+            if len(kept) < len(rivals):
+                rivals = self.live[vid] = kept
             rivals.append(label)
         if state == ALL_COLORS:
             # An accepted 111 label undercuts every live one, and prunes it.
@@ -278,10 +279,10 @@ class SolutionQueue:
         costs = self.costs
         while costs:
             cost = heappop(costs)
-            live = _sorted_live(self.buckets.pop(cost), self.dead)
-            if live:
-                self._put_back(cost, live[1:])
-                return live[0]
+            run = _sorted_live(self.buckets.pop(cost), self.live)
+            if run:
+                self._put_back(cost, run[1:])
+                return run[0]
         return None
 
     def _put_back(self, cost: float, rest: list[Label]) -> None:
@@ -296,21 +297,21 @@ class SolutionQueue:
 _enqueue = list.append
 
 
-def _sorted_live(bucket: list[Label], dead: set[int]) -> list[Label]:
+def _sorted_live(bucket: list[Label], live: list[list[Label] | None]) -> list[Label]:
     """A cost bucket's live labels in pop order, taken once per activation.
 
     The bucket is the caller's to reuse: it is sorted in place unless a
-    label in it is dead.
+    label in it is pruned (see the module docstring's liveness rule).
     """
     for label in bucket:
-        if label[3] in dead:
-            bucket = [label for label in bucket if label[3] not in dead]
+        if label not in live[label[1]]:
+            bucket = [label for label in bucket if label in live[label[1]]]
             break
     bucket.sort()
     return bucket
 
 
-def _drain(heap: list[Label], ties: list[Label], dead: set[int]):
+def _drain(heap: list[Label], ties: list[Label], live: list[list[Label] | None]):
     """Yield the live labels of one cost, least first, once it has ties.
 
     heap holds the cost's labels not yet popped. ties collects the
@@ -327,7 +328,7 @@ def _drain(heap: list[Label], ties: list[Label], dead: set[int]):
         if not heap:
             return
         label = pop(heap)
-        if label[3] not in dead:
+        if label in live[label[1]]:
             yield label
 
 
@@ -384,16 +385,16 @@ def color_state_search(queue: SolutionQueue) -> Label:
     alpha, gamma = rules.alpha, rules.gamma
     red, green, blue = queue.counts
     hist, off_guide, settled = queue.hist, queue.off_guide, queue.settled
-    moves, labels, pin_at, connected = queue.moves, queue.labels, queue.pin_at, queue.connected
-    buckets, costs, dead, next_seq = queue.buckets, queue.costs, queue.dead, queue._seq.__next__
-    push, pop, enqueue, inf = heappush, heappop, _enqueue, math.inf
+    moves, live, pin_at, connected = queue.moves, queue.live, queue.pin_at, queue.connected
+    buckets, costs, next_seq = queue.buckets, queue.costs, queue._seq.__next__
+    push, pop, enqueue = heappush, heappop, _enqueue
     colorless = queue.colorless  # only insert clears it, and the search never calls insert
     ties: list[Label] = []  # children at the cost being popped
     while costs:
         cost = pop(costs)
         # Every child costs at least cost + alpha: trad >= 1, other terms >= 0.
         floor = cost + alpha
-        run = order = _sorted_live(buckets.pop(cost), dead)
+        run = order = _sorted_live(buckets.pop(cost), live)
         heap = None
         while True:
             for label in order:
@@ -415,10 +416,8 @@ def color_state_search(queue: SolutionQueue) -> Label:
                         child_cost = cost + alpha * trad
                         if least <= child_cost:
                             continue
-                        if least != inf:
-                            dead.add(labels[i][0][3])
                         child = (child_cost, i, direction, next_seq(), ALL_COLORS, label)
-                        labels[i] = [child]
+                        live[i] = [child]
                         settled[i] = child_cost
                         waiting = buckets.get(child_cost)
                         if waiting is None:
@@ -466,9 +465,9 @@ def color_state_search(queue: SolutionQueue) -> Label:
                             child_cost = cost + alpha * trad
                         if least <= child_cost:
                             continue  # the live 111 label dominates the child
-                        rivals = labels.get(i)
+                        rivals = live[i]
                         if rivals is None:
-                            rivals = labels[i] = []
+                            rivals = live[i] = []
                         else:
                             # insert's one-pass accept, run before the child is built.
                             dominated = False
@@ -478,16 +477,16 @@ def color_state_search(queue: SolutionQueue) -> Label:
                                 if ex_cost <= child_cost and (ex_state & state) == state:
                                     dominated = True  # ties keep the incumbent
                                     break
-                                if child_cost <= ex_cost and (state & ex_state) == ex_state:
-                                    dead.add(ex[3])
-                                else:
+                                if not (child_cost <= ex_cost and (state & ex_state) == ex_state):
                                     kept += 1
                             if dominated:
                                 continue
                             if not kept:
                                 rivals.clear()
                             elif kept < len(rivals):
-                                rivals = labels[i] = [ex for ex in rivals if ex[3] not in dead]
+                                rivals = live[i] = [
+                                    ex for ex in rivals if not (child_cost <= ex[0] and (state & ex[4]) == ex[4])
+                                ]
                         child = (child_cost, i, direction, next_seq(), state, label)
                         rivals.append(child)
                         if state == ALL_COLORS:
@@ -506,7 +505,7 @@ def color_state_search(queue: SolutionQueue) -> Label:
                 break
             # A child at this cost: the sorted rest is already a heap.
             heap = run[bisect_right(run, label):]
-            order = _drain(heap, ties, dead)
+            order = _drain(heap, ties, live)
     raise SearchExhaustedError("solution queue exhausted")
 
 
@@ -591,8 +590,8 @@ def route_net(net: Net, grid: Grid, *, two_pin_mode: bool = False) -> RouteTree:
     queue = SolutionQueue(grid, net)
     tree = _TreeBuilder()
     for v in net.pins[0].covered_vertices:
-        if queue.settled[grid.vid(v)] != -math.inf:
-            for cost, state in _seed_labels(grid, queue.counts, v):
+        if queue.settled[queue._vid(v)] != -math.inf:
+            for cost, state in _seed_labels(queue, v):
                 queue.source(v, cost, state)
 
     total_pins = len(net.pins)
@@ -601,7 +600,7 @@ def route_net(net: Net, grid: Grid, *, two_pin_mode: bool = False) -> RouteTree:
             dst = color_state_search(queue)
         except SearchExhaustedError:
             remaining = sorted(set(range(total_pins)) - queue.connected)
-            wall_nets, wall_vertices = _wall_blockers(queue, grid, net, remaining)
+            wall_nets, wall_vertices = _wall_blockers(queue, net, remaining)
             raise UnroutableError(
                 net.id,
                 remaining,
@@ -627,29 +626,29 @@ def _zero_counts(size: int) -> tuple[tuple[int, ...], ...]:
     return zeros, zeros, zeros
 
 
-def _seed_labels(grid: Grid, counts: Sequence[Sequence[int]], v: Vertex) -> list[tuple[float, int]]:
+def _seed_labels(queue: SolutionQueue, v: Vertex) -> list[tuple[float, int]]:
     """Source labels for a start-pin vertex, one per conflict-cost level.
 
     The wire occupies the start vertex too, so its per-color conflict
-    cost (from the net's foreign red, green and blue counts) is charged
-    up front: colors with equal cost share one label (conflict-free pins
-    reduce to the single label cost 0, state 111).
+    cost (from the queue's counts) is charged up front: colors with equal
+    cost share one label (conflict-free pins reduce to the single label
+    cost 0, state 111).
     """
-    gamma, i = grid.rules.gamma, grid.vid(v)
+    gamma, i = queue.rules.gamma, queue._vid(v)
     levels: dict[float, int] = {}
-    for color, color_counts in zip(COLOR_ORDER, counts):
+    for color, color_counts in zip(COLOR_ORDER, queue.counts):
         cost = gamma * color_counts[i]
         levels[cost] = levels.get(cost, 0) | int(color)
     return [(cost, levels[cost]) for cost in sorted(levels)]
 
 
-def _region_wall(queue: SolutionQueue, grid: Grid, region, net_id: int) -> dict[int, int]:
+def _region_wall(queue: SolutionQueue, region, net_id: int) -> dict[int, int]:
     """Foreign committed vertex ids bordering a region of ids, with their owners.
 
     Obstacles are never committed (Grid.commit_route refuses them), so a
     keep-out neighbour with a committed owner is a foreign commit.
     """
-    moves, settled, vertices, committed = queue.moves, queue.settled, queue.vertices, grid.committed
+    moves, settled, vertices, committed = queue.moves, queue.settled, queue.vertices, queue.committed
     keep_out = -math.inf
     wall: dict[int, int] = {}
     for v in region:
@@ -662,9 +661,7 @@ def _region_wall(queue: SolutionQueue, grid: Grid, region, net_id: int) -> dict[
     return wall
 
 
-def _wall_blockers(
-    queue: SolutionQueue, grid: Grid, net: Net, remaining: list[int]
-) -> tuple[set[int], set[Vertex]]:
+def _wall_blockers(queue: SolutionQueue, net: Net, remaining: list[int]) -> tuple[set[int], set[Vertex]]:
     """Nets and vertices walling the unreached pins off from the search.
 
     Flood-fills the pocket still reachable from the stranded pins; the
@@ -675,7 +672,7 @@ def _wall_blockers(
     """
     moves, settled = queue.moves, queue.settled
     keep_out = -math.inf
-    pins = (grid.vid(v) for idx in remaining for v in net.pins[idx].covered_vertices)
+    pins = (queue._vid(v) for idx in remaining for v in net.pins[idx].covered_vertices)
     stack = [vid for vid in pins if settled[vid] != keep_out]
     pocket = set(stack)
     while stack:
@@ -685,8 +682,8 @@ def _wall_blockers(
             if settled[t] != keep_out and t not in pocket:
                 pocket.add(t)
                 stack.append(t)
-    pocket_side = _region_wall(queue, grid, pocket, net.id)
-    search_side = _region_wall(queue, grid, queue.labels, net.id)
+    pocket_side = _region_wall(queue, pocket, net.id)
+    search_side = _region_wall(queue, (vid for vid, held in enumerate(queue.live) if held is not None), net.id)
     shared = pocket_side.keys() & search_side.keys()
     if shared:
         wall = {t: pocket_side[t] for t in shared}

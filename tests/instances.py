@@ -82,11 +82,11 @@ def watch_search(monkeypatch, on_pop=None, on_accept=None):
                     on_pop(label)
                     yield label
 
-        def watched_sorted_live(bucket, dead):
-            return Popping(sorted_live(bucket, dead))
+        def watched_sorted_live(bucket, live):
+            return Popping(sorted_live(bucket, live))
 
-        def watched_drain(heap, ties, dead):
-            for label in drain(heap, ties, dead):
+        def watched_drain(heap, ties, live):
+            for label in drain(heap, ties, live):
                 on_pop(label)
                 yield label
 

@@ -9,7 +9,7 @@ import pytest
 
 from tplroute import cli, metrics
 from tplroute.cli import main
-from tplroute.layout import load_layout
+from tplroute.layout import MAX_ITERATIONS, load_layout
 from tplroute.negotiation import detect_conflicts
 
 GEN_FLAGS = [
@@ -140,6 +140,19 @@ def test_rule_overrides_apply(tmp_path, instance_file):
     assert len(report["iterations"]) == 1
 
 
+def test_max_iters_above_the_cap_is_a_layout_error(tmp_path, instance_file):
+    proc = run_cli([
+        "--mode", "route", "--input", str(instance_file), "--output", str(tmp_path / "x"),
+        "--max-iters", str(MAX_ITERATIONS + 1),
+    ])
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    err = json.loads(proc.stderr.strip().splitlines()[-1])
+    assert err["error"] == "LayoutError"
+    assert f"rule max_iterations must be at most {MAX_ITERATIONS}" in err["message"]
+    assert not (tmp_path / "x.report.json").exists()
+
+
 def test_error_json_on_missing_input(tmp_path):
     proc = run_cli(["--mode", "route", "--input", str(tmp_path / "nope.json"), "--output", str(tmp_path / "x")])
     assert proc.returncode == 1
@@ -235,7 +248,8 @@ def test_run_demo_keeps_each_arm_under_its_own_prefix(tmp_path):
 
 def test_code_lines_counts_code_only():
     script = Path(__file__).resolve().parent.parent / "scripts" / "code_lines.py"
-    code_lines = runpy.run_path(str(script))["code_lines"]
+    counters = runpy.run_path(str(script))
+    code_lines, prose_lines = counters["code_lines"], counters["prose_lines"]
     text = '''"""Module docstring,
 over two lines."""
 
@@ -264,6 +278,10 @@ class Box:
     # import, class, the four lines of size, def, the two of note, return
     assert code_lines(text) == 10
     assert code_lines("") == 0
+    # the module docstring's two lines, the comment line, the class
+    # docstring, and the function docstring's three non-blank lines
+    assert prose_lines(text) == 7
+    assert prose_lines("") == 0
 
 
 def test_generate_rejects_bad_override_before_writing(tmp_path, capsys):

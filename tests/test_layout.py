@@ -11,6 +11,7 @@ from tplroute.generate import generate_instance
 from tplroute.layout import (
     COST_RULE_MAX,
     MAX_GRID_VERTICES,
+    MAX_ITERATIONS,
     RULE_TYPES,
     DesignRules,
     Layer,
@@ -284,6 +285,22 @@ def test_cost_rule_above_cap_rejected(name, bad):
     data["rules"][name] = bad
     with pytest.raises(LayoutError, match=f"rule {name} must be at most 4096"):
         layout_from_dict(data)
+
+
+def test_max_iterations_capped():
+    # The cap itself loads and validates; one more is rejected, and so is
+    # 10**12, which would hold a draw whose conflict never clears for years.
+    data = minimal_dict()
+    data["rules"]["max_iterations"] = MAX_ITERATIONS
+    layout = layout_from_dict(data)
+    assert validate(layout) == []
+    for bad in (MAX_ITERATIONS + 1, 10**12):
+        data["rules"]["max_iterations"] = bad
+        with pytest.raises(LayoutError, match=f"rule max_iterations must be at most {MAX_ITERATIONS}, got {bad}"):
+            layout_from_dict(data)
+        assert validate(replace(layout, rules=replace(layout.rules, max_iterations=bad))) == [
+            f"rule max_iterations must be at most {MAX_ITERATIONS}, got {bad}"
+        ]
 
 
 def _cap_draw(rules):

@@ -238,6 +238,14 @@ def test_queue_never_holds_dead_states(monkeypatch):
     assert all(s != 0 for s in collected)
 
 
+def assert_live_is_membership(queue, accepted, pruned):
+    """No pruned label is in its vertex's live list, and every accepted unpruned one is."""
+    assert not hasattr(queue, "dead")
+    for label in accepted:
+        held = queue.live[label[1]]
+        assert any(ex is label for ex in held) == (label[3] not in pruned), label
+
+
 def _reference_insert(buckets, pruned, label):
     """Two-pass Pareto insert: reject if dominated, else prune and append.
 
@@ -266,12 +274,16 @@ LABEL_DRAWS = st.tuples(
 def test_insert_matches_two_pass_reference(inserts):
     grid = empty_grid(3, 2, ("H",))
     queue = SolutionQueue(grid, two_pin_net((0, 0, 0), (2, 1, 0)))
-    reference, pruned = {}, set()
+    reference, pruned, accepted = {}, set(), []
     for seq, (vertex, cost, state, arrival) in enumerate(inserts):
         label = (cost, grid.vid(vertex), arrival, seq, state, None)
-        assert queue.insert(label) == _reference_insert(reference, pruned, label)
+        if queue.insert(label):
+            accepted.append(label)
+            assert _reference_insert(reference, pruned, label)
+        else:
+            assert not _reference_insert(reference, pruned, label)
         assert queue.labels == {k: bucket for k, bucket in reference.items() if bucket}
-        assert queue.dead == pruned
+        assert_live_is_membership(queue, accepted, pruned)
         for k in range(grid.width * grid.height):
             full = [ex[0] for ex in reference.get(k, []) if ex[4] == 0b111]
             assert queue.settled[k] == min(full, default=float("inf"))
@@ -285,20 +297,23 @@ def test_pop_skips_pruned_and_never_repeats(ops):
     # nor popped yet, and the drain ends once none is left.
     grid = empty_grid(3, 2, ("H",))
     queue = SolutionQueue(grid, two_pin_net((0, 0, 0), (2, 1, 0)))
-    accepted, popped = [], set()
+    accepted, popped, reference, pruned = [], set(), {}, set()
     for seq, op in enumerate(ops + ["pop"] * (len(ops) + 1)):
         if op != "pop":
             vertex, cost, state, arrival = op
             label = (cost, grid.vid(vertex), arrival, seq, state, None)
-            if queue.insert(label):
+            verdict = queue.insert(label)
+            assert verdict == _reference_insert(reference, pruned, label)
+            if verdict:
                 accepted.append(label)
             continue
-        waiting = [ex for ex in accepted if ex[3] not in queue.dead and ex[3] not in popped]
+        assert_live_is_membership(queue, accepted, pruned)
+        waiting = [ex for ex in accepted if ex[3] not in pruned and ex[3] not in popped]
         label = queue.pop()
         if not waiting:
             assert label is None
             continue
-        assert label[3] not in queue.dead, "popped a pruned label"
+        assert label[3] not in pruned, "popped a pruned label"
         assert label[3] not in popped, "popped a label twice"
         assert label is min(waiting)
         popped.add(label[3])
@@ -342,16 +357,17 @@ def _search_instance(seed):
 def test_search_accept_matches_two_pass_reference(seed):
     # The search accepts labels itself, in one pass over the target's
     # bucket. Replayed in push order through the two-pass reference, every
-    # label it pushed is accepted, and the final buckets, dead set and
-    # settled costs agree, with settled at -inf on every keep-out. The
-    # search is run to exhaustion, one returned pin label at a time.
+    # label it pushed is accepted, and the final label lists, live
+    # membership and settled costs agree, with settled at -inf on every
+    # keep-out. The search is run to exhaustion, one returned pin label at
+    # a time.
     grid, net = _search_instance(seed)
     queue = SolutionQueue(grid, net)
     src = net.pins[0].covered_vertices[0]
     pushed = []
     with pytest.MonkeyPatch.context() as mp:
         watch_search(mp, on_accept=pushed.append)
-        for cost, state in router._seed_labels(grid, queue.counts, src):
+        for cost, state in router._seed_labels(queue, src):
             queue.source(src, cost, state)
         while True:
             try:
@@ -363,7 +379,7 @@ def test_search_accept_matches_two_pass_reference(seed):
     for label in pushed:
         assert _reference_insert(reference, pruned, label)
     assert queue.labels == {k: bucket for k, bucket in reference.items() if bucket}
-    assert queue.dead == pruned
+    assert_live_is_membership(queue, pushed, pruned)
     keep_outs = grid.keep_outs(net.id)
     for k, keep_out in enumerate(keep_outs):
         full = [ex[0] for ex in reference.get(k, []) if ex[4] == 0b111]
@@ -385,7 +401,7 @@ def _search_to_exhaustion(grid, net, source_state=None):
     with pytest.MonkeyPatch.context() as mp:
         watch_search(mp, on_pop=popped.append, on_accept=pushed.append)
         if source_state is None:
-            seeds = router._seed_labels(grid, queue.counts, src)
+            seeds = router._seed_labels(queue, src)
         else:
             seeds = [(0.0, source_state)]
         for cost, state in seeds:
@@ -414,11 +430,11 @@ def test_search_skips_match_two_pass_reference_under_drawn_rules(
     # than its own cost, reads zero counts when gamma is 0, and relaxes
     # colorless when gamma is 0 and it holds only 111 labels.
     # Replayed in push order through the two-pass reference, every pushed
-    # label is accepted and the final buckets, dead set and settled costs
-    # agree, a one-mask source included. Every pushed child is the oracle's child of its
-    # predecessor, and no skip loses one: the oracle's child of every
-    # expanded move is dominated by a live label at its target when the
-    # search ends.
+    # label is accepted and the final label lists, live membership and
+    # settled costs agree, a one-mask source included. Every pushed child
+    # is the oracle's child of its predecessor, and no skip loses one: the
+    # oracle's child of every expanded move is dominated by a live label at
+    # its target when the search ends.
     grid, net = _search_instance(seed)
     grid.rules = rules = replace(grid.rules, alpha=alpha, gamma=gamma, stitch_cost=stitch_cost)
     queue, pushed, expanded = _search_to_exhaustion(grid, net, source_state)
@@ -431,7 +447,7 @@ def test_search_skips_match_two_pass_reference_under_drawn_rules(
     for label in pushed:
         assert _reference_insert(reference, pruned, label)
     assert queue.labels == {k: bucket for k, bucket in reference.items() if bucket}
-    assert queue.dead == pruned
+    assert_live_is_membership(queue, pushed, pruned)
     for k, keep_out in enumerate(grid.keep_outs(net.id)):
         full = [ex[0] for ex in reference.get(k, []) if ex[4] == 0b111]
         assert queue.settled[k] == (keep_out if keep_out == -math.inf else min(full, default=math.inf))
@@ -568,7 +584,7 @@ def test_pops_follow_heap_order(seed, alpha, gamma, freeze):
             on_pop=lambda label: events.append((True, label)),
             on_accept=lambda label: events.append((False, label)),
         )
-        for cost, state in router._seed_labels(grid, queue.counts, src):
+        for cost, state in router._seed_labels(queue, src):
             queue.source(src, cost, state)
         while True:
             searches += 1
@@ -611,9 +627,9 @@ def test_equal_cost_labels_are_sorted_or_heaped_once(monkeypatch):
         init(queue, *args)
         current[:] = [queue]
 
-    def counting_sorted_live(bucket, dead):
+    def counting_sorted_live(bucket, live):
         work["sorted"] += len(bucket)
-        return sorted_live(bucket, dead)
+        return sorted_live(bucket, live)
 
     def counting_enqueue(waiting, label):
         enqueue(waiting, label)
@@ -651,15 +667,43 @@ def test_source_returns_insert_verdict():
     (first,) = queue.labels[vid]
     assert queue.source(v, 1.0, 0b001) is False  # exact tie: the incumbent stays
     assert queue.source(v, 0.0, 0b111) is True  # prunes the first source
-    assert queue.dead == {first[3]} and first not in queue.labels[vid]
-    buckets = {k: list(bucket) for k, bucket in queue.labels.items()}
-    settled, dead = list(queue.settled), set(queue.dead)
-    assert queue.source(v, 0.5, 0b011) is False  # a dominated re-seed
-    assert queue.labels == buckets and queue.settled == settled and queue.dead == dead
-    assert verdicts == [True, False, True, False]
     (label,) = queue.labels[vid]
+    assert_live_is_membership(queue, [first, label], {first[3]})
+    buckets = {k: list(bucket) for k, bucket in queue.labels.items()}
+    settled = list(queue.settled)
+    assert queue.source(v, 0.5, 0b011) is False  # a dominated re-seed
+    assert queue.labels == buckets and queue.settled == settled
+    assert verdicts == [True, False, True, False]
     assert (label[0], label[1], label[2], label[4], label[5]) == (0.0, vid, -1, 0b111, None)
     assert queue.pop() is label and queue.pop() is None
+
+
+def test_pruned_label_is_told_from_its_twin_by_seq(monkeypatch):
+    # At alpha 0 a pruned source and the live source that pruned it share
+    # (cost, vid, dir_key) and are both still queued at cost 0. Liveness is
+    # membership in the vertex's list, so the two tuples differ only from
+    # seq on: the bucket sort and the equal-cost heap drop the pruned one,
+    # and the search never pops it.
+    grid = empty_grid(3, 1, ("H",), DesignRules(alpha=0.0))
+    net = two_pin_net((0, 0, 0), (2, 0, 0))
+    grid = register_pins(grid, net)
+    queue = SolutionQueue(grid, net)
+    vid = grid.vid((1, 0, 0))
+    assert queue.source((1, 0, 0), 0.0, 0b001)
+    (pruned,) = queue.live[vid]
+    assert queue.source((1, 0, 0), 0.0, 0b111)
+    (twin,) = queue.live[vid]
+    assert pruned[:3] == twin[:3] and pruned[3] != twin[3]
+    assert pruned not in queue.live[vid] and twin in queue.live[vid]
+    assert queue.buckets[0.0] == [pruned, twin]
+    assert router._sorted_live([twin, pruned], queue.live) == [twin]
+    assert list(router._drain([pruned, twin], [], queue.live)) == [twin]
+
+    popped = []
+    watch_search(monkeypatch, on_pop=popped.append)
+    dst = color_state_search(queue)
+    assert popped[0] is twin and pruned not in popped
+    assert dst[1] == grid.vid((2, 0, 0)) and dst[0] == 0.0 and dst[5] is twin
 
 
 def test_unroutable_reports_remaining_pins():
@@ -738,15 +782,22 @@ def _reference_wall_blockers(queue, grid, net, remaining):
 def test_wall_blockers_match_neighbors_walk(monkeypatch):
     # Every rescue of the seeded rescue draw (both arms) and of the
     # two-net single-gap layout names the same blockers as the reference.
-    wall_blockers = router._wall_blockers
-    calls = []
+    # The wall walk reads the grid through the queue only, so each queue's
+    # grid is noted when it is built, for the reference walk.
+    wall_blockers, init = router._wall_blockers, SolutionQueue.__init__
+    calls, grid_of = [], {}
 
-    def checked(queue, grid, net, remaining):
-        got = wall_blockers(queue, grid, net, remaining)
-        assert got == _reference_wall_blockers(queue, grid, net, remaining)
+    def noting_init(queue, grid, net):
+        init(queue, grid, net)
+        grid_of[id(queue)] = grid, queue
+
+    def checked(queue, net, remaining):
+        got = wall_blockers(queue, net, remaining)
+        assert got == _reference_wall_blockers(queue, grid_of[id(queue)][0], net, remaining)
         calls.append(got)
         return got
 
+    monkeypatch.setattr(SolutionQueue, "__init__", noting_init)
     monkeypatch.setattr(router, "_wall_blockers", checked)
     gap = Layout(
         width=5, height=3, layers=[Layer(0, "H")], rules=DesignRules(),
