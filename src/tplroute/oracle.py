@@ -9,10 +9,11 @@ programming, and keeps the global minimum of
 with conflict cost charged on every path vertex (the wire occupies its
 endpoints too) and a stitch wherever consecutive same-layer vertices
 change mask. Moves (neighbors, and step for one direction), keep-outs
-(usable), move costs (move_cost) and conflict costs (conflict_costs) are
-written here against the raw grid data, apart from the router's move
-table and count arrays, so agreement between the two is evidence rather
-than tautology; the tests use these five as their references.
+(usable), move costs (move_cost), conflict costs (conflict_costs) and the
+bound on a path's rest (remaining_lb) are written here against the raw
+grid data, apart from the router's move table, count arrays and bound,
+so agreement between the two is evidence rather than tautology; the
+tests use these six as their references.
 """
 
 from __future__ import annotations
@@ -74,14 +75,6 @@ def optimal_colored_path(
     best: tuple | None = None  # (cost, length, vid-tuple, color-idx-tuple, path, coloring)
     enumerated = 0
 
-    def remaining_lb(v: Vertex) -> float:
-        best_d = None
-        for d in dsts:
-            est = abs(d[0] - v[0]) + abs(d[1] - v[1]) + abs(d[2] - v[2]) * (1.0 + rules.via_cost)
-            if best_d is None or est < best_d:
-                best_d = est
-        return best_d if best_d is not None else 0.0
-
     def extend(v: Vertex, path: list[Vertex], visited: set[Vertex],
                trad: float, dp: tuple[float, float, float]) -> None:
         nonlocal best, enumerated
@@ -104,7 +97,7 @@ def optimal_colored_path(
             return
         if len(path) >= max_vertices:
             return
-        lower = rules.alpha * (trad + remaining_lb(v)) + min(dp)
+        lower = rules.alpha * (trad + remaining_lb(rules, v, dsts)) + min(dp)
         if best is not None and lower > best[0]:
             return
         for target in neighbors(grid, v):
@@ -139,6 +132,21 @@ def optimal_colored_path(
         best_coloring=best[5],
         enumerated_count=enumerated,
     )
+
+
+def remaining_lb(rules: DesignRules, v: Vertex, targets) -> float:
+    """The fewest traditional-cost units from v to any target, ignoring everything in between.
+
+    A planar step costs at least 1 and a layer change at least 1 + via_cost,
+    so alpha times this bounds the rest of a path from below. 0.0 with no
+    targets.
+    """
+    best_d = None
+    for d in targets:
+        est = abs(d[0] - v[0]) + abs(d[1] - v[1]) + abs(d[2] - v[2]) * (1.0 + rules.via_cost)
+        if best_d is None or est < best_d:
+            best_d = est
+    return best_d if best_d is not None else 0.0
 
 
 def all_pairs_conflicts(grid: Grid, rules: DesignRules) -> list[Conflict]:

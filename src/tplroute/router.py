@@ -16,15 +16,8 @@ had to be closed. Final masks and stitches depend only on segSets, so a
 segSet stores its member vertex ids directly and its verSets stay
 implicit as the equal-state runs among them.
 
-A net is worked in vertex ids from its seeds to its finished tree.
-route_net seeds the start pin's ids; each search returns a popped label;
-backtrace walks the label's prev chain once, puts each traced id into a
-segSet (keyed by id), re-inserts it through SolutionQueue.insert as a
-cost-0 source tuple, and marks connected the pins its pin_at entry
-names. finalize_colors then picks each segSet's mask from the count
-lists by id, summing nothing when gamma is 0 (every cost is then 0), and
-turns the ids into vertices once, when it builds the RouteTree that the
-caller commits.
+A net is worked in vertex ids from its seeds to its finished tree;
+finalize_colors turns them into vertices once, for the RouteTree.
 
 Each vertex keeps a Pareto set of (cost, state) labels: a costlier label
 survives if its state is not a subset of a cheaper label's, which is what
@@ -50,18 +43,14 @@ than its parent, so only a child of the same cost, which alpha 0 or a
 tiny alpha makes, can join or prune that list. Such a child goes to the
 cost's ties, not to a bucket, and from then on the rest of the list and
 the ties are one heap of live labels (_drain), so each tie costs
-O(log n). The loop returns the first label that covers a pin not
-yet connected and puts the rest of its cost back into buckets
-(SolutionQueue._put_back); it raises SearchExhaustedError when the queue
-empties. Labels pop in (cost, vid, dir_key, seq) order, as from one heap
-of them all. Sources (start-pin seeds and the traced vertices re-seeded
-after a backtrace) enter through SolutionQueue.source, which goes
-through SolutionQueue.insert. The search does not call insert or pop: it
+O(log n). Labels pop in (cost, vid, dir_key, seq) order, as from one
+heap of them all. Sources enter through SolutionQueue.insert; the search
 runs the same accept and the same pop order inline.
 
-Every other popped label relaxes its vertex's moves, by one of two
-relaxations picked once per search. The colored relaxation prices the
-three masks of each child and accepts it against its target's labels.
+A popped label that covers no unconnected pin relaxes its vertex's
+moves, by one of two relaxations picked once per search. The colored
+relaxation prices the three masks of each child and accepts it against
+its target's labels.
 The colorless one runs while the queue is colorless
 (SolutionQueue.colorless), as in the baseline's colorless pass: gamma is
 0 and every label the queue has accepted holds all three masks. Every
@@ -74,22 +63,9 @@ searches relax colored. The colorless relaxation makes only 111
 children and the colored one runs only once the flag is clear, so the
 flag stays exact and one search keeps one relaxation.
 
-The search does no work whose result is already known. Everything it
-reads that stays fixed while a net is routed is taken from the grid once
-per net, when route_net makes the net's SolutionQueue: the rules, the
-foreign per-mask counts, and the vertex-id arrays of keep-outs, history
-and off-guide penalties, each defined in grid.py and read here as it is.
-When gamma is 0 every conflict term is 0 whatever the counts, so the
-queue reads shared zero counts instead and the grid never builds or
-spreads its own (the baseline's colorless pass runs this way). The queue
-is a snapshot, so the grid must not change while it is in use; route_net
-makes one queue per net and does not change the grid while routing it.
-The move table (per vertex id, the on-grid moves as vertex-id offsets
-with their rule costs) is shared by every grid of one shape and move
-costs. The queue keeps, per vertex id, the live labels (live), the least
-cost of a label holding all three masks (settled), and the pin indices
-the vertex covers (pin_at), so whether a popped label covers a pin is
-one read.
+Everything the search reads that stays fixed while a net is routed is
+taken from the grid once per net, when route_net makes the net's
+SolutionQueue, so the grid must not change while the queue is in use.
 
 settled starts as the net's keep-outs (Grid.keep_outs): -inf at every
 obstacle and other net's pin or commit, inf elsewhere. A keep-out never
@@ -121,8 +97,21 @@ accepted and replaces the live label there, pruning it. The
 same labels pop and are accepted, in the same order, as under the
 colored relaxation, with no mask or label-list work.
 
-The rescue path finds a wall of foreign commits by walking vertex ids
-through the same move table and keep-outs.
+A net's last connection, the search run while one pin is left, is
+bounded (_last_pin_bound; Hart, Nilsson & Raphael, 1968, without their
+reordering). U is the least cost of a label at that pin, lowered as
+children reach it, and h(v) is alpha per planar step plus alpha *
+(1 + via_cost) per layer from v into the pin's bounding box, which no
+move undercuts. A popped label with cost + h over U is not relaxed, and
+such a child is dropped before its target's labels are scanned. Routes
+stay exact: every label on the returned chain has cost + h at most the
+returned cost, which is at most U, and a dropped label costs more than
+every such label at its vertex, so it could neither dominate, prune nor
+settle below one; the labels that matter are made and popped in the same
+order. Earlier searches are not bounded, since their leftovers seed later
+ones. Costs stay below 2**49 and a path has at most 2**22 moves, so
+dropping only past U * (1 + 2**-29) (_MARGIN) covers rounding. At alpha
+0, h is 0 and no pop could fail the test, so the search skips it.
 """
 
 from __future__ import annotations
@@ -132,7 +121,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from bisect import bisect_right
 from heapq import heappop, heappush
-from itertools import count
 from typing import Sequence
 
 from .color_state import ALL_COLORS, COLOR_ORDER, Color
@@ -202,13 +190,12 @@ class RouteTree:
 class SolutionQueue:
     """Bucket queue of search labels with per-vertex Pareto label sets.
 
-    The module docstring is the account of how the search uses it.
     buckets maps a cost to its queued labels, and costs heaps those
-    costs. live, settled and pin_at are read per vertex id; live holds
-    None or the vertex's live labels (the liveness rule). moves, vertices,
-    rules, counts, hist, committed and off_guide are the net's search
-    context, read from the grid once. colorless starts as not gamma, and
-    insert clears it when it accepts a label lacking a mask.
+    costs. Per vertex id, live holds None or the vertex's live labels,
+    settled the least cost of a live 111 label, and pin_at the pins the
+    vertex covers; pin_vids lists each pin's vertex ids, and seq is the
+    next label's seq. moves, vertices, rules, counts, hist, committed and
+    off_guide are the net's search context, read from the grid once.
     """
 
     def __init__(self, grid: Grid, net: Net):
@@ -224,14 +211,16 @@ class SolutionQueue:
         self.settled = grid.keep_outs(net.id)
         self.buckets: dict[float, list[Label]] = {}
         self.costs: list[float] = []
-        self._seq = count()
+        self.seq = 0
         self.live: list[list[Label] | None] = [None] * n
         cover: dict[int, set[int]] = {}
+        self.pin_vids: list[list[int]] = []
         for idx, pin in enumerate(net.pins):
             for v in pin.covered_vertices:
                 if not grid.in_bounds(v):
                     raise ValueError(f"net {net.id} pin {idx} vertex {v} is off the grid")
                 cover.setdefault(grid.vid(v), set()).add(idx)
+            self.pin_vids.append([grid.vid(v) for v in pin.covered_vertices])
         self.pin_at: list[frozenset[int] | None] = [None] * n
         for vid, pins in cover.items():
             self.pin_at[vid] = frozenset(pins)
@@ -272,7 +261,9 @@ class SolutionQueue:
 
     def source(self, vertex: Vertex, cost: float, state: int) -> bool:
         """Insert a source label (no arrival, no predecessor) at vertex."""
-        return self.insert((cost, self._vid(vertex), -1, next(self._seq), state, None))
+        seq = self.seq
+        self.seq = seq + 1
+        return self.insert((cost, self._vid(vertex), -1, seq, state, None))
 
     def pop(self) -> Label | None:
         """The least live label, or None. The search pops inline; perfbench/spans.py wraps this by name."""
@@ -332,6 +323,48 @@ def _drain(heap: list[Label], ties: list[Label], live: list[list[Label] | None])
             yield label
 
 
+_MARGIN = 1.0 + 2.0**-29
+
+
+def _last_pin_bound(queue: SolutionQueue):
+    """The last unconnected pin's vertex ids, per-axis gaps and U, or None.
+
+    A search is bounded only when exactly one pin is unconnected and
+    alpha is not 0 (h is then 0 everywhere). The gaps are each x's, y's
+    and layer's distance to the pin's bounding box, a layer counting
+    1 + via_cost, so h(v) = alpha * (gap_x[x] + gap_y[y] + gap_l[l]).
+    U is the least cost of a live label at the pin.
+    """
+    pin_vids, connected = queue.pin_vids, queue.connected
+    if len(connected) != len(pin_vids) - 1 or not queue.rules.alpha:
+        return None
+    (last,) = set(range(len(pin_vids))) - connected
+    vids = pin_vids[last]
+    if not vids:
+        return None
+    vertices, live = queue.vertices, queue.live
+    x0, y0, l0 = x1, y1, l1 = vertices[vids[0]]
+    for i in vids[1:]:
+        x, y, l = vertices[i]
+        x0, y0, l0 = min(x0, x), min(y0, y), min(l0, l)
+        x1, y1, l1 = max(x1, x), max(y1, y), max(l1, l)
+    top_x, top_y, top_l = vertices[-1]  # the far corner
+    via = 1.0 + queue.rules.via_cost
+    gaps = _gaps(x0, x1, top_x, 1.0), _gaps(y0, y1, top_y, 1.0), _gaps(l0, l1, top_l, via)
+    least = math.inf
+    for i in vids:
+        for label in live[i] or ():
+            if label[0] < least:
+                least = label[0]
+    return frozenset(vids), gaps, least
+
+
+@lru_cache(maxsize=1024)
+def _gaps(low: int, high: int, top: int, unit: float) -> tuple[float, ...]:
+    """unit times each coordinate's distance to [low, high], for coordinates 0 .. top."""
+    return tuple(unit * gap for gap in (*range(low, 0, -1), *(0,) * (high - low + 1), *range(1, top - high + 1)))
+
+
 class _TreeBuilder:
     """A net's segSets, traced states, paths and summed cost, in vertex ids.
 
@@ -386,10 +419,15 @@ def color_state_search(queue: SolutionQueue) -> Label:
     red, green, blue = queue.counts
     hist, off_guide, settled = queue.hist, queue.off_guide, queue.settled
     moves, live, pin_at, connected = queue.moves, queue.live, queue.pin_at, queue.connected
-    buckets, costs, next_seq = queue.buckets, queue.costs, queue._seq.__next__
-    push, pop, enqueue = heappush, heappop, _enqueue
+    buckets, costs, seq, vertices = queue.buckets, queue.costs, queue.seq, queue.vertices
+    push, pop, enqueue, inf = heappush, heappop, _enqueue, math.inf
     colorless = queue.colorless  # only insert clears it, and the search never calls insert
     ties: list[Label] = []  # children at the cost being popped
+    bound = _last_pin_bound(queue)
+    limit = inf  # U with the margin, once a label reaches the last pin
+    if bound is not None:
+        last_vids, (gap_x, gap_y, gap_l), limit = bound
+        limit *= _MARGIN
     while costs:
         cost = pop(costs)
         # Every child costs at least cost + alpha: trad >= 1, other terms >= 0.
@@ -402,7 +440,12 @@ def color_state_search(queue: SolutionQueue) -> Label:
                 pins_here = pin_at[v]
                 if pins_here is not None and not pins_here <= connected:
                     queue._put_back(cost, run[bisect_right(run, label):] if heap is None else heap)
+                    queue.seq = seq
                     return label
+                if limit != inf:
+                    x, y, l = vertices[v]
+                    if cost + alpha * (gap_x[x] + gap_y[y] + gap_l[l]) > limit:
+                        continue
                 if colorless:
                     # A vertex's one live label is 111 and costs settled.
                     for direction, dvid, _, base_trad in moves[v]:
@@ -416,7 +459,15 @@ def color_state_search(queue: SolutionQueue) -> Label:
                         child_cost = cost + alpha * trad
                         if least <= child_cost:
                             continue
-                        child = (child_cost, i, direction, next_seq(), ALL_COLORS, label)
+                        if bound is not None:
+                            if limit != inf:
+                                x, y, l = vertices[i]
+                                if child_cost + alpha * (gap_x[x] + gap_y[y] + gap_l[l]) > limit:
+                                    continue
+                            if i in last_vids:
+                                limit = min(limit, child_cost * _MARGIN)
+                        child = (child_cost, i, direction, seq, ALL_COLORS, label)
+                        seq += 1
                         live[i] = [child]
                         settled[i] = child_cost
                         waiting = buckets.get(child_cost)
@@ -465,6 +516,13 @@ def color_state_search(queue: SolutionQueue) -> Label:
                             child_cost = cost + alpha * trad
                         if least <= child_cost:
                             continue  # the live 111 label dominates the child
+                        if bound is not None:
+                            if limit != inf:
+                                x, y, l = vertices[i]
+                                if child_cost + alpha * (gap_x[x] + gap_y[y] + gap_l[l]) > limit:
+                                    continue
+                            if i in last_vids:
+                                limit = min(limit, child_cost * _MARGIN)
                         rivals = live[i]
                         if rivals is None:
                             rivals = live[i] = []
@@ -487,7 +545,8 @@ def color_state_search(queue: SolutionQueue) -> Label:
                                 rivals = live[i] = [
                                     ex for ex in rivals if not (child_cost <= ex[0] and (state & ex[4]) == ex[4])
                                 ]
-                        child = (child_cost, i, direction, next_seq(), state, label)
+                        child = (child_cost, i, direction, seq, state, label)
+                        seq += 1
                         rivals.append(child)
                         if state == ALL_COLORS:
                             settled[i] = child_cost
@@ -506,6 +565,7 @@ def color_state_search(queue: SolutionQueue) -> Label:
             # A child at this cost: the sorted rest is already a heap.
             heap = run[bisect_right(run, label):]
             order = _drain(heap, ties, live)
+    queue.seq = seq
     raise SearchExhaustedError("solution queue exhausted")
 
 
@@ -563,13 +623,15 @@ def backtrace(queue: SolutionQueue, dst: Label, tree: _TreeBuilder, freeze: bool
     if freeze:
         _fix_masks(tree.segsets, queue.rules.gamma, queue.counts)
 
-    insert, next_seq = queue.insert, queue._seq.__next__
+    insert, seq = queue.insert, queue.seq
     pin_at, connected = queue.pin_at, queue.connected
     for vid, state in zip(vids, states):
-        insert((0.0, vid, -1, next_seq(), segset_of[vid].state if freeze else state, None))
+        insert((0.0, vid, -1, seq, segset_of[vid].state if freeze else state, None))
+        seq += 1
         pins_here = pin_at[vid]
         if pins_here is not None:
             connected |= pins_here
+    queue.seq = seq
 
     vids.reverse()
     return vids
@@ -695,11 +757,8 @@ def _wall_blockers(queue: SolutionQueue, net: Net, remaining: list[int]) -> tupl
 def finalize_colors(queue: SolutionQueue, tree: _TreeBuilder, net_id: int) -> RouteTree:
     """Fix each segSet's mask and derive per-vertex colors and stitches.
 
-    _fix_masks gives each live segSet the mask of least summed member
-    conflict cost, read from the queue's counts (Grid.foreign_counts on
-    the current grid), ties in RED > GREEN > BLUE order; a segSet fixed
-    by a 2-pin-mode backtrace keeps its mask. The tree's vertex ids
-    become vertices here, once.
+    Masks are _fix_masks's, read from the queue's counts. The tree's
+    vertex ids become vertices here, once.
     """
     _fix_masks(tree.segsets, queue.rules.gamma, queue.counts)
     vertices = queue.vertices

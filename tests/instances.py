@@ -8,11 +8,14 @@ from dataclasses import replace
 import pytest
 
 from tplroute import router
+from tplroute.baseline import run_baseline
 from tplroute.color_state import COLOR_ORDER, Color
 from tplroute.generate import generate_instance
 from tplroute.grid import CollisionError, Grid
 from tplroute.layout import DesignRules, Layer, Layout, Net, Pin
+from tplroute.negotiation import route_all
 from tplroute.oracle import usable
+from tplroute.router import UnroutableError
 
 
 def empty_grid(width, height, layer_dirs=("H",), rules=None, obstacles=()):
@@ -212,3 +215,51 @@ def random_colored_grid(seed):
     take = rng.randint(5, min(40, len(cells)))
     committed = {v: (rng.randrange(n_nets), rng.choice(COLOR_ORDER)) for v in cells[:take]}
     return replace(grid, committed=committed), rules
+
+
+def routes_text(routes):
+    lines = []
+    for net_id in sorted(routes):
+        t = routes[net_id]
+        lines.append(f"net {net_id} cost {t.total_cost!r}")
+        lines.append(f"  paths {t.paths!r}")
+        lines.append(f"  colors {sorted((v, int(c)) for v, c in t.vertex_colors.items())!r}")
+        lines.append(f"  states {sorted(t.vertex_states.items())!r}")
+        lines.append(f"  stitches {t.stitches!r}")
+    return lines
+
+
+def grid_text(grid):
+    return [
+        f"committed {sorted((v, n, int(c)) for v, (n, c) in grid.committed.items())!r}",
+        f"history {sorted((v, h) for v, h in zip(grid.move_table()[1], grid.history) if h)!r}",
+    ]
+
+
+def route_text(layout):
+    """A canonical text form of route_all's outcome: routes, grid and iteration rows."""
+    try:
+        result = route_all(layout)
+    except UnroutableError as exc:
+        return f"UnroutableError {exc}"
+    lines = routes_text(result.routes) + grid_text(result.grid)
+    for it in result.iterations:
+        conflicts = [
+            (c.vertex_a, c.vertex_b, c.net_a, c.net_b, int(c.color), c.distance)
+            for c in it.conflicts
+        ]
+        lines.append(f"iter {it.index} {it.stitch_count} {it.nets_rerouted!r} {conflicts!r}")
+    return "\n".join(lines)
+
+
+def baseline_text(layout):
+    """A canonical text form of run_baseline's outcome: routes, grid and decomposition."""
+    try:
+        result = run_baseline(layout)
+    except UnroutableError as exc:
+        return f"UnroutableError {exc}"
+    d = result.decomposition
+    lines = routes_text(result.routes) + grid_text(result.grid)
+    lines.append(f"decomposition {[int(c) for c in d.node_colors]!r} "
+                 f"{d.conflict_edge_count} {d.stitch_edge_count}")
+    return "\n".join(lines)

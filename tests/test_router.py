@@ -434,7 +434,9 @@ def test_search_skips_match_two_pass_reference_under_drawn_rules(
     # settled costs agree, a one-mask source included. Every pushed child
     # is the oracle's child of its predecessor, and no skip loses one: the
     # oracle's child of every expanded move is dominated by a live label at
-    # its target when the search ends.
+    # its target when the search ends, or the bound drops it: its cost plus
+    # alpha times oracle.remaining_lb to the pin exceeds U (with the
+    # margin), the least cost of a label at the pin when the search ends.
     grid, net = _search_instance(seed)
     grid.rules = rules = replace(grid.rules, alpha=alpha, gamma=gamma, stitch_cost=stitch_cost)
     queue, pushed, expanded = _search_to_exhaustion(grid, net, source_state)
@@ -468,13 +470,17 @@ def test_search_skips_match_two_pass_reference_under_drawn_rules(
     for label in pushed:
         if label[5] is not None:
             assert (label[0], label[4]) == oracle_child(label[5], queue.vertices[label[1]])
+    pin = net.pins[1].covered_vertices
+    u = min((ex[0] for v in pin for ex in queue.live[grid.vid(v)] or ()), default=math.inf)
     for node in expanded:
         for t in oracle.neighbors(grid, queue.vertices[node[1]]):
             if oracle.usable(grid, t, net.id):
                 cost, state = oracle_child(node, t)
-                assert any(
-                    ex[0] <= cost and ex[4] & state == state for ex in queue.labels[grid.vid(t)]
-                ), (node, t)
+                dominated = any(
+                    ex[0] <= cost and ex[4] & state == state for ex in queue.labels.get(grid.vid(t), [])
+                )
+                beyond = cost + rules.alpha * oracle.remaining_lb(rules, t, pin) > u * router._MARGIN
+                assert dominated or beyond, (node, t)
     if gamma == 0:
         assert queue.counts is router._zero_counts(len(queue.vertices))  # shared zero counts, not the grid's
         assert grid._counts is None  # the grid never built its counts
@@ -860,12 +866,15 @@ def _classic_dijkstra(grid, src, dst):
 def test_search_relaxation_matches_grid_definitions(monkeypatch):
     # color_state_search reads the keep-outs, move costs and conflict counts
     # from per-net arrays, and drops a child that a label at its target
-    # already dominates. For every usable move of a popped node, either the
-    # child it inserted agrees with the oracle's raw-data definitions
-    # (usable, move_cost and conflict_costs), or the target's labels when
-    # the node was popped held one dominating the child those definitions
-    # give. Checked on a grid with obstacles, a foreign pin, foreign and own
-    # commits, history and a guide.
+    # already dominates, or that cannot reach the last pin at U or less.
+    # For every usable move of a popped node, the child it inserted agrees
+    # with the oracle's raw-data definitions (usable, move_cost and
+    # conflict_costs); or the target's labels when the node was popped held
+    # one dominating the child those definitions give; or the bound drops
+    # it: its cost plus alpha times oracle.remaining_lb to the pin exceeds
+    # U (with the margin), U being the least cost of a label at the pin
+    # once the node's children were made. Checked on a grid with
+    # obstacles, a foreign pin, foreign and own commits, history and a guide.
     rules = DesignRules(d_color=3, gamma=5.0, wrong_way_cost=2.0, via_cost=3.0)
     grid = empty_grid(7, 6, ("H", "V", "H"), rules, obstacles={(2, 0, 0), (3, 3, 1), (5, 4, 2)})
     net = two_pin_net((0, 0, 0), (6, 5, 2))
@@ -878,10 +887,12 @@ def test_search_relaxation_matches_grid_definitions(monkeypatch):
 
     queue = SolutionQueue(grid, net)
     queue.source((0, 0, 0), 0.0, 0b111)
-    popped, children, labels_at_pop = [], {}, {}
+    popped, children, labels_at_pop, u_at_pop = [], {}, {}, {}
+    pin = grid.vid((6, 5, 2))
 
     def record_pop(label):
         popped.append(label)
+        u_at_pop[id(label)] = min((ex[0] for ex in queue.live[pin] or ()), default=math.inf)
         labels_at_pop[id(label)] = {
             t: [(ex[0], ex[4]) for ex in queue.labels.get(grid.vid(t), [])]
             for t in oracle.neighbors(grid, queue.vertices[label[1]])
@@ -896,12 +907,13 @@ def test_search_relaxation_matches_grid_definitions(monkeypatch):
     color_state_search(queue)
 
     stitch = rules.beta * rules.stitch_cost
-    skipped = 0
+    skipped = beyond_bound = 0
     for node in popped[:-1]:  # the last pop is returned, not expanded
         node_cost, node_vid, _, _, node_state, _ = node
         vertex = queue.vertices[node_vid]
         got = children.get(id(node), [])
         by_dir = {c[2]: c for c in got}
+        u = min([u_at_pop[id(node)]] + [c[0] for c in got if c[1] == pin])
         inserted_moves = []
         for d in Direction:
             t = oracle.step(grid, vertex, d)
@@ -919,15 +931,18 @@ def test_search_relaxation_matches_grid_definitions(monkeypatch):
             child = by_dir.get(d)
             if child is None:
                 skipped += 1
-                assert any(
+                dominated = any(
                     ex_cost <= cost and ex_state & state == state
                     for ex_cost, ex_state in labels_at_pop[id(node)][t]
-                ), (vertex, d)
+                )
+                beyond = cost + rules.alpha * oracle.remaining_lb(rules, t, [(6, 5, 2)]) > u * router._MARGIN
+                beyond_bound += beyond and not dominated
+                assert dominated or beyond, (vertex, d)
             else:
                 inserted_moves.append((d, t))
                 assert (child[0], child[4]) == (cost, state)
         assert [(c[2], queue.vertices[c[1]]) for c in got] == inserted_moves
-    assert len(popped) > 20 and skipped > 0
+    assert len(popped) > 20 and skipped > beyond_bound > 0
 
 
 @settings(max_examples=100, deadline=None)

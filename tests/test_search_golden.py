@@ -23,7 +23,7 @@ import hashlib
 
 import pytest
 
-from instances import watch_search
+from instances import baseline_text, route_text, watch_search
 from tplroute.baseline import run_baseline
 from tplroute.generate import generate_instance
 from tplroute.layout import DesignRules
@@ -75,30 +75,30 @@ GOLDEN = {
 
 
 TRACE_GOLDEN = {
-    "0/baseline": "55a8a874282112d5008cd2a83be94108219152001dd87b772e384d2ff1b86d3e",
-    "0/route": "55a8a874282112d5008cd2a83be94108219152001dd87b772e384d2ff1b86d3e",
-    "1/baseline": "53b314cbc64541f48ad2adfca2af9ef4c75d6cd2cdc4c80785c19bee0f2696f1",
-    "1/route": "53b314cbc64541f48ad2adfca2af9ef4c75d6cd2cdc4c80785c19bee0f2696f1",
-    "2/baseline": "8ff168a11cbf2fdfaf0216504c1292f491125ad9772fff271a82c603eda27d3f",
-    "2/route": "8ff168a11cbf2fdfaf0216504c1292f491125ad9772fff271a82c603eda27d3f",
-    "3/baseline": "51d0b56efe3be4d413a56ea0824b4c2dcffdc92dc42bb5f07f98d89a1f466246",
-    "3/route": "de55ac3a2373d52645b0dac607389ba17e4b7ebd1336494d48e98d408eab570f",
-    "4/baseline": "cd580e8f0c754788a8f4b5e8e97831478f5b1d670cf90a506ddcb2d6162b5928",
-    "4/route": "fd8a2e6357e8771fe06c3d2e19cff2221082b28e185b132f2091ab445c044fc3",
-    "5/baseline": "07215c031eceb9f8a7ac5853ec8a2b538ebe60a322f1579c10f549b63a39fbdc",
-    "5/route": "9cc5f2a522ab9edecc7c017ea3782b6ee38ea6011450f4584f8f087e27efe6c7",
-    "7/baseline": "f0f0cd80e4047c52e826aa98f9e17304f1ed02da465aa18d4dedab30f8d92f6a",
-    "7/route": "4e8fbff28f6e9b0bbfa6f4c33d7b15ad8e92060d5400792be024d4b6c1d8dc41",
-    "8/baseline": "661365f859246c5710cf8b2a1c402dd8e862f678223f7fb58d41cef7847ba4b1",
-    "8/route": "39b6e83b1359624161450352b79d707227b43206fcdcf64e6b83dee50bf4d22f",
-    "9/baseline": "3f93492b4e98621fa53ed98f8ef9c7a2f7004f3c3c05ee35a6c8b43c20566cbf",
-    "9/route": "fb47e61aef3b22e96916bc5b3e37fa2f46192af658e7ddcf9d84a450ac420a55",
-    "20/baseline": "c487e10d5d0163a19b6dcfda22bd80fbdecd7a33cd246e0e0d0c3c2bbc1af95f",
-    "20/route": "2a394aeccdcbfa6608ee05d3030f1ca4df5e4e17e428d0987390affe8df778e8",
-    "22/baseline": "86afabeac96401b3c9b0d8aaf6a0ae397201d640dfb8b94685b34b118b1feec3",
-    "22/route": "f5918d462f6d2edefb3235c2ac6a92eebaaa399dab9489f0658b23ca219c1df5",
-    "25/baseline": "99d7881d460e7e263b70d29733b758287d2100dba922a2f87aa7e37d727784b5",
-    "25/route": "1721717f6ea0559534c5924f7ada69c97df959ea40968b794fd1fc275f9136b0",
+    "0/baseline": "58fdaa350cd2098053551fd4a93c04904904e4d58af521088d88a7bc95912902",
+    "0/route": "58fdaa350cd2098053551fd4a93c04904904e4d58af521088d88a7bc95912902",
+    "1/baseline": "9584f49fac563cde1fcf4507158a2ae504557740285891e3d0947b35c8d501bc",
+    "1/route": "9584f49fac563cde1fcf4507158a2ae504557740285891e3d0947b35c8d501bc",
+    "2/baseline": "fae3df20b5bfbd1a3816de7c7e66c3f7157fd7c1f1a24d5001479d60206b6cea",
+    "2/route": "fae3df20b5bfbd1a3816de7c7e66c3f7157fd7c1f1a24d5001479d60206b6cea",
+    "3/baseline": "4ead2947728b65c2b2e4023adf85cff8ff64d7b0ac91df2cc22a76e90782bdce",
+    "3/route": "88baeadb359017ad272a84304efab7fe493fe7c4b3722cf5fbf68fe63da766ba",
+    "4/baseline": "68b6d21ec82f9ce7e6b41c2320330092c04f510c68d7158780a7aa0b3caf8f60",
+    "4/route": "342973ca05ba0910b01b3a123d869f7cd9e130242c6e4b1a1b2949b8fe9de7da",
+    "5/baseline": "13238d74bd7161b49a3ddc2b3ac9a8b8f9898e303468cc80f277dda0a493394c",
+    "5/route": "57d96a0b20568464aef0f73f7e4dd1c778ef1d886969a04f4e9358aee0d5f9f0",
+    "7/baseline": "c739bb1364b075e23bce79c5ae0922339cbc572719550d877da6b8ab621b990c",
+    "7/route": "a86496a80d95b891f568beb9c8f1c8dc48706ebf6b34e06497506efece1f81bb",
+    "8/baseline": "a7783aef7f8fb180a9836508a4d4bfd2a8ebeda3e91c6f9af471051871d324db",
+    "8/route": "c71d33109fcfcfbcd1d685e93fea10e1470f43d719a799233eff8415637e48db",
+    "9/baseline": "dd7997a614beafcb389f234979c18743bfc038c2793824e2537a40119dbcc832",
+    "9/route": "2e95ec104968caa481f1effc581f8587882de8aa7200cab7ad92a4399a9fa3f4",
+    "20/baseline": "025cc9c062e41be61739b09c38aab685a1e1cfe17ce399fe8af8d3cb4a23b4a1",
+    "20/route": "36cd0bc285ddd8c754705928ca4e3e3e188cd73cb65f8ef4ca939e1399303e35",
+    "22/baseline": "5f47946efd5ddf463b04d02a4dbf648cdc3c451650e6a0ac59d29d0e63fad5af",
+    "22/route": "996fee23754670892fa7229589d266dd0af58eb65ae45f3da7037ff44e7c4b4d",
+    "25/baseline": "cb8d12385e88d84a104c90577084ccaf69ee1f4bc4e31fc8de253441b703a6c9",
+    "25/route": "83b8f43cedc1e810ab586845853b5c1119e6a4d17c74c2247fe91483538bfca2",
 }
 
 
@@ -115,52 +115,6 @@ def _layout(seed, width, height, layers, num_nets, pins, congestion, d_color, gu
             ys = [v[1] for p in net.pins for v in p.covered_vertices]
             net.guide = [(0, min(xs), min(ys), max(xs), max(ys))]
     return layout
-
-
-def _routes_text(routes):
-    lines = []
-    for net_id in sorted(routes):
-        t = routes[net_id]
-        lines.append(f"net {net_id} cost {t.total_cost!r}")
-        lines.append(f"  paths {t.paths!r}")
-        lines.append(f"  colors {sorted((v, int(c)) for v, c in t.vertex_colors.items())!r}")
-        lines.append(f"  states {sorted(t.vertex_states.items())!r}")
-        lines.append(f"  stitches {t.stitches!r}")
-    return lines
-
-
-def _grid_text(grid):
-    return [
-        f"committed {sorted((v, n, int(c)) for v, (n, c) in grid.committed.items())!r}",
-        f"history {sorted((v, h) for v, h in zip(grid.move_table()[1], grid.history) if h)!r}",
-    ]
-
-
-def route_text(layout):
-    try:
-        result = route_all(layout)
-    except UnroutableError as exc:
-        return f"UnroutableError {exc}"
-    lines = _routes_text(result.routes) + _grid_text(result.grid)
-    for it in result.iterations:
-        conflicts = [
-            (c.vertex_a, c.vertex_b, c.net_a, c.net_b, int(c.color), c.distance)
-            for c in it.conflicts
-        ]
-        lines.append(f"iter {it.index} {it.stitch_count} {it.nets_rerouted!r} {conflicts!r}")
-    return "\n".join(lines)
-
-
-def baseline_text(layout):
-    try:
-        result = run_baseline(layout)
-    except UnroutableError as exc:
-        return f"UnroutableError {exc}"
-    d = result.decomposition
-    lines = _routes_text(result.routes) + _grid_text(result.grid)
-    lines.append(f"decomposition {[int(c) for c in d.node_colors]!r} "
-                 f"{d.conflict_edge_count} {d.stitch_edge_count}")
-    return "\n".join(lines)
 
 
 def digests():
