@@ -109,14 +109,14 @@ returned cost, which is at most U, and a dropped label costs more than
 every such label at its vertex, so it could neither dominate, prune nor
 settle below one; the labels that matter are made and popped in the same
 order. Earlier searches are not bounded, since their leftovers seed later
-ones. Costs stay below 2**49 and a path has at most 2**22 moves, so
-dropping only past U * (1 + 2**-29) (_MARGIN) covers rounding. At alpha
-0, h is 0 and no pop could fail the test, so the search skips it.
+ones, nor is one at alpha 0 (h is 0) or a subnormal alpha (it rounds
+absolutely). A label is dropped only past U * _MARGIN, covering rounding.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from bisect import bisect_right
@@ -323,20 +323,27 @@ def _drain(heap: list[Label], ties: list[Label], live: list[list[Label] | None])
             yield label
 
 
-_MARGIN = 1.0 + 2.0**-29
+# Slack for rounding in the drop test. A returned chain visits a vertex
+# at most 7 times (each later label there holds a state no subset of an
+# earlier one's), so has under 7 * 2**22 moves (MAX_GRID_VERTICES). Each
+# move's cost rounds at most 4 times below its exact sum (trad twice,
+# alpha * trad, the add to cost; the conflict term cannot lower it),
+# cost + h at most 5 times above, U * _MARGIN once below. With alpha
+# normal each rounding is relative: the slack needed is below 2**-26.
+_MARGIN = 1.0 + 2.0**-24
 
 
 def _last_pin_bound(queue: SolutionQueue):
     """The last unconnected pin's vertex ids, per-axis gaps and U, or None.
 
     A search is bounded only when exactly one pin is unconnected and
-    alpha is not 0 (h is then 0 everywhere). The gaps are each x's, y's
-    and layer's distance to the pin's bounding box, a layer counting
+    alpha is a normal float (h is 0 at alpha 0). The gaps are each x's,
+    y's and layer's distance to the pin's bounding box, a layer counting
     1 + via_cost, so h(v) = alpha * (gap_x[x] + gap_y[y] + gap_l[l]).
     U is the least cost of a live label at the pin.
     """
     pin_vids, connected = queue.pin_vids, queue.connected
-    if len(connected) != len(pin_vids) - 1 or not queue.rules.alpha:
+    if len(connected) != len(pin_vids) - 1 or queue.rules.alpha < sys.float_info.min:
         return None
     (last,) = set(range(len(pin_vids))) - connected
     vids = pin_vids[last]
@@ -425,7 +432,7 @@ def color_state_search(queue: SolutionQueue) -> Label:
     ties: list[Label] = []  # children at the cost being popped
     bound = _last_pin_bound(queue)
     limit = inf  # U with the margin, once a label reaches the last pin
-    if bound is not None:
+    if bound is not None:  # also tested per child: an unbounded search, as most are, pays one test
         last_vids, (gap_x, gap_y, gap_l), limit = bound
         limit *= _MARGIN
     while costs:

@@ -165,7 +165,8 @@ def test_bound_keeps_routes_and_the_pops_that_matter(
 def test_router_h_is_the_oracle_bound_into_the_pin_box(seed, layers, via_cost, alpha, spread_pins):
     # h never exceeds alpha times oracle.remaining_lb to the pin's vertices,
     # and equals it for a one-vertex pin. The bound is armed only for the
-    # last pin, and U is the least cost of a live label there.
+    # last pin and a normal alpha, and U is the least cost of a live label
+    # there.
     rules = DesignRules(alpha=alpha, via_cost=via_cost)
     layout = drawn_layout(seed, layers, rules, False, spread_pins)
     assume(layout is not None)
@@ -192,6 +193,8 @@ def test_router_h_is_the_oracle_bound_into_the_pin_box(seed, layers, via_cost, a
             assert h == lb
     queue.rules = replace(rules, alpha=0.0)
     assert LAST_PIN_BOUND(queue) is None  # h is 0 at alpha 0
+    queue.rules = replace(rules, alpha=5e-324)
+    assert LAST_PIN_BOUND(queue) is None  # a subnormal alpha rounds absolutely
 
 
 def test_bound_drops_accepted_labels_on_a_desk_draw(monkeypatch):

@@ -360,46 +360,48 @@ def test_search_accept_matches_two_pass_reference(seed):
     # label it pushed is accepted, and the final label lists, live
     # membership and settled costs agree, with settled at -inf on every
     # keep-out. The search is run to exhaustion, one returned pin label at
-    # a time.
+    # a time, unbounded and then bounded (see _search_to_exhaustion).
     grid, net = _search_instance(seed)
-    queue = SolutionQueue(grid, net)
-    src = net.pins[0].covered_vertices[0]
-    pushed = []
-    with pytest.MonkeyPatch.context() as mp:
-        watch_search(mp, on_accept=pushed.append)
-        for cost, state in router._seed_labels(queue, src):
-            queue.source(src, cost, state)
-        while True:
-            try:
-                color_state_search(queue)
-            except SearchExhaustedError:
-                break
-
-    reference, pruned = {}, set()
-    for label in pushed:
-        assert _reference_insert(reference, pruned, label)
-    assert queue.labels == {k: bucket for k, bucket in reference.items() if bucket}
-    assert_live_is_membership(queue, pushed, pruned)
-    keep_outs = grid.keep_outs(net.id)
-    for k, keep_out in enumerate(keep_outs):
-        full = [ex[0] for ex in reference.get(k, []) if ex[4] == 0b111]
-        assert queue.settled[k] == (keep_out if keep_out == -math.inf else min(full, default=math.inf))
-    assert not any(keep_outs[k] == -math.inf for k in reference)
+    for bounded in (False, True):
+        queue, pushed, _ = _search_to_exhaustion(grid, net, bounded=bounded)
+        reference, pruned = {}, set()
+        for label in pushed:
+            assert _reference_insert(reference, pruned, label)
+        assert queue.labels == {k: bucket for k, bucket in reference.items() if bucket}
+        assert_live_is_membership(queue, pushed, pruned)
+        keep_outs = grid.keep_outs(net.id)
+        for k, keep_out in enumerate(keep_outs):
+            full = [ex[0] for ex in reference.get(k, []) if ex[4] == 0b111]
+            assert queue.settled[k] == (keep_out if keep_out == -math.inf else min(full, default=math.inf))
+        assert not any(keep_outs[k] == -math.inf for k in reference)
 
 
-def _search_to_exhaustion(grid, net, source_state=None):
+def _search_to_exhaustion(grid, net, source_state=None, bounded=False):
     """Seed the net's first pin and search until the queue empties.
 
     The pin is seeded by _seed_labels, or with one cost-0 label of
-    source_state when one is given. Returns the queue, every label pushed
-    in push order, and every popped label the search expanded (those it
-    returned cover a pin and are not expanded).
+    source_state when one is given. Unbounded (_last_pin_bound patched to
+    None), the search relaxes every label the grid admits. Bounded, the
+    first returned label stays live at the last pin, as nothing traces
+    it, so from then on U is its cost and most pops are dropped.
+    Returns the queue, every label pushed in push order, and every popped
+    label the search expanded (those it returned cover a pin and are not
+    expanded), each with the least cost of a live label at the last pin
+    when it was popped.
     """
     queue = SolutionQueue(grid, net)
     src = net.pins[0].covered_vertices[0]
+    last = [grid.vid(v) for v in net.pins[-1].covered_vertices]
     pushed, popped, returned = [], [], set()
+
+    def record_pop(label):
+        u = min((ex[0] for i in last for ex in queue.live[i] or ()), default=math.inf)
+        popped.append((label, u))
+
     with pytest.MonkeyPatch.context() as mp:
-        watch_search(mp, on_pop=popped.append, on_accept=pushed.append)
+        if not bounded:
+            mp.setattr(router, "_last_pin_bound", lambda queue: None)
+        watch_search(mp, on_pop=record_pop, on_accept=pushed.append)
         if source_state is None:
             seeds = router._seed_labels(queue, src)
         else:
@@ -411,7 +413,7 @@ def _search_to_exhaustion(grid, net, source_state=None):
                 returned.add(color_state_search(queue)[3])
             except SearchExhaustedError:
                 break
-    return queue, pushed, [label for label in popped if label[3] not in returned]
+    return queue, pushed, [(label, u) for label, u in popped if label[3] not in returned]
 
 
 @settings(max_examples=80, deadline=None)
@@ -434,53 +436,67 @@ def test_search_skips_match_two_pass_reference_under_drawn_rules(
     # settled costs agree, a one-mask source included. Every pushed child
     # is the oracle's child of its predecessor, and no skip loses one: the
     # oracle's child of every expanded move is dominated by a live label at
-    # its target when the search ends, or the bound drops it: its cost plus
-    # alpha times oracle.remaining_lb to the pin exceeds U (with the
-    # margin), the least cost of a label at the pin when the search ends.
+    # its target when the search ends. All of this holds unbounded and
+    # bounded (see _search_to_exhaustion); bounded, the bound may instead
+    # drop the child: its cost plus alpha times oracle.remaining_lb to the
+    # pin exceeds U (with the margin), U being the least cost of a label at
+    # the pin when the move was tried: at the pop, lowered by the node's
+    # pin children of earlier moves.
     grid, net = _search_instance(seed)
     grid.rules = rules = replace(grid.rules, alpha=alpha, gamma=gamma, stitch_cost=stitch_cost)
-    queue, pushed, expanded = _search_to_exhaustion(grid, net, source_state)
-    # The queue stays colorless exactly when gamma is 0 and every source is
-    # 111: the colorless relaxation then makes only 111 children, and the
-    # colored one never runs.
-    assert queue.colorless == (not gamma and all(label[4] == 0b111 for label in pushed if label[5] is None))
-
-    reference, pruned = {}, set()
-    for label in pushed:
-        assert _reference_insert(reference, pruned, label)
-    assert queue.labels == {k: bucket for k, bucket in reference.items() if bucket}
-    assert_live_is_membership(queue, pushed, pruned)
-    for k, keep_out in enumerate(grid.keep_outs(net.id)):
-        full = [ex[0] for ex in reference.get(k, []) if ex[4] == 0b111]
-        assert queue.settled[k] == (keep_out if keep_out == -math.inf else min(full, default=math.inf))
-
     stitch = rules.beta * rules.stitch_cost
-
-    def oracle_child(node, t):
-        vertex = queue.vertices[node[1]]
-        conflict = oracle.conflict_costs(grid, rules, t, net.id)
-        terms = [
-            conflict[k] + (stitch if t[2] == vertex[2] and not node[4] & c else 0.0)
-            for k, c in enumerate(COLOR_ORDER)
-        ]
-        best = min(terms)
-        cost = node[0] + rules.alpha * oracle.move_cost(grid, rules, vertex, t, net.guide) + best
-        return cost, sum(int(c) for c, term in zip(COLOR_ORDER, terms) if term == best)
-
-    for label in pushed:
-        if label[5] is not None:
-            assert (label[0], label[4]) == oracle_child(label[5], queue.vertices[label[1]])
     pin = net.pins[1].covered_vertices
-    u = min((ex[0] for v in pin for ex in queue.live[grid.vid(v)] or ()), default=math.inf)
-    for node in expanded:
-        for t in oracle.neighbors(grid, queue.vertices[node[1]]):
-            if oracle.usable(grid, t, net.id):
+    pin_vids = {grid.vid(v) for v in pin}
+    for bounded in (False, True):
+        queue, pushed, expanded = _search_to_exhaustion(grid, net, source_state, bounded)
+        # The queue stays colorless exactly when gamma is 0 and every source
+        # is 111: the colorless relaxation then makes only 111 children, and
+        # the colored one never runs.
+        assert queue.colorless == (not gamma and all(label[4] == 0b111 for label in pushed if label[5] is None))
+
+        reference, pruned = {}, set()
+        for label in pushed:
+            assert _reference_insert(reference, pruned, label)
+        assert queue.labels == {k: bucket for k, bucket in reference.items() if bucket}
+        assert_live_is_membership(queue, pushed, pruned)
+        for k, keep_out in enumerate(grid.keep_outs(net.id)):
+            full = [ex[0] for ex in reference.get(k, []) if ex[4] == 0b111]
+            assert queue.settled[k] == (keep_out if keep_out == -math.inf else min(full, default=math.inf))
+
+        def oracle_child(node, t):
+            vertex = queue.vertices[node[1]]
+            conflict = oracle.conflict_costs(grid, rules, t, net.id)
+            terms = [
+                conflict[k] + (stitch if t[2] == vertex[2] and not node[4] & c else 0.0)
+                for k, c in enumerate(COLOR_ORDER)
+            ]
+            best = min(terms)
+            cost = node[0] + rules.alpha * oracle.move_cost(grid, rules, vertex, t, net.guide) + best
+            return cost, sum(int(c) for c, term in zip(COLOR_ORDER, terms) if term == best)
+
+        children = {}
+        for label in pushed:
+            if label[5] is not None:
+                assert (label[0], label[4]) == oracle_child(label[5], queue.vertices[label[1]])
+                children.setdefault(id(label[5]), {})[label[1]] = label
+        for node, u in expanded:
+            made = children.get(id(node), {})
+            for d in Direction:  # the search's move order
+                t = oracle.step(grid, queue.vertices[node[1]], d)
+                if t is None or not oracle.usable(grid, t, net.id):
+                    continue
                 cost, state = oracle_child(node, t)
                 dominated = any(
                     ex[0] <= cost and ex[4] & state == state for ex in queue.labels.get(grid.vid(t), [])
                 )
-                beyond = cost + rules.alpha * oracle.remaining_lb(rules, t, pin) > u * router._MARGIN
-                assert dominated or beyond, (node, t)
+                if bounded:
+                    beyond = cost + rules.alpha * oracle.remaining_lb(rules, t, pin) > u * router._MARGIN
+                    assert dominated or beyond, (node, t)
+                    child = made.get(grid.vid(t))
+                    if child is not None and child[1] in pin_vids:
+                        u = min(u, child[0])
+                else:
+                    assert dominated, (node, t)
     if gamma == 0:
         assert queue.counts is router._zero_counts(len(queue.vertices))  # shared zero counts, not the grid's
         assert grid._counts is None  # the grid never built its counts
@@ -873,8 +889,9 @@ def test_search_relaxation_matches_grid_definitions(monkeypatch):
     # one dominating the child those definitions give; or the bound drops
     # it: its cost plus alpha times oracle.remaining_lb to the pin exceeds
     # U (with the margin), U being the least cost of a label at the pin
-    # once the node's children were made. Checked on a grid with
-    # obstacles, a foreign pin, foreign and own commits, history and a guide.
+    # when the move was tried: at the pop, lowered by the node's pin
+    # children of earlier moves. Checked on a grid with obstacles, a
+    # foreign pin, foreign and own commits, history and a guide.
     rules = DesignRules(d_color=3, gamma=5.0, wrong_way_cost=2.0, via_cost=3.0)
     grid = empty_grid(7, 6, ("H", "V", "H"), rules, obstacles={(2, 0, 0), (3, 3, 1), (5, 4, 2)})
     net = two_pin_net((0, 0, 0), (6, 5, 2))
@@ -913,7 +930,7 @@ def test_search_relaxation_matches_grid_definitions(monkeypatch):
         vertex = queue.vertices[node_vid]
         got = children.get(id(node), [])
         by_dir = {c[2]: c for c in got}
-        u = min([u_at_pop[id(node)]] + [c[0] for c in got if c[1] == pin])
+        u = u_at_pop[id(node)]
         inserted_moves = []
         for d in Direction:
             t = oracle.step(grid, vertex, d)
@@ -941,6 +958,8 @@ def test_search_relaxation_matches_grid_definitions(monkeypatch):
             else:
                 inserted_moves.append((d, t))
                 assert (child[0], child[4]) == (cost, state)
+                if child[1] == pin:
+                    u = min(u, child[0])
         assert [(c[2], queue.vertices[c[1]]) for c in got] == inserted_moves
     assert len(popped) > 20 and skipped > beyond_bound > 0
 
