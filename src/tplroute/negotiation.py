@@ -51,20 +51,21 @@ class RoutingResult:
 def detect_conflicts(grid: Grid, rules: DesignRules) -> list[Conflict]:
     """Every cross-net same-layer same-color pair below d_color, once each."""
     half = half_stencil(grid.clamp_d_color(rules.d_color))
+    committed = grid.committed
     found = []
-    for v, (net, color) in grid.committed.items():
+    for v, (net, color) in committed.items():
         x, y, l = v
         for dx, dy in half:
             w = (x + dx, y + dy, l)
-            entry = grid.committed.get(w)
+            entry = committed.get(w)
             if entry is not None and entry[0] != net and entry[1] == color:
-                a, b = (v, w) if v < w else (w, v)
+                a, b, net_a, net_b = (v, w, net, entry[0]) if v < w else (w, v, entry[0], net)
                 found.append(
                     Conflict(
                         vertex_a=a,
                         vertex_b=b,
-                        net_a=grid.committed[a][0],
-                        net_b=grid.committed[b][0],
+                        net_a=net_a,
+                        net_b=net_b,
                         color=color,
                         distance=abs(dx) + abs(dy),
                     )

@@ -43,25 +43,22 @@ than its parent, so only a child of the same cost, which alpha 0 or a
 tiny alpha makes, can join or prune that list. Such a child goes to the
 cost's ties, not to a bucket, and from then on the rest of the list and
 the ties are one heap of live labels (_drain), so each tie costs
-O(log n). Labels pop in (cost, vid, dir_key, seq) order, as from one
-heap of them all. Sources enter through SolutionQueue.insert; the search
-runs the same accept and the same pop order inline.
+O(log n) and labels pop as from one heap of them all. Sources enter
+through SolutionQueue.insert; the search runs the same accept inline.
 
 A popped label that covers no unconnected pin relaxes its vertex's
 moves, by one of two relaxations picked once per search. The colored
 relaxation prices the three masks of each child and accepts it against
-its target's labels.
-The colorless one runs while the queue is colorless
+its target's labels. The colorless one runs while the queue is colorless
 (SolutionQueue.colorless), as in the baseline's colorless pass: gamma is
 0 and every label the queue has accepted holds all three masks. Every
 conflict term is then 0, so a move from a 111 label makes a 111 child
 costing the pop's cost plus alpha times trad, and a vertex holds at most
 one live label, the one costing settled. The flag starts as not gamma,
-and insert clears it when it accepts a label lacking a mask: a one-mask
-source, such as a two-pin-mode re-seed, does, and the queue's later
-searches relax colored. The colorless relaxation makes only 111
-children and the colored one runs only once the flag is clear, so the
-flag stays exact and one search keeps one relaxation.
+and insert clears it when it accepts a label lacking a mask, as a
+one-mask source such as a two-pin-mode re-seed does. The colorless
+relaxation makes only 111 children, so the flag stays exact and one
+search keeps one relaxation.
 
 Everything the search reads that stays fixed while a net is routed is
 taken from the grid once per net, when route_net makes the net's
@@ -69,10 +66,9 @@ SolutionQueue, so the grid must not change while the queue is in use.
 
 settled starts as the net's keep-outs (Grid.keep_outs): -inf at every
 obstacle and other net's pin or commit, inf elsewhere. A keep-out never
-accepts a label, so its entry stays -inf through every search, and the
-one array holds both facts. In both relaxations, two tests of the
-target's settled entry, read once per move, decide a child before its
-target's labels are scanned:
+accepts a label, so its entry stays -inf through every search. In both
+relaxations, two tests of the target's settled entry, read once per
+move, decide a child before its target's labels are scanned:
 
 - A move is skipped before it is priced when its target is settled at
   no more than the popped label's cost plus alpha, one floor per pop:
@@ -89,28 +85,25 @@ label list is rebuilt only if one was, and the child is appended and
 queued. One pass suffices because live labels never dominate one
 another. A 111 child takes the same pass: under its target's settled
 cost no live label dominates it, and it prunes exactly the labels not
-cheaper than it. The same labels pop and the same labels are accepted,
-in the same order, as when every child is priced and offered to insert.
-
-In the colorless relaxation, a child under its target's settled cost is
-accepted and replaces the live label there, pruning it. The
-same labels pop and are accepted, in the same order, as under the
-colored relaxation, with no mask or label-list work.
+cheaper than it. In the colorless relaxation, such a child replaces the
+target's one live label, pruning it. Either way the same labels pop and
+are accepted, in the same order, as when every child is priced and
+offered to insert.
 
 A net's last connection, the search run while one pin is left, is
 bounded (_last_pin_bound; Hart, Nilsson & Raphael, 1968, without their
 reordering). U is the least cost of a label at that pin, lowered as
 children reach it, and h(v) is alpha per planar step plus alpha *
-(1 + via_cost) per layer from v into the pin's bounding box, which no
-move undercuts. A popped label with cost + h over U is not relaxed, and
-such a child is dropped before its target's labels are scanned. Routes
-stay exact: every label on the returned chain has cost + h at most the
-returned cost, which is at most U, and a dropped label costs more than
-every such label at its vertex, so it could neither dominate, prune nor
-settle below one; the labels that matter are made and popped in the same
-order. Earlier searches are not bounded, since their leftovers seed later
-ones, nor is one at alpha 0 (h is 0) or a subnormal alpha (it rounds
-absolutely). A label is dropped only past U * _MARGIN, covering rounding.
+(1 + via_cost) per layer from v into the pin's bounding box. A popped
+label with cost + h over U * _MARGIN (rounding slack) is not relaxed.
+Routes stay exact. A move lowers h by at most its cost, so a descendant
+of a skipped pop has cost + h over U too: it costs more than any label
+at its vertex with cost + h at most U, so cannot dominate, prune or
+settle below one. Those labels, the returned chain's among them (each
+has cost + h at most the returned cost, at most U), are made, accepted
+and popped as unbounded, in the same order. Earlier searches are not
+bounded, since their leftovers seed later ones, nor is one at alpha 0
+(h is 0) or a subnormal alpha (it rounds absolutely).
 """
 
 from __future__ import annotations
@@ -190,12 +183,11 @@ class RouteTree:
 class SolutionQueue:
     """Bucket queue of search labels with per-vertex Pareto label sets.
 
-    buckets maps a cost to its queued labels, and costs heaps those
-    costs. Per vertex id, live holds None or the vertex's live labels,
-    settled the least cost of a live 111 label, and pin_at the pins the
-    vertex covers; pin_vids lists each pin's vertex ids, and seq is the
-    next label's seq. moves, vertices, rules, counts, hist, committed and
-    off_guide are the net's search context, read from the grid once.
+    Per vertex id, live holds None or the vertex's live labels, settled
+    the least cost of a live 111 label, and pin_at the pins the vertex
+    covers; pin_vids lists each pin's vertex ids, and seq is the next
+    label's seq. moves, vertices, rules, counts, hist, committed and
+    off_guide are the net's search context.
     """
 
     def __init__(self, grid: Grid, net: Net):
@@ -283,8 +275,7 @@ class SolutionQueue:
             heappush(self.costs, cost)
 
 
-# Every accepted label joins its cost's bucket, or the ties of the cost
-# being popped, through this one call (tests wrap it to watch accepts).
+# The one call that queues an accepted label; tests wrap it to watch accepts.
 _enqueue = list.append
 
 
@@ -305,10 +296,8 @@ def _sorted_live(bucket: list[Label], live: list[list[Label] | None]) -> list[La
 def _drain(heap: list[Label], ties: list[Label], live: list[list[Label] | None]):
     """Yield the live labels of one cost, least first, once it has ties.
 
-    heap holds the cost's labels not yet popped. ties collects the
-    equal-cost children the search accepts while it runs; each joins
-    the heap before the next pop, so the labels come in the order of
-    one heap of all of them.
+    heap holds the cost's labels not yet popped, ties the equal-cost
+    children accepted since the last pop.
     """
     push, pop = heappush, heappop
     while True:
@@ -323,7 +312,7 @@ def _drain(heap: list[Label], ties: list[Label], live: list[list[Label] | None])
             yield label
 
 
-# Slack for rounding in the drop test. A returned chain visits a vertex
+# Slack for rounding in the skip test. A returned chain visits a vertex
 # at most 7 times (each later label there holds a state no subset of an
 # earlier one's), so has under 7 * 2**22 moves (MAX_GRID_VERTICES). Each
 # move's cost rounds at most 4 times below its exact sum (trad twice,
@@ -336,11 +325,8 @@ _MARGIN = 1.0 + 2.0**-24
 def _last_pin_bound(queue: SolutionQueue):
     """The last unconnected pin's vertex ids, per-axis gaps and U, or None.
 
-    A search is bounded only when exactly one pin is unconnected and
-    alpha is a normal float (h is 0 at alpha 0). The gaps are each x's,
-    y's and layer's distance to the pin's bounding box, a layer counting
-    1 + via_cost, so h(v) = alpha * (gap_x[x] + gap_y[y] + gap_l[l]).
-    U is the least cost of a live label at the pin.
+    The gaps are the module docstring's h per axis, over alpha: h(v) =
+    alpha * (gap_x[x] + gap_y[y] + gap_l[l]).
     """
     pin_vids, connected = queue.pin_vids, queue.connected
     if len(connected) != len(pin_vids) - 1 or queue.rules.alpha < sys.float_info.min:
@@ -376,8 +362,7 @@ class _TreeBuilder:
     """A net's segSets, traced states, paths and summed cost, in vertex ids.
 
     segset_of maps a traced vertex id to its segSet, and vertex_states to
-    the state it carried when first traced. finalize_colors turns the ids
-    into vertices once, when it builds the RouteTree.
+    the state it carried when first traced.
     """
 
     def __init__(self) -> None:
@@ -415,11 +400,7 @@ def _fix_masks(segsets: list[SegSet], gamma: float, counts: Sequence[Sequence[in
 
 
 def color_state_search(queue: SolutionQueue) -> Label:
-    """Pop minimum-cost labels until one covers a not-yet-connected pin, and return it.
-
-    The one loop and its two relaxations are the module docstring's
-    account. Raises SearchExhaustedError when the queue empties first.
-    """
+    """Pop labels until one covers an unconnected pin and return it, or raise SearchExhaustedError."""
     rules = queue.rules
     stitch_term = rules.beta * rules.stitch_cost
     alpha, gamma = rules.alpha, rules.gamma
@@ -437,7 +418,6 @@ def color_state_search(queue: SolutionQueue) -> Label:
         limit *= _MARGIN
     while costs:
         cost = pop(costs)
-        # Every child costs at least cost + alpha: trad >= 1, other terms >= 0.
         floor = cost + alpha
         run = order = _sorted_live(buckets.pop(cost), live)
         heap = None
@@ -454,7 +434,6 @@ def color_state_search(queue: SolutionQueue) -> Label:
                     if cost + alpha * (gap_x[x] + gap_y[y] + gap_l[l]) > limit:
                         continue
                 if colorless:
-                    # A vertex's one live label is 111 and costs settled.
                     for direction, dvid, _, base_trad in moves[v]:
                         i = v + dvid
                         least = settled[i]
@@ -466,13 +445,8 @@ def color_state_search(queue: SolutionQueue) -> Label:
                         child_cost = cost + alpha * trad
                         if least <= child_cost:
                             continue
-                        if bound is not None:
-                            if limit != inf:
-                                x, y, l = vertices[i]
-                                if child_cost + alpha * (gap_x[x] + gap_y[y] + gap_l[l]) > limit:
-                                    continue
-                            if i in last_vids:
-                                limit = min(limit, child_cost * _MARGIN)
+                        if bound is not None and i in last_vids:
+                            limit = min(limit, child_cost * _MARGIN)
                         child = (child_cost, i, direction, seq, ALL_COLORS, label)
                         seq += 1
                         live[i] = [child]
@@ -518,23 +492,16 @@ def color_state_search(queue: SolutionQueue) -> Label:
                                 state |= BLUE
                             child_cost = cost + alpha * trad + best
                         else:
-                            # No conflicts: the masks in the held state cost nothing.
                             state = free_planar if planar else ALL_COLORS
                             child_cost = cost + alpha * trad
                         if least <= child_cost:
                             continue  # the live 111 label dominates the child
-                        if bound is not None:
-                            if limit != inf:
-                                x, y, l = vertices[i]
-                                if child_cost + alpha * (gap_x[x] + gap_y[y] + gap_l[l]) > limit:
-                                    continue
-                            if i in last_vids:
-                                limit = min(limit, child_cost * _MARGIN)
+                        if bound is not None and i in last_vids:
+                            limit = min(limit, child_cost * _MARGIN)
                         rivals = live[i]
                         if rivals is None:
                             rivals = live[i] = []
                         else:
-                            # insert's one-pass accept, run before the child is built.
                             dominated = False
                             kept = 0
                             for ex in rivals:
@@ -579,20 +546,13 @@ def color_state_search(queue: SolutionQueue) -> Label:
 def backtrace(queue: SolutionQueue, dst: Label, tree: _TreeBuilder, freeze: bool = False) -> list[int]:
     """Walk prev links from dst to the tree, grouping vertex ids into segSets.
 
-    A predecessor joins the growing segSet while the segSet's accumulated
-    state still shares a mask with it (the share becomes the new state);
-    otherwise the segSet closes and a fresh one starts, which is where a
-    stitch will fall. Hitting a vertex that already belongs to the tree
-    merges the two segSets when their states share a mask. All traced
-    vertex ids are re-inserted as sources at cost 0 so the next search
-    starts from the whole tree, and every pin they cover is marked
-    connected. Returns the traced path's vertex ids, source first.
+    Reaching the tree merges the two segSets when their states share a
+    mask. Every pin a traced vertex covers is marked connected. Returns
+    the traced path's vertex ids, source first.
     """
-    # dst covers a pin not yet connected and every traced vertex's pins
-    # are, so dst is not in the tree and its segSet starts with its state.
-    # Sources (pin seeds and re-seeded tree labels) are exactly the
-    # prev-less labels, so the walk ends at one; a cost == 0 test would
-    # misfire when alpha is 0.
+    # dst covers an unconnected pin and no traced vertex does, so dst opens
+    # its own segSet. The walk ends at a source, the prev-less label: a
+    # cost == 0 test would misfire when alpha is 0.
     vids: list[int] = []
     states: list[int] = []
     segset_of, vertex_states = tree.segset_of, tree.vertex_states
@@ -764,8 +724,7 @@ def _wall_blockers(queue: SolutionQueue, net: Net, remaining: list[int]) -> tupl
 def finalize_colors(queue: SolutionQueue, tree: _TreeBuilder, net_id: int) -> RouteTree:
     """Fix each segSet's mask and derive per-vertex colors and stitches.
 
-    Masks are _fix_masks's, read from the queue's counts. The tree's
-    vertex ids become vertices here, once.
+    Masks are _fix_masks's, read from the queue's counts.
     """
     _fix_masks(tree.segsets, queue.rules.gamma, queue.counts)
     vertices = queue.vertices

@@ -1,9 +1,9 @@
 """The bound on a net's last connection drops labels, never a route.
 
 router._last_pin_bound arms color_state_search while one pin of the net
-is left: a label with cost + h over U, the least cost of a label at that
-pin, is neither relaxed nor accepted. Patching the helper to return None
-gives the unbounded search, as the tests below do.
+is left: a popped label with cost + h over U, the least cost of a label
+at that pin, is not relaxed. Patching the helper to return None gives the
+unbounded search, as the tests below do.
 """
 
 from dataclasses import replace
@@ -77,12 +77,14 @@ def two_pin_text(layout):
 
 
 def searches_of(run, layout, bounded):
-    """run(layout) and, per search, its bound, its returned label and its pops.
+    """run(layout) and, per search, its bound, its returned label, its pops and its accepts.
 
     The bound is the one _last_pin_bound gives at the search's start,
-    recorded whether or not the search is allowed to use it.
+    recorded whether or not the search is allowed to use it. Accepts are
+    the labels the search itself accepts, not the sources and re-seeds
+    inserted between searches.
     """
-    searches = []
+    searches, running = [], []
     search = router.color_state_search
 
     def fields(queue, label):
@@ -90,28 +92,39 @@ def searches_of(run, layout, bounded):
         return cost, queue.vertices[vid], int(dir_key), state, None if prev is None else queue.vertices[prev[1]]
 
     def recording_search(queue):
-        record = {"bound": LAST_PIN_BOUND(queue), "queue": queue, "pops": [], "found": None}
+        record = {"bound": LAST_PIN_BOUND(queue), "queue": queue, "pops": [], "accepts": [], "found": None}
         searches.append(record)
-        found = search(queue)
+        running.append(record)
+        try:
+            found = search(queue)
+        finally:
+            running.clear()
         record["found"] = fields(queue, found)
         return found
+
+    def watch(key):
+        def on_event(label):
+            for record in running:
+                record[key].append(fields(record["queue"], label))
+
+        return on_event
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(router, "color_state_search", recording_search)
         if not bounded:
             mp.setattr(router, "_last_pin_bound", lambda queue: None)
-        watch_search(mp, on_pop=lambda label: searches[-1]["pops"].append(fields(searches[-1]["queue"], label)))
+        watch_search(mp, on_pop=watch("pops"), on_accept=watch("accepts"))
         text = run(layout)
     return text, searches
 
 
-def pops_within(record):
-    """The search's pops with cost + h at most its returned cost (all pops when unbounded or exhausted)."""
+def within(record, key):
+    """The search's pops or accepts with cost + h at most its returned cost (all, when unbounded or exhausted)."""
     bound, found = record["bound"], record["found"]
     if bound is None or found is None:
-        return record["pops"]
+        return record[key]
     alpha = record["queue"].rules.alpha
-    return [pop for pop in record["pops"] if pop[0] + router_h(bound, alpha, pop[1]) <= found[0]]
+    return [label for label in record[key] if label[0] + router_h(bound, alpha, label[1]) <= found[0]]
 
 
 @settings(max_examples=60, deadline=None)
@@ -132,9 +145,11 @@ def test_bound_keeps_routes_and_the_pops_that_matter(
     seed, layers, d_color, alpha, via_cost, wrong_way_cost, stitch_cost, gamma, guided, spread_pins, two_pin_mode
 ):
     # Route trees, iteration rows and committed grids equal the unbounded
-    # run's. In every search, the pops with cost + h at most the returned
-    # cost equal the unbounded run's in content and order, and the same
-    # label is returned.
+    # run's. In every search, the pops and the accepted labels with cost + h
+    # at most the returned cost equal the unbounded run's in content and
+    # order, and the same label is returned. An unbounded rival the bounded
+    # search never made has cost + h over U, so it costs more than such a
+    # label at its vertex and cannot have dominated it.
     rules = DesignRules(
         d_color=d_color, alpha=alpha, via_cost=via_cost, wrong_way_cost=wrong_way_cost,
         stitch_cost=stitch_cost, gamma=gamma,
@@ -149,9 +164,11 @@ def test_bound_keeps_routes_and_the_pops_that_matter(
         for bounded, unbounded in zip(got[1], want[1]):
             assert bounded["found"] == unbounded["found"]
             assert bounded["bound"] == unbounded["bound"]
-            assert pops_within(bounded) == pops_within(unbounded)
+            assert within(bounded, "pops") == within(unbounded, "pops")
+            assert within(bounded, "accepts") == within(unbounded, "accepts")
             if bounded["bound"] is None:
                 assert bounded["pops"] == unbounded["pops"]
+                assert bounded["accepts"] == unbounded["accepts"]
 
 
 @settings(max_examples=60, deadline=None)

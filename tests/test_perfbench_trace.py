@@ -41,7 +41,7 @@ DESK_DRAW_0_COUNTS = {
     "base.router.finalize.calls": 8,
     "base.router.inserts": 92,
     "base.router.inserts_dominated": 24,
-    "base.router.labels_pruned": -530,
+    "base.router.labels_pruned": -535,
     "base.router.route_net.calls": 8,
     "base.router.search.calls": 24,
     "route.grid.commit.calls": 8,
@@ -55,7 +55,7 @@ DESK_DRAW_0_COUNTS = {
     "route.router.finalize.calls": 8,
     "route.router.inserts": 91,
     "route.router.inserts_dominated": 24,
-    "route.router.labels_pruned": -555,
+    "route.router.labels_pruned": -562,
     "route.router.route_net.calls": 8,
     "route.router.search.calls": 24,
 }

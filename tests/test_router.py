@@ -383,7 +383,7 @@ def _search_to_exhaustion(grid, net, source_state=None, bounded=False):
     source_state when one is given. Unbounded (_last_pin_bound patched to
     None), the search relaxes every label the grid admits. Bounded, the
     first returned label stays live at the last pin, as nothing traces
-    it, so from then on U is its cost and most pops are dropped.
+    it, so from then on U is its cost and most pops are not relaxed.
     Returns the queue, every label pushed in push order, and every popped
     label the search expanded (those it returned cover a pin and are not
     expanded), each with the least cost of a live label at the last pin
@@ -437,16 +437,14 @@ def test_search_skips_match_two_pass_reference_under_drawn_rules(
     # is the oracle's child of its predecessor, and no skip loses one: the
     # oracle's child of every expanded move is dominated by a live label at
     # its target when the search ends. All of this holds unbounded and
-    # bounded (see _search_to_exhaustion); bounded, the bound may instead
-    # drop the child: its cost plus alpha times oracle.remaining_lb to the
-    # pin exceeds U (with the margin), U being the least cost of a label at
-    # the pin when the move was tried: at the pop, lowered by the node's
-    # pin children of earlier moves.
+    # bounded (see _search_to_exhaustion); bounded, at a non-zero alpha, a
+    # node whose cost plus alpha times oracle.remaining_lb to the pin
+    # exceeds U (with the margin), the least cost of a label at the pin
+    # when it popped, is not relaxed: it makes no children.
     grid, net = _search_instance(seed)
     grid.rules = rules = replace(grid.rules, alpha=alpha, gamma=gamma, stitch_cost=stitch_cost)
     stitch = rules.beta * rules.stitch_cost
     pin = net.pins[1].covered_vertices
-    pin_vids = {grid.vid(v) for v in pin}
     for bounded in (False, True):
         queue, pushed, expanded = _search_to_exhaustion(grid, net, source_state, bounded)
         # The queue stays colorless exactly when gamma is 0 and every source
@@ -474,29 +472,23 @@ def test_search_skips_match_two_pass_reference_under_drawn_rules(
             cost = node[0] + rules.alpha * oracle.move_cost(grid, rules, vertex, t, net.guide) + best
             return cost, sum(int(c) for c, term in zip(COLOR_ORDER, terms) if term == best)
 
-        children = {}
+        parents = set()
         for label in pushed:
             if label[5] is not None:
                 assert (label[0], label[4]) == oracle_child(label[5], queue.vertices[label[1]])
-                children.setdefault(id(label[5]), {})[label[1]] = label
+                parents.add(id(label[5]))
         for node, u in expanded:
-            made = children.get(id(node), {})
-            for d in Direction:  # the search's move order
-                t = oracle.step(grid, queue.vertices[node[1]], d)
-                if t is None or not oracle.usable(grid, t, net.id):
-                    continue
-                cost, state = oracle_child(node, t)
-                dominated = any(
-                    ex[0] <= cost and ex[4] & state == state for ex in queue.labels.get(grid.vid(t), [])
-                )
-                if bounded:
-                    beyond = cost + rules.alpha * oracle.remaining_lb(rules, t, pin) > u * router._MARGIN
-                    assert dominated or beyond, (node, t)
-                    child = made.get(grid.vid(t))
-                    if child is not None and child[1] in pin_vids:
-                        u = min(u, child[0])
-                else:
-                    assert dominated, (node, t)
+            vertex = queue.vertices[node[1]]
+            h = alpha * oracle.remaining_lb(rules, vertex, pin)
+            if bounded and alpha and node[0] + h > u * router._MARGIN:
+                assert id(node) not in parents, node
+                continue
+            for t in oracle.neighbors(grid, vertex):
+                if oracle.usable(grid, t, net.id):
+                    cost, state = oracle_child(node, t)
+                    assert any(
+                        ex[0] <= cost and ex[4] & state == state for ex in queue.labels[grid.vid(t)]
+                    ), (node, t)
     if gamma == 0:
         assert queue.counts is router._zero_counts(len(queue.vertices))  # shared zero counts, not the grid's
         assert grid._counts is None  # the grid never built its counts
@@ -882,16 +874,15 @@ def _classic_dijkstra(grid, src, dst):
 def test_search_relaxation_matches_grid_definitions(monkeypatch):
     # color_state_search reads the keep-outs, move costs and conflict counts
     # from per-net arrays, and drops a child that a label at its target
-    # already dominates, or that cannot reach the last pin at U or less.
-    # For every usable move of a popped node, the child it inserted agrees
-    # with the oracle's raw-data definitions (usable, move_cost and
-    # conflict_costs); or the target's labels when the node was popped held
-    # one dominating the child those definitions give; or the bound drops
-    # it: its cost plus alpha times oracle.remaining_lb to the pin exceeds
-    # U (with the margin), U being the least cost of a label at the pin
-    # when the move was tried: at the pop, lowered by the node's pin
-    # children of earlier moves. Checked on a grid with obstacles, a
-    # foreign pin, foreign and own commits, history and a guide.
+    # already dominates. For every usable move of a relaxed node, either the
+    # child it inserted agrees with the oracle's raw-data definitions
+    # (usable, move_cost and conflict_costs), or the target's labels when
+    # the node was popped held one dominating the child those definitions
+    # give. A node whose cost plus alpha times oracle.remaining_lb to the
+    # pin exceeds U (with the margin), the least cost of a label at the pin
+    # when it popped, is not relaxed: it makes no children. Checked on a
+    # grid with obstacles, a foreign pin, foreign and own commits, history
+    # and a guide.
     rules = DesignRules(d_color=3, gamma=5.0, wrong_way_cost=2.0, via_cost=3.0)
     grid = empty_grid(7, 6, ("H", "V", "H"), rules, obstacles={(2, 0, 0), (3, 3, 1), (5, 4, 2)})
     net = two_pin_net((0, 0, 0), (6, 5, 2))
@@ -929,8 +920,12 @@ def test_search_relaxation_matches_grid_definitions(monkeypatch):
         node_cost, node_vid, _, _, node_state, _ = node
         vertex = queue.vertices[node_vid]
         got = children.get(id(node), [])
-        by_dir = {c[2]: c for c in got}
         u = u_at_pop[id(node)]
+        if node_cost + rules.alpha * oracle.remaining_lb(rules, vertex, [(6, 5, 2)]) > u * router._MARGIN:
+            beyond_bound += 1
+            assert not got, vertex
+            continue
+        by_dir = {c[2]: c for c in got}
         inserted_moves = []
         for d in Direction:
             t = oracle.step(grid, vertex, d)
@@ -948,20 +943,15 @@ def test_search_relaxation_matches_grid_definitions(monkeypatch):
             child = by_dir.get(d)
             if child is None:
                 skipped += 1
-                dominated = any(
+                assert any(
                     ex_cost <= cost and ex_state & state == state
                     for ex_cost, ex_state in labels_at_pop[id(node)][t]
-                )
-                beyond = cost + rules.alpha * oracle.remaining_lb(rules, t, [(6, 5, 2)]) > u * router._MARGIN
-                beyond_bound += beyond and not dominated
-                assert dominated or beyond, (vertex, d)
+                ), (vertex, d)
             else:
                 inserted_moves.append((d, t))
                 assert (child[0], child[4]) == (cost, state)
-                if child[1] == pin:
-                    u = min(u, child[0])
         assert [(c[2], queue.vertices[c[1]]) for c in got] == inserted_moves
-    assert len(popped) > 20 and skipped > beyond_bound > 0
+    assert len(popped) > 20 and skipped > 0 and beyond_bound > 0
 
 
 @settings(max_examples=100, deadline=None)

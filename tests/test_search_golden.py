@@ -75,30 +75,30 @@ GOLDEN = {
 
 
 TRACE_GOLDEN = {
-    "0/baseline": "58fdaa350cd2098053551fd4a93c04904904e4d58af521088d88a7bc95912902",
-    "0/route": "58fdaa350cd2098053551fd4a93c04904904e4d58af521088d88a7bc95912902",
-    "1/baseline": "9584f49fac563cde1fcf4507158a2ae504557740285891e3d0947b35c8d501bc",
-    "1/route": "9584f49fac563cde1fcf4507158a2ae504557740285891e3d0947b35c8d501bc",
-    "2/baseline": "fae3df20b5bfbd1a3816de7c7e66c3f7157fd7c1f1a24d5001479d60206b6cea",
-    "2/route": "fae3df20b5bfbd1a3816de7c7e66c3f7157fd7c1f1a24d5001479d60206b6cea",
-    "3/baseline": "4ead2947728b65c2b2e4023adf85cff8ff64d7b0ac91df2cc22a76e90782bdce",
-    "3/route": "88baeadb359017ad272a84304efab7fe493fe7c4b3722cf5fbf68fe63da766ba",
-    "4/baseline": "68b6d21ec82f9ce7e6b41c2320330092c04f510c68d7158780a7aa0b3caf8f60",
-    "4/route": "342973ca05ba0910b01b3a123d869f7cd9e130242c6e4b1a1b2949b8fe9de7da",
-    "5/baseline": "13238d74bd7161b49a3ddc2b3ac9a8b8f9898e303468cc80f277dda0a493394c",
-    "5/route": "57d96a0b20568464aef0f73f7e4dd1c778ef1d886969a04f4e9358aee0d5f9f0",
-    "7/baseline": "c739bb1364b075e23bce79c5ae0922339cbc572719550d877da6b8ab621b990c",
-    "7/route": "a86496a80d95b891f568beb9c8f1c8dc48706ebf6b34e06497506efece1f81bb",
-    "8/baseline": "a7783aef7f8fb180a9836508a4d4bfd2a8ebeda3e91c6f9af471051871d324db",
-    "8/route": "c71d33109fcfcfbcd1d685e93fea10e1470f43d719a799233eff8415637e48db",
-    "9/baseline": "dd7997a614beafcb389f234979c18743bfc038c2793824e2537a40119dbcc832",
-    "9/route": "2e95ec104968caa481f1effc581f8587882de8aa7200cab7ad92a4399a9fa3f4",
-    "20/baseline": "025cc9c062e41be61739b09c38aab685a1e1cfe17ce399fe8af8d3cb4a23b4a1",
-    "20/route": "36cd0bc285ddd8c754705928ca4e3e3e188cd73cb65f8ef4ca939e1399303e35",
-    "22/baseline": "5f47946efd5ddf463b04d02a4dbf648cdc3c451650e6a0ac59d29d0e63fad5af",
-    "22/route": "996fee23754670892fa7229589d266dd0af58eb65ae45f3da7037ff44e7c4b4d",
-    "25/baseline": "cb8d12385e88d84a104c90577084ccaf69ee1f4bc4e31fc8de253441b703a6c9",
-    "25/route": "83b8f43cedc1e810ab586845853b5c1119e6a4d17c74c2247fe91483538bfca2",
+    "0/baseline": "1aeed2aad17a84835cd870b605956e67d3fc7b870446c60bfffd4fd31a7d3fcb",
+    "0/route": "1aeed2aad17a84835cd870b605956e67d3fc7b870446c60bfffd4fd31a7d3fcb",
+    "1/baseline": "ca2ea869cedebdfcd9640fc638de162a34e18538874175afed2eb1fd9412ad33",
+    "1/route": "ca2ea869cedebdfcd9640fc638de162a34e18538874175afed2eb1fd9412ad33",
+    "2/baseline": "aad1abcd171d3b371feb0502b3fc78f597229e2fef82748b3bbd454e59705fca",
+    "2/route": "aad1abcd171d3b371feb0502b3fc78f597229e2fef82748b3bbd454e59705fca",
+    "3/baseline": "4ee505ccaa9b6a76e5111053d483ff7f8cef325badf10b3e5173ae30a05bda0a",
+    "3/route": "45b5b6185e1b049e2ebe9589054ae48fcb093c530a44ee67a737fca53bb6f05a",
+    "4/baseline": "53edf350841f0a5b7600b412d77e82cd499b3303a6b8c6554f78955c40d48988",
+    "4/route": "86a88596c0f276949aa5e73db01a203dc779e428b53d5a8ceb90c2ca339148e4",
+    "5/baseline": "2983a8c0de001c17a0572ea348f0f8d923bdd1c7df564082ae169c919ba26272",
+    "5/route": "cec3286191588c34e6b7e4d5853177f0a79dcd2a15c0a715694914d0bbcf16d4",
+    "7/baseline": "1ece79804ab93268f5eed0db5af11935008bd662eea72aabf0c18e933483b7f7",
+    "7/route": "6da87d321216fe477dfb40a62fac11c6b86a6d7bd3ccf8027a760d66d1886026",
+    "8/baseline": "8a0ac2cd348882491bdcc9c893962d4eeeec82c7365789adf809f154d7e4249b",
+    "8/route": "bda582d697cac5d04087c5db8db9046330290d49232121866283aa9fa8d70c21",
+    "9/baseline": "7d47310985394992f579002c3ff41949f17ca2c863eb49327dc31e2da54301a9",
+    "9/route": "b5bf220afa38628fe878b07e857571cf9f5ffbefda0fc8d1390d1b87398865d5",
+    "20/baseline": "036d44ee1d19be62652bf0a71c846b8cd8bfff79af666efd997d926d24582ca6",
+    "20/route": "e1c330a9fa95a7b6bd005a6e97365f565b5e606f6755092252b575c34125ce5a",
+    "22/baseline": "a3476612817d3f0955cb44481621daa67bcb7b06cbeba34b6df9b814d136f65b",
+    "22/route": "b1ae114c2598dba0467e91952075c705ed1286ddac5b89ef47b821d171f1a579",
+    "25/baseline": "c342bd2ac093b6bcf340eca67f98a4d707d5728e07bcd03d5b0ebe22d937cc11",
+    "25/route": "a80c5424f757b35ef3353281a3ce865100ba2ae19f78436665ffb79603368f81",
 }
 
 
