@@ -43,13 +43,18 @@ def generate_instance(
     rules = rules if rules is not None else DesignRules()
 
     layer_list = [Layer(i, "H" if i % 2 == 0 else "V") for i in range(layers)]
-    all_vertices = [
-        (x, y, l) for l in range(layers) for y in range(height) for x in range(width)
-    ]
-    n_obstacles = round(congestion * OBSTACLE_FRACTION * len(all_vertices))
-    obstacles = set(rng.sample(all_vertices, n_obstacles))
+    plane = width * height
+    n_obstacles = round(congestion * OBSTACLE_FRACTION * plane * layers)
+    # Vertex id i is (x, y, l) in layer-major, then row-major order.
+    # random.sample picks the same indices from any population of the same
+    # length, so sampling ids draws the same obstacles, in the same order,
+    # as sampling a list of every vertex in that order would.
+    obstacles = {
+        (i % width, i // width % height, i // plane)
+        for i in rng.sample(range(plane * layers), n_obstacles)
+    }
 
-    span = max(3, min(width, round(width * (0.4 + 0.5 * congestion))))
+    span = min(width, max(3, round(width * (0.4 + 0.5 * congestion))))
     used: set[Vertex] = set()
     nets = []
     for n in range(num_nets):

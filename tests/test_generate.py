@@ -1,7 +1,10 @@
+import hashlib
+import json
+
 import pytest
 
-from tplroute.generate import generate_instance
-from tplroute.layout import layout_to_dict, validate
+from tplroute.generate import InfeasiblePlacementError, generate_instance
+from tplroute.layout import DesignRules, layout_to_dict, validate
 
 
 def test_generated_instance_validates():
@@ -75,3 +78,42 @@ def test_pins_avoid_obstacles_and_each_other():
                 assert v not in layout.obstacles
                 assert v not in seen
                 seen.add(v)
+
+
+@pytest.mark.parametrize("width", [1, 2])
+@pytest.mark.parametrize("height", [1, 2, 3, 4])
+def test_narrow_grids_place_pins_on_the_grid(width, height):
+    # The pin band is at most the grid's width, so every placed pin is on
+    # the grid; a band too crowded to place in is the only way to fail.
+    for seed in range(200):
+        try:
+            layout = generate_instance(
+                seed=seed, width=width, height=height, layers=1,
+                num_nets=1, pins_per_net=2, congestion=0,
+            )
+        except InfeasiblePlacementError:
+            continue
+        assert validate(layout) == [], (seed, validate(layout))
+
+
+# perfbench's workload shapes (desk, corridor, tight; see
+# perfbench/workloads.py), copied here so the draws are pinned without
+# routing them. Each digest is over the sorted-key JSON of seeds 0-9, one
+# line per draw.
+DRAW_DIGESTS = {
+    (12, 0.6, 2): "57f986e14102bc96039e3dc13407e12e297a5d0ad919503e073017e30752afde",
+    (24, 0.5, 2): "55dfe81d258b36d5db8786493065e172a561a000637d2f87718fac0cf91982c0",
+    (24, 0.5, 3): "4f5ff75ae47df532f428b79a511f495f2537a61c716fab34edd093af3153a3e2",
+}
+
+
+@pytest.mark.parametrize("side, congestion, d_color", list(DRAW_DIGESTS))
+def test_generated_draws_pinned(side, congestion, d_color):
+    digest = hashlib.sha256()
+    for seed in range(10):
+        layout = generate_instance(
+            seed=seed, width=side, height=side, layers=2, num_nets=8,
+            pins_per_net=4, congestion=congestion, rules=DesignRules(d_color=d_color),
+        )
+        digest.update(json.dumps(layout_to_dict(layout), sort_keys=True).encode() + b"\n")
+    assert digest.hexdigest() == DRAW_DIGESTS[side, congestion, d_color]

@@ -15,6 +15,7 @@ from tplroute.layout import (
     RULE_TYPES,
     DesignRules,
     Layer,
+    Layout,
     LayoutError,
     layout_from_dict,
     layout_to_dict,
@@ -368,3 +369,55 @@ def test_routing_entry_points_reject_nan_rules(arm):
     layout.rules = replace(layout.rules, alpha=float("nan"))
     with pytest.raises(LayoutError, match="alpha"):
         arm(layout)
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ([True, 0, 0], "non-integer vertex [True, 0, 0]"),
+        ([0.0, 0, 0], "non-integer vertex [0.0, 0, 0]"),
+        ([0, 0], "bad vertex [0, 0]"),
+        ([0, 0, 0, 0], "bad vertex [0, 0, 0, 0]"),
+        ("x", "bad vertex 'x'"),
+        (None, "bad vertex None"),
+        ([[0], 0, 0], "non-integer vertex [[0], 0, 0]"),
+    ],
+)
+@pytest.mark.parametrize("where", ["obstacles", "net 0 pin 0"])
+def test_malformed_vertex_message(where, entry, message):
+    # A well-formed entry precedes the bad one, so the whole list is walked.
+    data = minimal_dict()
+    if where == "obstacles":
+        data["obstacles"] = [[1, 1, 1], entry]
+    else:
+        data["nets"][0]["pins"][0] = [[1, 1, 1], entry]
+    with pytest.raises(LayoutError) as info:
+        layout_from_dict(data)
+    assert str(info.value) == f"{message} in {where}"
+
+
+def test_tuple_vertices_accepted():
+    data = minimal_dict()
+    data["obstacles"] = [(1, 1, 1)]
+    data["nets"][0]["pins"][0] = [(0, 0, 0), [1, 0, 0]]
+    layout = layout_from_dict(data)
+    assert layout.obstacles == {(1, 1, 1)}
+    assert layout.nets[0].pins[0].covered_vertices == [(0, 0, 0), (1, 0, 0)]
+
+
+def test_out_of_bounds_obstacles_listed_in_sorted_order():
+    layout = Layout(
+        width=4, height=3, layers=[Layer(0, "H"), Layer(1, "V")], rules=DesignRules(),
+        obstacles={
+            (5, 0, 0), (-1, 2, 1), (0, 0, 0), (0, 3, 0), (3, 2, 2),
+            (4, 0, 0), (1, 1, 1), (0, -1, 0), (2, 2, 1),
+        },
+    )
+    assert validate(layout) == [
+        "obstacle (-1, 2, 1) out of bounds",
+        "obstacle (0, -1, 0) out of bounds",
+        "obstacle (0, 3, 0) out of bounds",
+        "obstacle (3, 2, 2) out of bounds",
+        "obstacle (4, 0, 0) out of bounds",
+        "obstacle (5, 0, 0) out of bounds",
+    ]
