@@ -148,21 +148,6 @@ def _vertex(raw: Any, where: str) -> Vertex:
     return (x, y, l)
 
 
-def _vertices(raw: Any, where: str) -> list[Vertex]:
-    """The vertices of a JSON array, checked in order as _vertex checks them."""
-    out = []
-    for v in _array(raw, where):
-        # Inline fast path for the common [x, y, l] of exact ints; any other
-        # entry goes through _vertex, which accepts it or raises.
-        if type(v) is list and len(v) == 3:
-            x, y, l = v
-            if type(x) is int and type(y) is int and type(l) is int:
-                out.append((x, y, l))
-                continue
-        out.append(_vertex(v, where))
-    return out
-
-
 def _integer(raw: Any, what: str) -> int:
     """raw itself when it is a JSON integer (booleans are not)."""
     if not _is_int(raw):
@@ -189,7 +174,7 @@ def layout_from_dict(data: dict) -> Layout:
         }
     )
 
-    obstacles = set(_vertices(data.get("obstacles", []), "obstacles"))
+    obstacles = {_vertex(o, "obstacles") for o in _array(data.get("obstacles", []), "obstacles")}
 
     nets = []
     for raw_net in _array(_require(data, "nets", "layout"), "nets"):
@@ -201,7 +186,8 @@ def layout_from_dict(data: dict) -> Layout:
         raw_pins = _array(_require(raw_net, "pins", f"net {net_id}"), f"net {net_id} pins")
         for p, raw_pin in enumerate(raw_pins):
             where = f"net {net_id} pin {p}"
-            pins.append(Pin(net_id=net_id, covered_vertices=_vertices(raw_pin, where)))
+            cover = [_vertex(v, where) for v in _array(raw_pin, where)]
+            pins.append(Pin(net_id=net_id, covered_vertices=cover))
         guide = None
         raw_guide = raw_net.get("guide")
         if raw_guide is not None and _array(raw_guide, f"net {net_id} guide"):
@@ -272,14 +258,7 @@ def validate(layout: Layout) -> list[str]:
             )
     problems.extend(_rule_problems(layout.rules))
 
-    width, height, layers = layout.width, layout.height, layout.num_layers
-    obstacles = layout.obstacles
-    outside = [
-        (x, y, l)
-        for x, y, l in obstacles
-        if not (0 <= x < width and 0 <= y < height and 0 <= l < layers)
-    ]
-    for o in sorted(outside):
+    for o in sorted(o for o in layout.obstacles if not layout.in_bounds(o)):
         problems.append(f"obstacle {o} out of bounds")
 
     seen_ids: set[int] = set()
@@ -294,10 +273,9 @@ def validate(layout: Layout) -> list[str]:
             if not pin.covered_vertices:
                 problems.append(f"net {net.id} pin {p} covers no vertices")
             for v in pin.covered_vertices:
-                x, y, l = v
-                if not (0 <= x < width and 0 <= y < height and 0 <= l < layers):
+                if not layout.in_bounds(v):
                     problems.append(f"net {net.id} pin {p} vertex {v} out of bounds")
-                elif v in obstacles:
+                elif v in layout.obstacles:
                     problems.append(f"net {net.id} pin {p} vertex {v} sits on an obstacle")
                 elif pin_claims.get(v, net.id) != net.id:
                     problems.append(
