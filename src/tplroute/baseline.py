@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from itertools import chain
 
 from .color_state import COLOR_ORDER, Color
-from .grid import Grid, half_stencil
+from .grid import Grid
 from .layout import DesignRules, Layout, Vertex, require_valid
 from .negotiation import net_order_key, route_batch
 from .router import RouteTree, recount_stitches
@@ -78,7 +78,7 @@ def build_conflict_graph(grid: Grid, rules: DesignRules) -> ConflictGraph:
     segments, seg_at = _extract_segments(grid)
     width, height = grid.width, grid.height
     seg_net = [seg.net_id for seg in segments]
-    half = [(dx, dy, dy * width + dx) for dx, dy in half_stencil(grid.clamp_d_color(rules.d_color))]
+    half = [(dx, dy, dy * width + dx) for dx, dy in grid.half_stencil(rules.d_color)]
     conflicts: set[tuple[int, int]] = set()
     stitches: set[tuple[int, int]] = set()
     for i, seg in enumerate(segments):
@@ -190,12 +190,12 @@ def run_baseline(layout: Layout) -> BaselineResult:
     graph = build_conflict_graph(grid, layout.rules)
     decomposition = decompose(graph)
     committed = grid.committed
-    # Only the vertices whose mask changes are written; the colorless pass
-    # commits every vertex RED, so a RED segment writes nothing.
+    # Each segment re-commits only the vertices whose mask changes, so a
+    # segment already on its mask writes nothing.
     for segment, color in zip(graph.segments, decomposition.node_colors):
-        for v in segment.vertices:
-            if committed[v][1] != color:
-                grid.recolor_vertex(v, color)
+        changed = [(v, color) for v in segment.vertices if committed[v][1] != color]
+        if changed:
+            grid.commit_route(segment.net_id, changed)
     # A tree's vertices are its net's commits, so it has a stitch only when
     # one of the net's stitch edges joins two masks.
     colors = decomposition.node_colors

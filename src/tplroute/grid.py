@@ -13,7 +13,8 @@ color_cost = gamma * (foreign same-color commits within Manhattan distance
 Each grid fact the router reads is defined once here, per vertex id
 (Grid.vid): the move table, a net's keep_outs, the history cost
 (PathFinder-style negotiation, McMurchie & Ebeling, FPGA 1995), a
-guide's off_guide penalties, and the d_color stencils.
+guide's off_guide penalties, and the d_color stencils with their clamp
+(Grid.half_stencil is what the conflict walks read).
 
 A grid's geometry is checked once, when it is built, and trusted after:
 construction raises ValueError for an obstacle, pin or commit off the
@@ -28,10 +29,10 @@ and commit_route's, no reader tests whether an entry lies on the grid.
 Next to the committed vertex -> (net, color) map, the grid keeps, per
 mask, how many commits lie within the d_color stencil of each vertex, so
 a color cost is one list read rather than a stencil scan. The counts are
-built on the first read and then kept in step by the map's only three
-writers: commit_route, rip_up and recolor_vertex. The first two also keep
-each net's committed vertices and one per-vertex-id keep-out template
-(-inf at every obstacle, pin and commit, inf elsewhere) in step. A net's
+built on the first read and then kept in step by the map's only two
+writers, commit_route and rip_up, which also keep each net's committed
+vertices and one per-vertex-id keep-out template (-inf at every obstacle,
+pin and commit, inf elsewhere) in step. A net's
 keep-outs are a copy of the template with its own commits and pins set
 to inf, which is the array its search starts from (router.SolutionQueue).
 """
@@ -114,9 +115,9 @@ class Grid:
     layer_dirs: tuple[str, ...]  # "H" or "V" per layer
     rules: DesignRules
     obstacles: frozenset[Vertex] = frozenset()
-    # vertex -> (net_id, color). Written only by commit_route, rip_up and
-    # recolor_vertex, which keep _counts, _owned and _blocked in step; a
-    # map passed in is committed through commit_route, in its order.
+    # vertex -> (net_id, color). Written only by commit_route and rip_up,
+    # which keep _counts, _owned and _blocked in step; a map passed in is
+    # committed through commit_route, in its order.
     committed: dict[Vertex, tuple[int, Color]] = field(default_factory=dict)
     # Per vertex id, the history cost added by negotiation (None: all zeros).
     history: list[float] | None = None
@@ -189,12 +190,18 @@ class Grid:
         x, y, l = v
         return (l * self.height + y) * self.width + x
 
-    def clamp_d_color(self, d_color: int) -> int:
-        """d_color capped at width + height - 1, the size its stencils are built at.
+    def half_stencil(self, d_color: int) -> tuple[tuple[int, int], ...]:
+        """The (dx, dy) offsets with |dx| + |dy| < d_color and dy > 0, or dy == 0 and dx > 0.
 
-        No two vertices of a layer lie that far apart, so a larger d_color
-        covers no more pairs; only its stencils would grow without bound.
+        One offset of each +/- pair, so a walk from every commit meets each
+        close pair once. Cached, and built at d_color clamped as
+        foreign_counts clamps it (_clamp).
         """
+        return _half_stencil(self._clamp(d_color))
+
+    def _clamp(self, d_color: int) -> int:
+        # No two vertices of a layer lie width + height - 1 apart, so a larger
+        # d_color covers no more pairs; only its stencils would grow without bound.
         return min(d_color, self.width + self.height - 1)
 
     def move_table(self) -> tuple[tuple[tuple[Move, ...], ...], tuple[Vertex, ...]]:
@@ -246,9 +253,9 @@ class Grid:
         grid's own lists when net_id has nothing committed, else copies
         with the net's own commits taken out. The grid's lists are built
         from committed on the first read, and again when rules.d_color
-        (clamped by clamp_d_color) is not the one they were built under.
+        (clamped by _clamp) is not the one they were built under.
         """
-        d_color = self.clamp_d_color(self.rules.d_color)
+        d_color = self._clamp(self.rules.d_color)
         if self._counts is None or self._counts[0] != d_color:
             size = self.width * self.height * self.num_layers
             self._counts = (d_color, {c: [0] * size for c in Color})
@@ -261,10 +268,6 @@ class Grid:
             for v in own:
                 self._spread(v, self.committed[v][1], -1, counts)
         return counts[Color.RED], counts[Color.GREEN], counts[Color.BLUE]
-
-    def net_vertices(self, net_id: int) -> set[Vertex]:
-        """The vertices committed to net_id (empty when it has none)."""
-        return set(self._owned.get(net_id, ()))
 
     def _spread(self, v: Vertex, color: Color, delta: int, counts=None) -> None:
         """Add delta to color's count at every in-grid vertex of v's d_color stencil.
@@ -304,7 +307,8 @@ class Grid:
     def commit_route(self, net_id: int, colored_path: list[tuple[Vertex, Color]]) -> None:
         """Mark vertices committed to net_id with their final colors.
 
-        Re-commits by the same net are idempotent. An off-grid vertex
+        A vertex the net has committed already takes the new color, with
+        its old color's counts taken out. An off-grid vertex
         raises ValueError; an obstacle, another net's pin or another net's
         commit is a logic error, not a design-rule conflict, and raises
         CollisionError. Every vertex is checked before any is written, so
@@ -352,15 +356,6 @@ class Grid:
                 self._spread(v, color, -1)
         for vid in self._pin_vids.get(net_id, ()):
             blocked[vid] = _KEEP_OUT
-
-    def recolor_vertex(self, v: Vertex, color: Color) -> None:
-        """Change the committed color of a vertex without moving it."""
-        owner = self.committed.get(v)
-        if owner is None:
-            raise KeyError(f"vertex {v} is not committed")
-        self.committed[v] = (owner[0], color)
-        self._spread(v, owner[1], -1)
-        self._spread(v, color, 1)
 
     def add_history(self, v: Vertex, amount: float) -> None:
         """Add amount to v's history cost; it stays through rip-ups.
@@ -430,6 +425,6 @@ def _stencil(d_color: int) -> tuple[tuple[int, int], ...]:
 
 
 @cache
-def half_stencil(d_color: int) -> tuple[tuple[int, int], ...]:
-    """The offsets of _stencil with dy > 0, or dy == 0 and dx > 0: one of each +/- pair."""
+def _half_stencil(d_color: int) -> tuple[tuple[int, int], ...]:
+    """The offsets of _stencil with dy > 0, or dy == 0 and dx > 0 (see Grid.half_stencil)."""
     return tuple((dx, dy) for dx, dy in _stencil(d_color) if dy > 0 or (dy == 0 and dx > 0))

@@ -12,7 +12,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .color_state import Color
-from .grid import Grid, half_stencil
+from .grid import Grid
 from .layout import DesignRules, Layout, Net, Vertex, require_valid
 from .router import RouteTree, UnroutableError, route_net
 
@@ -50,7 +50,7 @@ class RoutingResult:
 
 def detect_conflicts(grid: Grid, rules: DesignRules) -> list[Conflict]:
     """Every cross-net same-layer same-color pair below d_color, once each."""
-    half = half_stencil(grid.clamp_d_color(rules.d_color))
+    half = grid.half_stencil(rules.d_color)
     committed = grid.committed
     found = []
     for v, (net, color) in committed.items():

@@ -41,7 +41,6 @@ class OracleResult:
     best_cost: float
     best_path: list[Vertex]
     best_coloring: list[Color]
-    enumerated_count: int
 
 
 def optimal_colored_path(
@@ -73,13 +72,11 @@ def optimal_colored_path(
     srcs = [v for v in sorted(src_set) if usable(grid, v, net_id)]
     dsts = {v for v in dst_set if usable(grid, v, net_id)}
     best: tuple | None = None  # (cost, length, vid-tuple, color-idx-tuple, path, coloring)
-    enumerated = 0
 
     def extend(v: Vertex, path: list[Vertex], visited: set[Vertex],
                trad: float, dp: tuple[float, float, float]) -> None:
-        nonlocal best, enumerated
+        nonlocal best
         if v in dsts:
-            enumerated += 1
             total = rules.alpha * trad + min(dp)
             key_prefix = (total, len(path))
             if best is None or key_prefix <= best[:2]:
@@ -130,7 +127,6 @@ def optimal_colored_path(
         best_cost=best[0],
         best_path=best[4],
         best_coloring=best[5],
-        enumerated_count=enumerated,
     )
 
 

@@ -58,10 +58,10 @@ def commit_or_refusal(grid, net_id, path):
     if refusal is None:
         grid.commit_route(net_id, path)
         return True
-    before = dict(grid.committed), grid.net_vertices(net_id), grid.keep_outs(net_id)
+    before = dict(grid.committed), set(grid._owned.get(net_id, ())), grid.keep_outs(net_id)
     with pytest.raises(refusal):
         grid.commit_route(net_id, path)
-    assert (dict(grid.committed), grid.net_vertices(net_id), grid.keep_outs(net_id)) == before
+    assert (dict(grid.committed), set(grid._owned.get(net_id, ())), grid.keep_outs(net_id)) == before
     return False
 
 

@@ -213,7 +213,7 @@ class TestOccupancy:
         def state():
             # Copies: foreign_counts hands out the grid's own lists for a net with no commits.
             counts = [[list(c) for c in grid.foreign_counts(net)] for net in (1, 2)]
-            return dict(grid.committed), grid.net_vertices(2), counts
+            return dict(grid.committed), set(grid._owned.get(2, ())), counts
 
         before = state()
         with pytest.raises(CollisionError, match="committed to net 1"):

@@ -1,14 +1,16 @@
 """The grid's maintained conflict counts against brute-force scans.
 
-Random sequences of the committed map's three writers (commit, rip-up,
-recolor), dataclasses.replace and swapping the rules to another d_color,
-interleaved with count reads, which build the per-mask counts part-way
-so later writes must keep them in step. A commit that lands off the grid,
+Random sequences of the committed map's two writers (commit, rip-up,
+and commit's recolor of a vertex by its owner), dataclasses.replace and
+swapping the rules to another d_color, interleaved with count reads,
+which build the per-mask counts part-way so later writes must keep them
+in step. A commit that lands off the grid,
 on an obstacle or on another net's pin or commit must be refused with
 nothing written. Afterwards every net's counts, times gamma, equal
 oracle.conflict_costs (a scan of the committed entries) at every vertex,
 each net's vertex set equals a scan too, and so do its keep-outs
-(oracle.usable).
+(oracle.usable). The same holds on the final grid of either arm, the
+baseline's included, whose recolors pass through commit_route.
 """
 
 import copy
@@ -20,8 +22,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from instances import commit_or_refusal, empty_grid
+from instances import commit_or_refusal, congested_layout, empty_grid
 from tplroute import oracle
+from tplroute.baseline import run_baseline
 from tplroute.color_state import COLOR_ORDER
 from tplroute.generate import generate_instance
 from tplroute.grid import Direction
@@ -42,8 +45,6 @@ ODD = st.sampled_from(sorted(OBSTACLES | PINS.keys()) + [(W, 1, 0), (0, -1, 1)])
 written = st.integers(0, 9).flatmap(lambda k: ODD if k == 0 else ON_GRID)
 nets = st.sampled_from(NETS)
 colors = st.sampled_from(COLOR_ORDER)
-
-PROBES = [(x, y, l) for l in range(L) for y in range(H) for x in range(W)]
 
 
 def _geometry_grid(rules):
@@ -69,8 +70,9 @@ def apply(grid, op):
     elif kind == "rip_up":
         grid.rip_up(*args)
     elif kind == "recolor":
-        if args[0] in committed:
-            grid.recolor_vertex(*args)
+        v, color = args
+        if v in committed:
+            grid.commit_route(committed[v][0], [(v, color)])
     elif kind == "replace":
         # Passed in or not, the map is copied: the two grids never share it.
         new = replace(grid, committed=committed) if args[0] else replace(grid)
@@ -83,15 +85,16 @@ def apply(grid, op):
     return grid
 
 
-def assert_indexes_match(grid):
-    for net_id in [*NETS, 99]:
-        assert grid.net_vertices(net_id) == {v for v, (n, _) in grid.committed.items() if n == net_id}
-        assert grid.keep_outs(net_id) == [math.inf if oracle.usable(grid, v, net_id) else -math.inf for v in PROBES]
+def assert_indexes_match(grid, net_ids=(*NETS, 99)):
+    _, vertices = grid.move_table()
+    for net_id in net_ids:
+        assert grid._owned.get(net_id, set()) == {v for v, (n, _) in grid.committed.items() if n == net_id}
+        assert grid.keep_outs(net_id) == [math.inf if oracle.usable(grid, v, net_id) else -math.inf for v in vertices]
     gamma = grid.rules.gamma
-    for net_id in [*NETS, 99]:
+    for net_id in net_ids:
         counts = grid.foreign_counts(net_id)
-        for v in PROBES:
-            got = tuple(gamma * c[grid.vid(v)] for c in counts)
+        for vid, v in enumerate(vertices):
+            got = tuple(gamma * c[vid] for c in counts)
             assert got == oracle.conflict_costs(grid, grid.rules, v, net_id), (v, net_id)
 
 
@@ -117,8 +120,30 @@ def test_copies_rebuild_the_indexes():
         assert_indexes_match(clone)
         clone.rip_up(1)
         assert_indexes_match(clone)
-    assert grid.net_vertices(1) == {(1, 1, 0), (2, 1, 0), (3, 0, 0)}
+    assert {v for v, (n, _) in grid.committed.items() if n == 1} == {(1, 1, 0), (2, 1, 0), (3, 0, 0)}
     assert_indexes_match(grid)
+
+
+def _arm_draws():
+    """Three 12x12x2 congested draws and three 8x8x2 generated ones, at d_color 1, 2 and 3."""
+    for seed, d_color in ((0, 1), (1, 2), (2, 3)):
+        layout = congested_layout(seed)
+        yield replace(layout, rules=replace(layout.rules, d_color=d_color))
+    for seed, d_color in ((5, 1), (6, 2), (7, 3)):
+        yield generate_instance(
+            seed=seed, width=8, height=8, layers=2, num_nets=5, pins_per_net=3,
+            congestion=0.5, rules=DesignRules(d_color=d_color),
+        )
+
+
+@pytest.mark.parametrize("arm", [route_all, run_baseline], ids=["route_all", "run_baseline"])
+def test_both_arms_leave_coherent_indexes(arm):
+    # route_all's searches build the counts and its writes keep them in step;
+    # the baseline's colorless searches never read them, so they are first
+    # built here, after its recolors. Either way they match the scans, as do
+    # each net's vertex set and keep-outs.
+    for layout in _arm_draws():
+        assert_indexes_match(arm(layout).grid, [net.id for net in layout.nets] + [99])
 
 
 def test_replace_keeps_its_own_history():
@@ -156,7 +181,7 @@ def test_rip_up_leaves_other_nets():
     grid.commit_route(2, [((3, 0, 0), COLOR_ORDER[1])])
     grid.rip_up(1)
     assert grid.committed == {(3, 0, 0): (2, COLOR_ORDER[1])}
-    assert grid.net_vertices(1) == set()
+    assert grid._owned.get(1, set()) == set()
 
 
 def test_route_net_ignores_the_nets_own_commits():
@@ -168,9 +193,9 @@ def test_route_net_ignores_the_nets_own_commits():
     )
     grid = route_all(layout).grid
     for net in layout.nets:
-        assert grid.net_vertices(net.id)
+        saved = {v: entry for v, entry in grid.committed.items() if entry[0] == net.id}
+        assert saved
         with_own = route_net(net, grid)
-        saved = {v: grid.committed[v] for v in grid.net_vertices(net.id)}
         grid.rip_up(net.id)
         assert route_net(net, grid) == with_own
         grid.commit_route(net.id, [(v, c) for v, (_, c) in sorted(saved.items())])

@@ -9,6 +9,8 @@ traced pass's whole counter block is pinned too, since it is what the
 benchmark sees of the solution queue: ``router.inserts`` and
 ``router.labels_pruned`` read ``SolutionQueue.insert`` and
 ``SolutionQueue.labels`` by name.
+
+To re-record the counters: ``PYTHONPATH=src python tests/test_perfbench_trace.py``.
 """
 
 import sys
@@ -31,8 +33,8 @@ DESK_DRAW_0_COUNTS = {
     "base.baseline.exact_components": 9,
     "base.baseline.run_baseline.calls": 1,
     "base.baseline.segments": 29,
-    "base.grid.commit.calls": 8,
-    "base.grid.commit.vertices": 68,
+    "base.grid.commit.calls": 22,
+    "base.grid.commit.vertices": 99,
     "base.grid.rip_up.calls": 8,
     "base.metrics.score.calls": 1,
     "base.negotiation.detect_conflicts.calls": 1,
@@ -61,15 +63,28 @@ DESK_DRAW_0_COUNTS = {
 }
 
 
-def test_traced_pass_rows_equal_untraced():
+def traced_desk_draw_0():
+    """Desk draw 0's rows from a traced and an untraced pass, and the traced pass's counters."""
     draws = load_draws(replace(WORKLOADS["desk"], draws=1), 0)
     tracer = Tracer(hot=True)
     with tracer.installed():
         traced, _ = run.run_pass(draws, tracer=tracer)
     untraced, _ = run.run_pass(draws)
+    return traced, untraced, dict(tracer.counts)
+
+
+def test_traced_pass_rows_equal_untraced():
+    traced, untraced, counts = traced_desk_draw_0()
     assert traced == untraced
     assert [row["status"] for row in traced] == ["ok", "ok"]
     for arm in ("route", "base"):
-        assert tracer.counts[f"{arm}.router.search.calls"] > 0
-        assert tracer.counts[f"{arm}.grid.commit.vertices"] > 0
-    assert dict(tracer.counts) == DESK_DRAW_0_COUNTS
+        assert counts[f"{arm}.router.search.calls"] > 0
+        assert counts[f"{arm}.grid.commit.vertices"] > 0
+    assert counts == DESK_DRAW_0_COUNTS
+
+
+if __name__ == "__main__":
+    print("DESK_DRAW_0_COUNTS = {")
+    for key, count in sorted(traced_desk_draw_0()[2].items()):
+        print(f'    "{key}": {count},')
+    print("}")

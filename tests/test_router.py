@@ -1167,5 +1167,5 @@ def test_queue_context_follows_grid_writes(seed, width, height, layers, congesti
         elif kind == "rip_up":
             grid.rip_up(net_ids[which])
         elif cells[0] in grid.committed:
-            grid.recolor_vertex(cells[0], color)
+            grid.commit_route(grid.committed[cells[0]][0], [(cells[0], color)])
         check()
