@@ -67,30 +67,29 @@ def route_colorless(layout: Layout) -> tuple[Grid, dict[int, RouteTree]]:
 
 
 def build_conflict_graph(grid: Grid, rules: DesignRules) -> ConflictGraph:
-    """Segments and their edges, found by walking each committed vertex's stencil.
+    """Segments and their edges, read from the committed vertices.
 
     Two segments conflict when some vertex pair of different nets lies
-    within d_color on one layer, and share a stitch edge when some
-    same-net pair is grid-adjacent on one layer. Each edge list is sorted
-    and holds each (i, j) pair once. The walk reads segment indices from
-    a per-vertex-id array (see _extract_segments).
+    within d_color on one layer: the segments of a pair of
+    Grid.close_pairs at rules.d_color. They share a stitch edge when some
+    same-net pair is grid-adjacent on one layer, found by a step right and
+    above from every vertex. Each edge list is sorted and holds each
+    (i, j) pair once. Segment indices are read from a per-vertex-id array
+    (see _extract_segments).
     """
     segments, seg_at = _extract_segments(grid)
     width, height = grid.width, grid.height
-    seg_net = [seg.net_id for seg in segments]
-    half = [(dx, dy, dy * width + dx) for dx, dy in grid.half_stencil(rules.d_color)]
     conflicts: set[tuple[int, int]] = set()
+    for (ax, ay, l), (bx, by, _), _, _, _ in grid.close_pairs(rules.d_color):
+        base = l * height
+        i, j = seg_at[(base + ay) * width + ax], seg_at[(base + by) * width + bx]
+        conflicts.add((i, j) if i < j else (j, i))
+    seg_net = [seg.net_id for seg in segments]
     stitches: set[tuple[int, int]] = set()
     for i, seg in enumerate(segments):
         net_id = seg.net_id
         for x, y, l in seg.vertices:
             vid = (l * height + y) * width + x
-            # Every half-stencil offset has dy >= 0, so y + dy >= 0.
-            for dx, dy, offset in half:
-                if 0 <= x + dx < width and y + dy < height:
-                    j = seg_at[vid + offset]
-                    if j >= 0 and seg_net[j] != net_id:
-                        conflicts.add((i, j) if i < j else (j, i))
             right = seg_at[vid + 1] if x + 1 < width else -1
             above = seg_at[vid + width] if y + 1 < height else -1
             for j in (right, above):

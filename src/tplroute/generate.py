@@ -62,9 +62,19 @@ def generate_instance(
         x_start = rng.randrange(max(1, width - span + 1))
         pins = []
         for _ in range(pins_per_net):
-            v = _place_pin(
-                rng, x_start, span, band_center, width, height, layers, obstacles, used
-            )
+            for _ in range(PLACEMENT_RETRIES):
+                y = band_center + rng.randint(-BAND_HALF_HEIGHT, BAND_HALF_HEIGHT)
+                v = (
+                    x_start + rng.randrange(span),
+                    max(0, min(height - 1, y)),
+                    rng.randrange(layers),
+                )
+                if v not in obstacles and v not in used:
+                    break
+            else:
+                raise InfeasiblePlacementError(
+                    f"no free pin position in a {span}-wide band after {PLACEMENT_RETRIES} tries"
+                )
             used.add(v)
             pins.append(Pin(net_id=n, covered_vertices=[v]))
         nets.append(Net(id=n, name=f"net{n}", pins=pins))
@@ -78,27 +88,3 @@ def generate_instance(
         nets=nets,
     )
 
-
-def _place_pin(
-    rng: random.Random,
-    x_start: int,
-    span: int,
-    band_center: int,
-    width: int,
-    height: int,
-    layers: int,
-    obstacles: set[Vertex],
-    used: set[Vertex],
-) -> Vertex:
-    for _ in range(PLACEMENT_RETRIES):
-        y = band_center + rng.randint(-BAND_HALF_HEIGHT, BAND_HALF_HEIGHT)
-        v = (
-            x_start + rng.randrange(span),
-            max(0, min(height - 1, y)),
-            rng.randrange(layers),
-        )
-        if v not in obstacles and v not in used:
-            return v
-    raise InfeasiblePlacementError(
-        f"no free pin position in a {span}-wide band after {PLACEMENT_RETRIES} tries"
-    )

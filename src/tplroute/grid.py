@@ -13,8 +13,10 @@ color_cost = gamma * (foreign same-color commits within Manhattan distance
 Each grid fact the router reads is defined once here, per vertex id
 (Grid.vid): the move table, a net's keep_outs, the history cost
 (PathFinder-style negotiation, McMurchie & Ebeling, FPGA 1995), a
-guide's off_guide penalties, and the d_color stencils with their clamp
-(Grid.half_stencil is what the conflict walks read).
+guide's off_guide penalties, and the d_color stencils with their clamp.
+Grid.close_pairs walks the stencil over the commits; both conflict
+relations (negotiation.detect_conflicts, baseline.build_conflict_graph)
+are read from it.
 
 A grid's geometry is checked once, when it is built, and trusted after:
 construction raises ValueError for an obstacle, pin or commit off the
@@ -40,7 +42,7 @@ to inf, which is the array its search starts from (router.SolutionQueue).
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from enum import IntEnum
 from functools import cache, lru_cache
@@ -190,14 +192,27 @@ class Grid:
         x, y, l = v
         return (l * self.height + y) * self.width + x
 
-    def half_stencil(self, d_color: int) -> tuple[tuple[int, int], ...]:
-        """The (dx, dy) offsets with |dx| + |dy| < d_color and dy > 0, or dy == 0 and dx > 0.
+    def close_pairs(
+        self, d_color: int
+    ) -> Iterator[tuple[Vertex, Vertex, int, tuple[int, Color], tuple[int, Color]]]:
+        """Each pair of commits of different nets, on one layer, closer than d_color.
 
-        One offset of each +/- pair, so a walk from every commit meets each
-        close pair once. Cached, and built at d_color clamped as
-        foreign_counts clamps it (_clamp).
+        Yields (a, b, distance, committed[a], committed[b]) once per pair,
+        with a < b and distance their Manhattan distance, in no set order.
+        The walk steps from every commit through the half stencil at
+        d_color clamped as foreign_counts clamps it (_clamp).
         """
-        return _half_stencil(self._clamp(d_color))
+        half = _half_stencil(self._clamp(d_color))
+        committed = self.committed
+        for v, entry in committed.items():
+            x, y, l = v
+            net = entry[0]
+            for dx, dy, distance in half:
+                w = (x + dx, y + dy, l)
+                other = committed.get(w)
+                if other is not None and other[0] != net:
+                    # v < w exactly when dx >= 0, as the half stencil has dy > 0 where dx == 0.
+                    yield (v, w, distance, entry, other) if dx >= 0 else (w, v, distance, other, entry)
 
     def _clamp(self, d_color: int) -> int:
         # No two vertices of a layer lie width + height - 1 apart, so a larger
@@ -260,7 +275,7 @@ class Grid:
             size = self.width * self.height * self.num_layers
             self._counts = (d_color, {c: [0] * size for c in Color})
             for v, (_, color) in self.committed.items():
-                self._spread(v, color, 1)
+                self._spread(v, color, 1, self._counts[1])
         counts = self._counts[1]
         own = self._owned.get(net_id)
         if own:
@@ -269,20 +284,16 @@ class Grid:
                 self._spread(v, self.committed[v][1], -1, counts)
         return counts[Color.RED], counts[Color.GREEN], counts[Color.BLUE]
 
-    def _spread(self, v: Vertex, color: Color, delta: int, counts=None) -> None:
-        """Add delta to color's count at every in-grid vertex of v's d_color stencil.
+    def _spread(self, v: Vertex, color: Color, delta: int, counts: dict[Color, list[int]]) -> None:
+        """Add delta to color's list in counts at every in-grid vertex of v's stencil.
 
-        counts replaces the grid's own counts as the target when given;
-        without it, nothing happens until the grid's counts are built.
+        The stencil is the one at the d_color the grid's counts are built under.
         """
-        if self._counts is None:
-            return
-        d_color, own = self._counts
         x, y, l = v
         width, height = self.width, self.height
-        lst = (counts or own)[color]
+        lst = counts[color]
         base = l * height
-        for dx, dy in _stencil(d_color):
+        for dx, dy in _stencil(self._counts[0]):
             tx, ty = x + dx, y + dy
             if 0 <= tx < width and 0 <= ty < height:
                 lst[(base + ty) * width + tx] += delta
@@ -330,7 +341,7 @@ class Grid:
                 raise CollisionError(f"vertex {v} already committed to net {owner[0]}, not {net_id}")
         blocked = self._blocked
         owned = self._owned.setdefault(net_id, set())
-        spread = self._counts is not None
+        counts = None if self._counts is None else self._counts[1]
         for v, color in colored_path:
             old = committed.get(v)
             committed[v] = (net_id, color)
@@ -338,22 +349,22 @@ class Grid:
                 owned.add(v)
                 x, y, l = v
                 blocked[(l * height + y) * width + x] = _KEEP_OUT
-            elif spread:
-                self._spread(v, old[1], -1)
-            if spread:
-                self._spread(v, color, 1)
+            elif counts is not None:
+                self._spread(v, old[1], -1, counts)
+            if counts is not None:
+                self._spread(v, color, 1, counts)
 
     def rip_up(self, net_id: int) -> None:
         """Free every vertex of a net; its pins stay keep-outs. History costs stay."""
         committed, blocked = self.committed, self._blocked
         width, height = self.width, self.height
-        spread = self._counts is not None
+        counts = None if self._counts is None else self._counts[1]
         for v in self._owned.pop(net_id, ()):
             _, color = committed.pop(v)
             x, y, l = v
             blocked[(l * height + y) * width + x] = _INF
-            if spread:
-                self._spread(v, color, -1)
+            if counts is not None:
+                self._spread(v, color, -1, counts)
         for vid in self._pin_vids.get(net_id, ()):
             blocked[vid] = _KEEP_OUT
 
@@ -425,6 +436,12 @@ def _stencil(d_color: int) -> tuple[tuple[int, int], ...]:
 
 
 @cache
-def _half_stencil(d_color: int) -> tuple[tuple[int, int], ...]:
-    """The offsets of _stencil with dy > 0, or dy == 0 and dx > 0 (see Grid.half_stencil)."""
-    return tuple((dx, dy) for dx, dy in _stencil(d_color) if dy > 0 or (dy == 0 and dx > 0))
+def _half_stencil(d_color: int) -> tuple[tuple[int, int, int], ...]:
+    """(dx, dy, |dx| + |dy|) for the offsets of _stencil with dy > 0, or dy == 0 and dx > 0.
+
+    One offset of each +/- pair, so a walk from every commit meets each
+    close pair once (Grid.close_pairs).
+    """
+    return tuple(
+        (dx, dy, abs(dx) + abs(dy)) for dx, dy in _stencil(d_color) if dy > 0 or (dy == 0 and dx > 0)
+    )

@@ -49,27 +49,16 @@ class RoutingResult:
 
 
 def detect_conflicts(grid: Grid, rules: DesignRules) -> list[Conflict]:
-    """Every cross-net same-layer same-color pair below d_color, once each."""
-    half = grid.half_stencil(rules.d_color)
-    committed = grid.committed
-    found = []
-    for v, (net, color) in committed.items():
-        x, y, l = v
-        for dx, dy in half:
-            w = (x + dx, y + dy, l)
-            entry = committed.get(w)
-            if entry is not None and entry[0] != net and entry[1] == color:
-                a, b, net_a, net_b = (v, w, net, entry[0]) if v < w else (w, v, entry[0], net)
-                found.append(
-                    Conflict(
-                        vertex_a=a,
-                        vertex_b=b,
-                        net_a=net_a,
-                        net_b=net_b,
-                        color=color,
-                        distance=abs(dx) + abs(dy),
-                    )
-                )
+    """Every cross-net same-layer same-color pair below d_color, once each.
+
+    The pairs of Grid.close_pairs at rules.d_color whose two colors are
+    equal, sorted by their vertices.
+    """
+    found = [
+        Conflict(a, b, net_a, net_b, color_a, distance)
+        for a, b, distance, (net_a, color_a), (net_b, color_b) in grid.close_pairs(rules.d_color)
+        if color_a == color_b
+    ]
     found.sort(key=lambda c: (c.vertex_a, c.vertex_b))
     return found
 

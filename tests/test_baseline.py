@@ -225,7 +225,7 @@ def test_stencil_walk_edges_equal_pairwise_scan():
     for seed in range(4):
         layout = congested_layout(seed)
         grid, _ = route_colorless(layout)
-        for d_color in (1, 2, 3, 4):
+        for d_color in (1, 2, 3, 4, 10**6):
             graph = build_conflict_graph(grid, DesignRules(d_color=d_color))
             conflicts, stitches = _pairwise_edges(graph.segments, d_color)
             assert graph.conflict_edges == conflicts, (seed, d_color)

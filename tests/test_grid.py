@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from instances import commit_or_refusal, empty_grid
+from instances import commit_or_refusal, empty_grid, random_colored_grid
 from tplroute import oracle
 from tplroute.color_state import COLOR_ORDER, Color
 from tplroute.grid import VIA_DIRECTIONS, CollisionError, Direction
@@ -345,6 +345,28 @@ def test_rip_commit_round_trip_random(seed):
     grid.commit_route(3, path)
     grid.rip_up(3)
     assert grid.committed == {}
+
+
+def test_close_pairs_match_naive_cross_net_scan():
+    """Every cross-net same-layer pair below d_color, whatever its colors, once each.
+
+    Checked against a scan of every commit pair, at d_color values up to
+    and far past the clamp (width + height - 1).
+    """
+    mixed = 0
+    for seed in range(10):
+        grid, rules = random_colored_grid(seed)
+        items = sorted(grid.committed.items())
+        for d_color in (1, 2, rules.d_color, 4, grid.width + grid.height, 10**6):
+            naive = []
+            for i, (a, entry_a) in enumerate(items):
+                for b, entry_b in items[i + 1 :]:
+                    distance = abs(a[0] - b[0]) + abs(a[1] - b[1])
+                    if entry_a[0] != entry_b[0] and a[2] == b[2] and distance < d_color:
+                        naive.append((a, b, distance, entry_a, entry_b))
+            assert sorted(grid.close_pairs(d_color)) == naive, (seed, d_color)
+            mixed += sum(entry_a[1] != entry_b[1] for _, _, _, entry_a, entry_b in naive)
+    assert mixed  # pairs of different colors are covered too
 
 
 def _keep_out_grid(rng, check=lambda grid: None):

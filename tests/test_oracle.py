@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from instances import empty_grid, random_colored_grid
@@ -100,7 +102,10 @@ def test_all_pairs_examples():
 
 def test_all_pairs_matches_detector_spot_checks():
     for seed in range(10):
-        grid, rules = random_colored_grid(seed)
-        naive = {(c.vertex_a, c.vertex_b, c.color) for c in oracle.all_pairs_conflicts(grid, rules)}
-        fast = {(c.vertex_a, c.vertex_b, c.color) for c in detect_conflicts(grid, rules)}
-        assert naive == fast
+        grid, drawn = random_colored_grid(seed)
+        # The drawn d_color, and two past the clamp (width + height - 1).
+        for d_color in (drawn.d_color, grid.width + grid.height, 10**6):
+            rules = replace(drawn, d_color=d_color)
+            naive = {(c.vertex_a, c.vertex_b, c.color) for c in oracle.all_pairs_conflicts(grid, rules)}
+            fast = {(c.vertex_a, c.vertex_b, c.color) for c in detect_conflicts(grid, rules)}
+            assert naive == fast, (seed, d_color)
