@@ -24,14 +24,13 @@ EXACT_COMPONENT_LIMIT = 12
 
 @dataclass
 class Segment:
-    index: int
     net_id: int
-    layer: int
     vertices: list[Vertex]
 
 
 @dataclass
 class ConflictGraph:
+    # A segment's index is its position here; its layer is its vertices'.
     segments: list[Segment]
     # Index pairs (i < j): different nets within d_color on one layer.
     conflict_edges: list[tuple[int, int]]
@@ -294,5 +293,5 @@ def _extract_segments(grid: Grid) -> tuple[list[Segment], list[int]]:
         vid = (l * height + y) * width + x
         step = 1 if along_x else width
         seg_at[vid : vid + length * step : step] = [index] * length
-        segments.append(Segment(index=index, net_id=net_id, layer=l, vertices=vertices))
+        segments.append(Segment(net_id, vertices))
     return segments, seg_at

@@ -109,7 +109,7 @@ def _run_single(layout: Layout, args: argparse.Namespace) -> None:
     result, report = _run_arm(route_all if method == "router" else run_baseline, layout)
     payload = report_to_dict(report, args.timing)
     if method == "router":
-        payload["iterations"] = [iteration_to_dict(it) for it in result.iterations]
+        payload["iterations"] = [iteration_to_dict(i, it) for i, it in enumerate(result.iterations)]
         for entry in payload["iterations"]:
             print(json.dumps(entry, sort_keys=True))
     _write_json(f"{args.output}.report.json", payload)
@@ -133,9 +133,9 @@ def _run_compare(layout: Layout, args: argparse.Namespace) -> None:
         _write_render(args.output, layout, ours.grid, ours.routes, ours_report.conflict_list)
 
 
-def iteration_to_dict(it: IterationReport) -> dict:
+def iteration_to_dict(index: int, it: IterationReport) -> dict:
     return {
-        "iter": it.index,
+        "iter": index,
         "conflicts": len(it.conflicts),
         "stitches": it.stitch_count,
         "rerouted": it.nets_rerouted,

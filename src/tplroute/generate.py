@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 
-from .layout import MAX_GRID_VERTICES, DesignRules, Layer, Layout, Net, Pin, Vertex
+from .layout import MAX_GRID_VERTICES, DesignRules, Layout, Net, Pin, Vertex
 
 OBSTACLE_FRACTION = 0.05  # of all vertices, at congestion 1.0
 BAND_HALF_HEIGHT = 1  # pins sit within +-1 track of their band center
@@ -42,7 +42,6 @@ def generate_instance(
     rng = random.Random(seed)
     rules = rules if rules is not None else DesignRules()
 
-    layer_list = [Layer(i, "H" if i % 2 == 0 else "V") for i in range(layers)]
     plane = width * height
     n_obstacles = round(congestion * OBSTACLE_FRACTION * plane * layers)
     # Vertex id i is (x, y, l) in layer-major, then row-major order.
@@ -76,13 +75,13 @@ def generate_instance(
                     f"no free pin position in a {span}-wide band after {PLACEMENT_RETRIES} tries"
                 )
             used.add(v)
-            pins.append(Pin(net_id=n, covered_vertices=[v]))
+            pins.append(Pin([v]))
         nets.append(Net(id=n, name=f"net{n}", pins=pins))
 
     return Layout(
         width=width,
         height=height,
-        layers=layer_list,
+        layers=["H" if i % 2 == 0 else "V" for i in range(layers)],
         rules=rules,
         obstacles=obstacles,
         nets=nets,

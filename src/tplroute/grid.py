@@ -173,7 +173,7 @@ class Grid:
         return cls(
             width=layout.width,
             height=layout.height,
-            layer_dirs=tuple(layer.preferred_direction for layer in layout.layers),
+            layer_dirs=tuple(layout.layers),
             rules=layout.rules,
             obstacles=frozenset(layout.obstacles),
             pin_owners=pin_owners,

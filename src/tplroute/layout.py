@@ -8,6 +8,11 @@ The on-disk format is a single JSON object:
      "nets": [{"id": ..., "name": ..., "pins": [[[x, y, l], ...], ...],
                "guide": [{"layer": l, "x0": ..., "y0": ..., "x1": ..., "y1": ...}, ...]}]}
 
+In memory, Layout.layers is the list of those directions, indexed by
+layer; a vertex is an (x, y, l) tuple of ints; a Pin is only its
+covered_vertices (the Net holding it gives the id); a guide box is a
+tuple of ints in GUIDE_KEYS order.
+
 Coordinates are abstract grid tracks. "guide" is optional per net. Every
 rules key is required except "off_guide_penalty", the soft penalty for
 leaving the guide (default 4.0). Rules typed int in DesignRules must be
@@ -54,16 +59,13 @@ class DesignRules:
     off_guide_penalty: float = 4.0
 
 
-@dataclass(frozen=True)
-class Layer:
-    index: int
-    preferred_direction: str  # "H" or "V"
-
-
 @dataclass
 class Pin:
-    net_id: int
     covered_vertices: list[Vertex]
+
+
+# A guide box's fields: the order of its tuple and the keys of its JSON object.
+GUIDE_KEYS = ("layer", "x0", "y0", "x1", "y1")
 
 
 @dataclass
@@ -71,8 +73,8 @@ class Net:
     id: int
     name: str
     pins: list[Pin]
-    # Guide boxes as (layer, x0, y0, x1, y1), inclusive bounds. None and
-    # an empty list both mean no guide.
+    # Guide boxes as GUIDE_KEYS tuples, inclusive bounds. None and an
+    # empty list both mean no guide.
     guide: list[tuple[int, int, int, int, int]] | None = None
 
 
@@ -80,7 +82,7 @@ class Net:
 class Layout:
     width: int
     height: int
-    layers: list[Layer]
+    layers: list[str]  # each layer's preferred direction, "H" or "V"
     rules: DesignRules
     obstacles: set[Vertex] = field(default_factory=set)
     nets: list[Net] = field(default_factory=list)
@@ -163,7 +165,7 @@ def layout_from_dict(data: dict) -> Layout:
     raw_layers = _array(_require(grid, "layers", "grid"), "grid layers")
     if not raw_layers:
         raise LayoutError("grid needs at least one layer")
-    layers = [Layer(i, _require(entry, "dir", f"layer {i}")) for i, entry in enumerate(raw_layers)]
+    layers = [_require(entry, "dir", f"layer {i}") for i, entry in enumerate(raw_layers)]
 
     raw_rules = _object(_require(data, "rules", "layout"), "rules")
     rules = DesignRules(
@@ -187,16 +189,13 @@ def layout_from_dict(data: dict) -> Layout:
         for p, raw_pin in enumerate(raw_pins):
             where = f"net {net_id} pin {p}"
             cover = [_vertex(v, where) for v in _array(raw_pin, where)]
-            pins.append(Pin(net_id=net_id, covered_vertices=cover))
+            pins.append(Pin(cover))
         guide = None
         raw_guide = raw_net.get("guide")
         if raw_guide is not None and _array(raw_guide, f"net {net_id} guide"):
             where = f"net {net_id} guide"
             guide = [
-                tuple(
-                    _integer(_require(box, key, where), f"{where} {key}")
-                    for key in ("layer", "x0", "y0", "x1", "y1")
-                )
+                tuple(_integer(_require(box, key, where), f"{where} {key}") for key in GUIDE_KEYS)
                 for box in raw_guide
             ]
         nets.append(Net(id=net_id, name=name, pins=pins, guide=guide))
@@ -248,17 +247,25 @@ def validate(layout: Layout) -> list[str]:
             f"grid {layout.width}x{layout.height}x{layout.num_layers} has more than"
             f" {MAX_GRID_VERTICES} vertices"
         )
-    for layer in layout.layers:
-        if layer.preferred_direction not in ("H", "V"):
-            problems.append(f"layer {layer.index} direction must be 'H' or 'V', got {layer.preferred_direction!r}")
-    for a, b in zip(layout.layers, layout.layers[1:]):
-        if a.preferred_direction == b.preferred_direction:
-            problems.append(
-                f"layers {a.index} and {b.index} do not alternate preferred direction"
-            )
+    for i, direction in enumerate(layout.layers):
+        if direction not in ("H", "V"):
+            problems.append(f"layer {i} direction must be 'H' or 'V', got {direction!r}")
+    for i in range(1, layout.num_layers):
+        if layout.layers[i - 1] == layout.layers[i]:
+            problems.append(f"layers {i - 1} and {i} do not alternate preferred direction")
     problems.extend(_rule_problems(layout.rules))
 
-    for o in sorted(o for o in layout.obstacles if not layout.in_bounds(o)):
+    # A vertex is a tuple of three ints, tested inline with exact types as
+    # in _vertex, before any bounds test unpacks or compares it.
+    malformed, out_of_bounds = [], []
+    for o in layout.obstacles:
+        if type(o) is not tuple or len(o) != 3 or not (type(o[0]) is type(o[1]) is type(o[2]) is int):
+            malformed.append(o)
+        elif not layout.in_bounds(o):
+            out_of_bounds.append(o)
+    for o in sorted(malformed, key=repr):
+        problems.append(f"obstacle {o!r} is not a tuple of three integers")
+    for o in sorted(out_of_bounds):
         problems.append(f"obstacle {o} out of bounds")
 
     seen_ids: set[int] = set()
@@ -273,7 +280,9 @@ def validate(layout: Layout) -> list[str]:
             if not pin.covered_vertices:
                 problems.append(f"net {net.id} pin {p} covers no vertices")
             for v in pin.covered_vertices:
-                if not layout.in_bounds(v):
+                if type(v) is not tuple or len(v) != 3 or not (type(v[0]) is type(v[1]) is type(v[2]) is int):
+                    problems.append(f"net {net.id} pin {p} vertex {v!r} is not a tuple of three integers")
+                elif not layout.in_bounds(v):
                     problems.append(f"net {net.id} pin {p} vertex {v} out of bounds")
                 elif v in layout.obstacles:
                     problems.append(f"net {net.id} pin {p} vertex {v} sits on an obstacle")
@@ -285,6 +294,9 @@ def validate(layout: Layout) -> list[str]:
                     pin_claims[v] = net.id
         if net.guide:
             for box in net.guide:
+                if type(box) not in (tuple, list) or len(box) != 5 or any(type(c) is not int for c in box):
+                    problems.append(f"net {net.id} guide box {box!r} is not five integers")
+                    continue
                 l, x0, y0, x1, y1 = box
                 if not (0 <= l < layout.num_layers) or x0 > x1 or y0 > y1:
                     problems.append(f"net {net.id} guide box {box} is malformed")
@@ -327,32 +339,25 @@ def _rule_problems(rules: DesignRules) -> list[str]:
 
 def layout_to_dict(layout: Layout) -> dict:
     """Serialize back to the JSON schema (stable ordering for byte determinism)."""
+    nets = []
+    for net in layout.nets:
+        entry = {
+            "id": net.id,
+            "name": net.name,
+            "pins": [[list(v) for v in pin.covered_vertices] for pin in net.pins],
+        }
+        if net.guide:
+            entry["guide"] = [dict(zip(GUIDE_KEYS, box)) for box in net.guide]
+        nets.append(entry)
     return {
         "grid": {
             "width": layout.width,
             "height": layout.height,
-            "layers": [{"dir": layer.preferred_direction} for layer in layout.layers],
+            "layers": [{"dir": direction} for direction in layout.layers],
         },
         "rules": {name: getattr(layout.rules, name) for name in RULE_TYPES},
         "obstacles": [list(v) for v in sorted(layout.obstacles)],
-        "nets": [
-            {
-                "id": net.id,
-                "name": net.name,
-                "pins": [[list(v) for v in pin.covered_vertices] for pin in net.pins],
-                **(
-                    {
-                        "guide": [
-                            {"layer": l, "x0": x0, "y0": y0, "x1": x1, "y1": y1}
-                            for (l, x0, y0, x1, y1) in net.guide
-                        ]
-                    }
-                    if net.guide
-                    else {}
-                ),
-            }
-            for net in layout.nets
-        ],
+        "nets": nets,
     }
 
 

@@ -31,7 +31,6 @@ class Conflict:
 
 @dataclass
 class IterationReport:
-    index: int
     conflicts: list[Conflict]
     stitch_count: int
     nets_rerouted: list[int]
@@ -40,8 +39,8 @@ class IterationReport:
 @dataclass
 class RoutingResult:
     grid: Grid
-    routes: dict[int, RouteTree]
-    iterations: list[IterationReport]
+    routes: dict[int, RouteTree]  # by net id
+    iterations: list[IterationReport]  # iteration i's report at index i
 
     @property
     def final_conflicts(self) -> list[Conflict]:
@@ -142,14 +141,7 @@ def route_all(layout: Layout) -> RoutingResult:
             raise
         conflicts = detect_conflicts(grid, layout.rules)
         stitch_count = sum(len(t.stitches) for t in routes.values())
-        iterations.append(
-            IterationReport(
-                index=iteration,
-                conflicts=conflicts,
-                stitch_count=stitch_count,
-                nets_rerouted=routed_now,
-            )
-        )
+        iterations.append(IterationReport(conflicts, stitch_count, routed_now))
         if not conflicts or iteration + 1 >= layout.rules.max_iterations:
             break
 

@@ -171,7 +171,6 @@ class SegSet:
 class RouteTree:
     """The committed route of one net: paths, final colors, stitches."""
 
-    net_id: int
     paths: list[list[Vertex]]
     vertex_colors: dict[Vertex, Color]
     stitches: list[tuple[Vertex, Vertex]]
@@ -640,7 +639,7 @@ def route_net(net: Net, grid: Grid, *, two_pin_mode: bool = False) -> RouteTree:
         tree.paths.append(backtrace(queue, dst, tree, freeze=two_pin_mode))
         tree.total_cost += dst[0]
 
-    return finalize_colors(queue, tree, net.id)
+    return finalize_colors(queue, tree)
 
 
 @lru_cache(maxsize=4)
@@ -721,7 +720,7 @@ def _wall_blockers(queue: SolutionQueue, net: Net, remaining: list[int]) -> tupl
     return set(wall.values()), {queue.vertices[t] for t in wall}
 
 
-def finalize_colors(queue: SolutionQueue, tree: _TreeBuilder, net_id: int) -> RouteTree:
+def finalize_colors(queue: SolutionQueue, tree: _TreeBuilder) -> RouteTree:
     """Fix each segSet's mask and derive per-vertex colors and stitches.
 
     Masks are _fix_masks's, read from the queue's counts.
@@ -737,7 +736,6 @@ def finalize_colors(queue: SolutionQueue, tree: _TreeBuilder, net_id: int) -> Ro
             for vid in seg.members:
                 vertex_colors[vertices[vid]] = color
     return RouteTree(
-        net_id=net_id,
         paths=[[vertices[vid] for vid in path] for path in tree.paths],
         vertex_colors=vertex_colors,
         # A stitch joins two masks, so a one-mask tree has none.

@@ -12,16 +12,15 @@ from tplroute.baseline import run_baseline
 from tplroute.color_state import COLOR_ORDER, Color
 from tplroute.generate import generate_instance
 from tplroute.grid import CollisionError, Grid
-from tplroute.layout import DesignRules, Layer, Layout, Net, Pin
+from tplroute.layout import DesignRules, Layout, Net, Pin
 from tplroute.negotiation import route_all
 from tplroute.oracle import usable
 from tplroute.router import UnroutableError
 
 
 def empty_grid(width, height, layer_dirs=("H",), rules=None, obstacles=()):
-    layers = [Layer(i, d) for i, d in enumerate(layer_dirs)]
     layout = Layout(
-        width=width, height=height, layers=layers,
+        width=width, height=height, layers=list(layer_dirs),
         rules=rules or DesignRules(), obstacles=set(obstacles), nets=[],
     )
     return Grid.from_layout(layout)
@@ -30,7 +29,7 @@ def empty_grid(width, height, layer_dirs=("H",), rules=None, obstacles=()):
 def two_pin_net(src, dst, net_id=0):
     return Net(
         id=net_id, name=f"net{net_id}",
-        pins=[Pin(net_id, [src]), Pin(net_id, [dst])],
+        pins=[Pin([src]), Pin([dst])],
     )
 
 
@@ -191,7 +190,7 @@ def pressure_instance(seed):
             grid.commit_route(fid, [((bx + 1, y, 0), others[(y + 1) % 2])])
             fid += 1
     pin_vertices = [(0, 3, 0), (10, 3, 0), (bx1, 0, 0), (bx2, 0, 0)]
-    net = Net(id=0, name="n0", pins=[Pin(0, [p]) for p in pin_vertices])
+    net = Net(id=0, name="n0", pins=[Pin([p]) for p in pin_vertices])
     grid = register_pins(grid, net)
     return grid, net
 
@@ -243,12 +242,12 @@ def route_text(layout):
     except UnroutableError as exc:
         return f"UnroutableError {exc}"
     lines = routes_text(result.routes) + grid_text(result.grid)
-    for it in result.iterations:
+    for i, it in enumerate(result.iterations):
         conflicts = [
             (c.vertex_a, c.vertex_b, c.net_a, c.net_b, int(c.color), c.distance)
             for c in it.conflicts
         ]
-        lines.append(f"iter {it.index} {it.stitch_count} {it.nets_rerouted!r} {conflicts!r}")
+        lines.append(f"iter {i} {it.stitch_count} {it.nets_rerouted!r} {conflicts!r}")
     return "\n".join(lines)
 
 

@@ -18,13 +18,13 @@ from tplroute.layout import DesignRules
 from tplroute.negotiation import detect_conflicts
 
 
-def seg(index, net_id, vertices, layer=0):
-    return Segment(index=index, net_id=net_id, layer=layer, vertices=sorted(vertices))
+def seg(net_id, vertices):
+    return Segment(net_id, sorted(vertices))
 
 
 def test_triangle_three_colors_no_conflict():
     graph = ConflictGraph(
-        segments=[seg(0, 1, [(0, 0, 0)]), seg(1, 2, [(1, 0, 0)]), seg(2, 3, [(0, 1, 0)])],
+        segments=[seg(1, [(0, 0, 0)]), seg(2, [(1, 0, 0)]), seg(3, [(0, 1, 0)])],
         conflict_edges=[(0, 1), (0, 2), (1, 2)],
         stitch_edges=[],
     )
@@ -35,7 +35,7 @@ def test_triangle_three_colors_no_conflict():
 
 def test_k4_forces_a_conflict():
     graph = ConflictGraph(
-        segments=[seg(i, i + 1, [(i, 0, 0)]) for i in range(4)],
+        segments=[seg(i + 1, [(i, 0, 0)]) for i in range(4)],
         conflict_edges=[(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)],
         stitch_edges=[],
     )
@@ -49,11 +49,11 @@ def test_same_net_segments_forced_apart_stitch():
     # S0 = color(Z) != color(Y) = S1, so the clean coloring needs one stitch.
     graph = ConflictGraph(
         segments=[
-            seg(0, 1, [(0, 0, 0)]),  # S0
-            seg(1, 1, [(1, 0, 0)]),  # S1
-            seg(2, 2, [(0, 1, 0)]),  # X
-            seg(3, 3, [(0, 2, 0)]),  # Y
-            seg(4, 4, [(1, 1, 0)]),  # Z
+            seg(1, [(0, 0, 0)]),  # S0
+            seg(1, [(1, 0, 0)]),  # S1
+            seg(2, [(0, 1, 0)]),  # X
+            seg(3, [(0, 2, 0)]),  # Y
+            seg(4, [(1, 1, 0)]),  # Z
         ],
         conflict_edges=[(0, 2), (0, 3), (1, 2), (1, 4), (2, 3), (2, 4), (3, 4)],
         stitch_edges=[(0, 1)],
@@ -97,10 +97,10 @@ def test_segments_partition_committed_vertices():
     grid, routes = route_colorless(layout)
     graph = build_conflict_graph(grid, layout.rules)
     seen = {}
-    for s in graph.segments:
+    for i, s in enumerate(graph.segments):
         for v in s.vertices:
             assert v not in seen, f"{v} in two segments"
-            seen[v] = s.index
+            seen[v] = i
     assert set(seen) == set(grid.committed)
 
 
@@ -186,9 +186,9 @@ def test_baseline_conflicts_agree_with_detector():
     # compare pair-level counts computed both ways on the recolored grid
     detected = detect_conflicts(result.grid, layout.rules)
     seg_of = {}
-    for s in result.graph.segments:
+    for i, s in enumerate(result.graph.segments):
         for v in s.vertices:
-            seg_of[v] = s.index
+            seg_of[v] = i
     edge_pairs = set()
     for c in detected:
         i, j = sorted((seg_of[c.vertex_a], seg_of[c.vertex_b]))
@@ -206,7 +206,7 @@ def _pairwise_edges(segments, d_color):
     for i, a in enumerate(segments):
         for j in range(i + 1, len(segments)):
             b = segments[j]
-            if a.layer != b.layer:
+            if a.vertices[0][2] != b.vertices[0][2]:
                 continue
             gap = min(
                 abs(ax - bx) + abs(ay - by)

@@ -1,4 +1,6 @@
 import json
+import os
+import random
 import runpy
 import subprocess
 import sys
@@ -18,12 +20,13 @@ GEN_FLAGS = [
 ]
 
 
-def run_cli(args, timeout=None):
+def run_cli(args, timeout=None, env=None):
     return subprocess.run(
         [sys.executable, "-m", "tplroute", *args],
         capture_output=True,
         text=True,
         timeout=timeout,
+        env=env,
     )
 
 
@@ -214,6 +217,50 @@ def test_route_outputs_byte_identical_across_processes(tmp_path, instance_file):
         a = Path(str(outs[0]) + suffix).read_bytes()
         b = Path(str(outs[1]) + suffix).read_bytes()
         assert a == b, f"{suffix} differs between identical runs"
+
+
+# The 4 nets of the default draw never meet, so no net order could change
+# its routes; the congested draw's compare output changes if the arms
+# route nets in list order instead of sorting them.
+@pytest.fixture(
+    params=[[], ["--num-nets", "16", "--pins-per-net", "4", "--congestion", "0.6"]],
+    ids=["default", "congested"],
+)
+def wide_instance(tmp_path, request):
+    path = tmp_path / "wide.json"
+    flags = ["--seed", "5", "--width", "30", "--height", "30", "--layers", "2", *request.param]
+    assert main(["--mode", "generate", "--output", str(path), *flags]) == 0
+    return path
+
+
+def compare_bytes(layout_path, out):
+    assert main(["--mode", "compare", "--input", str(layout_path), "--output", str(out)]) == 0
+    return Path(f"{out}.compare.json").read_bytes()
+
+
+@pytest.mark.parametrize("section", ["nets", "obstacles"])
+def test_compare_output_ignores_list_order(tmp_path, wide_instance, section):
+    expected = compare_bytes(wide_instance, tmp_path / "given")
+    data = json.loads(wide_instance.read_text())
+    entries = list(data[section])
+    random.Random(0).shuffle(data[section])
+    assert data[section] != entries
+    shuffled = tmp_path / "shuffled.json"
+    shuffled.write_text(json.dumps(data))
+    assert compare_bytes(shuffled, tmp_path / "shuffled") == expected
+
+
+def test_compare_output_ignores_hash_seed(tmp_path, wide_instance):
+    expected = compare_bytes(wide_instance, tmp_path / "in_process")
+    for seed in ("0", "1", "777"):
+        out = tmp_path / f"hash{seed}"
+        proc = run_cli(
+            ["--mode", "compare", "--input", str(wide_instance), "--output", str(out)],
+            timeout=120,
+            env={**os.environ, "PYTHONHASHSEED": seed},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert Path(f"{out}.compare.json").read_bytes() == expected, f"PYTHONHASHSEED={seed}"
 
 
 def test_nan_rule_override_rejected(tmp_path):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from dataclasses import fields, replace
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tplroute.baseline import route_colorless
+from tplroute.baseline import route_colorless, run_baseline
 from tplroute.generate import generate_instance
 from tplroute.layout import (
     COST_RULE_MAX,
@@ -14,9 +15,10 @@ from tplroute.layout import (
     MAX_ITERATIONS,
     RULE_TYPES,
     DesignRules,
-    Layer,
     Layout,
     LayoutError,
+    Net,
+    Pin,
     layout_from_dict,
     layout_to_dict,
     load_layout,
@@ -150,11 +152,11 @@ def test_layer_direction_checked_by_validate():
     # save_layout would write a file that load_layout rejects.
     layout = generate_instance(seed=1, width=6, height=6, layers=2, num_nets=2, pins_per_net=2, congestion=0.2)
     assert validate(layout) == []
-    layout.layers = [Layer(0, "H"), Layer(1, "diagonal")]
+    layout.layers = ["H", "diagonal"]
     assert validate(layout) == ["layer 1 direction must be 'H' or 'V', got 'diagonal'"]
     with pytest.raises(LayoutError, match="direction must be 'H' or 'V'"):
         require_valid(layout)
-    data = layout_to_dict(replace(layout, layers=[Layer(0, "H"), Layer(1, "V")]))
+    data = layout_to_dict(replace(layout, layers=["H", "V"]))
     data["grid"]["layers"][1]["dir"] = "diagonal"
     with pytest.raises(LayoutError, match="layer 1 direction must be 'H' or 'V'"):
         layout_from_dict(data)
@@ -407,7 +409,7 @@ def test_tuple_vertices_accepted():
 
 def test_out_of_bounds_obstacles_listed_in_sorted_order():
     layout = Layout(
-        width=4, height=3, layers=[Layer(0, "H"), Layer(1, "V")], rules=DesignRules(),
+        width=4, height=3, layers=["H", "V"], rules=DesignRules(),
         obstacles={
             (5, 0, 0), (-1, 2, 1), (0, 0, 0), (0, 3, 0), (3, 2, 2),
             (4, 0, 0), (1, 1, 1), (0, -1, 0), (2, 2, 1),
@@ -421,3 +423,77 @@ def test_out_of_bounds_obstacles_listed_in_sorted_order():
         "obstacle (4, 0, 0) out of bounds",
         "obstacle (5, 0, 0) out of bounds",
     ]
+
+
+def guided_layout():
+    """Three layers, two obstacles, a guided net with a two-vertex pin, an unguided net."""
+    return Layout(
+        width=7, height=5, layers=["H", "V", "H"],
+        rules=DesignRules(off_guide_penalty=2.5),
+        obstacles={(4, 0, 2), (3, 2, 1)},
+        nets=[
+            Net(
+                id=0, name="clk", pins=[Pin([(0, 0, 0), (0, 1, 0)]), Pin([(6, 4, 2)])],
+                guide=[(0, 0, 0, 6, 1), (2, 5, 0, 6, 4)],
+            ),
+            Net(id=1, name="d1", pins=[Pin([(2, 4, 0)]), Pin([(5, 2, 1)])]),
+        ],
+    )
+
+
+def test_saved_guided_layout_bytes_pinned(tmp_path):
+    # Saved layouts are pinned by digest (CI checks a generated one), so
+    # their bytes may not move: this digest covers the layers, the guide
+    # boxes, an absent guide and the optional rule.
+    path = tmp_path / "guided.json"
+    save_layout(guided_layout(), path)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "b8dffad4d78c8d7e960fdb37220dcc9ce04b451761a7948d947e3d5839b9cb1b"
+    canonical = json.loads(path.read_text())
+    assert layout_to_dict(layout_from_dict(canonical)) == canonical
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (
+            lambda lay: lay.obstacles.add((1.5, 0, 0)),
+            "obstacle (1.5, 0, 0) is not a tuple of three integers",
+        ),
+        (
+            lambda lay: lay.obstacles.add((True, 0, 0)),
+            "obstacle (True, 0, 0) is not a tuple of three integers",
+        ),
+        (
+            lambda lay: lay.nets[1].pins[0].covered_vertices.append((0.0, 3, 0)),
+            "net 1 pin 0 vertex (0.0, 3, 0) is not a tuple of three integers",
+        ),
+        (
+            lambda lay: lay.nets[1].pins[0].covered_vertices.append((0, 0)),
+            "net 1 pin 0 vertex (0, 0) is not a tuple of three integers",
+        ),
+        (
+            lambda lay: lay.nets[1].pins[1].covered_vertices.append([1, 1, 0]),
+            "net 1 pin 1 vertex [1, 1, 0] is not a tuple of three integers",
+        ),
+        (
+            lambda lay: lay.nets[0].guide.append((0, 0, 0, 3.0, 3)),
+            "net 0 guide box (0, 0, 0, 3.0, 3) is not five integers",
+        ),
+        (
+            lambda lay: lay.nets[0].guide.append((0, 0, 0, 3)),
+            "net 0 guide box (0, 0, 0, 3) is not five integers",
+        ),
+    ],
+)
+@pytest.mark.parametrize("arm", [route_all, run_baseline])
+def test_routing_entry_points_reject_non_integer_coordinates(arm, edit, message):
+    # A layout built in code skips the parser's type tests, so validate
+    # must name each of these; unchecked, they crash both arms.
+    layout = guided_layout()
+    assert validate(layout) == []
+    edit(layout)
+    assert validate(layout) == [message]
+    with pytest.raises(LayoutError) as info:
+        arm(layout)
+    assert str(info.value) == message

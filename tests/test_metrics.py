@@ -7,9 +7,8 @@ from tplroute.metrics import ScoreReport, compare, report_to_dict, score
 from tplroute.router import RouteTree, route_net
 
 
-def make_tree(net_id, path, color):
+def make_tree(path, color):
     return RouteTree(
-        net_id=net_id,
         paths=[path],
         vertex_colors={v: color for v in path},
         stitches=[],
@@ -31,7 +30,7 @@ def test_single_clean_net_costs_alpha_times_length():
     rules = DesignRules(alpha=1.5)
     grid = empty_grid(6, 1, ("H",), rules)
     path = [(x, 0, 0) for x in range(6)]
-    tree = make_tree(0, path, Color.RED)
+    tree = make_tree(path, Color.RED)
     grid.commit_route(0, sorted(tree.vertex_colors.items()))
     report = score(grid, {0: tree}, rules)
     assert report.conflicts == 0 and report.stitches == 0
@@ -42,7 +41,7 @@ def test_wirelength_priced_by_the_rules_passed_in():
     # One preferred step, one wrong-way step and one via, scored under rules
     # other than the grid's: every term comes from the rules argument.
     grid = empty_grid(3, 3, ("H", "V"))
-    tree = make_tree(0, [(0, 0, 0), (1, 0, 0), (1, 1, 0), (1, 1, 1)], Color.RED)
+    tree = make_tree([(0, 0, 0), (1, 0, 0), (1, 1, 0), (1, 1, 1)], Color.RED)
     grid.commit_route(0, sorted(tree.vertex_colors.items()))
     rules = DesignRules(alpha=2.0, via_cost=100.0, wrong_way_cost=50.0)
     report = score(grid, {0: tree}, rules)
@@ -54,17 +53,17 @@ def test_clean_solution_dominates_forced_conflicts():
     rules = DesignRules(d_color=2)
     # tight: two parallel same-color wires one track apart
     tight = empty_grid(6, 6, ("H",), rules)
-    t0 = make_tree(0, [(x, 2, 0) for x in range(6)], Color.RED)
-    t1 = make_tree(1, [(x, 3, 0) for x in range(6)], Color.RED)
-    for t in (t0, t1):
-        tight.commit_route(t.net_id, sorted(t.vertex_colors.items()))
+    t0 = make_tree([(x, 2, 0) for x in range(6)], Color.RED)
+    t1 = make_tree([(x, 3, 0) for x in range(6)], Color.RED)
+    for net_id, t in enumerate((t0, t1)):
+        tight.commit_route(net_id, sorted(t.vertex_colors.items()))
     tight_report = score(tight, {0: t0, 1: t1}, rules)
 
     clean = empty_grid(6, 6, ("H",), rules)
-    c0 = make_tree(0, [(x, 2, 0) for x in range(6)], Color.RED)
-    c1 = make_tree(1, [(x, 3, 0) for x in range(6)], Color.GREEN)
-    for t in (c0, c1):
-        clean.commit_route(t.net_id, sorted(t.vertex_colors.items()))
+    c0 = make_tree([(x, 2, 0) for x in range(6)], Color.RED)
+    c1 = make_tree([(x, 3, 0) for x in range(6)], Color.GREEN)
+    for net_id, t in enumerate((c0, c1)):
+        clean.commit_route(net_id, sorted(t.vertex_colors.items()))
     clean_report = score(clean, {0: c0, 1: c1}, rules)
 
     assert clean_report.conflicts < tight_report.conflicts

@@ -6,7 +6,7 @@ import pytest
 from instances import congested_layout, empty_grid
 from tplroute.baseline import run_baseline
 from tplroute.color_state import Color
-from tplroute.layout import DesignRules, Layer, Layout, Net, Pin, load_layout
+from tplroute.layout import DesignRules, Layout, Net, Pin, load_layout
 from tplroute.negotiation import detect_conflicts, net_order_key, route_all
 from tplroute.router import UnroutableError
 
@@ -60,20 +60,20 @@ def test_each_pair_reported_once():
 
 
 def test_net_order_key():
-    small = Net(id=5, name="s", pins=[Pin(5, [(0, 0, 0)]), Pin(5, [(1, 0, 0)])])
-    wide = Net(id=1, name="w", pins=[Pin(1, [(0, 0, 0)]), Pin(1, [(7, 7, 0)])])
-    many = Net(id=0, name="m", pins=[Pin(0, [(0, 0, 0)]), Pin(0, [(1, 0, 0)]), Pin(0, [(2, 0, 0)])])
+    small = Net(id=5, name="s", pins=[Pin([(0, 0, 0)]), Pin([(1, 0, 0)])])
+    wide = Net(id=1, name="w", pins=[Pin([(0, 0, 0)]), Pin([(7, 7, 0)])])
+    many = Net(id=0, name="m", pins=[Pin([(0, 0, 0)]), Pin([(1, 0, 0)]), Pin([(2, 0, 0)])])
     ordered = sorted([many, wide, small], key=net_order_key)
     assert [n.id for n in ordered] == [5, 1, 0]
 
 
 def test_conflict_free_instance_single_iteration():
     layout = Layout(
-        width=8, height=8, layers=[Layer(0, "H"), Layer(1, "V")],
+        width=8, height=8, layers=["H", "V"],
         rules=DesignRules(),
         nets=[
-            Net(id=0, name="a", pins=[Pin(0, [(0, 0, 0)]), Pin(0, [(7, 0, 0)])]),
-            Net(id=1, name="b", pins=[Pin(1, [(0, 7, 0)]), Pin(1, [(7, 7, 0)])]),
+            Net(id=0, name="a", pins=[Pin([(0, 0, 0)]), Pin([(7, 0, 0)])]),
+            Net(id=1, name="b", pins=[Pin([(0, 7, 0)]), Pin([(7, 7, 0)])]),
         ],
     )
     result = route_all(layout)
@@ -88,18 +88,18 @@ def test_contention_resolves_within_iterations():
     first = len(result.iterations[0].conflicts)
     final = len(result.iterations[-1].conflicts)
     assert final <= first
-    assert result.iterations[-1].index < layout.rules.max_iterations
+    assert len(result.iterations) <= layout.rules.max_iterations
 
 
 def test_max_iterations_one_returns_conflicts_without_error():
     # gamma = 0 blinds the router to colors, so parallel nets all pick RED
     rules = DesignRules(gamma=0.0, max_iterations=1)
     layout = Layout(
-        width=6, height=4, layers=[Layer(0, "H")],
+        width=6, height=4, layers=["H"],
         rules=rules,
         nets=[
-            Net(id=0, name="a", pins=[Pin(0, [(0, 1, 0)]), Pin(0, [(5, 1, 0)])]),
-            Net(id=1, name="b", pins=[Pin(1, [(0, 2, 0)]), Pin(1, [(5, 2, 0)])]),
+            Net(id=0, name="a", pins=[Pin([(0, 1, 0)]), Pin([(5, 1, 0)])]),
+            Net(id=1, name="b", pins=[Pin([(0, 2, 0)]), Pin([(5, 2, 0)])]),
         ],
     )
     result = route_all(layout)
@@ -110,9 +110,9 @@ def test_max_iterations_one_returns_conflicts_without_error():
 def test_reroutes_touch_only_offenders():
     layout = congested_layout(2)
     result = route_all(layout)
-    for report in result.iterations[1:]:
+    for previous, report in zip(result.iterations, result.iterations[1:]):
         previous_offenders = set()
-        for c in result.iterations[report.index - 1].conflicts:
+        for c in previous.conflicts:
             previous_offenders |= {c.net_a, c.net_b}
         assert set(report.nets_rerouted) <= previous_offenders
 
@@ -139,11 +139,11 @@ def test_unroutable_run_keeps_blockers():
     # Two nets must both cross the single gap at (2, 1): each rescue hands
     # the gap to the other net until the rescue budget runs out.
     layout = Layout(
-        width=5, height=3, layers=[Layer(0, "H")], rules=DesignRules(),
+        width=5, height=3, layers=["H"], rules=DesignRules(),
         obstacles={(2, 0, 0), (2, 2, 0)},
         nets=[
-            Net(0, "a", [Pin(0, [(0, 0, 0)]), Pin(0, [(4, 0, 0)])]),
-            Net(1, "b", [Pin(1, [(0, 2, 0)]), Pin(1, [(4, 2, 0)])]),
+            Net(0, "a", [Pin([(0, 0, 0)]), Pin([(4, 0, 0)])]),
+            Net(1, "b", [Pin([(0, 2, 0)]), Pin([(4, 2, 0)])]),
         ],
     )
     with pytest.raises(UnroutableError) as exc_info:

@@ -97,7 +97,7 @@ def routed_outcome(params):
     return (
         "routed",
         trees(result.routes),
-        [(it.index, it.conflicts, it.stitch_count, it.nets_rerouted) for it in result.iterations],
+        [(i, it.conflicts, it.stitch_count, it.nets_rerouted) for i, it in enumerate(result.iterations)],
         sorted(result.grid.committed.items()),
         list(result.grid.history),
     )

@@ -1,7 +1,7 @@
 from xml.etree import ElementTree
 
 from instances import congested_layout
-from tplroute.layout import DesignRules, Layer, Layout, Net, Pin
+from tplroute.layout import DesignRules, Layout, Net, Pin
 from tplroute.negotiation import detect_conflicts, route_all
 from tplroute.render import render_layers
 
@@ -35,11 +35,11 @@ def test_conflicts_drawn_as_stars():
     # gamma = 0 with a single iteration leaves the two parallel nets both RED
     rules = DesignRules(gamma=0.0, max_iterations=1)
     layout = Layout(
-        width=6, height=4, layers=[Layer(0, "H")],
+        width=6, height=4, layers=["H"],
         rules=rules,
         nets=[
-            Net(id=0, name="a", pins=[Pin(0, [(0, 1, 0)]), Pin(0, [(5, 1, 0)])]),
-            Net(id=1, name="b", pins=[Pin(1, [(0, 2, 0)]), Pin(1, [(5, 2, 0)])]),
+            Net(id=0, name="a", pins=[Pin([(0, 1, 0)]), Pin([(5, 1, 0)])]),
+            Net(id=1, name="b", pins=[Pin([(0, 2, 0)]), Pin([(5, 2, 0)])]),
         ],
     )
     result = route_all(layout)

@@ -21,7 +21,7 @@ from tplroute.baseline import run_baseline
 from tplroute.color_state import COLOR_ORDER, Color, cardinality, pick_final
 from tplroute.grid import VIA_DIRECTIONS, CollisionError, Direction, Grid
 from tplroute.generate import InfeasiblePlacementError, generate_instance
-from tplroute.layout import DesignRules, Layer, Layout, Net, Pin, layout_from_dict, layout_to_dict
+from tplroute.layout import DesignRules, Layout, Net, Pin, layout_from_dict, layout_to_dict
 from tplroute.negotiation import net_order_key, route_all
 from tplroute.router import (
     SearchExhaustedError,
@@ -49,7 +49,7 @@ def independent_stitch_recount(vertex_colors):
 
 def test_single_pin_net_empty_tree():
     grid = empty_grid(4, 4, ("H",))
-    net = Net(id=0, name="n", pins=[Pin(0, [(1, 1, 0)])])
+    net = Net(id=0, name="n", pins=[Pin([(1, 1, 0)])])
     tree = route_net(net, grid)
     assert tree.paths == []
     assert tree.vertex_colors == {}
@@ -77,8 +77,8 @@ def test_multi_vertex_pin_covers():
     # start from whichever cover vertex wins; stop at any vertex of the target cover
     grid = empty_grid(7, 3, ("H",))
     net = Net(id=0, name="n", pins=[
-        Pin(0, [(0, 0, 0), (0, 2, 0)]),
-        Pin(0, [(6, 0, 0), (6, 1, 0), (6, 2, 0)]),
+        Pin([(0, 0, 0), (0, 2, 0)]),
+        Pin([(6, 0, 0), (6, 1, 0), (6, 2, 0)]),
     ])
     grid = register_pins(grid, net)
     tree = route_net(net, grid)
@@ -91,7 +91,7 @@ def test_multi_vertex_pin_covers():
 def test_three_pin_second_path_starts_on_tree():
     grid = empty_grid(7, 5, ("H",))
     net = Net(id=0, name="n", pins=[
-        Pin(0, [(0, 2, 0)]), Pin(0, [(6, 2, 0)]), Pin(0, [(3, 4, 0)]),
+        Pin([(0, 2, 0)]), Pin([(6, 2, 0)]), Pin([(3, 4, 0)]),
     ])
     grid = register_pins(grid, net)
     tree = route_net(net, grid)
@@ -194,7 +194,7 @@ class TestBacktraceSegSets:
         # Pin 1 sits at the path's end and pin 2 on its way: backtrace marks
         # every pin the traced vertex ids cover, not only the one reached.
         grid = empty_grid(5, 1, ("H",))
-        net = Net(id=0, name="n", pins=[Pin(0, [(0, 0, 0)]), Pin(0, [(4, 0, 0)]), Pin(0, [(2, 0, 0)])])
+        net = Net(id=0, name="n", pins=[Pin([(0, 0, 0)]), Pin([(4, 0, 0)]), Pin([(2, 0, 0)])])
         grid = register_pins(grid, net)
         queue = SolutionQueue(grid, net)
         label = None
@@ -763,7 +763,7 @@ def test_one_pin_net_refuses_an_off_grid_pin_too():
     # A one-pin net takes the same path as any other, so its pin is checked.
     grid = empty_grid(4, 4, ("H",))
     with pytest.raises(ValueError, match=r"net 0 pin 0 vertex \(9, 9, 0\) is off the grid"):
-        route_net(Net(0, "n", [Pin(0, [(9, 9, 0)])]), grid)
+        route_net(Net(0, "n", [Pin([(9, 9, 0)])]), grid)
 
 
 def _reference_wall_blockers(queue, grid, net, remaining):
@@ -814,11 +814,11 @@ def test_wall_blockers_match_neighbors_walk(monkeypatch):
     monkeypatch.setattr(SolutionQueue, "__init__", noting_init)
     monkeypatch.setattr(router, "_wall_blockers", checked)
     gap = Layout(
-        width=5, height=3, layers=[Layer(0, "H")], rules=DesignRules(),
+        width=5, height=3, layers=["H"], rules=DesignRules(),
         obstacles={(2, 0, 0), (2, 2, 0)},
         nets=[
-            Net(0, "a", [Pin(0, [(0, 0, 0)]), Pin(0, [(4, 0, 0)])]),
-            Net(1, "b", [Pin(1, [(0, 2, 0)]), Pin(1, [(4, 2, 0)])]),
+            Net(0, "a", [Pin([(0, 0, 0)]), Pin([(4, 0, 0)])]),
+            Net(1, "b", [Pin([(0, 2, 0)]), Pin([(4, 2, 0)])]),
         ],
     )
     runs = [(route_all, gap)]
