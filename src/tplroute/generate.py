@@ -54,20 +54,20 @@ def generate_instance(
     }
 
     span = min(width, max(3, round(width * (0.4 + 0.5 * congestion))))
+    randrange, randint = rng.randrange, rng.randint
     used: set[Vertex] = set()
     nets = []
     for n in range(num_nets):
-        band_center = rng.randrange(height)
-        x_start = rng.randrange(max(1, width - span + 1))
+        band_center = randrange(height)
+        x_start = randrange(max(1, width - span + 1))
         pins = []
         for _ in range(pins_per_net):
             for _ in range(PLACEMENT_RETRIES):
-                y = band_center + rng.randint(-BAND_HALF_HEIGHT, BAND_HALF_HEIGHT)
-                v = (
-                    x_start + rng.randrange(span),
-                    max(0, min(height - 1, y)),
-                    rng.randrange(layers),
-                )
+                # Row, then column, then layer: the pinned draws depend on
+                # this order of calls on rng.
+                y = band_center + randint(-BAND_HALF_HEIGHT, BAND_HALF_HEIGHT)
+                y = 0 if y < 0 else height - 1 if y >= height else y
+                v = (x_start + randrange(span), y, randrange(layers))
                 if v not in obstacles and v not in used:
                     break
             else:

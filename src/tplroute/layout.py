@@ -140,14 +140,18 @@ def _require(obj: Any, key: str, where: str) -> Any:
     return obj[key]
 
 
-def _vertex(raw: Any, where: str) -> Vertex:
-    if not isinstance(raw, (list, tuple)) or len(raw) != 3:
-        raise LayoutError(f"bad vertex {raw!r} in {where}")
-    x, y, l = raw
-    # Exact type tests: they reject booleans and keep parsing cheap.
-    if type(x) is not int or type(y) is not int or type(l) is not int:
-        raise LayoutError(f"non-integer vertex {raw!r} in {where}")
-    return (x, y, l)
+def _vertices(raw: Any, where: str) -> list[Vertex]:
+    """The (x, y, l) tuples of a JSON array of vertices, in order."""
+    vertices = []
+    for v in _array(raw, where):
+        if not isinstance(v, (list, tuple)) or len(v) != 3:
+            raise LayoutError(f"bad vertex {v!r} in {where}")
+        x, y, l = v
+        # Exact type tests: they reject booleans and keep parsing cheap.
+        if type(x) is not int or type(y) is not int or type(l) is not int:
+            raise LayoutError(f"non-integer vertex {v!r} in {where}")
+        vertices.append((x, y, l))
+    return vertices
 
 
 def _integer(raw: Any, what: str) -> int:
@@ -176,7 +180,7 @@ def layout_from_dict(data: dict) -> Layout:
         }
     )
 
-    obstacles = {_vertex(o, "obstacles") for o in _array(data.get("obstacles", []), "obstacles")}
+    obstacles = set(_vertices(data.get("obstacles", []), "obstacles"))
 
     nets = []
     for raw_net in _array(_require(data, "nets", "layout"), "nets"):
@@ -187,9 +191,7 @@ def layout_from_dict(data: dict) -> Layout:
         pins = []
         raw_pins = _array(_require(raw_net, "pins", f"net {net_id}"), f"net {net_id} pins")
         for p, raw_pin in enumerate(raw_pins):
-            where = f"net {net_id} pin {p}"
-            cover = [_vertex(v, where) for v in _array(raw_pin, where)]
-            pins.append(Pin(cover))
+            pins.append(Pin(_vertices(raw_pin, f"net {net_id} pin {p}")))
         guide = None
         raw_guide = raw_net.get("guide")
         if raw_guide is not None and _array(raw_guide, f"net {net_id} guide"):
@@ -256,12 +258,13 @@ def validate(layout: Layout) -> list[str]:
     problems.extend(_rule_problems(layout.rules))
 
     # A vertex is a tuple of three ints, tested inline with exact types as
-    # in _vertex, before any bounds test unpacks or compares it.
+    # the parser does, before the inline bounds test compares it.
+    width, height, num_layers = layout.width, layout.height, layout.num_layers
     malformed, out_of_bounds = [], []
     for o in layout.obstacles:
         if type(o) is not tuple or len(o) != 3 or not (type(o[0]) is type(o[1]) is type(o[2]) is int):
             malformed.append(o)
-        elif not layout.in_bounds(o):
+        elif not (0 <= o[0] < width and 0 <= o[1] < height and 0 <= o[2] < num_layers):
             out_of_bounds.append(o)
     for o in sorted(malformed, key=repr):
         problems.append(f"obstacle {o!r} is not a tuple of three integers")
@@ -271,9 +274,16 @@ def validate(layout: Layout) -> list[str]:
     seen_ids: set[int] = set()
     pin_claims: dict[Vertex, int] = {}
     for net in layout.nets:
-        if net.id in seen_ids:
+        # An id that is not an integer may be unhashable or unordered, so
+        # it gets no duplicate test (and would break net_order_key).
+        if not _is_int(net.id):
+            problems.append(f"net id must be an integer, got {net.id!r}")
+        elif net.id in seen_ids:
             problems.append(f"duplicate net id {net.id}")
-        seen_ids.add(net.id)
+        else:
+            seen_ids.add(net.id)
+        if not isinstance(net.name, str):
+            problems.append(f"net {net.id} name must be a string, got {net.name!r}")
         if not net.pins:
             problems.append(f"net {net.id} has no pins")
         for p, pin in enumerate(net.pins):
@@ -282,7 +292,7 @@ def validate(layout: Layout) -> list[str]:
             for v in pin.covered_vertices:
                 if type(v) is not tuple or len(v) != 3 or not (type(v[0]) is type(v[1]) is type(v[2]) is int):
                     problems.append(f"net {net.id} pin {p} vertex {v!r} is not a tuple of three integers")
-                elif not layout.in_bounds(v):
+                elif not (0 <= v[0] < width and 0 <= v[1] < height and 0 <= v[2] < num_layers):
                     problems.append(f"net {net.id} pin {p} vertex {v} out of bounds")
                 elif v in layout.obstacles:
                     problems.append(f"net {net.id} pin {p} vertex {v} sits on an obstacle")

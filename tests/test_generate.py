@@ -4,7 +4,7 @@ import json
 import pytest
 
 from tplroute.generate import InfeasiblePlacementError, generate_instance
-from tplroute.layout import DesignRules, layout_to_dict, validate
+from tplroute.layout import DesignRules, layout_from_dict, layout_to_dict, validate
 
 
 def test_generated_instance_validates():
@@ -99,7 +99,8 @@ def test_narrow_grids_place_pins_on_the_grid(width, height):
 # perfbench's workload shapes (desk, corridor, tight; see
 # perfbench/workloads.py), copied here so the draws are pinned without
 # routing them. Each digest is over the sorted-key JSON of seeds 0-9, one
-# line per draw.
+# line per draw. Each draw is also reloaded through the parser, as
+# perfbench loads it, and must serialize back to the same line.
 DRAW_DIGESTS = {
     (12, 0.6, 2): "57f986e14102bc96039e3dc13407e12e297a5d0ad919503e073017e30752afde",
     (24, 0.5, 2): "55dfe81d258b36d5db8786493065e172a561a000637d2f87718fac0cf91982c0",
@@ -115,5 +116,8 @@ def test_generated_draws_pinned(side, congestion, d_color):
             seed=seed, width=side, height=side, layers=2, num_nets=8,
             pins_per_net=4, congestion=congestion, rules=DesignRules(d_color=d_color),
         )
-        digest.update(json.dumps(layout_to_dict(layout), sort_keys=True).encode() + b"\n")
+        line = json.dumps(layout_to_dict(layout), sort_keys=True)
+        reloaded = layout_from_dict(json.loads(line))
+        assert json.dumps(layout_to_dict(reloaded), sort_keys=True) == line, seed
+        digest.update(line.encode() + b"\n")
     assert digest.hexdigest() == DRAW_DIGESTS[side, congestion, d_color]

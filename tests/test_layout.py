@@ -497,3 +497,87 @@ def test_routing_entry_points_reject_non_integer_coordinates(arm, edit, message)
     with pytest.raises(LayoutError) as info:
         arm(layout)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "edit, messages",
+    [
+        (lambda lay: setattr(lay.nets[0], "id", None), ["net id must be an integer, got None"]),
+        (lambda lay: setattr(lay.nets[0], "id", "x"), ["net id must be an integer, got 'x'"]),
+        (lambda lay: setattr(lay.nets[0], "id", [1]), ["net id must be an integer, got [1]"]),
+        (lambda lay: setattr(lay.nets[1], "id", True), ["net id must be an integer, got True"]),
+        (lambda lay: setattr(lay.nets[0], "name", 5), ["net 0 name must be a string, got 5"]),
+        (
+            # Two bad ids are each named once, and not as duplicates.
+            lambda lay: [setattr(net, "id", None) for net in lay.nets],
+            ["net id must be an integer, got None"] * 2,
+        ),
+    ],
+)
+@pytest.mark.parametrize("arm", [route_all, run_baseline])
+def test_routing_entry_points_reject_bad_net_id_or_name(arm, edit, messages):
+    # Unchecked, a bad id crashed both arms in their sort by net_order_key
+    # (or validate itself, unhashable), and a bad name saved a file that
+    # load_layout rejects.
+    layout = guided_layout()
+    edit(layout)
+    assert validate(layout) == messages
+    with pytest.raises(LayoutError) as info:
+        arm(layout)
+    assert str(info.value) == "; ".join(messages)
+
+
+def reference_vertex(raw, where):
+    """The parser's former per-vertex check: the reference its one-pass walk must match."""
+    if not isinstance(raw, (list, tuple)) or len(raw) != 3:
+        raise LayoutError(f"bad vertex {raw!r} in {where}")
+    x, y, l = raw
+    if type(x) is not int or type(y) is not int or type(l) is not int:
+        raise LayoutError(f"non-integer vertex {raw!r} in {where}")
+    return (x, y, l)
+
+
+# JSON-like vertex entries. Integer coordinates stay in 0..1: on the 4x4x2
+# grid of minimal_dict and off the test's pins at x = 3, so a list the
+# parser accepts always validates too.
+coordinates = st.one_of(
+    st.integers(0, 1), st.booleans(), st.floats(), st.none(), st.text(max_size=2),
+    st.lists(st.integers(0, 1), max_size=3),
+)
+vertex_entries = st.one_of(
+    st.tuples(st.integers(0, 1), st.integers(0, 1), st.integers(0, 1)).map(list),
+    # Three entries that pass the length test but may fail the type test.
+    st.lists(st.one_of(st.integers(0, 1), st.booleans(), st.just(1.0)), min_size=3, max_size=3),
+    coordinates,
+    st.lists(coordinates, max_size=4),
+    st.lists(coordinates, max_size=4).map(tuple),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    entries=st.lists(vertex_entries, min_size=1, max_size=5),
+    where=st.sampled_from(["obstacles", "net 0 pin 0"]),
+)
+def test_vertex_arrays_parse_like_the_per_vertex_check(entries, where):
+    data = minimal_dict()
+    data["nets"][0]["pins"] = [[[3, 3, 0]], [[3, 2, 0]]]
+    if where == "obstacles":
+        data["obstacles"] = entries
+    else:
+        data["nets"][0]["pins"][0] = entries
+    try:
+        expected = [reference_vertex(v, where) for v in entries]
+    except LayoutError as exc:
+        with pytest.raises(LayoutError) as info:
+            layout_from_dict(data)
+        assert str(info.value) == str(exc)
+        return
+    layout = layout_from_dict(data)
+    if where == "obstacles":
+        parsed = sorted(layout.obstacles)
+        expected = sorted(set(expected))
+    else:
+        parsed = layout.nets[0].pins[0].covered_vertices
+    assert parsed == expected
+    assert all(type(v) is tuple for v in parsed)
