@@ -19,7 +19,7 @@ from pathlib import Path
 from .baseline import run_baseline
 from .color_state import COLOR_LETTERS
 from .generate import InfeasiblePlacementError, generate_instance
-from .grid import CollisionError, Grid
+from .grid import CollisionError
 from .layout import (
     RULE_TYPES,
     DesignRules,
@@ -117,7 +117,7 @@ def _run_single(layout: Layout, args: argparse.Namespace) -> None:
         f"{args.output}.routes.json", routes_to_dict(result.routes, report, layout.rules, method)
     )
     if args.render:
-        _write_render(args.output, layout, result.grid, result.routes, report.conflict_list)
+        _write_render(args.output, layout, result.routes, report.conflict_list)
 
 
 def _run_compare(layout: Layout, args: argparse.Namespace) -> None:
@@ -130,7 +130,7 @@ def _run_compare(layout: Layout, args: argparse.Namespace) -> None:
     }
     _write_json(f"{args.output}.compare.json", payload)
     if args.render:
-        _write_render(args.output, layout, ours.grid, ours.routes, ours_report.conflict_list)
+        _write_render(args.output, layout, ours.routes, ours_report.conflict_list)
 
 
 def iteration_to_dict(index: int, it: IterationReport) -> dict:
@@ -171,11 +171,10 @@ def routes_to_dict(
 def _write_render(
     prefix: str,
     layout: Layout,
-    grid: Grid,
     routes: dict[int, RouteTree],
     conflicts: list[Conflict],
 ) -> None:
-    for layer, svg in render_layers(layout, grid, routes, conflicts).items():
+    for layer, svg in render_layers(layout, routes, conflicts).items():
         Path(f"{prefix}.layer{layer}.svg").write_text(svg)
 
 

@@ -88,30 +88,28 @@ def route_batch(
     """
     by_id = {n.id: n for n in all_nets}
     pending = deque(nets)
-    queued = {n.id for n in nets}
     rescues: dict[int, int] = {}
     touched: set[int] = set()
     while pending:
         net = pending.popleft()
-        queued.discard(net.id)
         grid.rip_up(net.id)
         routes.pop(net.id, None)
         try:
             tree = route_net(net, grid)
         except UnroutableError as exc:
             used = rescues.get(net.id, 0)
-            blockers = sorted(b for b in exc.blocked_nets if b in by_id)
+            blockers = sorted({b for b in exc.wall.values() if b in by_id})
             if used >= MAX_RESCUES_PER_NET or not blockers:
                 raise
             rescues[net.id] = used + 1
-            for v in sorted(exc.blocked_vertices):
+            for v in sorted(exc.wall):
                 grid.add_history(v, grid.rules.history_increment)
             for b in blockers:
                 grid.rip_up(b)
                 routes.pop(b, None)
-            requeue = [net] + [by_id[b] for b in blockers if b not in queued]
-            pending.extendleft(reversed(requeue))
-            queued.update(n.id for n in requeue)
+            # A blocker still pending is ripped up but keeps its one place.
+            queued = {n.id for n in pending}
+            pending.extendleft(reversed([net] + [by_id[b] for b in blockers if b not in queued]))
             continue
         routes[net.id] = tree
         grid.commit_route(net.id, sorted(tree.vertex_colors.items()))
@@ -137,7 +135,7 @@ def route_all(layout: Layout) -> RoutingResult:
         try:
             routed_now = route_batch(grid, to_route, routes, ordered)
         except UnroutableError as exc:
-            exc.args = (f"iteration {iteration}: {exc}",)
+            exc.iteration = iteration
             raise
         conflicts = detect_conflicts(grid, layout.rules)
         stitch_count = sum(len(t.stitches) for t in routes.values())

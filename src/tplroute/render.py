@@ -4,7 +4,6 @@ diamonds, conflicts as yellow stars, obstacles gray, pins outlined."""
 from __future__ import annotations
 
 from .color_state import Color
-from .grid import Grid
 from .layout import Layout, Vertex
 from .negotiation import Conflict
 from .router import RouteTree
@@ -17,13 +16,12 @@ FILL = {Color.RED: "#d64541", Color.GREEN: "#2e9e5b", Color.BLUE: "#3a6fd8"}
 
 def render_layers(
     layout: Layout,
-    grid: Grid,
     routes: dict[int, RouteTree],
     conflicts: list[Conflict],
 ) -> dict[int, str]:
     """SVG text per layer index."""
     return {
-        l: _render_layer(layout, grid, routes, conflicts, l)
+        l: _render_layer(layout, routes, conflicts, l)
         for l in range(layout.num_layers)
     }
 
@@ -34,7 +32,6 @@ def _xy(v: Vertex) -> tuple[float, float]:
 
 def _render_layer(
     layout: Layout,
-    grid: Grid,
     routes: dict[int, RouteTree],
     conflicts: list[Conflict],
     layer: int,
@@ -46,7 +43,7 @@ def _render_layer(
         f'viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
         f'<text x="{MARGIN}" y="{MARGIN - 6}" font-size="10" fill="#555">'
-        f"layer {layer} ({grid.layer_dirs[layer]})</text>",
+        f"layer {layer} ({layout.layers[layer]})</text>",
     ]
 
     # faint grid dots

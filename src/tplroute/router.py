@@ -131,23 +131,24 @@ class SearchExhaustedError(RuntimeError):
 class UnroutableError(RuntimeError):
     """A net could not be completed.
 
-    blocked_nets names the committed nets walling off the search frontier,
-    so a caller can rip them up and retry.
+    remaining_pins lists the pins the search never reached, and wall maps
+    each committed vertex walling them off to the net holding it, so a
+    caller can rip those nets up and retry. These three are the
+    exception's args, so it pickles and copies. route_all sets iteration,
+    which prefixes the message.
     """
 
-    def __init__(
-        self,
-        net_id: int,
-        remaining_pins: list[int],
-        message: str,
-        blocked_nets: set[int] | None = None,
-        blocked_vertices: set[Vertex] | None = None,
-    ):
-        super().__init__(message)
+    iteration: int | None = None
+
+    def __init__(self, net_id: int, remaining_pins: list[int], wall: dict[Vertex, int]):
+        super().__init__(net_id, remaining_pins, wall)
         self.net_id = net_id
         self.remaining_pins = remaining_pins
-        self.blocked_nets = blocked_nets or set()
-        self.blocked_vertices = blocked_vertices or set()
+        self.wall = wall
+
+    def __str__(self) -> str:
+        prefix = "" if self.iteration is None else f"iteration {self.iteration}: "
+        return f"{prefix}net {self.net_id}: pins {self.remaining_pins} unreachable"
 
 
 # (cost, vid, dir_key, seq, state, prev): see the module docstring.
@@ -628,14 +629,7 @@ def route_net(net: Net, grid: Grid, *, two_pin_mode: bool = False) -> RouteTree:
             dst = color_state_search(queue)
         except SearchExhaustedError:
             remaining = sorted(set(range(total_pins)) - queue.connected)
-            wall_nets, wall_vertices = _wall_blockers(queue, net, remaining)
-            raise UnroutableError(
-                net.id,
-                remaining,
-                f"net {net.id}: pins {remaining} unreachable",
-                blocked_nets=wall_nets,
-                blocked_vertices=wall_vertices,
-            ) from None
+            raise UnroutableError(net.id, remaining, _wall_blockers(queue, net.id, remaining)) from None
         tree.paths.append(backtrace(queue, dst, tree, freeze=two_pin_mode))
         tree.total_cost += dst[0]
 
@@ -689,8 +683,8 @@ def _region_wall(queue: SolutionQueue, region, net_id: int) -> dict[int, int]:
     return wall
 
 
-def _wall_blockers(queue: SolutionQueue, net: Net, remaining: list[int]) -> tuple[set[int], set[Vertex]]:
-    """Nets and vertices walling the unreached pins off from the search.
+def _wall_blockers(queue: SolutionQueue, net_id: int, remaining: list[int]) -> dict[Vertex, int]:
+    """The committed vertices walling the unreached pins off from the search, to their owners.
 
     Flood-fills the pocket still reachable from the stranded pins; the
     separating wall is committed by nets adjacent to both that pocket and
@@ -700,8 +694,7 @@ def _wall_blockers(queue: SolutionQueue, net: Net, remaining: list[int]) -> tupl
     """
     moves, settled = queue.moves, queue.settled
     keep_out = -math.inf
-    pins = (queue._vid(v) for idx in remaining for v in net.pins[idx].covered_vertices)
-    stack = [vid for vid in pins if settled[vid] != keep_out]
+    stack = [vid for idx in remaining for vid in queue.pin_vids[idx] if settled[vid] != keep_out]
     pocket = set(stack)
     while stack:
         v = stack.pop()
@@ -710,14 +703,14 @@ def _wall_blockers(queue: SolutionQueue, net: Net, remaining: list[int]) -> tupl
             if settled[t] != keep_out and t not in pocket:
                 pocket.add(t)
                 stack.append(t)
-    pocket_side = _region_wall(queue, pocket, net.id)
-    search_side = _region_wall(queue, (vid for vid, held in enumerate(queue.live) if held is not None), net.id)
+    pocket_side = _region_wall(queue, pocket, net_id)
+    search_side = _region_wall(queue, (vid for vid, held in enumerate(queue.live) if held is not None), net_id)
     shared = pocket_side.keys() & search_side.keys()
     if shared:
         wall = {t: pocket_side[t] for t in shared}
     else:
         wall = pocket_side | search_side
-    return set(wall.values()), {queue.vertices[t] for t in wall}
+    return {queue.vertices[t]: owner for t, owner in wall.items()}
 
 
 def finalize_colors(queue: SolutionQueue, tree: _TreeBuilder) -> RouteTree:

@@ -170,6 +170,30 @@ def test_error_json_without_input(tmp_path, capsys):
     assert err == {"error": "LayoutError", "message": "mode route needs --input"}
 
 
+
+@pytest.mark.parametrize(
+    "mode, message",
+    [
+        ("route", "iteration 0: net 3: pins [2] unreachable"),
+        ("baseline", "net 3: pins [2] unreachable"),
+    ],
+)
+def test_unroutable_net_is_an_error_json(tmp_path, capsys, mode, message):
+    # No committed net walls in net 3 of this draw, so no rescue can help;
+    # the run fails and writes no report.
+    path = tmp_path / "s2.json"
+    gen = [
+        "--seed", "2", "--width", "12", "--height", "12",
+        "--num-nets", "8", "--pins-per-net", "4", "--congestion", "0.6",
+    ]
+    assert main(["--mode", "generate", "--output", str(path), *gen]) == 0
+    capsys.readouterr()
+    assert main(["--mode", mode, "--input", str(path), "--output", str(tmp_path / "x")]) == 1
+    out, err = capsys.readouterr()
+    assert err == json.dumps({"error": "UnroutableError", "message": message}) + "\n"
+    assert out == ""
+    assert not (tmp_path / "x.report.json").exists()
+
 def test_error_json_on_wrong_json_type(tmp_path):
     data = json.loads(DEMO.read_text())
     data["nets"][0]["pins"] = 5

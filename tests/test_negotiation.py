@@ -1,13 +1,19 @@
 from dataclasses import replace
 from pathlib import Path
 
+import copy
+import pickle
+
 import pytest
 
 from instances import congested_layout, empty_grid
+from tplroute import negotiation
 from tplroute.baseline import run_baseline
 from tplroute.color_state import Color
+from tplroute.generate import generate_instance
+from tplroute.grid import Grid
 from tplroute.layout import DesignRules, Layout, Net, Pin, load_layout
-from tplroute.negotiation import detect_conflicts, net_order_key, route_all
+from tplroute.negotiation import detect_conflicts, net_order_key, route_all, route_batch
 from tplroute.router import UnroutableError
 
 DEMO_2NET = Path(__file__).resolve().parent.parent / "data" / "demo_2net.json"
@@ -135,25 +141,76 @@ def test_routes_commit_matches_grid():
         assert committed_by_net.get(net_id, {}) == tree.vertex_colors
 
 
-def test_unroutable_run_keeps_blockers():
-    # Two nets must both cross the single gap at (2, 1): each rescue hands
-    # the gap to the other net until the rescue budget runs out.
-    layout = Layout(
-        width=5, height=3, layers=["H"], rules=DesignRules(),
-        obstacles={(2, 0, 0), (2, 2, 0)},
+def two_net_layout(obstacles):
+    """Net 0 from (0, 0) to (4, 0) and net 1 from (0, 2) to (4, 2) on one 5x3 layer."""
+    return Layout(
+        width=5, height=3, layers=["H"], rules=DesignRules(), obstacles=obstacles,
         nets=[
             Net(0, "a", [Pin([(0, 0, 0)]), Pin([(4, 0, 0)])]),
             Net(1, "b", [Pin([(0, 2, 0)]), Pin([(4, 2, 0)])]),
         ],
     )
+
+
+def test_unroutable_run_keeps_blockers():
+    # Two nets must both cross the single gap at (2, 1): each rescue hands
+    # the gap to the other net until the rescue budget runs out.
     with pytest.raises(UnroutableError) as exc_info:
-        route_all(layout)
+        route_all(two_net_layout({(2, 0, 0), (2, 2, 0)}))
     exc = exc_info.value
     assert str(exc) == f"iteration 0: net {exc.net_id}: pins [1] unreachable"
     assert exc.net_id == 1
     assert exc.remaining_pins == [1]
-    assert exc.blocked_nets == {1 - exc.net_id}
-    assert exc.blocked_vertices, "the re-raise must keep the wall's vertices"
+    assert exc.iteration == 0
+    assert exc.wall and set(exc.wall.values()) == {1 - exc.net_id}, "the re-raise must keep the wall"
+
+
+
+def test_unroutable_error_survives_pickle_and_copy():
+    # Both arms fail on this draw with an empty wall, the router's error
+    # with its iteration set; the single-gap layout fails with a wall.
+    draw = generate_instance(
+        seed=2, width=12, height=12, layers=2, num_nets=8, pins_per_net=4, congestion=0.6
+    )
+    gap = two_net_layout({(2, 0, 0), (2, 2, 0)})
+    errors = []
+    for run, layout in ((route_all, draw), (run_baseline, draw), (route_all, gap)):
+        with pytest.raises(UnroutableError) as exc_info:
+            run(layout)
+        errors.append(exc_info.value)
+    assert [str(exc) for exc in errors[:2]] == [
+        "iteration 0: net 3: pins [2] unreachable",
+        "net 3: pins [2] unreachable",
+    ]
+    assert errors[2].wall
+    for exc in errors:
+        facts = (str(exc), exc.net_id, exc.remaining_pins, exc.wall, exc.iteration)
+        for round_trip in (lambda e: pickle.loads(pickle.dumps(e)), copy.copy, copy.deepcopy):
+            again = round_trip(exc)
+            assert type(again) is UnroutableError
+            assert (str(again), again.net_id, again.remaining_pins, again.wall, again.iteration) == facts
+
+
+def test_rescue_rips_a_pending_blocker_without_queueing_it_twice(monkeypatch):
+    # Net 1 is committed along row 1 and still waits its turn in the batch.
+    # It walls net 0 into the corner under it, so net 0's rescue rips net 1
+    # up and routes net 0 again first; net 1 then routes once, in the place
+    # it already held in the queue.
+    layout = two_net_layout({(2, 0, 0)})
+    grid = Grid.from_layout(layout)
+    grid.commit_route(1, [((x, 1, 0), Color.RED) for x in range(5)])
+    seen = []
+    route_net = negotiation.route_net
+
+    def noting_route_net(net, grid):
+        seen.append(net.id)
+        return route_net(net, grid)
+
+    monkeypatch.setattr(negotiation, "route_net", noting_route_net)
+    routes = {}
+    assert route_batch(grid, layout.nets, routes, layout.nets) == [0, 1]
+    assert seen == [0, 0, 1]
+    assert sorted(routes) == [0, 1]
 
 
 def test_d_color_past_the_grid_span_changes_nothing():

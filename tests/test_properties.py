@@ -46,8 +46,7 @@ def unroutable(exc):
         str(exc),
         exc.net_id,
         exc.remaining_pins,
-        sorted(exc.blocked_nets),
-        sorted(exc.blocked_vertices),
+        sorted(exc.wall.items()),
     )
 
 

@@ -10,7 +10,7 @@ def test_render_produces_valid_svg_per_layer():
     layout = congested_layout(1)
     result = route_all(layout)
     conflicts = detect_conflicts(result.grid, layout.rules)
-    svgs = render_layers(layout, result.grid, result.routes, conflicts)
+    svgs = render_layers(layout, result.routes, conflicts)
     assert sorted(svgs) == list(range(layout.num_layers))
     for text in svgs.values():
         root = ElementTree.fromstring(text)
@@ -21,7 +21,7 @@ def test_markers_match_counts():
     layout = congested_layout(1)
     result = route_all(layout)
     conflicts = detect_conflicts(result.grid, layout.rules)
-    svgs = render_layers(layout, result.grid, result.routes, conflicts)
+    svgs = render_layers(layout, result.routes, conflicts)
     stitch_total = sum(len(t.stitches) for t in result.routes.values())
     diamond_total = sum(text.count('<path d="M') for text in svgs.values())
     assert diamond_total == stitch_total
@@ -45,6 +45,6 @@ def test_conflicts_drawn_as_stars():
     result = route_all(layout)
     conflicts = detect_conflicts(result.grid, layout.rules)
     assert conflicts
-    svgs = render_layers(layout, result.grid, result.routes, conflicts)
+    svgs = render_layers(layout, result.routes, conflicts)
     stars = svgs[0].count('fill="#f5c518"')
     assert stars == len(conflicts)

@@ -561,7 +561,7 @@ def test_zero_gamma_zero_counts_match_real_counts(monkeypatch, stitch_cost):
             try:
                 result = route_net(net, grid)
             except UnroutableError as exc:
-                result = (str(exc), exc.remaining_pins, exc.blocked_nets, exc.blocked_vertices)
+                result = (str(exc), exc.remaining_pins, sorted(exc.wall.items()))
             if patched:
                 real_counts_seen += any(any(c) for c in grid.foreign_counts(net.id))
             else:
@@ -744,8 +744,7 @@ def test_blocked_start_pin_fails_like_any_wall():
     exc = exc_info.value
     assert str(exc) == "net 0: pins [1] unreachable"
     assert exc.remaining_pins == [1]
-    assert exc.blocked_nets == {1}
-    assert exc.blocked_vertices == {(1, 0, 0)}
+    assert exc.wall == {(1, 0, 0): 1}
 
 
 def test_queue_refuses_an_off_grid_pin():
@@ -767,7 +766,7 @@ def test_one_pin_net_refuses_an_off_grid_pin_too():
 
 
 def _reference_wall_blockers(queue, grid, net, remaining):
-    """The rescue wall by the oracle.neighbors walk over vertex tuples."""
+    """The rescue wall by the oracle.neighbors walk over vertex tuples, vertex to owner."""
 
     def region_wall(region):
         wall = {}
@@ -789,25 +788,27 @@ def _reference_wall_blockers(queue, grid, net, remaining):
     pocket_side = region_wall(pocket)
     search_side = region_wall(queue.vertices[vid] for vid in queue.labels)
     shared = pocket_side.keys() & search_side.keys()
-    wall = {v: pocket_side[v] for v in shared} if shared else pocket_side | search_side
-    return set(wall.values()), set(wall)
+    return {v: pocket_side[v] for v in shared} if shared else pocket_side | search_side
 
 
 def test_wall_blockers_match_neighbors_walk(monkeypatch):
     # Every rescue of the seeded rescue draw (both arms) and of the
-    # two-net single-gap layout names the same blockers as the reference.
-    # The wall walk reads the grid through the queue only, so each queue's
-    # grid is noted when it is built, for the reference walk.
+    # two-net single-gap layout names the same wall, vertex to owner, as
+    # the reference. The wall walk reads the grid and the net through the
+    # queue only, so each queue's grid and net are noted when it is built,
+    # for the reference walk.
     wall_blockers, init = router._wall_blockers, SolutionQueue.__init__
-    calls, grid_of = [], {}
+    calls, built_with = [], {}
 
     def noting_init(queue, grid, net):
         init(queue, grid, net)
-        grid_of[id(queue)] = grid, queue
+        built_with[id(queue)] = grid, net
 
-    def checked(queue, net, remaining):
-        got = wall_blockers(queue, net, remaining)
-        assert got == _reference_wall_blockers(queue, grid_of[id(queue)][0], net, remaining)
+    def checked(queue, net_id, remaining):
+        got = wall_blockers(queue, net_id, remaining)
+        grid, net = built_with[id(queue)]
+        assert net.id == net_id
+        assert got == _reference_wall_blockers(queue, grid, net, remaining)
         calls.append(got)
         return got
 
@@ -831,7 +832,7 @@ def test_wall_blockers_match_neighbors_walk(monkeypatch):
     for run, layout in runs:
         with pytest.raises(UnroutableError):
             run(layout)
-    assert len(calls) > 10 and any(nets for nets, _ in calls)
+    assert len(calls) > 10 and any(calls)
 
 
 def test_dijkstra_degeneration():
