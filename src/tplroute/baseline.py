@@ -178,6 +178,9 @@ def exact_color_component(
             walk(i + 1, conflicts + same[ci], stitches + stitch_total - joined[ci])
 
     walk(0, 0, 0)
+    # walk's closure cell holds walk itself; emptying it breaks that cycle,
+    # so reference counting frees the closure without the cyclic GC.
+    del walk
     assert best is not None
     return {n: COLOR_ORDER[best[2][i]] for i, n in enumerate(nodes)}
 

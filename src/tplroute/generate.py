@@ -6,6 +6,14 @@ kind that pressures mask assignment, rather than raw cell saturation.
 The congestion knob in [0, 1] scales obstacle count and stretches each
 net's pin spread, so higher congestion means strictly more obstacles and
 longer shared corridors at the same seed.
+
+A draw depends only on random.Random(seed).getrandbits and
+random.Random.sample. Each bounded integer below n is taken by hand the
+way randrange takes it on CPython 3.10-3.13: getrandbits(n.bit_length())
+again until the value is below n (so a draw below 1 still spends a
+bit). That gives randrange's values from the same stream without its
+wrapper calls, which cost about five times the draw itself. Obstacles
+stay on sample, whose choice between its internal paths is not copied.
 """
 
 from __future__ import annotations
@@ -54,20 +62,33 @@ def generate_instance(
     }
 
     span = min(width, max(3, round(width * (0.4 + 0.5 * congestion))))
-    randrange, randint = rng.randrange, rng.randint
+    starts = width - span + 1  # x_start values: the band fits the width
+    rows = 2 * BAND_HALF_HEIGHT + 1
+    # Bits per bounded draw; see the module docstring.
+    height_bits, start_bits, row_bits = height.bit_length(), starts.bit_length(), rows.bit_length()
+    span_bits, layer_bits = span.bit_length(), layers.bit_length()
+    getrandbits = rng.getrandbits
     used: set[Vertex] = set()
     nets = []
     for n in range(num_nets):
-        band_center = randrange(height)
-        x_start = randrange(max(1, width - span + 1))
+        while (band_center := getrandbits(height_bits)) >= height:
+            pass
+        while (x_start := getrandbits(start_bits)) >= starts:
+            pass
         pins = []
         for _ in range(pins_per_net):
             for _ in range(PLACEMENT_RETRIES):
                 # Row, then column, then layer: the pinned draws depend on
-                # this order of calls on rng.
-                y = band_center + randint(-BAND_HALF_HEIGHT, BAND_HALF_HEIGHT)
+                # this order of draws from rng.
+                while (row := getrandbits(row_bits)) >= rows:
+                    pass
+                y = band_center - BAND_HALF_HEIGHT + row
                 y = 0 if y < 0 else height - 1 if y >= height else y
-                v = (x_start + randrange(span), y, randrange(layers))
+                while (dx := getrandbits(span_bits)) >= span:
+                    pass
+                while (l := getrandbits(layer_bits)) >= layers:
+                    pass
+                v = (x_start + dx, y, l)
                 if v not in obstacles and v not in used:
                     break
             else:

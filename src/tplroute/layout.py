@@ -120,44 +120,60 @@ _RULE_MINIMUMS = {"d_color": 1, "max_iterations": 1}
 _RULE_MAXIMUMS = {"max_iterations": MAX_ITERATIONS}
 
 
-def _object(raw: Any, where: str) -> dict:
+# Each check below names where its value sits with a str.format template
+# and a tuple of the template's arguments, for example "net {} pins" and
+# (net_id,). The location is built only when the check raises, so a valid
+# layout builds none. (A tuple, not *args: star calls cost twice as much.)
+
+
+def _object(raw: Any, where: str, args: tuple = ()) -> dict:
     """raw itself when it is a JSON object."""
     if not isinstance(raw, dict):
-        raise LayoutError(f"{where} must be an object, got {raw!r}")
+        raise LayoutError(f"{where.format(*args)} must be an object, got {raw!r}")
     return raw
 
 
-def _array(raw: Any, where: str) -> list:
+def _array(raw: Any, where: str, args: tuple = ()) -> list:
     """raw itself when it is a JSON array."""
     if not isinstance(raw, (list, tuple)):
-        raise LayoutError(f"{where} must be a list, got {raw!r}")
+        raise LayoutError(f"{where.format(*args)} must be a list, got {raw!r}")
     return raw
 
 
-def _require(obj: Any, key: str, where: str) -> Any:
-    if key not in _object(obj, where):
-        raise LayoutError(f"missing field '{key}' in {where}")
+def _require(obj: Any, key: str, where: str, args: tuple = ()) -> Any:
+    if key not in _object(obj, where, args):
+        raise LayoutError(f"missing field '{key}' in {where.format(*args)}")
     return obj[key]
 
 
-def _vertices(raw: Any, where: str) -> list[Vertex]:
-    """The (x, y, l) tuples of a JSON array of vertices, in order."""
-    vertices = []
-    for v in _array(raw, where):
-        if not isinstance(v, (list, tuple)) or len(v) != 3:
-            raise LayoutError(f"bad vertex {v!r} in {where}")
-        x, y, l = v
-        # Exact type tests: they reject booleans and keep parsing cheap.
-        if type(x) is not int or type(y) is not int or type(l) is not int:
-            raise LayoutError(f"non-integer vertex {v!r} in {where}")
-        vertices.append((x, y, l))
-    return vertices
+def _vertex_arrays(raw_arrays: list, where: str, args: tuple = ()) -> list[list[Vertex]]:
+    """The (x, y, l) tuples of each JSON array of vertices, in one pass.
+
+    Array i is located by where.format(*args, i): a net's pins pass
+    "net {} pin {}" and (net_id,), and the obstacles pass their one array
+    with the template "obstacles", which str.format leaves as it is.
+    """
+    arrays = []
+    for i, raw in enumerate(raw_arrays):
+        if not isinstance(raw, (list, tuple)):
+            raise LayoutError(f"{where.format(*args, i)} must be a list, got {raw!r}")
+        vertices = []
+        for v in raw:
+            if not isinstance(v, (list, tuple)) or len(v) != 3:
+                raise LayoutError(f"bad vertex {v!r} in {where.format(*args, i)}")
+            x, y, l = v
+            # Exact type tests: they reject booleans and keep parsing cheap.
+            if type(x) is not int or type(y) is not int or type(l) is not int:
+                raise LayoutError(f"non-integer vertex {v!r} in {where.format(*args, i)}")
+            vertices.append((x, y, l))
+        arrays.append(vertices)
+    return arrays
 
 
-def _integer(raw: Any, what: str) -> int:
+def _integer(raw: Any, what: str, args: tuple = ()) -> int:
     """raw itself when it is a JSON integer (booleans are not)."""
     if not _is_int(raw):
-        raise LayoutError(f"{what} must be an integer, got {raw!r}")
+        raise LayoutError(f"{what.format(*args)} must be an integer, got {raw!r}")
     return raw
 
 
@@ -169,7 +185,7 @@ def layout_from_dict(data: dict) -> Layout:
     raw_layers = _array(_require(grid, "layers", "grid"), "grid layers")
     if not raw_layers:
         raise LayoutError("grid needs at least one layer")
-    layers = [_require(entry, "dir", f"layer {i}") for i, entry in enumerate(raw_layers)]
+    layers = [_require(entry, "dir", "layer {}", (i,)) for i, entry in enumerate(raw_layers)]
 
     raw_rules = _object(_require(data, "rules", "layout"), "rules")
     rules = DesignRules(
@@ -180,24 +196,25 @@ def layout_from_dict(data: dict) -> Layout:
         }
     )
 
-    obstacles = set(_vertices(data.get("obstacles", []), "obstacles"))
+    obstacles = set(_vertex_arrays([data.get("obstacles", [])], "obstacles")[0])
 
     nets = []
     for raw_net in _array(_require(data, "nets", "layout"), "nets"):
         net_id = _integer(_require(raw_net, "id", "net"), "net id")
-        name = _require(raw_net, "name", f"net {net_id}")
+        at = (net_id,)
+        name = _require(raw_net, "name", "net {}", at)
         if not isinstance(name, str):
             raise LayoutError(f"net {net_id} name must be a string, got {name!r}")
-        pins = []
-        raw_pins = _array(_require(raw_net, "pins", f"net {net_id}"), f"net {net_id} pins")
-        for p, raw_pin in enumerate(raw_pins):
-            pins.append(Pin(_vertices(raw_pin, f"net {net_id} pin {p}")))
+        raw_pins = _array(_require(raw_net, "pins", "net {}", at), "net {} pins", at)
+        pins = [Pin(vertices) for vertices in _vertex_arrays(raw_pins, "net {} pin {}", at)]
         guide = None
         raw_guide = raw_net.get("guide")
-        if raw_guide is not None and _array(raw_guide, f"net {net_id} guide"):
-            where = f"net {net_id} guide"
+        if raw_guide is not None and _array(raw_guide, "net {} guide", at):
             guide = [
-                tuple(_integer(_require(box, key, where), f"{where} {key}") for key in GUIDE_KEYS)
+                tuple(
+                    _integer(_require(box, key, "net {} guide", at), "net {} guide {}", (net_id, key))
+                    for key in GUIDE_KEYS
+                )
                 for box in raw_guide
             ]
         nets.append(Net(id=net_id, name=name, pins=pins, guide=guide))

@@ -1,8 +1,13 @@
+import gc
 import itertools
 import random
 
+import pytest
+
 from instances import congested_layout, empty_grid
+from tplroute import baseline
 from tplroute.baseline import (
+    EXACT_COMPONENT_LIMIT,
     ConflictGraph,
     Segment,
     build_conflict_graph,
@@ -13,9 +18,11 @@ from tplroute.baseline import (
     run_baseline,
 )
 from tplroute.color_state import COLOR_ORDER, Color
+from tplroute.generate import generate_instance
 from tplroute.grid import Grid
 from tplroute.layout import DesignRules
-from tplroute.negotiation import detect_conflicts
+from tplroute.negotiation import detect_conflicts, route_all
+from tplroute.router import UnroutableError
 
 
 def seg(net_id, vertices):
@@ -230,3 +237,55 @@ def test_stencil_walk_edges_equal_pairwise_scan():
             conflicts, stitches = _pairwise_edges(graph.segments, d_color)
             assert graph.conflict_edges == conflicts, (seed, d_color)
             assert graph.stitch_edges == stitches, (seed, d_color)
+
+
+@pytest.mark.parametrize("extra, colorer", [(0, "exact_color_component"), (1, "greedy_color_component")])
+def test_exact_colorer_takes_components_up_to_the_limit(monkeypatch, extra, colorer):
+    # One component: a path of segments whose nets alternate.
+    n = EXACT_COMPONENT_LIMIT + extra
+    graph = ConflictGraph(
+        [seg(i % 2, [(i, 0, 0)]) for i in range(n)], [(i, i + 1) for i in range(n - 1)], []
+    )
+    calls = []
+    for name in ("exact_color_component", "greedy_color_component"):
+        def spy(component, *rest, name=name, real=getattr(baseline, name)):
+            calls.append((name, len(component)))
+            return real(component, *rest)
+
+        monkeypatch.setattr(baseline, name, spy)
+    decomposition = decompose(graph)
+    assert calls == [(colorer, n)]
+    assert decomposition.conflict_edge_count == 0
+
+
+# Both arms on each draw: a completed one, the CLI's unroutable one, and a
+# completed one with 20 nets.
+GC_DRAWS = [
+    dict(seed=1, width=24, height=24, layers=2, num_nets=8, pins_per_net=4, congestion=0.5),
+    dict(seed=2, width=12, height=12, layers=2, num_nets=8, pins_per_net=4, congestion=0.6),
+    dict(seed=1, width=20, height=20, layers=2, num_nets=20, pins_per_net=3, congestion=0.5),
+]
+
+
+@pytest.mark.parametrize("arm", [route_all, run_baseline])
+def test_runs_leave_no_cyclic_garbage(arm):
+    # Reference counting frees all a run builds, so the cyclic GC finds
+    # nothing. While the exact colorer's recursive closure was a cycle,
+    # run_baseline left 298 objects on the first draw.
+    outcomes = []
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for params in GC_DRAWS:
+            layout = generate_instance(**params)
+            try:
+                arm(layout)
+                outcomes.append("routed")
+            except UnroutableError:
+                outcomes.append("unroutable")
+            assert gc.collect() == 0, params
+    finally:
+        if enabled:
+            gc.enable()
+    assert outcomes == ["routed", "unroutable", "routed"]

@@ -121,3 +121,58 @@ def test_generated_draws_pinned(side, congestion, d_color):
         assert json.dumps(layout_to_dict(reloaded), sort_keys=True) == line, seed
         digest.update(line.encode() + b"\n")
     assert digest.hexdigest() == DRAW_DIGESTS[side, congestion, d_color]
+
+
+def draws_digest(shape):
+    """sha256 over the sorted-key JSON of seeds 0-9 of one generator shape.
+
+    A draw the generator cannot place contributes its error message
+    instead, so which seeds fail, and how, is pinned too.
+    """
+    width, height, layers, num_nets, pins_per_net, congestion = shape
+    digest = hashlib.sha256()
+    for seed in range(10):
+        try:
+            layout = generate_instance(
+                seed=seed, width=width, height=height, layers=layers,
+                num_nets=num_nets, pins_per_net=pins_per_net, congestion=congestion,
+            )
+        except InfeasiblePlacementError as exc:
+            line = f"InfeasiblePlacementError: {exc}"
+        else:
+            line = json.dumps(layout_to_dict(layout), sort_keys=True)
+        digest.update(line.encode() + b"\n")
+    return digest.hexdigest()
+
+
+# One shape per path of the generator's bounded draws, keyed by
+# (width, height, layers, num_nets, pins_per_net, congestion).
+RNG_PATH_DIGESTS = {
+    # One layer: the layer draw is below 1, and still takes a bit.
+    (8, 8, 1, 4, 3, 0.4): "6108b0953d2d2c79e68246a8b31d4f0ace3fadaea36426fd43a1e79d041f21ae",
+    # Three layers: the layer draw rejects one value in four.
+    (10, 10, 3, 6, 3, 0.4): "66054eb3a6dea6253971425a6c58826f00f2aecd877285c30acf572f6c7c8c7a",
+    # Widths 1 and 2: the band spans the whole width.
+    (1, 6, 2, 2, 2, 0.0): "38dd740bd06357cf48296b512f63d009f1ad565bac0bfd1edf073bd6f5a0accf",
+    (2, 5, 2, 3, 2, 0.5): "f8e655aef4b986f8472c9dae80eebea35acf7974c0ac31fc1abaea4307224741",
+    # No obstacles, then the most.
+    (12, 12, 2, 8, 4, 0.0): "a074770c4eeff64d5a8b2dbd5b487ebb285ad9da89bab6bfa1d89f3f43d88a14",
+    (12, 12, 2, 8, 4, 1.0): "6d9a1fdfb3a6104e9fded58e2c4e8b1f33f1023bbc8fbcddb72a054ca74414b8",
+    # Crowded bands: pins retry often, and some seeds cannot be placed.
+    (8, 4, 1, 6, 3, 1.0): "307c62f4cbff63de6070e27556d0bc13ed6ac75fe24eeaa8564338bf27f1b40d",
+    (6, 3, 1, 5, 3, 1.0): "2d76f5937be818f435a98f61baa9fe405724d87ff3cb804bc67bbe3c380beee8",
+}
+
+
+@pytest.mark.parametrize("shape", list(RNG_PATH_DIGESTS))
+def test_draws_pinned_on_every_rng_path(shape):
+    assert draws_digest(shape) == RNG_PATH_DIGESTS[shape]
+
+
+def test_crowded_band_message():
+    # Seed 1 of the last crowded shape above cannot place its pins; seed 0 can.
+    shape = dict(width=6, height=3, layers=1, num_nets=5, pins_per_net=3, congestion=1.0)
+    generate_instance(seed=0, **shape)
+    with pytest.raises(InfeasiblePlacementError) as info:
+        generate_instance(seed=1, **shape)
+    assert str(info.value) == "no free pin position in a 5-wide band after 400 tries"

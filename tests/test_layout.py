@@ -53,6 +53,33 @@ def minimal_dict():
     }
 
 
+# Where each located vertex array sits in three_net_dict: net 0 pin 0 and a
+# later pin of a later net, so a location built only on error must still
+# name the right net and pin.
+PIN_PATHS = {"net 0 pin 0": ("nets", 0, "pins", 0), "net 2 pin 3": ("nets", 2, "pins", 3)}
+
+
+def three_net_dict():
+    """minimal_dict with nets 1 and 2 added, valid as it stands.
+
+    Net 2 has five pins and holds tuples, as a code-built dict may: pin 1
+    is a tuple array, and pin 2 a list holding a tuple vertex. Nets 1 and
+    2 sit at x >= 2, off the square x, y in 0..1 that the vertex tests
+    write into.
+    """
+    data = minimal_dict()
+    data["nets"] += [
+        {"id": 1, "name": "n1", "pins": [[[2, 0, 1]], [[2, 3, 1]]]},
+        {
+            "id": 2,
+            "name": "n2",
+            "pins": [[[3, 0, 1]], ((3, 1, 1),), [(3, 2, 1)], [[2, 2, 0]], [[2, 1, 0]]],
+            "guide": [{"layer": 0, "x0": 2, "y0": 0, "x1": 3, "y1": 3}],
+        },
+    ]
+    return data
+
+
 def test_minimal_layout_loads(tmp_path):
     path = tmp_path / "l.json"
     path.write_text(json.dumps(minimal_dict()))
@@ -210,11 +237,17 @@ def test_non_integer_net_id_rejected(bad):
         (("nets", 0, "pins", 0), "net 0 pin 0 must be a list"),
         (("nets", 0, "guide"), "net 0 guide must be a list"),
         (("nets", 0, "guide", 0), "net 0 guide must be an object"),
+        (("nets", 2), "net must be an object"),
+        (("nets", 2, "name"), "net 2 name must be a string"),
+        (("nets", 2, "pins"), "net 2 pins must be a list"),
+        (("nets", 2, "pins", 3), "net 2 pin 3 must be a list"),
+        (("nets", 2, "guide"), "net 2 guide must be a list"),
+        (("nets", 2, "guide", 0), "net 2 guide must be an object"),
     ],
 )
 def test_wrong_json_type_rejected(path, message):
     # Each of these raised a bare TypeError, or was accepted (the name).
-    data = minimal_dict()
+    data = three_net_dict()
     data["nets"][0]["guide"] = [{"layer": 0, "x0": 0, "y0": 0, "x1": 3, "y1": 1}]
     if path:
         set_at(data, path, 5)
@@ -232,10 +265,15 @@ def test_wrong_json_type_rejected(path, message):
         (("grid", "width"), 0, "grid dimensions must be positive, got 0x4"),
         (("obstacles",), [[9, 0, 0]], r"obstacle \(9, 0, 0\) out of bounds"),
         (("nets", 0, "pins", 0), [], "net 0 pin 0 covers no vertices"),
+        (("nets", 2, "pins", 3, 0), [0, 0], r"bad vertex \[0, 0\] in net 2 pin 3"),
+        (("nets", 2, "pins", 3), [], "net 2 pin 3 covers no vertices"),
+        (("nets", 2, "guide", 0, "x1"), 3.0, "net 2 guide x1 must be an integer, got 3.0"),
+        (("nets", 2, "guide", 0), {"layer": 0}, "missing field 'x0' in net 2 guide"),
+        (("nets", 2), {"id": 2, "name": "n2"}, "missing field 'pins' in net 2"),
     ],
 )
 def test_bad_geometry_rejected(path, value, message):
-    data = minimal_dict()
+    data = three_net_dict()
     set_at(data, path, value)
     with pytest.raises(LayoutError, match=message):
         layout_from_dict(data)
@@ -385,26 +423,26 @@ def test_routing_entry_points_reject_nan_rules(arm):
         ([[0], 0, 0], "non-integer vertex [[0], 0, 0]"),
     ],
 )
-@pytest.mark.parametrize("where", ["obstacles", "net 0 pin 0"])
+@pytest.mark.parametrize("where", ["obstacles", *PIN_PATHS])
 def test_malformed_vertex_message(where, entry, message):
     # A well-formed entry precedes the bad one, so the whole list is walked.
-    data = minimal_dict()
-    if where == "obstacles":
-        data["obstacles"] = [[1, 1, 1], entry]
-    else:
-        data["nets"][0]["pins"][0] = [[1, 1, 1], entry]
+    data = three_net_dict()
+    set_at(data, PIN_PATHS.get(where, ("obstacles",)), [[1, 1, 1], entry])
     with pytest.raises(LayoutError) as info:
         layout_from_dict(data)
     assert str(info.value) == f"{message} in {where}"
 
 
 def test_tuple_vertices_accepted():
-    data = minimal_dict()
+    data = three_net_dict()
     data["obstacles"] = [(1, 1, 1)]
     data["nets"][0]["pins"][0] = [(0, 0, 0), [1, 0, 0]]
     layout = layout_from_dict(data)
     assert layout.obstacles == {(1, 1, 1)}
     assert layout.nets[0].pins[0].covered_vertices == [(0, 0, 0), (1, 0, 0)]
+    assert [pin.covered_vertices for pin in layout.nets[2].pins] == [
+        [(3, 0, 1)], [(3, 1, 1)], [(3, 2, 1)], [(2, 2, 0)], [(2, 1, 0)]
+    ]
 
 
 def test_out_of_bounds_obstacles_listed_in_sorted_order():
@@ -538,7 +576,7 @@ def reference_vertex(raw, where):
 
 
 # JSON-like vertex entries. Integer coordinates stay in 0..1: on the 4x4x2
-# grid of minimal_dict and off the test's pins at x = 3, so a list the
+# grid of minimal_dict and off the test's pins at x >= 2, so a list the
 # parser accepts always validates too.
 coordinates = st.one_of(
     st.integers(0, 1), st.booleans(), st.floats(), st.none(), st.text(max_size=2),
@@ -557,15 +595,13 @@ vertex_entries = st.one_of(
 @settings(max_examples=300, deadline=None)
 @given(
     entries=st.lists(vertex_entries, min_size=1, max_size=5),
-    where=st.sampled_from(["obstacles", "net 0 pin 0"]),
+    where=st.sampled_from(["obstacles", *PIN_PATHS]),
+    as_tuple=st.booleans(),
 )
-def test_vertex_arrays_parse_like_the_per_vertex_check(entries, where):
-    data = minimal_dict()
+def test_vertex_arrays_parse_like_the_per_vertex_check(entries, where, as_tuple):
+    data = three_net_dict()
     data["nets"][0]["pins"] = [[[3, 3, 0]], [[3, 2, 0]]]
-    if where == "obstacles":
-        data["obstacles"] = entries
-    else:
-        data["nets"][0]["pins"][0] = entries
+    set_at(data, PIN_PATHS.get(where, ("obstacles",)), tuple(entries) if as_tuple else entries)
     try:
         expected = [reference_vertex(v, where) for v in entries]
     except LayoutError as exc:
@@ -578,6 +614,7 @@ def test_vertex_arrays_parse_like_the_per_vertex_check(entries, where):
         parsed = sorted(layout.obstacles)
         expected = sorted(set(expected))
     else:
-        parsed = layout.nets[0].pins[0].covered_vertices
+        _, net, _, pin = PIN_PATHS[where]
+        parsed = layout.nets[net].pins[pin].covered_vertices
     assert parsed == expected
     assert all(type(v) is tuple for v in parsed)
