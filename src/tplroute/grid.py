@@ -37,6 +37,16 @@ vertices and one per-vertex-id keep-out template (-inf at every obstacle,
 pin and commit, inf elsewhere) in step. A net's
 keep-outs are a copy of the template with its own commits and pins set
 to inf, which is the array its search starts from (router.SolutionQueue).
+commit_route reads the template first, so a vertex at inf skips the
+obstacle, pin and commit lookups. A vertex at least d_color - 1 tracks
+from every edge of its layer spreads its count through one cached tuple
+of vid offsets (_stencil_offsets) with no bounds test; any other vertex,
+and every vertex once d_color passes the clamp, takes the checked walk.
+
+The grid also keeps, in one slot (_last_scan), the conflicts of
+negotiation.detect_conflicts's last scan with the clamped d_color it
+ran at, so a second scan of an unchanged grid is a copy. The map's two
+writers, commit_route and rip_up, clear it, once per call.
 """
 
 from __future__ import annotations
@@ -136,6 +146,9 @@ class Grid:
     _owned: dict[int, set[Vertex]] = field(default_factory=dict, init=False, repr=False, compare=False)
     _pin_vids: dict[int, list[int]] = field(default_factory=dict, init=False, repr=False, compare=False)
     _blocked: list[float] = field(default_factory=list, init=False, repr=False, compare=False)
+    # (clamped d_color, its conflicts) from negotiation.detect_conflicts's
+    # last scan, or None; commit_route and rip_up clear it.
+    _last_scan: tuple[int, list] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         size = self.width * self.height * self.num_layers
@@ -146,15 +159,17 @@ class Grid:
         self.history = [0.0] * size if self.history is None else list(self.history)
         if len(self.history) != size:
             raise ValueError(f"history has {len(self.history)} entries for {size} vertices")
+        width, height, layers = self.width, self.height, self.num_layers
         blocked = self._blocked = [_INF] * size
         for v in chain(self.obstacles, self.pin_owners):
-            if not self.in_bounds(v):
+            x, y, l = v
+            if not (0 <= x < width and 0 <= y < height and 0 <= l < layers):
                 raise ValueError(f"obstacle or pin vertex {v} is off the grid")
-            blocked[self.vid(v)] = _KEEP_OUT
+            blocked[(l * height + y) * width + x] = _KEEP_OUT
         if not self.obstacles.isdisjoint(self.pin_owners):
             raise ValueError(f"pin vertices {sorted(self.obstacles & self.pin_owners.keys())} sit on obstacles")
-        for v, net_id in self.pin_owners.items():
-            self._pin_vids.setdefault(net_id, []).append(self.vid(v))
+        for (x, y, l), net_id in self.pin_owners.items():
+            self._pin_vids.setdefault(net_id, []).append((l * height + y) * width + x)
         committed, self.committed = self.committed, {}
         for v, (net_id, color) in committed.items():
             try:
@@ -274,29 +289,38 @@ class Grid:
         if self._counts is None or self._counts[0] != d_color:
             size = self.width * self.height * self.num_layers
             self._counts = (d_color, {c: [0] * size for c in Color})
-            for v, (_, color) in self.committed.items():
-                self._spread(v, color, 1, self._counts[1])
+            self._spread([(v, color, 1) for v, (_, color) in self.committed.items()], self._counts[1])
         counts = self._counts[1]
         own = self._owned.get(net_id)
         if own:
             counts = {c: list(counts[c]) for c in COLOR_ORDER}
-            for v in own:
-                self._spread(v, self.committed[v][1], -1, counts)
+            self._spread([(v, self.committed[v][1], -1) for v in own], counts)
         return counts[Color.RED], counts[Color.GREEN], counts[Color.BLUE]
 
-    def _spread(self, v: Vertex, color: Color, delta: int, counts: dict[Color, list[int]]) -> None:
-        """Add delta to color's list in counts at every in-grid vertex of v's stencil.
+    def _spread(self, entries: list[tuple[Vertex, Color, int]], counts: dict[Color, list[int]]) -> None:
+        """For each (vertex, color, delta), add delta to color's list in counts across the vertex's stencil.
 
-        The stencil is the one at the d_color the grid's counts are built under.
+        The stencil is the one at the d_color the grid's counts are built
+        under, cut to the grid. A vertex at least d_color - 1 tracks from
+        every edge of its layer adds the stencil's vid offsets
+        (_stencil_offsets) with no bounds test; any other takes the checked walk.
         """
-        x, y, l = v
-        width, height = self.width, self.height
-        lst = counts[color]
-        base = l * height
-        for dx, dy in _stencil(self._counts[0]):
-            tx, ty = x + dx, y + dy
-            if 0 <= tx < width and 0 <= ty < height:
-                lst[(base + ty) * width + tx] += delta
+        d_color = self._counts[0]
+        width, height, r, stencil = self.width, self.height, d_color - 1, _stencil(d_color)
+        # A clamped d_color leaves no vertex that far in, so needs no offsets.
+        offsets = _stencil_offsets(d_color, width) if 2 * r < min(width, height) else ()
+        for (x, y, l), color, delta in entries:
+            lst = counts[color]
+            if r <= x < width - r and r <= y < height - r:
+                vid = (l * height + y) * width + x
+                for offset in offsets:
+                    lst[vid + offset] += delta
+            else:
+                base = l * height
+                for dx, dy in stencil:
+                    tx, ty = x + dx, y + dy
+                    if 0 <= tx < width and 0 <= ty < height:
+                        lst[(base + ty) * width + tx] += delta
 
     def color_cost(self, v: Vertex, direction: Direction, color: Color, net_id: int) -> float:
         """Conflict cost of arriving at the target of (v, direction) with a color.
@@ -325,23 +349,23 @@ class Grid:
         CollisionError. Every vertex is checked before any is written, so
         a rejected path commits nothing.
         """
-        committed, pin_owners, obstacles = self.committed, self.pin_owners, self.obstacles
+        committed, pin_owners, obstacles, blocked = self.committed, self.pin_owners, self.obstacles, self._blocked
         width, height, layers = self.width, self.height, self.num_layers
         for v, _ in colored_path:
             x, y, l = v
             if not (0 <= x < width and 0 <= y < height and 0 <= l < layers):
                 raise ValueError(f"vertex {v} is off the grid")
-            if v in obstacles:
-                raise CollisionError(f"vertex {v} is an obstacle")
-            pin_owner = pin_owners.get(v, net_id)
-            if pin_owner != net_id:
-                raise CollisionError(f"vertex {v} is a pin of net {pin_owner}, not {net_id}")
-            owner = committed.get(v)
-            if owner is not None and owner[0] != net_id:
-                raise CollisionError(f"vertex {v} already committed to net {owner[0]}, not {net_id}")
-        blocked = self._blocked
+            if blocked[(l * height + y) * width + x] == _KEEP_OUT:  # an obstacle, a pin or a commit
+                if v in obstacles:
+                    raise CollisionError(f"vertex {v} is an obstacle")
+                pin_owner = pin_owners.get(v, net_id)
+                if pin_owner != net_id:
+                    raise CollisionError(f"vertex {v} is a pin of net {pin_owner}, not {net_id}")
+                owner = committed.get(v)
+                if owner is not None and owner[0] != net_id:
+                    raise CollisionError(f"vertex {v} already committed to net {owner[0]}, not {net_id}")
         owned = self._owned.setdefault(net_id, set())
-        counts = None if self._counts is None else self._counts[1]
+        spread = None if self._counts is None else []
         for v, color in colored_path:
             old = committed.get(v)
             committed[v] = (net_id, color)
@@ -349,24 +373,29 @@ class Grid:
                 owned.add(v)
                 x, y, l = v
                 blocked[(l * height + y) * width + x] = _KEEP_OUT
-            elif counts is not None:
-                self._spread(v, old[1], -1, counts)
-            if counts is not None:
-                self._spread(v, color, 1, counts)
+            elif spread is not None:
+                spread.append((v, old[1], -1))
+            if spread is not None:
+                spread.append((v, color, 1))
+        if spread:
+            self._spread(spread, self._counts[1])
+        self._last_scan = None
 
     def rip_up(self, net_id: int) -> None:
         """Free every vertex of a net; its pins stay keep-outs. History costs stay."""
         committed, blocked = self.committed, self._blocked
         width, height = self.width, self.height
-        counts = None if self._counts is None else self._counts[1]
+        spread = []
         for v in self._owned.pop(net_id, ()):
             _, color = committed.pop(v)
             x, y, l = v
             blocked[(l * height + y) * width + x] = _INF
-            if counts is not None:
-                self._spread(v, color, -1, counts)
+            spread.append((v, color, -1))
+        if spread and self._counts is not None:
+            self._spread(spread, self._counts[1])
         for vid in self._pin_vids.get(net_id, ()):
             blocked[vid] = _KEEP_OUT
+        self._last_scan = None
 
     def add_history(self, v: Vertex, amount: float) -> None:
         """Add amount to v's history cost; it stays through rip-ups.
@@ -433,6 +462,12 @@ def _stencil(d_color: int) -> tuple[tuple[int, int], ...]:
         for dy in range(-r, r + 1)
         if abs(dx) + abs(dy) < d_color
     )
+
+
+@lru_cache(maxsize=32)
+def _stencil_offsets(d_color: int, width: int) -> tuple[int, ...]:
+    """The vid offsets, dy * width + dx, of _stencil(d_color) on a layer width wide."""
+    return tuple(dy * width + dx for dx, dy in _stencil(d_color))
 
 
 @cache

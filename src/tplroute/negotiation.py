@@ -51,15 +51,22 @@ def detect_conflicts(grid: Grid, rules: DesignRules) -> list[Conflict]:
     """Every cross-net same-layer same-color pair below d_color, once each.
 
     The pairs of Grid.close_pairs at rules.d_color whose two colors are
-    equal, sorted by their vertices.
+    equal, sorted by their vertices, in a new list. The grid keeps the
+    last scan with its clamped d_color until its next commit or rip-up,
+    so asking again of an unchanged grid, as score does after route_all,
+    copies the list and does not walk the grid.
     """
-    found = [
-        Conflict(a, b, net_a, net_b, color_a, distance)
-        for a, b, distance, (net_a, color_a), (net_b, color_b) in grid.close_pairs(rules.d_color)
-        if color_a == color_b
-    ]
-    found.sort(key=lambda c: (c.vertex_a, c.vertex_b))
-    return found
+    d_color = grid._clamp(rules.d_color)
+    last = grid._last_scan
+    if last is None or last[0] != d_color:
+        found = [
+            Conflict(a, b, net_a, net_b, color_a, distance)
+            for a, b, distance, (net_a, color_a), (net_b, color_b) in grid.close_pairs(d_color)
+            if color_a == color_b
+        ]
+        found.sort(key=lambda c: (c.vertex_a, c.vertex_b))
+        last = grid._last_scan = (d_color, found)
+    return list(last[1])
 
 
 def net_order_key(net: Net) -> tuple[int, int, int]:

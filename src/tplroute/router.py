@@ -122,6 +122,7 @@ from .layout import Net, Vertex
 
 
 RED, GREEN, BLUE = (int(c) for c in COLOR_ORDER)
+_COLOR_OF = {int(c): c for c in COLOR_ORDER}  # a mask's Color, without an Enum call
 
 
 class SearchExhaustedError(RuntimeError):
@@ -207,12 +208,16 @@ class SolutionQueue:
         self.live: list[list[Label] | None] = [None] * n
         cover: dict[int, set[int]] = {}
         self.pin_vids: list[list[int]] = []
+        width, height, layers = grid.width, grid.height, grid.num_layers
         for idx, pin in enumerate(net.pins):
+            vids = []
             for v in pin.covered_vertices:
-                if not grid.in_bounds(v):
+                x, y, l = v
+                if not (0 <= x < width and 0 <= y < height and 0 <= l < layers):
                     raise ValueError(f"net {net.id} pin {idx} vertex {v} is off the grid")
-                cover.setdefault(grid.vid(v), set()).add(idx)
-            self.pin_vids.append([grid.vid(v) for v in pin.covered_vertices])
+                vids.append((l * height + y) * width + x)
+                cover.setdefault(vids[-1], set()).add(idx)
+            self.pin_vids.append(vids)
         self.pin_at: list[frozenset[int] | None] = [None] * n
         for vid, pins in cover.items():
             self.pin_at[vid] = frozenset(pins)
@@ -725,7 +730,7 @@ def finalize_colors(queue: SolutionQueue, tree: _TreeBuilder) -> RouteTree:
     for seg in tree.segsets:
         if seg.members:
             masks.add(seg.state)
-            color = Color(seg.state)
+            color = _COLOR_OF[seg.state]
             for vid in seg.members:
                 vertex_colors[vertices[vid]] = color
     return RouteTree(

@@ -192,6 +192,37 @@ class TestColorCost:
                 assert got == want
 
 
+    @pytest.mark.parametrize("width, height, d_color", [(9, 7, 3), (3, 3, 3), (9, 7, 10**6)])
+    def test_counts_match_scan_on_either_spread_path(self, width, height, d_color):
+        # At d_color 3 a 9x7 grid has vertices two tracks from every edge,
+        # which spread through the stencil's vid offsets; a 3x3 grid, and any
+        # grid past the clamp, has none, so every vertex takes the checked walk.
+        rng = random.Random(width * height + d_color)
+        rules = DesignRules(d_color=d_color, gamma=5.0)
+        grid = empty_grid(width, height, ("H", "V"), rules)
+        cells = [(x, y, l) for l in range(2) for y in range(height) for x in range(width)]
+        _, vertices = grid.move_table()
+
+        def assert_counts_match():
+            for net_id in range(4):
+                counts = grid.foreign_counts(net_id)
+                for vid, v in enumerate(vertices):
+                    got = tuple(rules.gamma * c[vid] for c in counts)
+                    assert got == oracle.conflict_costs(grid, rules, v, net_id), (v, net_id)
+
+        # The first round is spread when the counts are built, the later
+        # ones by commit_route, then recolors and a rip-up take counts out.
+        for _ in range(3):
+            for net_id in range(4):
+                free = [v for v in cells if v not in grid.committed]
+                grid.commit_route(net_id, [(v, rng.choice(COLOR_ORDER)) for v in rng.sample(free, len(free) // 8)])
+            assert_counts_match()
+        for v, (net_id, _) in rng.sample(sorted(grid.committed.items()), 6):
+            grid.commit_route(net_id, [(v, rng.choice(COLOR_ORDER))])
+        grid.rip_up(2)
+        assert_counts_match()
+
+
 class TestOccupancy:
     def test_commit_and_dump(self):
         grid = empty_grid(3, 1, ("H",))
@@ -285,6 +316,30 @@ class TestOccupancy:
             with pytest.raises(ValueError, match="off the grid"):
                 grid.commit_route(0, [((0, 1, 0), Color.RED), (v, Color.RED)])
         assert (dict(grid.committed), grid.keep_outs(0)) == before
+
+
+    def test_commit_checks_only_keep_outs_and_keeps_their_messages(self):
+        # commit_route looks up the obstacle, pin and commit of a vertex only
+        # where the keep-out template holds -inf; each refusal writes nothing.
+        grid = replace(empty_grid(4, 3, ("H",), obstacles={(3, 2, 0)}), pin_owners={(1, 1, 0): 7, (2, 1, 0): 5})
+        grid.commit_route(5, [((2, 1, 0), Color.RED), ((2, 2, 0), Color.RED)])
+        grid.foreign_counts(0)  # build the counts, so a refused commit would have spread them
+        refusals = [
+            ((3, 2, 0), "vertex (3, 2, 0) is an obstacle"),
+            ((1, 1, 0), "vertex (1, 1, 0) is a pin of net 7, not 0"),
+            ((2, 2, 0), "vertex (2, 2, 0) already committed to net 5, not 0"),
+        ]
+        before = dict(grid.committed), grid.keep_outs(0), [list(c) for c in grid.foreign_counts(0)]
+        for v, message in refusals:
+            with pytest.raises(CollisionError) as raised:
+                grid.commit_route(0, [((0, 0, 0), Color.RED), (v, Color.RED)])
+            assert str(raised.value) == message
+            assert (dict(grid.committed), grid.keep_outs(0), [list(c) for c in grid.foreign_counts(0)]) == before
+        # A net's own pin, its own commit recolored and a free vertex go through.
+        grid.commit_route(5, [((2, 1, 0), Color.GREEN), ((2, 2, 0), Color.BLUE), ((0, 0, 0), Color.RED)])
+        assert grid.committed == {(2, 1, 0): (5, Color.GREEN), (2, 2, 0): (5, Color.BLUE), (0, 0, 0): (5, Color.RED)}
+        grid.commit_route(7, [((1, 1, 0), Color.RED)])
+        assert grid.committed[(1, 1, 0)] == (7, Color.RED)
 
 
 @pytest.mark.parametrize(

@@ -1,9 +1,13 @@
 import pytest
 
 from instances import empty_grid, register_pins, two_pin_net
+from tplroute.baseline import run_baseline
 from tplroute.color_state import Color
+from tplroute.generate import generate_instance
+from tplroute.grid import Grid
 from tplroute.layout import DesignRules
 from tplroute.metrics import ScoreReport, compare, report_to_dict, score
+from tplroute.negotiation import route_all
 from tplroute.router import RouteTree, route_net
 
 
@@ -96,6 +100,35 @@ def test_score_is_pure():
     a = score(grid, {0: tree}, grid.rules)
     b = score(grid, {0: tree}, grid.rules)
     assert report_to_dict(a) == report_to_dict(b)
+
+
+def test_score_reads_the_scan_the_run_left(monkeypatch):
+    # route_all's last detect_conflicts is kept by the grid it returns, so
+    # score walks no pair. run_baseline keeps no scan (its colorless pass
+    # never scans, and its recolors would clear one), so score walks its
+    # grid once. Seed 6 ends with two conflicts after all ten iterations.
+    layout = generate_instance(
+        seed=6, width=10, height=10, layers=2, num_nets=6, pins_per_net=3,
+        congestion=0.5, rules=DesignRules(d_color=3),
+    )
+    walks = []
+    close_pairs = Grid.close_pairs
+
+    def counting(grid, d_color):
+        walks.append(d_color)
+        return close_pairs(grid, d_color)
+
+    monkeypatch.setattr(Grid, "close_pairs", counting)
+    result = route_all(layout)
+    assert len(result.final_conflicts) == 2
+    walks.clear()
+    report = score(result.grid, result.routes, layout.rules)
+    assert walks == [] and report.conflict_list == result.final_conflicts
+    assert report.conflict_list is not result.final_conflicts
+    base = run_baseline(layout)
+    walks.clear()
+    score(base.grid, base.routes, layout.rules)
+    assert walks == [3]
 
 
 def fake_report(conflicts, stitches=0, weighted=0.0):

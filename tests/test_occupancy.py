@@ -4,7 +4,8 @@ Random sequences of the committed map's two writers (commit, rip-up,
 and commit's recolor of a vertex by its owner), dataclasses.replace and
 swapping the rules to another d_color, interleaved with count reads,
 which build the per-mask counts part-way so later writes must keep them
-in step. A commit that lands off the grid,
+in step, and with conflict scans, which the grid keeps until its next
+write: after every operation a scan equals one of a fresh copy. A commit that lands off the grid,
 on an obstacle or on another net's pin or commit must be refused with
 nothing written. Afterwards every net's counts, times gamma, equal
 oracle.conflict_costs (a scan of the committed entries) at every vertex,
@@ -29,7 +30,7 @@ from tplroute.color_state import COLOR_ORDER
 from tplroute.generate import generate_instance
 from tplroute.grid import Direction
 from tplroute.layout import DesignRules
-from tplroute.negotiation import route_all
+from tplroute.negotiation import detect_conflicts, route_all
 from tplroute.router import route_net
 
 W, H, L = 5, 4, 2
@@ -55,10 +56,11 @@ def _geometry_grid(rules):
 OPS = st.one_of(
     st.tuples(st.just("commit"), nets, st.lists(st.tuples(written, colors), max_size=5)),
     st.tuples(st.just("rip_up"), nets),
-    st.tuples(st.just("recolor"), written, colors),
+    st.tuples(st.just("recolor"), st.integers(0, 99), colors),
     st.tuples(st.just("replace"), st.booleans()),
     st.tuples(st.just("d_color"), st.integers(1, 3)),
     st.tuples(st.just("read"), nets),
+    st.tuples(st.just("detect"), st.sampled_from([1, 2, 3, 10**6])),
 )
 
 
@@ -70,8 +72,10 @@ def apply(grid, op):
     elif kind == "rip_up":
         grid.rip_up(*args)
     elif kind == "recolor":
-        v, color = args
-        if v in committed:
+        # The owner recolors one of the committed vertices, picked by index.
+        i, color = args
+        if committed:
+            v = sorted(committed)[i % len(committed)]
             grid.commit_route(committed[v][0], [(v, color)])
     elif kind == "replace":
         # Passed in or not, the map is copied: the two grids never share it.
@@ -82,6 +86,9 @@ def apply(grid, op):
         grid.rules = replace(grid.rules, d_color=args[0])
     elif kind == "read":
         grid.foreign_counts(*args)
+    elif kind == "detect":
+        # Keeps a scan in the grid's slot, at a d_color the rules may not hold.
+        detect_conflicts(grid, replace(grid.rules, d_color=args[0]))
     return grid
 
 
@@ -105,6 +112,50 @@ def test_indexes_follow_every_mutation(d_color, ops):
     for op in ops:
         grid = apply(grid, op)
     assert_indexes_match(grid)
+
+
+def assert_scan_is_fresh(grid):
+    # A grid made by dataclasses.replace starts with no scan kept.
+    assert detect_conflicts(grid, grid.rules) == detect_conflicts(replace(grid), grid.rules)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 3), st.lists(OPS, max_size=25))
+def test_kept_scan_follows_every_mutation(d_color, ops):
+    # Every check keeps a scan at the rules' d_color, so the next write
+    # must clear it; a detect op keeps one at some other d_color.
+    grid = _geometry_grid(DesignRules(d_color=d_color, gamma=3.0))
+    for op in ops:
+        grid = apply(grid, op)
+        assert_scan_is_fresh(grid)
+
+
+def test_kept_scan_is_cleared_by_each_writer():
+    # Red commits of nets 1 and 2, two tracks apart, conflict at d_color 3
+    # and not at 2. A same-net recolor ends the conflict, a recolor back
+    # restores it, the d_color swaps drop and restore it, a rip-up ends it.
+    grid = _geometry_grid(DesignRules(d_color=3))
+    red, green = COLOR_ORDER[0], COLOR_ORDER[1]
+    grid.commit_route(1, [((1, 1, 0), red)])
+    grid.commit_route(2, [((3, 1, 0), red)])
+    steps = [
+        lambda g: None,
+        lambda g: g.commit_route(2, [((3, 1, 0), green)]),
+        lambda g: g.commit_route(2, [((3, 1, 0), red)]),
+        lambda g: setattr(g, "rules", replace(g.rules, d_color=2)),
+        lambda g: setattr(g, "rules", replace(g.rules, d_color=3)),
+        lambda g: g.rip_up(1),
+    ]
+    seen = []
+    for step in steps:
+        step(grid)
+        assert_scan_is_fresh(grid)
+        seen.append(len(detect_conflicts(grid, grid.rules)))
+    assert seen == [1, 0, 1, 0, 1, 0]
+    grid.commit_route(1, [((1, 1, 0), red)])
+    found = detect_conflicts(grid, grid.rules)
+    found.clear()  # each call hands out its own list
+    assert len(detect_conflicts(grid, grid.rules)) == 1
 
 
 def test_copies_rebuild_the_indexes():
