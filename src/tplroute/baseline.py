@@ -6,17 +6,25 @@ graph between close segments of different nets, and 3-colors it: exactly
 for components of up to 12 segments, greedily (descending conflict
 degree) above that. Stitch freedom exists only at segment boundaries,
 i.e. bends and junctions.
+
+The grid's close pairs are walked once per run. build_conflict_graph
+keeps the pairs it read its conflict edges from, and run_baseline,
+after the recolors, hands them with their final colors to the grid's
+last-scan slot (negotiation.keep_scan). A recolor changes a vertex's
+mask, never its net, so the pairs are still the grid's, and score
+copies that scan rather than walking the grid again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, field, replace
 from itertools import chain
 
 from .color_state import COLOR_ORDER, Color
 from .grid import Grid
 from .layout import DesignRules, Layout, Vertex, require_valid
-from .negotiation import net_order_key, route_batch
+from .negotiation import keep_scan, net_order_key, route_batch
 from .router import RouteTree, recount_stitches
 
 EXACT_COMPONENT_LIMIT = 12
@@ -36,6 +44,9 @@ class ConflictGraph:
     conflict_edges: list[tuple[int, int]]
     # Index pairs (i < j): same net, grid-adjacent on one layer.
     stitch_edges: list[tuple[int, int]]
+    # The vertex pairs (a, b, distance) of Grid.close_pairs the conflict
+    # edges were read from; empty in a graph built by hand.
+    close_pairs: list[tuple[Vertex, Vertex, int]] = field(default_factory=list)
 
 
 @dataclass
@@ -78,8 +89,9 @@ def build_conflict_graph(grid: Grid, rules: DesignRules) -> ConflictGraph:
     """
     segments, seg_at = _extract_segments(grid)
     width, height = grid.width, grid.height
+    pairs = [(a, b, distance) for a, b, distance, _, _ in grid.close_pairs(rules.d_color)]
     conflicts: set[tuple[int, int]] = set()
-    for (ax, ay, l), (bx, by, _), _, _, _ in grid.close_pairs(rules.d_color):
+    for (ax, ay, l), (bx, by, _), _ in pairs:
         base = l * height
         i, j = seg_at[(base + ay) * width + ax], seg_at[(base + by) * width + bx]
         conflicts.add((i, j) if i < j else (j, i))
@@ -94,7 +106,7 @@ def build_conflict_graph(grid: Grid, rules: DesignRules) -> ConflictGraph:
             for j in (right, above):
                 if j >= 0 and j != i and seg_net[j] == net_id:
                     stitches.add((i, j) if i < j else (j, i))
-    return ConflictGraph(segments, sorted(conflicts), sorted(stitches))
+    return ConflictGraph(segments, sorted(conflicts), sorted(stitches), pairs)
 
 
 def decompose(graph: ConflictGraph) -> Decomposition:
@@ -145,7 +157,19 @@ def exact_color_component(
     Nodes are colored in sorted order, each trying COLOR_ORDER in turn, so
     of the assignments tied at the minimum the lexicographically least one
     is found first and kept. Edges to nodes outside component are ignored.
+
+    The walk opens colors in COLOR_ORDER only: a node takes a color an
+    earlier node took, or the first one none took. Every assignment has
+    such a canonical form, its colors relabeled in order of first
+    appearance, and relabeling keeps both counts (they only ask whether
+    two colors are equal). At the first node where the two differ, the
+    assignment opens a color past the next unused one, so the canonical
+    form is lexicographically smaller. The least assignment at the
+    minimum is therefore canonical, and the walk, which skips up to five
+    of every six assignments, returns it.
     """
+    if len(component) == 1:
+        return {component[0]: COLOR_ORDER[0]}
     nodes = sorted(component)
     pos = {n: i for i, n in enumerate(nodes)}
     # Per position, the earlier positions it shares a conflict or stitch edge with.
@@ -154,35 +178,35 @@ def exact_color_component(
     for i, node in enumerate(nodes):
         earlier_conflicts.append([pos[n] for n in adj[node] if n in pos and pos[n] < i])
         earlier_stitches.append([pos[n] for n in stitch_adj[node] if n in pos and pos[n] < i])
-    best: tuple[int, int, tuple[int, ...]] | None = None
+    # One int per cost: a conflict outweighs every stitch the component has.
+    weight = sum(map(len, earlier_stitches)) + 1
+    best_cost, best = math.inf, ()
     assignment: list[int] = [0] * len(nodes)  # COLOR_ORDER indices
 
-    def walk(i: int, conflicts: int, stitches: int) -> None:
-        nonlocal best
-        if best is not None and (conflicts, stitches) >= best[:2]:
-            return
+    def walk(i: int, cost: int, opened: int) -> None:
+        nonlocal best_cost, best
         if i == len(nodes):
-            best = (conflicts, stitches, tuple(assignment))
+            best_cost, best = cost, tuple(assignment)
             return
-        # Earlier neighbours per mask: a conflict for each on the same one,
-        # a stitch for each stitch neighbour on another.
-        same = [0, 0, 0]
+        # Per mask, what taking it adds: weight for each earlier conflict
+        # neighbour on it, one for each earlier stitch neighbour on another.
+        add = [len(earlier_stitches[i])] * 3
         for j in earlier_conflicts[i]:
-            same[assignment[j]] += 1
-        joined = [0, 0, 0]
+            add[assignment[j]] += weight
         for j in earlier_stitches[i]:
-            joined[assignment[j]] += 1
-        stitch_total = len(earlier_stitches[i])
-        for ci in range(3):
-            assignment[i] = ci
-            walk(i + 1, conflicts + same[ci], stitches + stitch_total - joined[ci])
+            add[assignment[j]] -= 1
+        # Colors 0..opened-1 are taken; the next one may open. A child that
+        # cannot beat the best found is not walked.
+        for ci in range(opened + 1 if opened < 3 else 3):
+            if cost + add[ci] < best_cost:
+                assignment[i] = ci
+                walk(i + 1, cost + add[ci], opened + (ci == opened))
 
     walk(0, 0, 0)
     # walk's closure cell holds walk itself; emptying it breaks that cycle,
     # so reference counting frees the closure without the cyclic GC.
     del walk
-    assert best is not None
-    return {n: COLOR_ORDER[best[2][i]] for i, n in enumerate(nodes)}
+    return {n: COLOR_ORDER[ci] for n, ci in zip(nodes, best)}
 
 
 def run_baseline(layout: Layout) -> BaselineResult:
@@ -197,6 +221,13 @@ def run_baseline(layout: Layout) -> BaselineResult:
         changed = [(v, color) for v in segment.vertices if committed[v][1] != color]
         if changed:
             grid.commit_route(segment.net_id, changed)
+    # The recolors kept every pair's vertices, so the pairs the graph was
+    # read from, with their final colors, are the grid's conflict scan.
+    keep_scan(
+        grid,
+        grid._clamp(layout.rules.d_color),
+        [(a, b, distance, committed[a], committed[b]) for a, b, distance in graph.close_pairs],
+    )
     # A tree's vertices are its net's commits, so it has a stitch only when
     # one of the net's stitch edges joins two masks.
     colors = decomposition.node_colors
@@ -204,11 +235,8 @@ def run_baseline(layout: Layout) -> BaselineResult:
     recolored: dict[int, RouteTree] = {}
     for net_id, tree in routes.items():
         vertex_colors = {v: committed[v][1] for v in tree.vertex_colors}
-        recolored[net_id] = replace(
-            tree,
-            vertex_colors=vertex_colors,
-            stitches=recount_stitches(vertex_colors) if net_id in stitched else [],
-        )
+        stitches = recount_stitches(vertex_colors) if net_id in stitched else []
+        recolored[net_id] = RouteTree(tree.paths, vertex_colors, stitches, tree.vertex_states, tree.total_cost)
     return BaselineResult(grid, recolored, graph, decomposition)
 
 
@@ -257,44 +285,41 @@ def _extract_segments(grid: Grid) -> tuple[list[Segment], list[int]]:
     per vertex id, the index of the segment holding it (-1 for none).
     """
     width, height = grid.width, grid.height
-    size = width * height * grid.num_layers
+    _, vertex_at = grid.move_table()
+    size = len(vertex_at)
+    horizontal_at = [d == "H" for d in grid.layer_dirs]
     net_at: list[int | None] = [None] * size
     entries = []
-    for v, (net_id, _) in grid.committed.items():
-        x, y, l = v
+    for (x, y, l), (net_id, _) in grid.committed.items():
         vid = (l * height + y) * width + x
         net_at[vid] = net_id
-        entries.append((net_id, x, y, l, vid, grid.layer_dirs[l] == "H"))
+        entries.append((net_id, x, y, l, vid, horizontal_at[l]))
 
     # A run is (net_id, x, y, layer, along_x, length), from its first vertex.
+    # A vertex taken into a run is cleared from net_at.
     runs: list[tuple[int, int, int, int, bool, int]] = []
-    taken = bytearray(size)
     for preferred in (True, False):
         for net_id, x, y, l, vid, horizontal in entries:
-            if taken[vid]:
+            if net_at[vid] is None:
                 continue
             along_x = horizontal == preferred
             pos, limit, step = (x, width, 1) if along_x else (y, height, width)
-            if pos and net_at[vid - step] == net_id and not taken[vid - step]:
+            if pos and net_at[vid - step] == net_id:
                 continue  # not the first vertex of its run
             length = 1
-            while pos + length < limit and net_at[vid + length * step] == net_id and not taken[vid + length * step]:
+            while pos + length < limit and net_at[vid + length * step] == net_id:
                 length += 1
             if preferred and length < 2:
                 continue
             runs.append((net_id, x, y, l, along_x, length))
-            taken[vid : vid + length * step : step] = b"\x01" * length
+            net_at[vid : vid + length * step : step] = [None] * length
     runs.sort()
 
     segments: list[Segment] = []
     seg_at = [-1] * size
     for index, (net_id, x, y, l, along_x, length) in enumerate(runs):
-        if along_x:
-            vertices = [(x + k, y, l) for k in range(length)]
-        else:
-            vertices = [(x, y + k, l) for k in range(length)]
-        vid = (l * height + y) * width + x
-        step = 1 if along_x else width
-        seg_at[vid : vid + length * step : step] = [index] * length
-        segments.append(Segment(net_id, vertices))
+        vid, step = (l * height + y) * width + x, 1 if along_x else width
+        cells = slice(vid, vid + length * step, step)
+        seg_at[cells] = [index] * length
+        segments.append(Segment(net_id, list(vertex_at[cells])))
     return segments, seg_at

@@ -38,15 +38,20 @@ pin and commit, inf elsewhere) in step. A net's
 keep-outs are a copy of the template with its own commits and pins set
 to inf, which is the array its search starts from (router.SolutionQueue).
 commit_route reads the template first, so a vertex at inf skips the
-obstacle, pin and commit lookups. A vertex at least d_color - 1 tracks
+obstacle, pin and commit lookups; a vertex the committing net already
+holds skips the obstacle and pin lookups, as no commit lies on either.
+A vertex at least d_color - 1 tracks
 from every edge of its layer spreads its count through one cached tuple
 of vid offsets (_stencil_offsets) with no bounds test; any other vertex,
 and every vertex once d_color passes the clamp, takes the checked walk.
 
 The grid also keeps, in one slot (_last_scan), the conflicts of
 negotiation.detect_conflicts's last scan with the clamped d_color it
-ran at, so a second scan of an unchanged grid is a copy. The map's two
-writers, commit_route and rip_up, clear it, once per call.
+ran at, so a second scan of an unchanged grid is a copy. The slot has
+two writers, both through negotiation.keep_scan: detect_conflicts, and
+baseline.run_baseline, which hands over the pairs its conflict graph
+was read from once its recolors are committed. The map's two writers,
+commit_route and rip_up, clear it, once per call.
 """
 
 from __future__ import annotations
@@ -146,8 +151,8 @@ class Grid:
     _owned: dict[int, set[Vertex]] = field(default_factory=dict, init=False, repr=False, compare=False)
     _pin_vids: dict[int, list[int]] = field(default_factory=dict, init=False, repr=False, compare=False)
     _blocked: list[float] = field(default_factory=list, init=False, repr=False, compare=False)
-    # (clamped d_color, its conflicts) from negotiation.detect_conflicts's
-    # last scan, or None; commit_route and rip_up clear it.
+    # (clamped d_color, its conflicts) from the last negotiation.keep_scan,
+    # or None; commit_route and rip_up clear it.
     _last_scan: tuple[int, list] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -356,13 +361,15 @@ class Grid:
             if not (0 <= x < width and 0 <= y < height and 0 <= l < layers):
                 raise ValueError(f"vertex {v} is off the grid")
             if blocked[(l * height + y) * width + x] == _KEEP_OUT:  # an obstacle, a pin or a commit
+                owner = committed.get(v)
+                if owner is not None and owner[0] == net_id:
+                    continue  # the net's own commit, never on an obstacle or another net's pin
                 if v in obstacles:
                     raise CollisionError(f"vertex {v} is an obstacle")
                 pin_owner = pin_owners.get(v, net_id)
                 if pin_owner != net_id:
                     raise CollisionError(f"vertex {v} is a pin of net {pin_owner}, not {net_id}")
-                owner = committed.get(v)
-                if owner is not None and owner[0] != net_id:
+                if owner is not None:
                     raise CollisionError(f"vertex {v} already committed to net {owner[0]}, not {net_id}")
         owned = self._owned.setdefault(net_id, set())
         spread = None if self._counts is None else []

@@ -59,14 +59,25 @@ def detect_conflicts(grid: Grid, rules: DesignRules) -> list[Conflict]:
     d_color = grid._clamp(rules.d_color)
     last = grid._last_scan
     if last is None or last[0] != d_color:
-        found = [
-            Conflict(a, b, net_a, net_b, color_a, distance)
-            for a, b, distance, (net_a, color_a), (net_b, color_b) in grid.close_pairs(d_color)
-            if color_a == color_b
-        ]
-        found.sort(key=lambda c: (c.vertex_a, c.vertex_b))
-        last = grid._last_scan = (d_color, found)
+        last = keep_scan(grid, d_color, grid.close_pairs(d_color))
     return list(last[1])
+
+
+def keep_scan(grid: Grid, d_color: int, pairs) -> tuple[int, list[Conflict]]:
+    """Keep the conflicts among pairs in the grid's last-scan slot, and return the slot.
+
+    pairs are (a, b, distance, committed[a], committed[b]) as
+    Grid.close_pairs yields them at the clamped d_color; the conflicts
+    are those whose two colors are equal, sorted by their vertices.
+    """
+    found = [
+        Conflict(a, b, net_a, net_b, color_a, distance)
+        for a, b, distance, (net_a, color_a), (net_b, color_b) in pairs
+        if color_a == color_b
+    ]
+    found.sort(key=lambda c: (c.vertex_a, c.vertex_b))
+    grid._last_scan = (d_color, found)
+    return grid._last_scan
 
 
 def net_order_key(net: Net) -> tuple[int, int, int]:

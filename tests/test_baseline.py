@@ -1,6 +1,8 @@
 import gc
 import itertools
 import random
+import sys
+from dataclasses import replace
 
 import pytest
 
@@ -21,6 +23,7 @@ from tplroute.color_state import COLOR_ORDER, Color
 from tplroute.generate import generate_instance
 from tplroute.grid import Grid
 from tplroute.layout import DesignRules
+from tplroute.metrics import score
 from tplroute.negotiation import detect_conflicts, route_all
 from tplroute.router import UnroutableError
 
@@ -176,6 +179,91 @@ def test_exact_coloring_matches_brute_force():
         assert tuple(COLOR_ORDER.index(exact[n]) for n in nodes) == brute
 
 
+def unrestricted_walk(component, adj, stitch_adj):
+    """The exact colorer's walk as it was before it opened colors in order.
+
+    Every node tries all three masks, and a call whose (conflicts,
+    stitches) cannot beat the best found returns at once. Returns the
+    assignment (COLOR_ORDER indices in sorted-node order) and how many
+    calls went past that test with a canonical prefix, one that opens
+    colors in COLOR_ORDER only.
+    """
+    nodes = sorted(component)
+    pos = {n: i for i, n in enumerate(nodes)}
+    earlier_conflicts = [[pos[n] for n in adj[node] if n in pos and pos[n] < i] for i, node in enumerate(nodes)]
+    earlier_stitches = [[pos[n] for n in stitch_adj[node] if n in pos and pos[n] < i] for i, node in enumerate(nodes)]
+    best = None
+    canonical_calls = 0
+    assignment = [0] * len(nodes)
+
+    def walk(i, conflicts, stitches):
+        nonlocal best, canonical_calls
+        if best is not None and (conflicts, stitches) >= best[:2]:
+            return
+        if all(assignment[k] <= max(assignment[:k], default=-1) + 1 for k in range(i)):
+            canonical_calls += 1
+        if i == len(nodes):
+            best = (conflicts, stitches, tuple(assignment))
+            return
+        same = [0, 0, 0]
+        for j in earlier_conflicts[i]:
+            same[assignment[j]] += 1
+        joined = [0, 0, 0]
+        for j in earlier_stitches[i]:
+            joined[assignment[j]] += 1
+        for ci in range(3):
+            assignment[i] = ci
+            walk(i + 1, conflicts + same[ci], stitches + len(earlier_stitches[i]) - joined[ci])
+
+    walk(0, 0, 0)
+    return best[2], canonical_calls
+
+
+def count_walk_calls(fn, *args):
+    """fn's result, and how many times baseline's nested walk was called during it."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_name == "walk" and frame.f_code.co_filename == baseline.__file__:
+            calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        result = fn(*args)
+    finally:
+        sys.setprofile(previous)
+    return result, calls
+
+
+def test_canonical_walk_matches_the_unrestricted_walk():
+    # Stitch-heavy components of 1 to EXACT_COMPONENT_LIMIT nodes, drawn
+    # from a few more so some edges leave the component. The colorer
+    # returns the unrestricted walk's assignment, and walks exactly its
+    # canonical calls: a walk that opened a color a node early would also
+    # walk non-canonical ones, and one that opened it late would miss
+    # some. A component of one node is colored without a walk.
+    rng = random.Random(33)
+    sizes = [1, 1, 2, 3] + [rng.randint(1, EXACT_COMPONENT_LIMIT) for _ in range(56)]
+    for n in sizes:
+        count = n + rng.randint(0, 3)
+        nodes = sorted(rng.sample(range(count), n))
+        adj, stitch_adj = [set() for _ in range(count)], [set() for _ in range(count)]
+        p_conflict, p_stitch = rng.choice([(0.15, 0.5), (0.3, 0.4), (0.5, 0.3)])
+        for i in range(count):
+            for j in range(i + 1, count):
+                r = rng.random()
+                into = adj if r < p_conflict else stitch_adj if r < p_conflict + p_stitch else None
+                if into is not None:
+                    into[i].add(j)
+                    into[j].add(i)
+        expected, canonical_calls = unrestricted_walk(nodes, adj, stitch_adj)
+        exact, calls = count_walk_calls(exact_color_component, nodes, adj, stitch_adj)
+        assert tuple(COLOR_ORDER.index(exact[v]) for v in nodes) == expected, nodes
+        assert calls == (0 if n == 1 else canonical_calls), nodes
+
+
 def test_decompose_preserves_geometry():
     layout = congested_layout(3)
     grid, routes = route_colorless(layout)
@@ -289,3 +377,33 @@ def test_runs_leave_no_cyclic_garbage(arm):
         if enabled:
             gc.enable()
     assert outcomes == ["routed", "unroutable", "routed"]
+
+
+@pytest.mark.parametrize("d_color", [1, 2, 3, 10**6])
+def test_baseline_keeps_the_scan_of_its_final_grid(monkeypatch, d_color):
+    # run_baseline hands the pairs its conflict graph was read from, with
+    # their final colors, to the grid's last-scan slot: the kept list is a
+    # fresh scan of a copy, sorted, at the clamped d_color, and score
+    # copies it without walking the grid.
+    walks = []
+    close_pairs = Grid.close_pairs
+    monkeypatch.setattr(Grid, "close_pairs", lambda grid, d: walks.append(d) or close_pairs(grid, d))
+    kept_total = 0
+    for seed in range(4):
+        layout = generate_instance(
+            seed=seed, width=10, height=10, layers=2, num_nets=8, pins_per_net=3,
+            congestion=0.6, rules=DesignRules(d_color=d_color),
+        )
+        result = run_baseline(layout)
+        grid = result.grid
+        kept_d_color, kept = grid._last_scan
+        assert kept_d_color == grid._clamp(d_color)
+        assert kept == sorted(kept, key=lambda c: (c.vertex_a, c.vertex_b))
+        walks.clear()
+        report = score(grid, result.routes, layout.rules)
+        assert walks == []
+        assert report.conflict_list == kept and report.conflict_list is not kept
+        assert kept == detect_conflicts(replace(grid), layout.rules)
+        kept_total += len(kept)
+    # Conflicts the decomposition could not remove are left at d_color 3 and above.
+    assert (kept_total > 0) == (d_color >= 3)

@@ -341,6 +341,29 @@ class TestOccupancy:
         grid.commit_route(7, [((1, 1, 0), Color.RED)])
         assert grid.committed[(1, 1, 0)] == (7, Color.RED)
 
+    def test_commit_message_precedence_on_a_committed_pin(self):
+        # Net 7 has committed its own pin (1, 1, 0). A vertex already the
+        # committing net's skips the obstacle and pin lookups; any other
+        # net is refused in the old order: obstacle, pin, then commit.
+        grid = replace(empty_grid(4, 3, ("H",), obstacles={(3, 2, 0)}), pin_owners={(1, 1, 0): 7})
+        grid.commit_route(7, [((1, 1, 0), Color.RED), ((2, 1, 0), Color.RED)])
+        grid.foreign_counts(3)  # build the counts, so a refused commit would have spread them
+        refusals = [
+            (3, (1, 1, 0), "vertex (1, 1, 0) is a pin of net 7, not 3"),
+            (3, (2, 1, 0), "vertex (2, 1, 0) already committed to net 7, not 3"),
+            (7, (3, 2, 0), "vertex (3, 2, 0) is an obstacle"),
+        ]
+        for net_id, v, message in refusals:
+            before = dict(grid.committed), grid.keep_outs(net_id), [list(c) for c in grid.foreign_counts(net_id)]
+            with pytest.raises(CollisionError) as raised:
+                grid.commit_route(net_id, [((0, 0, 0), Color.RED), (v, Color.BLUE)])
+            assert str(raised.value) == message
+            assert (dict(grid.committed), grid.keep_outs(net_id), [list(c) for c in grid.foreign_counts(net_id)]) == before
+        # Net 7 recolors its pin and its other commit.
+        grid.commit_route(7, [((1, 1, 0), Color.BLUE), ((2, 1, 0), Color.GREEN)])
+        assert grid.committed == {(1, 1, 0): (7, Color.BLUE), (2, 1, 0): (7, Color.GREEN)}
+        assert list(grid.foreign_counts(3)) == list(replace(grid).foreign_counts(3))
+
 
 @pytest.mark.parametrize(
     "fields, match",

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from instances import empty_grid, register_pins, two_pin_net
@@ -7,7 +9,7 @@ from tplroute.generate import generate_instance
 from tplroute.grid import Grid
 from tplroute.layout import DesignRules
 from tplroute.metrics import ScoreReport, compare, report_to_dict, score
-from tplroute.negotiation import route_all
+from tplroute.negotiation import detect_conflicts, route_all
 from tplroute.router import RouteTree, route_net
 
 
@@ -103,10 +105,10 @@ def test_score_is_pure():
 
 
 def test_score_reads_the_scan_the_run_left(monkeypatch):
-    # route_all's last detect_conflicts is kept by the grid it returns, so
-    # score walks no pair. run_baseline keeps no scan (its colorless pass
-    # never scans, and its recolors would clear one), so score walks its
-    # grid once. Seed 6 ends with two conflicts after all ten iterations.
+    # route_all's last detect_conflicts is kept by the grid it returns, and
+    # run_baseline keeps the pairs its conflict graph was read from, with
+    # their final colors, so score walks no pair after either arm. Seed 6
+    # ends with two conflicts after all ten iterations.
     layout = generate_instance(
         seed=6, width=10, height=10, layers=2, num_nets=6, pins_per_net=3,
         congestion=0.5, rules=DesignRules(d_color=3),
@@ -127,8 +129,9 @@ def test_score_reads_the_scan_the_run_left(monkeypatch):
     assert report.conflict_list is not result.final_conflicts
     base = run_baseline(layout)
     walks.clear()
-    score(base.grid, base.routes, layout.rules)
-    assert walks == [3]
+    report = score(base.grid, base.routes, layout.rules)
+    assert walks == [] and report.conflicts > 0
+    assert report.conflict_list == detect_conflicts(replace(base.grid), layout.rules)
 
 
 def fake_report(conflicts, stitches=0, weighted=0.0):

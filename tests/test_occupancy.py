@@ -5,7 +5,9 @@ and commit's recolor of a vertex by its owner), dataclasses.replace and
 swapping the rules to another d_color, interleaved with count reads,
 which build the per-mask counts part-way so later writes must keep them
 in step, and with conflict scans, which the grid keeps until its next
-write: after every operation a scan equals one of a fresh copy. A commit that lands off the grid,
+write: after every operation a scan equals one of a fresh copy. A toggle
+scans, then has an owner recolor one vertex of a close cross-net pair
+so that the pair's conflict starts or ends. A commit that lands off the grid,
 on an obstacle or on another net's pin or commit must be refused with
 nothing written. Afterwards every net's counts, times gamma, equal
 oracle.conflict_costs (a scan of the committed entries) at every vertex,
@@ -53,15 +55,24 @@ def _geometry_grid(rules):
     return replace(empty_grid(W, H, ("H", "V"), rules, obstacles=OBSTACLES), pin_owners=PINS)
 
 
+COMMIT = st.tuples(st.just("commit"), nets, st.lists(st.tuples(written, colors), max_size=5))
+TOGGLE = st.tuples(st.just("toggle"), st.integers(0, 99))
 OPS = st.one_of(
-    st.tuples(st.just("commit"), nets, st.lists(st.tuples(written, colors), max_size=5)),
+    COMMIT,
     st.tuples(st.just("rip_up"), nets),
     st.tuples(st.just("recolor"), st.integers(0, 99), colors),
     st.tuples(st.just("replace"), st.booleans()),
     st.tuples(st.just("d_color"), st.integers(1, 3)),
     st.tuples(st.just("read"), nets),
     st.tuples(st.just("detect"), st.sampled_from([1, 2, 3, 10**6])),
+    TOGGLE,
 )
+# The kept-scan test draws longer sequences: half toggles, a quarter
+# on-grid commits and a quarter any op, so that about half of them reach
+# close cross-net pairs and have their owners recolor them while a scan
+# is kept.
+PLACE = st.tuples(st.just("commit"), nets, st.lists(st.tuples(ON_GRID, colors), min_size=1, max_size=5))
+SCAN_OPS = st.integers(0, 3).flatmap(lambda k: OPS if k == 0 else PLACE if k == 1 else TOGGLE)
 
 
 def apply(grid, op):
@@ -89,6 +100,16 @@ def apply(grid, op):
     elif kind == "detect":
         # Keeps a scan in the grid's slot, at a d_color the rules may not hold.
         detect_conflicts(grid, replace(grid.rules, d_color=args[0]))
+    elif kind == "toggle":
+        # Keeps a scan at the rules' d_color, then the owner of a close
+        # pair's first vertex, picked by index, gives it the other vertex's
+        # color, or the next one if the two already match.
+        detect_conflicts(grid, grid.rules)
+        pairs = sorted(grid.close_pairs(grid.rules.d_color), key=lambda pair: pair[:2])
+        if pairs:
+            a, _, _, (net_a, color_a), (_, color_b) = pairs[args[0] % len(pairs)]
+            color = color_b if color_a != color_b else COLOR_ORDER[(COLOR_ORDER.index(color_a) + 1) % 3]
+            grid.commit_route(net_a, [(a, color)])
     return grid
 
 
@@ -120,7 +141,7 @@ def assert_scan_is_fresh(grid):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.integers(1, 3), st.lists(OPS, max_size=25))
+@given(st.integers(2, 3), st.lists(SCAN_OPS, min_size=10, max_size=40))
 def test_kept_scan_follows_every_mutation(d_color, ops):
     # Every check keeps a scan at the rules' d_color, so the next write
     # must clear it; a detect op keeps one at some other d_color.
