@@ -12,9 +12,12 @@ each side parses every draw with its own ``layout_from_dict``.
 Each round runs every draw and arm on both sides back to back, the side
 that goes first alternating from draw to draw and round to round. An arm
 is what ``perfbench/run.py`` times: ``route_all`` or ``run_baseline``,
-then ``score``. The outcome of every run (the score report, the routes
-and the committed grid, or the exception's type and message) must be
-the same on both sides, else the script exits 1 naming the draw.
+then ``score``; or ``setup``, one draw's set-up as ``load_draws`` does
+it (generate, ``layout_to_dict``, ``json.dumps``, ``json.loads``,
+``layout_from_dict``). The outcome of every run (the score report, the
+routes and the committed grid; for set-up, the JSON text and the parsed
+layout's JSON text; or the exception's type and message) must be the
+same on both sides, else the script exits 1 naming the draw.
 
 Per arm it prints rev/tree ratios of per-draw wall times, each draw's
 time being its median over the rounds: the ratio of the interquartile
@@ -28,6 +31,7 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import io
+import json
 import statistics
 import subprocess
 import sys
@@ -42,7 +46,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from workloads import WORKLOADS, load_draws  # noqa: E402
 
-ARMS = ("route", "base")
+ARMS = ("setup", "route", "base")
 
 
 def load_package(name: str, src: Path):
@@ -52,7 +56,7 @@ def load_package(name: str, src: Path):
     package = importlib.util.module_from_spec(spec)
     sys.modules[name] = package
     spec.loader.exec_module(package)
-    for module in ("baseline", "layout", "metrics", "negotiation"):
+    for module in ("baseline", "generate", "layout", "metrics", "negotiation"):
         importlib.import_module(f"{name}.{module}")
     return package
 
@@ -94,6 +98,24 @@ def run_arm(package, arm: str, layout):
     return elapsed, (package.metrics.report_to_dict(report), conflicts, routes, committed)
 
 
+def run_setup(package, workload, seed: int):
+    """Set up one draw as load_draws does; return its wall seconds and its JSON texts."""
+    layout_module = package.layout
+    start = time.perf_counter()
+    try:
+        layout = package.generate.generate_instance(
+            seed=seed, width=workload.width, height=workload.height, layers=workload.layers,
+            num_nets=workload.num_nets, pins_per_net=workload.pins_per_net,
+            congestion=workload.congestion, rules=layout_module.DesignRules(d_color=workload.d_color),
+        )
+        text = json.dumps(layout_module.layout_to_dict(layout), sort_keys=True)
+        parsed = layout_module.layout_from_dict(json.loads(text))
+    except Exception as exc:  # a draw failing to set up is an outcome, compared like any other
+        return time.perf_counter() - start, (type(exc).__name__, str(exc))
+    elapsed = time.perf_counter() - start
+    return elapsed, (text, json.dumps(layout_module.layout_to_dict(parsed), sort_keys=True))
+
+
 def interquartile_mean(values: list[float]) -> float:
     ordered = sorted(values)
     cut = len(ordered) // 4
@@ -127,7 +149,10 @@ def main(argv=None) -> int:
                 for arm in args.arms:
                     outcomes = {}
                     for name in order:
-                        elapsed, outcomes[name] = run_arm(sides[name], arm, layouts[name][i])
+                        if arm == "setup":
+                            elapsed, outcomes[name] = run_setup(sides[name], workload, seed)
+                        else:
+                            elapsed, outcomes[name] = run_arm(sides[name], arm, layouts[name][i])
                         times[name, arm][i].append(elapsed)
                     if outcomes["rev"] != outcomes["tree"]:
                         print(f"draw {seed} {arm}: outcomes differ between {args.rev} and the working tree")

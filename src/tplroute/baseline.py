@@ -10,9 +10,10 @@ i.e. bends and junctions.
 The grid's close pairs are walked once per run. build_conflict_graph
 keeps the pairs it read its conflict edges from, and run_baseline,
 after the recolors, hands them with their final colors to the grid's
-last-scan slot (negotiation.keep_scan). A recolor changes a vertex's
-mask, never its net, so the pairs are still the grid's, and score
-copies that scan rather than walking the grid again.
+last-scan slot (negotiation.keep_scan), then empties the graph's list.
+A recolor changes a vertex's mask, never its net, so the pairs are
+still the grid's, and score copies that scan rather than walking the
+grid again.
 """
 
 from __future__ import annotations
@@ -45,7 +46,8 @@ class ConflictGraph:
     # Index pairs (i < j): same net, grid-adjacent on one layer.
     stitch_edges: list[tuple[int, int]]
     # The vertex pairs (a, b, distance) of Grid.close_pairs the conflict
-    # edges were read from; empty in a graph built by hand.
+    # edges were read from; empty in a graph built by hand, and emptied
+    # by run_baseline once the grid's last-scan slot holds them.
     close_pairs: list[tuple[Vertex, Vertex, int]] = field(default_factory=list)
 
 
@@ -228,6 +230,7 @@ def run_baseline(layout: Layout) -> BaselineResult:
         grid._clamp(layout.rules.d_color),
         [(a, b, distance, committed[a], committed[b]) for a, b, distance in graph.close_pairs],
     )
+    graph.close_pairs = []
     # A tree's vertices are its net's commits, so it has a stitch only when
     # one of the net's stitch edges joins two masks.
     colors = decomposition.node_colors

@@ -206,7 +206,7 @@ def layout_from_dict(data: dict) -> Layout:
         if not isinstance(name, str):
             raise LayoutError(f"net {net_id} name must be a string, got {name!r}")
         raw_pins = _array(_require(raw_net, "pins", "net {}", at), "net {} pins", at)
-        pins = [Pin(vertices) for vertices in _vertex_arrays(raw_pins, "net {} pin {}", at)]
+        pins = list(map(Pin, _vertex_arrays(raw_pins, "net {} pin {}", at)))
         guide = None
         raw_guide = raw_net.get("guide")
         if raw_guide is not None and _array(raw_guide, "net {} guide", at):
@@ -217,7 +217,7 @@ def layout_from_dict(data: dict) -> Layout:
                 )
                 for box in raw_guide
             ]
-        nets.append(Net(id=net_id, name=name, pins=pins, guide=guide))
+        nets.append(Net(net_id, name, pins, guide))
 
     layout = Layout(
         width=width,
@@ -371,7 +371,7 @@ def layout_to_dict(layout: Layout) -> dict:
         entry = {
             "id": net.id,
             "name": net.name,
-            "pins": [[list(v) for v in pin.covered_vertices] for pin in net.pins],
+            "pins": [list(map(list, pin.covered_vertices)) for pin in net.pins],
         }
         if net.guide:
             entry["guide"] = [dict(zip(GUIDE_KEYS, box)) for box in net.guide]
@@ -383,7 +383,7 @@ def layout_to_dict(layout: Layout) -> dict:
             "layers": [{"dir": direction} for direction in layout.layers],
         },
         "rules": {name: getattr(layout.rules, name) for name in RULE_TYPES},
-        "obstacles": [list(v) for v in sorted(layout.obstacles)],
+        "obstacles": list(map(list, sorted(layout.obstacles))),
         "nets": nets,
     }
 

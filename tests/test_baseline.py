@@ -407,3 +407,20 @@ def test_baseline_keeps_the_scan_of_its_final_grid(monkeypatch, d_color):
         kept_total += len(kept)
     # Conflicts the decomposition could not remove are left at d_color 3 and above.
     assert (kept_total > 0) == (d_color >= 3)
+
+
+def test_finished_baseline_holds_no_close_pairs():
+    # Once the grid's last-scan slot holds the close pairs, the result's
+    # graph drops its own list; score still reads the same conflicts as
+    # a fresh walk of the final grid.
+    layout = generate_instance(
+        seed=1, width=10, height=10, layers=2, num_nets=8, pins_per_net=3,
+        congestion=0.6, rules=DesignRules(d_color=10**6),
+    )
+    grid, _ = route_colorless(layout)
+    assert build_conflict_graph(grid, layout.rules).close_pairs
+    result = run_baseline(layout)
+    assert result.graph.close_pairs == []
+    report = score(result.grid, result.routes, layout.rules)
+    result.grid._last_scan = None
+    assert score(result.grid, result.routes, layout.rules) == report

@@ -1,9 +1,11 @@
 import hashlib
 import json
+import math
+import random
 
 import pytest
 
-from tplroute.generate import InfeasiblePlacementError, generate_instance
+from tplroute.generate import OBSTACLE_FRACTION, InfeasiblePlacementError, _sample_ids, generate_instance
 from tplroute.layout import DesignRules, layout_from_dict, layout_to_dict, validate
 
 
@@ -65,6 +67,33 @@ def test_rejects_bad_parameters():
         generate_instance(seed=0, width=4, height=4, layers=1, num_nets=1, pins_per_net=1, congestion=1.5)
     with pytest.raises(ValueError, match="more than"):
         generate_instance(seed=0, width=10**6, height=10**6, layers=2, num_nets=1, pins_per_net=2, congestion=0.5)
+    # Sizes must be integers, as validate requires of a layout; a boolean
+    # is not one. Each is named before any draw.
+    sizes = dict(width=12, height=12, layers=2, num_nets=4, pins_per_net=3)
+    for name, value in [("width", 12.0), ("height", True), ("layers", 2.0), ("num_nets", 2.5), ("pins_per_net", True)]:
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
+            generate_instance(seed=0, congestion=0.5, **{**sizes, name: value})
+
+
+def test_obstacle_ids_are_random_sample_picks():
+    # Every (n, k) the generator can ask for up to 400 vertices. Its k is
+    # round(congestion * OBSTACLE_FRACTION * n) for a congestion in [0, 1],
+    # so at most n / 20 rounded half up: where n / 20 is a tie, the float
+    # product may land on either side of it. _sample_ids must pick
+    # sample(range(n), k)'s ids in its order and leave the generator in
+    # the same state.
+    assert OBSTACLE_FRACTION == 1 / 20
+    for n in range(1, 401):
+        for k in range((n + 10) // 20 + 1):
+            # The premise: sample takes its set path, whose rule
+            # _sample_ids copies, unless it draws at most one id.
+            setsize = 21 + (4 ** math.ceil(math.log(k * 3, 4)) if k > 5 else 0)
+            assert k <= 1 or n > setsize, (n, k)
+            for seed in (0, n):
+                ours, reference = random.Random(seed), random.Random(seed)
+                picked = list(_sample_ids(ours.getrandbits, n, k))
+                assert picked == reference.sample(range(n), k), (n, k, seed)
+                assert ours.getstate() == reference.getstate(), (n, k, seed)
 
 
 def test_pins_avoid_obstacles_and_each_other():
