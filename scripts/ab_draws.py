@@ -22,7 +22,11 @@ same on both sides, else the script exits 1 naming the draw.
 Per arm it prints rev/tree ratios of per-draw wall times, each draw's
 time being its median over the rounds: the ratio of the interquartile
 means, the median per-draw ratio, and how many draws the tree ran
-faster. A ratio above 1 means the tree is faster. Nothing is gated on
+faster. A ratio above 1 means the tree is faster. With two or more
+rounds it also prints the run's own noise band: the rev side against
+itself, the interquartile mean of its even rounds over that of its odd
+rounds, where each draw ran first on the other side. A rev/tree ratio
+no further from 1 than that one is not a signal. Nothing is gated on
 time.
 """
 
@@ -122,14 +126,21 @@ def interquartile_mean(values: list[float]) -> float:
     return statistics.fmean(ordered[cut : len(ordered) - cut])
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("--rev", default="HEAD", help="git revision whose src/ is the rev side (default HEAD)")
     p.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--draws", type=int, default=None, help="first N draws of the workload (default all)")
+    p.add_argument("--draws", type=positive_int, default=None, help="first N draws of the workload (default all)")
     p.add_argument("--arms", nargs="+", choices=ARMS, default=list(ARMS))
-    p.add_argument("--rounds", type=int, default=3)
+    p.add_argument("--rounds", type=positive_int, default=3)
     args = p.parse_args(argv)
 
     workload = WORKLOADS[args.workload]
@@ -165,8 +176,13 @@ def main(argv=None) -> int:
         tree_ms = [1000 * statistics.median(t) for t in times["tree", arm]]
         ratios = [a / b for a, b in zip(rev_ms, tree_ms)]
         faster = sum(b < a for a, b in zip(rev_ms, tree_ms))
+        noise = ""
+        if args.rounds >= 2:
+            even = [statistics.median(t[0::2]) for t in times["rev", arm]]
+            odd = [statistics.median(t[1::2]) for t in times["rev", arm]]
+            noise = f"; rev even/odd rounds {interquartile_mean(even) / interquartile_mean(odd):.4f}x"
         print(f"{arm}: interquartile mean {interquartile_mean(rev_ms):.4f} -> {interquartile_mean(tree_ms):.4f} ms "
-              f"({interquartile_mean(rev_ms) / interquartile_mean(tree_ms):.4f}x); median per-draw ratio "
+              f"({interquartile_mean(rev_ms) / interquartile_mean(tree_ms):.4f}x{noise}); median per-draw ratio "
               f"{statistics.median(ratios):.4f}x; tree faster on {faster} of {len(draws)} draws")
     return 0
 

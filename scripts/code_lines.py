@@ -3,12 +3,22 @@
 
 A code line is a non-blank line that is neither a comment nor part of a
 module, class or function docstring. A prose line is any other non-blank
-line: a docstring or comment line. The counts are a report; nothing is
-checked. Run as python3 scripts/code_lines.py; it takes no options.
+line: a docstring or comment line.
+
+    python3 scripts/code_lines.py                            # report only
+    python3 scripts/code_lines.py --check scripts/line_budget.json
+
+With --check, FILE maps each module's file name to its budget,
+{"code": N, "prose": M}; a module it does not name has a budget of 0.
+The script then names every module over either budget and exits 1 if
+there is one. A change that must grow a module raises its budget in the
+same diff; one that shrinks a module lowers it.
 """
 
+import argparse
 import ast
 import io
+import json
 import sys
 import tokenize
 from pathlib import Path
@@ -47,8 +57,13 @@ def prose_lines(text: str) -> int:
     return sum(1 for number, line in enumerate(text.splitlines(), 1) if line.strip() and number not in code)
 
 
-def main() -> int:
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    p.add_argument("--check", metavar="FILE", type=Path, help="JSON of per-module code and prose budgets")
+    args = p.parse_args(argv)
+    budgets = json.loads(args.check.read_text()) if args.check else None
     total_code = total_prose = 0
+    over = []
     print("  code   prose  module")
     for path in sorted(PACKAGE.glob("*.py")):
         text = path.read_text()
@@ -56,8 +71,15 @@ def main() -> int:
         total_code += code
         total_prose += prose
         print(f"{code:6d}  {prose:6d}  {path.name}")
+        if budgets is not None:
+            budget = budgets.get(path.name, {"code": 0, "prose": 0})
+            if code > budget["code"] or prose > budget["prose"]:
+                over.append(f"{path.name}: {code} code, {prose} prose lines over its budget of "
+                            f"{budget['code']} and {budget['prose']}")
     print(f"{total_code:6d}  {total_prose:6d}  total")
-    return 0
+    for line in over:
+        print(line)
+    return 1 if over else 0
 
 
 if __name__ == "__main__":

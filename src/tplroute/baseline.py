@@ -7,13 +7,10 @@ for components of up to 12 segments, greedily (descending conflict
 degree) above that. Stitch freedom exists only at segment boundaries,
 i.e. bends and junctions.
 
-The grid's close pairs are walked once per run. build_conflict_graph
+The grid's close pairs are walked once per run: build_conflict_graph
 keeps the pairs it read its conflict edges from, and run_baseline,
-after the recolors, hands them with their final colors to the grid's
-last-scan slot (negotiation.keep_scan), then empties the graph's list.
-A recolor changes a vertex's mask, never its net, so the pairs are
-still the grid's, and score copies that scan rather than walking the
-grid again.
+after the recolors, hands them to Grid.conflicts, then empties the
+graph's list.
 """
 
 from __future__ import annotations
@@ -25,7 +22,7 @@ from itertools import chain
 from .color_state import COLOR_ORDER, Color
 from .grid import Grid
 from .layout import DesignRules, Layout, Vertex, require_valid
-from .negotiation import keep_scan, net_order_key, route_batch
+from .negotiation import net_order_key, route_batch
 from .router import RouteTree, recount_stitches
 
 EXACT_COMPONENT_LIMIT = 12
@@ -47,7 +44,7 @@ class ConflictGraph:
     stitch_edges: list[tuple[int, int]]
     # The vertex pairs (a, b, distance) of Grid.close_pairs the conflict
     # edges were read from; empty in a graph built by hand, and emptied
-    # by run_baseline once the grid's last-scan slot holds them.
+    # by run_baseline once Grid.conflicts has read them.
     close_pairs: list[tuple[Vertex, Vertex, int]] = field(default_factory=list)
 
 
@@ -223,13 +220,7 @@ def run_baseline(layout: Layout) -> BaselineResult:
         changed = [(v, color) for v in segment.vertices if committed[v][1] != color]
         if changed:
             grid.commit_route(segment.net_id, changed)
-    # The recolors kept every pair's vertices, so the pairs the graph was
-    # read from, with their final colors, are the grid's conflict scan.
-    keep_scan(
-        grid,
-        grid._clamp(layout.rules.d_color),
-        [(a, b, distance, committed[a], committed[b]) for a, b, distance in graph.close_pairs],
-    )
+    grid.conflicts(layout.rules.d_color, [(a, b, d, committed[a], committed[b]) for a, b, d in graph.close_pairs])
     graph.close_pairs = []
     # A tree's vertices are its net's commits, so it has a stitch only when
     # one of the net's stitch edges joins two masks.

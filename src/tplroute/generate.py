@@ -29,6 +29,7 @@ set path there.
 from __future__ import annotations
 
 import random
+from numbers import Real
 
 from .layout import MAX_GRID_VERTICES, DesignRules, Layout, Net, Pin, Vertex, _is_int
 
@@ -73,6 +74,8 @@ def generate_instance(
         raise ValueError("all size parameters must be positive")
     if width * height * layers > MAX_GRID_VERTICES:
         raise ValueError(f"grid {width}x{height}x{layers} has more than {MAX_GRID_VERTICES} vertices")
+    if isinstance(congestion, bool) or not isinstance(congestion, (float, Real)):  # float skips the ABC's check
+        raise ValueError(f"congestion must be a real number, got {congestion!r}")
     if not 0.0 <= congestion <= 1.0:
         raise ValueError(f"congestion must be in [0, 1], got {congestion}")
     getrandbits = random.Random(seed).getrandbits

@@ -15,13 +15,14 @@ Each grid fact the router reads is defined once here, per vertex id
 (PathFinder-style negotiation, McMurchie & Ebeling, FPGA 1995), a
 guide's off_guide penalties, and the d_color stencils with their clamp.
 Grid.close_pairs walks the stencil over the commits; both conflict
-relations (negotiation.detect_conflicts, baseline.build_conflict_graph)
-are read from it.
+relations (Grid.conflicts, baseline.build_conflict_graph) are read from
+it.
 
 A grid's geometry is checked once, when it is built, and trusted after:
 construction raises ValueError for an obstacle, pin or commit off the
 grid, a pin on an obstacle, a commit on an obstacle or another net's pin,
-or a history whose length is not the vertex count. obstacles is a
+a history whose length is not the vertex count, or a history entry that
+is negative or not finite (add_history's rule). obstacles is a
 frozenset, layer_dirs a tuple and pin_owners a read-only PinOwners copy,
 so none can be changed in place, and rebinding width, height,
 layer_dirs, obstacles or pin_owners raises AttributeError; a grid with
@@ -45,13 +46,8 @@ from every edge of its layer spreads its count through one cached tuple
 of vid offsets (_stencil_offsets) with no bounds test; any other vertex,
 and every vertex once d_color passes the clamp, takes the checked walk.
 
-The grid also keeps, in one slot (_last_scan), the conflicts of
-negotiation.detect_conflicts's last scan with the clamped d_color it
-ran at, so a second scan of an unchanged grid is a copy. The slot has
-two writers, both through negotiation.keep_scan: detect_conflicts, and
-baseline.run_baseline, which hands over the pairs its conflict graph
-was read from once its recolors are committed. The map's two writers,
-commit_route and rip_up, clear it, once per call.
+The grid also keeps its last conflict scan; Grid.conflicts states the
+rule.
 """
 
 from __future__ import annotations
@@ -95,6 +91,16 @@ Move = tuple[Direction, int, bool, float]
 _GEOMETRY = frozenset({"width", "height", "layer_dirs", "obstacles", "pin_owners"})
 # One shared object each, so the keep-out template holds no float of its own.
 _INF, _KEEP_OUT = math.inf, -math.inf
+
+
+@dataclass(frozen=True)
+class Conflict:
+    vertex_a: Vertex
+    vertex_b: Vertex
+    net_a: int
+    net_b: int
+    color: Color
+    distance: int
 
 
 class CollisionError(RuntimeError):
@@ -151,9 +157,8 @@ class Grid:
     _owned: dict[int, set[Vertex]] = field(default_factory=dict, init=False, repr=False, compare=False)
     _pin_vids: dict[int, list[int]] = field(default_factory=dict, init=False, repr=False, compare=False)
     _blocked: list[float] = field(default_factory=list, init=False, repr=False, compare=False)
-    # (clamped d_color, its conflicts) from the last negotiation.keep_scan,
-    # or None; commit_route and rip_up clear it.
-    _last_scan: tuple[int, list] | None = field(default=None, init=False, repr=False, compare=False)
+    # (clamped d_color, its conflicts), or None (see conflicts).
+    _last_scan: tuple[int, list[Conflict]] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         size = self.width * self.height * self.num_layers
@@ -161,9 +166,13 @@ class Grid:
         object.__setattr__(self, "layer_dirs", tuple(self.layer_dirs))
         object.__setattr__(self, "pin_owners", PinOwners(self.pin_owners))
         # A copy, as committed is: a grid made by dataclasses.replace keeps its own history.
-        self.history = [0.0] * size if self.history is None else list(self.history)
+        given = self.history
+        self.history = [0.0] * size if given is None else list(given)
         if len(self.history) != size:
             raise ValueError(f"history has {len(self.history)} entries for {size} vertices")
+        for amount in () if given is None else self.history:  # add_history's rule; zeros need no check
+            if not (math.isfinite(amount) and amount >= 0):
+                raise ValueError(f"history entries must be finite and non-negative, got {amount}")
         width, height, layers = self.width, self.height, self.num_layers
         blocked = self._blocked = [_INF] * size
         for v in chain(self.obstacles, self.pin_owners):
@@ -233,6 +242,29 @@ class Grid:
                 if other is not None and other[0] != net:
                     # v < w exactly when dx >= 0, as the half stencil has dy > 0 where dx == 0.
                     yield (v, w, distance, entry, other) if dx >= 0 else (w, v, distance, other, entry)
+
+    def conflicts(self, d_color: int, pairs=None) -> list[Conflict]:
+        """Every same-mask pair of close_pairs at d_color, sorted by their vertices, in a new list.
+
+        The grid keeps its last scan with the clamped d_color it ran at,
+        so asking again at that d_color copies the list and does not walk
+        the grid; commit_route and rip_up clear it, once per call. A scan
+        that is not kept is built from pairs when given, else from a
+        close_pairs walk, and kept. pairs must be what close_pairs would
+        yield at d_color now, as run_baseline hands over those its
+        conflict graph was read from, with their colors after its
+        recolors (a recolor changes a mask, never a net). Both arms leave
+        a scan of their final grid (route_all from its last iteration),
+        so score after either arm copies it.
+        """
+        d_color = self._clamp(d_color)
+        if self._last_scan is None or self._last_scan[0] != d_color:
+            pairs = self.close_pairs(d_color) if pairs is None else pairs
+            found = [Conflict(a, b, net_a, net_b, color_a, distance)
+                     for a, b, distance, (net_a, color_a), (net_b, color_b) in pairs if color_a == color_b]
+            found.sort(key=lambda c: (c.vertex_a, c.vertex_b))
+            self._last_scan = (d_color, found)
+        return list(self._last_scan[1])
 
     def _clamp(self, d_color: int) -> int:
         # No two vertices of a layer lie width + height - 1 apart, so a larger

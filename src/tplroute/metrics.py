@@ -39,11 +39,8 @@ class ScoreReport:
 def score(grid: Grid, routes: dict[int, RouteTree], rules: DesignRules) -> ScoreReport:
     """Pure function of the final grid and routes.
 
-    The conflicts are negotiation.detect_conflicts's at rules.d_color.
-    Either arm leaves its scan in the grid's last-scan slot: route_all's
-    last iteration, and run_baseline the pairs of its conflict graph. So
-    on either arm's grid this is a copy and the grid is not walked again;
-    a grid written since its last scan, or never scanned, is walked once.
+    The conflicts are negotiation.detect_conflicts's at rules.d_color,
+    a copy of the scan either arm leaves on its grid (Grid.conflicts).
     """
     conflicts = detect_conflicts(grid, rules)
     per_net_conflicts: dict[int, int] = {}

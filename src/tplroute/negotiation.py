@@ -11,22 +11,11 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .color_state import Color
-from .grid import Grid
+from .grid import Conflict, Grid
 from .layout import DesignRules, Layout, Net, Vertex, require_valid
 from .router import RouteTree, UnroutableError, route_net
 
 MAX_RESCUES_PER_NET = 8
-
-
-@dataclass(frozen=True)
-class Conflict:
-    vertex_a: Vertex
-    vertex_b: Vertex
-    net_a: int
-    net_b: int
-    color: Color
-    distance: int
 
 
 @dataclass
@@ -48,36 +37,11 @@ class RoutingResult:
 
 
 def detect_conflicts(grid: Grid, rules: DesignRules) -> list[Conflict]:
-    """Every cross-net same-layer same-color pair below d_color, once each.
+    """Every cross-net same-layer same-color pair below d_color, once each (Grid.conflicts).
 
-    The pairs of Grid.close_pairs at rules.d_color whose two colors are
-    equal, sorted by their vertices, in a new list. The grid keeps the
-    last scan with its clamped d_color until its next commit or rip-up,
-    so asking again of an unchanged grid, as score does after route_all,
-    copies the list and does not walk the grid.
+    Kept because it is public and perfbench/spans.py wraps it by name.
     """
-    d_color = grid._clamp(rules.d_color)
-    last = grid._last_scan
-    if last is None or last[0] != d_color:
-        last = keep_scan(grid, d_color, grid.close_pairs(d_color))
-    return list(last[1])
-
-
-def keep_scan(grid: Grid, d_color: int, pairs) -> tuple[int, list[Conflict]]:
-    """Keep the conflicts among pairs in the grid's last-scan slot, and return the slot.
-
-    pairs are (a, b, distance, committed[a], committed[b]) as
-    Grid.close_pairs yields them at the clamped d_color; the conflicts
-    are those whose two colors are equal, sorted by their vertices.
-    """
-    found = [
-        Conflict(a, b, net_a, net_b, color_a, distance)
-        for a, b, distance, (net_a, color_a), (net_b, color_b) in pairs
-        if color_a == color_b
-    ]
-    found.sort(key=lambda c: (c.vertex_a, c.vertex_b))
-    grid._last_scan = (d_color, found)
-    return grid._last_scan
+    return grid.conflicts(rules.d_color)
 
 
 def net_order_key(net: Net) -> tuple[int, int, int]:

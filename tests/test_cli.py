@@ -355,6 +355,30 @@ class Box:
     assert prose_lines("") == 0
 
 
+def test_code_lines_check_fails_a_module_over_its_budget(tmp_path, capsys):
+    script = Path(__file__).resolve().parent.parent / "scripts" / "code_lines.py"
+    counters = runpy.run_path(str(script))
+    budgets = {
+        path.name: {"code": counters["code_lines"](path.read_text()), "prose": counters["prose_lines"](path.read_text())}
+        for path in counters["PACKAGE"].glob("*.py")
+    }
+    budget_file = tmp_path / "budget.json"
+
+    def check(budgets):
+        budget_file.write_text(json.dumps(budgets))
+        code = counters["main"](["--check", str(budget_file)])
+        return code, [line for line in capsys.readouterr().out.splitlines() if "over its budget" in line]
+
+    assert check(budgets) == (0, [])
+    tight = {**budgets, "grid.py": {**budgets["grid.py"], "prose": budgets["grid.py"]["prose"] - 1}}
+    code, over = check(tight)
+    assert code == 1 and len(over) == 1 and over[0].startswith("grid.py: ")
+    # A module the file does not name has a budget of 0.
+    code, over = check({name: b for name, b in budgets.items() if name != "cli.py"})
+    assert code == 1 and len(over) == 1 and over[0].startswith("cli.py: ")
+    assert counters["main"]([]) == 0  # without --check, a report only
+
+
 def test_generate_rejects_bad_override_before_writing(tmp_path, capsys):
     path = tmp_path / "gen.json"
     code = main(["--mode", "generate", "--output", str(path), "--stitch-cost", "inf"])

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import random
+import re
 
 import pytest
 
@@ -73,6 +74,14 @@ def test_rejects_bad_parameters():
     for name, value in [("width", 12.0), ("height", True), ("layers", 2.0), ("num_nets", 2.5), ("pins_per_net", True)]:
         with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
             generate_instance(seed=0, congestion=0.5, **{**sizes, name: value})
+
+
+@pytest.mark.parametrize("congestion", [True, False, "0.5", None, 0.5j])
+def test_rejects_congestion_that_is_not_a_real_number(monkeypatch, congestion):
+    # True is not 1.0 and a string is not a ratio: each is named before any draw.
+    monkeypatch.setattr(random.Random, "getrandbits", lambda *_: pytest.fail("drew before the check"))
+    with pytest.raises(ValueError, match=f"^congestion must be a real number, got {re.escape(repr(congestion))}$"):
+        generate_instance(seed=0, width=8, height=8, layers=2, num_nets=2, pins_per_net=2, congestion=congestion)
 
 
 def test_obstacle_ids_are_random_sample_picks():

@@ -375,6 +375,11 @@ class TestOccupancy:
         (dict(obstacles={(1, 1, 0)}, committed={(1, 1, 0): (1, Color.RED)}), "is an obstacle"),
         (dict(pin_owners={(1, 1, 0): 2}, committed={(1, 1, 0): (1, Color.RED)}), "pin of net 2"),
         (dict(history=[0.0] * 23), "history has 23 entries for 24 vertices"),
+        # add_history's rule holds for a given history too: the search assumes no negative term.
+        (dict(history=[0.0] * 23 + [-3.0]), "finite and non-negative, got -3.0"),
+        (dict(history=[0.0] * 23 + [math.inf]), "finite and non-negative, got inf"),
+        (dict(history=[-math.inf] + [0.0] * 23), "finite and non-negative, got -inf"),
+        (dict(history=[0.0] * 23 + [math.nan]), "finite and non-negative, got nan"),
     ],
 )
 def test_construction_refuses_bad_geometry(fields, match):
