@@ -25,9 +25,11 @@ means, the median per-draw ratio, and how many draws the tree ran
 faster. A ratio above 1 means the tree is faster. With two or more
 rounds it also prints the run's own noise band: the rev side against
 itself, the interquartile mean of its even rounds over that of its odd
-rounds, where each draw ran first on the other side. A rev/tree ratio
-no further from 1 than that one is not a signal. Nothing is gated on
-time.
+rounds, where each draw ran first on the other side. Each arm's line
+ends in a label: "within noise" when the rev/tree interquartile-mean
+ratio lies no further from 1 than that even/odd ratio, "outside noise"
+when it lies further, and "no noise band" with one round. Nothing is
+gated on time.
 """
 
 from __future__ import annotations
@@ -126,6 +128,13 @@ def interquartile_mean(values: list[float]) -> float:
     return statistics.fmean(ordered[cut : len(ordered) - cut])
 
 
+def noise_label(ratio: float, band: float | None) -> str:
+    """Whether a rev/tree ratio stands out of the run's even/odd band (None with one round)."""
+    if band is None:
+        return "no noise band"
+    return "within noise" if abs(ratio - 1) <= abs(band - 1) else "outside noise"
+
+
 def positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -176,14 +185,16 @@ def main(argv=None) -> int:
         tree_ms = [1000 * statistics.median(t) for t in times["tree", arm]]
         ratios = [a / b for a, b in zip(rev_ms, tree_ms)]
         faster = sum(b < a for a, b in zip(rev_ms, tree_ms))
-        noise = ""
+        ratio = interquartile_mean(rev_ms) / interquartile_mean(tree_ms)
+        band, noise = None, ""
         if args.rounds >= 2:
             even = [statistics.median(t[0::2]) for t in times["rev", arm]]
             odd = [statistics.median(t[1::2]) for t in times["rev", arm]]
-            noise = f"; rev even/odd rounds {interquartile_mean(even) / interquartile_mean(odd):.4f}x"
+            band = interquartile_mean(even) / interquartile_mean(odd)
+            noise = f"; rev even/odd rounds {band:.4f}x"
         print(f"{arm}: interquartile mean {interquartile_mean(rev_ms):.4f} -> {interquartile_mean(tree_ms):.4f} ms "
-              f"({interquartile_mean(rev_ms) / interquartile_mean(tree_ms):.4f}x{noise}); median per-draw ratio "
-              f"{statistics.median(ratios):.4f}x; tree faster on {faster} of {len(draws)} draws")
+              f"({ratio:.4f}x{noise}); median per-draw ratio {statistics.median(ratios):.4f}x; "
+              f"tree faster on {faster} of {len(draws)} draws; {noise_label(ratio, band)}")
     return 0
 
 

@@ -66,7 +66,7 @@ def generate_instance(
     congestion: float,
     rules: DesignRules | None = None,
 ) -> Layout:
-    for name, value in (("width", width), ("height", height), ("layers", layers),
+    for name, value in (("seed", seed), ("width", width), ("height", height), ("layers", layers),
                         ("num_nets", num_nets), ("pins_per_net", pins_per_net)):
         if not _is_int(value):
             raise ValueError(f"{name} must be an integer, got {value!r}")

@@ -18,6 +18,9 @@ rules key is required except "off_guide_penalty", the soft penalty for
 leaving the guide (default 4.0). Rules typed int in DesignRules must be
 JSON integers; the rest are cost rules and may be any JSON number from 0
 to COST_RULE_MAX (4096), stored as float.
+
+layout_from_dict checks only the JSON's shape (objects, arrays, required
+keys, and vertices of three exact ints to hash); validate judges every value.
 """
 
 from __future__ import annotations
@@ -170,21 +173,12 @@ def _vertex_arrays(raw_arrays: list, where: str, args: tuple = ()) -> list[list[
     return arrays
 
 
-def _integer(raw: Any, what: str, args: tuple = ()) -> int:
-    """raw itself when it is a JSON integer (booleans are not)."""
-    if not _is_int(raw):
-        raise LayoutError(f"{what.format(*args)} must be an integer, got {raw!r}")
-    return raw
-
-
 def layout_from_dict(data: dict) -> Layout:
     """Build and validate a Layout from parsed JSON."""
     grid = _require(data, "grid", "layout")
     width = _require(grid, "width", "grid")
     height = _require(grid, "height", "grid")
     raw_layers = _array(_require(grid, "layers", "grid"), "grid layers")
-    if not raw_layers:
-        raise LayoutError("grid needs at least one layer")
     layers = [_require(entry, "dir", "layer {}", (i,)) for i, entry in enumerate(raw_layers)]
 
     raw_rules = _object(_require(data, "rules", "layout"), "rules")
@@ -200,23 +194,15 @@ def layout_from_dict(data: dict) -> Layout:
 
     nets = []
     for raw_net in _array(_require(data, "nets", "layout"), "nets"):
-        net_id = _integer(_require(raw_net, "id", "net"), "net id")
+        net_id = _require(raw_net, "id", "net")
         at = (net_id,)
         name = _require(raw_net, "name", "net {}", at)
-        if not isinstance(name, str):
-            raise LayoutError(f"net {net_id} name must be a string, got {name!r}")
         raw_pins = _array(_require(raw_net, "pins", "net {}", at), "net {} pins", at)
         pins = list(map(Pin, _vertex_arrays(raw_pins, "net {} pin {}", at)))
         guide = None
         raw_guide = raw_net.get("guide")
         if raw_guide is not None and _array(raw_guide, "net {} guide", at):
-            guide = [
-                tuple(
-                    _integer(_require(box, key, "net {} guide", at), "net {} guide {}", (net_id, key))
-                    for key in GUIDE_KEYS
-                )
-                for box in raw_guide
-            ]
+            guide = [tuple(_require(box, key, "net {} guide", at) for key in GUIDE_KEYS) for box in raw_guide]
         nets.append(Net(net_id, name, pins, guide))
 
     layout = Layout(
@@ -232,8 +218,8 @@ def layout_from_dict(data: dict) -> Layout:
 
 
 def _rule_value(value: Any, kind: type) -> Any:
-    """JSON integers become floats in float rules; anything else is left for validate."""
-    if kind is float and type(value) is int:
+    """JSON integers below 2**1023 in magnitude become floats in float rules; the rest is left for validate."""
+    if kind is float and type(value) is int and value.bit_length() < 1024:
         return float(value)
     return value
 
@@ -244,8 +230,8 @@ def load_layout(path: str | Path) -> Layout:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise LayoutError(f"cannot read {path}: {exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
-        # RecursionError: arrays or objects nested deeper than the parser's stack.
+    except (ValueError, RecursionError) as exc:
+        # Bad JSON or UTF-8, an int past the digit limit (each a ValueError), or too deep nesting.
         raise LayoutError(f"cannot parse {path}: {exc}") from exc
     return layout_from_dict(data)
 
@@ -253,6 +239,8 @@ def load_layout(path: str | Path) -> Layout:
 def validate(layout: Layout) -> list[str]:
     """All invariant violations, one message per offense. Empty means valid."""
     problems: list[str] = []
+    if not layout.layers:
+        problems.append("grid needs at least one layer")
     if not (_is_int(layout.width) and _is_int(layout.height)):
         # Every bounds check below compares against the dimensions.
         problems.append(
@@ -274,8 +262,7 @@ def validate(layout: Layout) -> list[str]:
             problems.append(f"layers {i - 1} and {i} do not alternate preferred direction")
     problems.extend(_rule_problems(layout.rules))
 
-    # A vertex is a tuple of three ints, tested inline with exact types as
-    # the parser does, before the inline bounds test compares it.
+    # Each vertex is tested inline: a tuple of three exact ints, then in bounds.
     width, height, num_layers = layout.width, layout.height, layout.num_layers
     malformed, out_of_bounds = [], []
     for o in layout.obstacles:
@@ -353,7 +340,7 @@ def _rule_problems(rules: DesignRules) -> list[str]:
             problems.append(f"rule {name} must be an integer, got {value!r}")
         elif not (_is_int(value) or isinstance(value, float)):
             problems.append(f"rule {name} must be a number, got {value!r}")
-        elif not math.isfinite(value):
+        elif isinstance(value, float) and not math.isfinite(value):
             problems.append(f"rule {name} must be finite, got {value!r}")
         elif name in _RULE_MINIMUMS and value < _RULE_MINIMUMS[name]:
             problems.append(f"{name} must be >= {_RULE_MINIMUMS[name]}, got {value}")

@@ -206,6 +206,22 @@ def test_error_json_on_wrong_json_type(tmp_path):
     assert "pins must be a list" in err["message"]
 
 
+def test_error_json_names_every_net_value_fault(tmp_path, capsys, instance_file):
+    data = json.loads(instance_file.read_text())
+    data["nets"][0]["id"] = "zero"
+    data["nets"][1]["name"] = 5
+    data["nets"][2]["guide"] = [{"layer": 0, "x0": 0, "y0": 0, "x1": 3.0, "y1": 1}]
+    path = tmp_path / "faults.json"
+    path.write_text(json.dumps(data))
+    assert main(["--mode", "route", "--input", str(path), "--output", str(tmp_path / "x")]) == 1
+    message = (
+        "net id must be an integer, got 'zero'; net 1 name must be a string, got 5; "
+        "net 2 guide box (0, 0, 0, 3.0, 1) is not five integers"
+    )
+    assert json.loads(capsys.readouterr().err) == {"error": "LayoutError", "message": message}
+    assert not (tmp_path / "x.report.json").exists()
+
+
 def test_error_json_on_too_deeply_nested_file(tmp_path):
     path = tmp_path / "deep.json"
     path.write_text("[" * 200_000)
@@ -377,6 +393,18 @@ def test_code_lines_check_fails_a_module_over_its_budget(tmp_path, capsys):
     code, over = check({name: b for name, b in budgets.items() if name != "cli.py"})
     assert code == 1 and len(over) == 1 and over[0].startswith("cli.py: ")
     assert counters["main"]([]) == 0  # without --check, a report only
+
+
+def test_ab_draws_labels_a_ratio_against_its_noise_band():
+    script = Path(__file__).resolve().parent.parent / "scripts" / "ab_draws.py"
+    noise_label = runpy.run_path(str(script))["noise_label"]
+    # Within: no further from 1 than the even/odd ratio, on either side of 1.
+    for ratio, band in [(1.03, 1.05), (0.97, 1.05), (1.04, 0.95), (1.05, 1.05), (1.0, 1.0)]:
+        assert noise_label(ratio, band) == "within noise", (ratio, band)
+    for ratio, band in [(1.06, 1.05), (0.94, 1.05), (1.06, 0.95), (1.001, 1.0)]:
+        assert noise_label(ratio, band) == "outside noise", (ratio, band)
+    # One round has no even/odd ratio to compare against.
+    assert noise_label(1.5, None) == noise_label(1.0, None) == "no noise band"
 
 
 def test_generate_rejects_bad_override_before_writing(tmp_path, capsys):

@@ -84,6 +84,15 @@ def test_rejects_congestion_that_is_not_a_real_number(monkeypatch, congestion):
         generate_instance(seed=0, width=8, height=8, layers=2, num_nets=2, pins_per_net=2, congestion=congestion)
 
 
+@pytest.mark.parametrize("seed", [None, True, 1.0, "x"])
+def test_rejects_seed_that_is_not_an_integer(monkeypatch, seed):
+    # None would seed from the OS, so two calls would differ; True and 1.0
+    # would give seed 1's draw. Each is named before any draw.
+    monkeypatch.setattr(random.Random, "getrandbits", lambda *_: pytest.fail("drew before the check"))
+    with pytest.raises(ValueError, match=f"^seed must be an integer, got {re.escape(repr(seed))}$"):
+        generate_instance(seed=seed, width=8, height=8, layers=2, num_nets=2, pins_per_net=2, congestion=0.5)
+
+
 def test_obstacle_ids_are_random_sample_picks():
     # Every (n, k) the generator can ask for up to 400 vertices. Its k is
     # round(congestion * OBSTACLE_FRACTION * n) for a congestion in [0, 1],

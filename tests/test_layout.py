@@ -1,6 +1,8 @@
+import copy
 import hashlib
 import json
 import math
+import re
 from dataclasses import fields, replace
 
 import pytest
@@ -209,7 +211,8 @@ def test_valid_guide_round_trips():
 def test_non_integer_guide_coordinate_rejected(bad):
     data = minimal_dict()
     data["nets"][0]["guide"] = [{"layer": 0, "x0": 0, "y0": 0, "x1": bad, "y1": 1}]
-    with pytest.raises(LayoutError, match="guide x1 must be an integer"):
+    message = f"net 0 guide box (0, 0, 0, {bad!r}, 1) is not five integers"
+    with pytest.raises(LayoutError, match=re.escape(message)):
         layout_from_dict(data)
 
 
@@ -267,7 +270,7 @@ def test_wrong_json_type_rejected(path, message):
         (("nets", 0, "pins", 0), [], "net 0 pin 0 covers no vertices"),
         (("nets", 2, "pins", 3, 0), [0, 0], r"bad vertex \[0, 0\] in net 2 pin 3"),
         (("nets", 2, "pins", 3), [], "net 2 pin 3 covers no vertices"),
-        (("nets", 2, "guide", 0, "x1"), 3.0, "net 2 guide x1 must be an integer, got 3.0"),
+        (("nets", 2, "guide", 0, "x1"), 3.0, r"net 2 guide box \(0, 2, 0, 3\.0, 3\) is not five integers"),
         (("nets", 2, "guide", 0), {"layer": 0}, "missing field 'x0' in net 2 guide"),
         (("nets", 2), {"id": 2, "name": "n2"}, "missing field 'pins' in net 2"),
     ],
@@ -277,6 +280,21 @@ def test_bad_geometry_rejected(path, value, message):
     set_at(data, path, value)
     with pytest.raises(LayoutError, match=message):
         layout_from_dict(data)
+
+
+def test_net_id_name_and_guide_faults_are_named_together():
+    # The parser shapes these values and validate judges them, so one
+    # error names a fault in each of three nets, not only the first.
+    data = three_net_dict()
+    data["nets"][0]["id"] = "zero"
+    data["nets"][1]["name"] = 5
+    set_at(data, ("nets", 2, "guide", 0, "x1"), 3.0)
+    with pytest.raises(LayoutError) as excinfo:
+        layout_from_dict(json.loads(json.dumps(data)))
+    assert str(excinfo.value) == (
+        "net id must be an integer, got 'zero'; net 1 name must be a string, got 5; "
+        "net 2 guide box (0, 2, 0, 3.0, 3) is not five integers"
+    )
 
 
 @pytest.mark.parametrize("vertex", [[True, 0, 0], [0, False, 0], [0, 0, True]])
@@ -297,6 +315,64 @@ def test_round_trip_generated_layouts(seed):
     again = layout_from_dict(layout_to_dict(layout))
     assert layout_to_dict(again) == layout_to_dict(layout)
     assert validate(again) == []
+
+
+def _edit_base_text():
+    """A 6x5x2 draw's JSON text, net 0 given one guide box."""
+    data = layout_to_dict(generate_instance(
+        seed=0, width=6, height=5, layers=2, num_nets=2, pins_per_net=2, congestion=0.5,
+    ))
+    data["nets"][0]["guide"] = [{"layer": 0, "x0": 0, "y0": 0, "x1": 5, "y1": 4}]
+    return json.dumps(data)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-(10**20), 10**20) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _paths(data, path=()):
+    """The path of keys to every value in nested JSON data, the root's () first."""
+    yield path
+    items = data.items() if isinstance(data, dict) else enumerate(data) if isinstance(data, list) else ()
+    for key, value in items:
+        yield from _paths(value, (*path, key))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_edited_layout_json_is_rejected_or_valid(data):
+    # One to three edits anywhere in a valid layout's JSON, each replacing
+    # a value with any JSON value, deleting it, or duplicating it (next to
+    # itself in an array, onto a sibling key in an object). The parser
+    # raises LayoutError or returns a layout that validate accepts.
+    doc = json.loads(_edit_base_text())
+    for _ in range(data.draw(st.integers(1, 3))):
+        path = data.draw(st.sampled_from(list(_paths(doc))))
+        if not path:
+            doc = data.draw(JSON_VALUES)
+            continue
+        *parents, key = path
+        parent = doc
+        for step in parents:
+            parent = parent[step]
+        edit = data.draw(st.sampled_from(["replace", "delete", "duplicate"]))
+        if edit == "replace":
+            parent[key] = data.draw(JSON_VALUES)
+        elif edit == "delete":
+            del parent[key]
+        elif isinstance(parent, list):
+            parent.insert(key, copy.deepcopy(parent[key]))
+        else:
+            parent[data.draw(st.sampled_from(sorted(parent)))] = copy.deepcopy(parent[key])
+    doc = json.loads(json.dumps(doc))
+    try:
+        layout = layout_from_dict(doc)
+    except LayoutError:
+        return
+    assert validate(layout) == []
 
 
 def test_save_and_reload(tmp_path):
@@ -326,6 +402,29 @@ def test_cost_rule_above_cap_rejected(name, bad):
     data["rules"][name] = bad
     with pytest.raises(LayoutError, match=f"rule {name} must be at most 4096"):
         layout_from_dict(data)
+
+
+@pytest.mark.parametrize("name", RULE_NAMES)
+def test_integer_rule_past_float_range(name):
+    # 10**400 overflowed float() in the parser and math.isfinite in
+    # validate. It is an integer, so d_color (uncapped: Grid clamps it)
+    # takes it, and every other rule is over its cap.
+    data = minimal_dict()
+    data["rules"][name] = 10**400
+    if name == "d_color":
+        assert validate(layout_from_dict(data)) == []
+    else:
+        with pytest.raises(LayoutError, match=f"^rule {name} must be at most .*, got 10{{400}}$"):
+            layout_from_dict(data)
+
+
+def test_integer_past_the_digit_limit_is_a_parse_error(tmp_path):
+    # json.loads raises a plain ValueError for an integer longer than
+    # sys.get_int_max_str_digits() allows (4300 by default).
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(minimal_dict()).replace('"width": 4', '"width": ' + "9" * 5000))
+    with pytest.raises(LayoutError, match="cannot parse"):
+        load_layout(path)
 
 
 def test_max_iterations_capped():
