@@ -262,7 +262,7 @@ def validate(layout: Layout) -> list[str]:
             problems.append(f"layers {i - 1} and {i} do not alternate preferred direction")
     problems.extend(_rule_problems(layout.rules))
 
-    # Each vertex is tested inline: a tuple of three exact ints, then in bounds.
+    # Exact int types, as in the parser, so a boolean is no coordinate.
     width, height, num_layers = layout.width, layout.height, layout.num_layers
     malformed, out_of_bounds = [], []
     for o in layout.obstacles:
@@ -278,8 +278,8 @@ def validate(layout: Layout) -> list[str]:
     seen_ids: set[int] = set()
     pin_claims: dict[Vertex, int] = {}
     for net in layout.nets:
-        # An id that is not an integer may be unhashable or unordered, so
-        # it gets no duplicate test (and would break net_order_key).
+        # A non-integer id may be unhashable, unordered or NaN (unequal to itself),
+        # so it gets no duplicate or shared-pin test (it would break net_order_key).
         if not _is_int(net.id):
             problems.append(f"net id must be an integer, got {net.id!r}")
         elif net.id in seen_ids:
@@ -300,7 +300,7 @@ def validate(layout: Layout) -> list[str]:
                     problems.append(f"net {net.id} pin {p} vertex {v} out of bounds")
                 elif v in layout.obstacles:
                     problems.append(f"net {net.id} pin {p} vertex {v} sits on an obstacle")
-                elif pin_claims.get(v, net.id) != net.id:
+                elif _is_int(net.id) and pin_claims.get(v, net.id) != net.id:
                     problems.append(
                         f"pin vertex {v} shared by nets {pin_claims[v]} and {net.id}"
                     )

@@ -222,6 +222,16 @@ def test_error_json_names_every_net_value_fault(tmp_path, capsys, instance_file)
     assert not (tmp_path / "x.report.json").exists()
 
 
+def test_error_json_on_nan_net_id(tmp_path, capsys, instance_file):
+    data = json.loads(instance_file.read_text())
+    data["nets"][0]["id"] = float("nan")
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(data))
+    assert main(["--mode", "route", "--input", str(path), "--output", str(tmp_path / "x")]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "LayoutError", "message": "net id must be an integer, got nan"}
+
+
 def test_error_json_on_too_deeply_nested_file(tmp_path):
     path = tmp_path / "deep.json"
     path.write_text("[" * 200_000)

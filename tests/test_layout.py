@@ -216,7 +216,7 @@ def test_non_integer_guide_coordinate_rejected(bad):
         layout_from_dict(data)
 
 
-@pytest.mark.parametrize("bad", ["zero", 0.0, True, None, [0]])
+@pytest.mark.parametrize("bad", ["zero", 0.0, True, None, [0], float("nan")])
 def test_non_integer_net_id_rejected(bad):
     data = minimal_dict()
     data["nets"][0]["id"] = bad
@@ -294,6 +294,22 @@ def test_net_id_name_and_guide_faults_are_named_together():
     assert str(excinfo.value) == (
         "net id must be an integer, got 'zero'; net 1 name must be a string, got 5; "
         "net 2 guide box (0, 2, 0, 3.0, 3) is not five integers"
+    )
+
+
+def test_nan_net_id_sharing_a_pin_is_rejected():
+    # json reads the NaN literal, and NaN equals no id, not even itself:
+    # the shared-pin test must neither flag a NaN net against itself nor
+    # crash naming its claim.
+    data = three_net_dict()
+    data["nets"][0]["id"] = float("nan")
+    data["nets"][1]["pins"][0] = [[0, 0, 0]]
+    text = json.dumps(data)
+    assert '"id": NaN' in text
+    with pytest.raises(LayoutError) as excinfo:
+        layout_from_dict(json.loads(text))
+    assert str(excinfo.value) == (
+        "net id must be an integer, got nan; pin vertex (0, 0, 0) shared by nets nan and 1"
     )
 
 
